@@ -4,7 +4,7 @@ Subcommands: derive, generate, check, repair, run, grade, survey, pipeline,
 show-config. Exit codes form a fixed mapping:
 
     0  success (run: no Fail verdicts)
-    2  input, schema, or ingestion error
+    2  input, schema, or ingestion error (also a bad .smrl or live: config)
     3  LLM transport or response-format failure
     4  every EMR in a generate batch failed to parse
     5  at least one Fail verdict
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from .dsl import DslError, canonical_units, parse_emr, repair, validate
+from .dsl import DslError, parse_emr, repair, validate
 from .grading import (
     AnnotationError,
     SurveyError,
@@ -268,6 +268,8 @@ def _parse_emr_files(paths: Sequence[Path]):
             emrs.append(parse_emr(path.read_text(encoding="utf-8"), path.stem))
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}")
+        except DslError as exc:
+            raise CliError(f"cannot parse {path}: {exc}")
     return emrs
 
 
@@ -341,7 +343,10 @@ def _session_factory(spec: str, record_cassette: str | None):
     elif kind == "live":
         if not detail:
             raise CliError("--sut live:<adapter-config.json> needs a config path")
-        factory = LiveHttpSut.from_config_file(detail)
+        try:
+            factory = LiveHttpSut.from_config_file(detail)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot load adapter config {detail}: {exc}")
     elif kind == "replay":
         if not detail:
             raise CliError("--sut replay:<cassette.json> needs a cassette path")
@@ -394,12 +399,13 @@ def cmd_run(args: argparse.Namespace, config: ToolConfig) -> int:
 
 
 def cmd_grade(args: argparse.Namespace, config: ToolConfig) -> int:
-    emrs = None
+    emrs = stats = None
     statement_count = args.statements
     if args.emrs:
         emrs = {ast.id: ast for ast in _parse_emr_files(_collect_smrl(args.emrs))}
+        stats = emr_size_stats(emrs.values())
         if statement_count is None:
-            statement_count = sum(len(canonical_units(ast)) for ast in emrs.values())
+            statement_count = stats.total
     try:
         annotations = load_annotations(args.annotations, emrs)
     except (OSError, ValueError, KeyError, AnnotationError) as exc:
@@ -410,8 +416,7 @@ def cmd_grade(args: argparse.Namespace, config: ToolConfig) -> int:
     out = Path(config.out_dir)
     _write(out / "grade.json", _dump_json(report.to_json()), args.verbose)
     print(report.to_text())
-    if emrs is not None:
-        stats = emr_size_stats(emrs.values())
+    if stats is not None:
         _write(out / "sizes.json", _dump_json(stats.to_json()), args.verbose)
         mean = f"{stats.mean:.1f}" if stats.mean is not None else "-"
         print(f"sizes: min {stats.min} mean {mean} max {stats.max} total {stats.total}")

@@ -13,6 +13,9 @@ from typing import Iterator, Union
 
 CONSTRUCTS = frozenset({"Input", "Output", "CREATE", "IMPLIES", "NOT", "OR", "AND"})
 
+# Constructs whose statement-level calls lay out one argument per line.
+EXPANDABLE = frozenset({"IMPLIES", "OR", "AND"})
+
 # Construct name -> accepted argument counts.
 CONSTRUCT_ARITY: dict[str, tuple[int, ...]] = {
     "Input": (1,),
@@ -153,14 +156,6 @@ def structurally_equal(a: EmrAst, b: EmrAst) -> bool:
     return a.statements == b.statements
 
 
-def walk_statements(stmts: tuple[Stmt, ...]) -> Iterator[Stmt]:
-    """Depth-first, pre-order traversal over nested statements."""
-    for st in stmts:
-        yield st
-        if isinstance(st, (ForEach, If)):
-            yield from walk_statements(st.body)
-
-
 def walk_exprs(node: Expr) -> Iterator[Expr]:
     yield node
     if isinstance(node, Call):
@@ -175,18 +170,6 @@ def walk_exprs(node: Expr) -> Iterator[Expr]:
     elif isinstance(node, BoolChain):
         for o in node.operands:
             yield from walk_exprs(o)
-
-
-def statement_exprs(st: Stmt) -> tuple[Expr, ...]:
-    if isinstance(st, ForEach):
-        return (st.iterable,)
-    if isinstance(st, If):
-        return (st.cond,)
-    if isinstance(st, VarDecl):
-        return (st.init,)
-    if isinstance(st, ExprStmt):
-        return (st.expr,)
-    return ()
 
 
 def called_non_construct_names(exprs: tuple[Expr, ...]) -> list[str]:

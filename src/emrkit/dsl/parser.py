@@ -27,6 +27,7 @@ from .ast import (
     Call,
     Continue,
     EmrAst,
+    EXPANDABLE,
     Expr,
     ExprStmt,
     ForEach,
@@ -43,8 +44,6 @@ from .ast import (
 )
 from .errors import ParseError
 from .tokens import Token, string_value, tokenize
-
-EXPANDABLE = frozenset({"IMPLIES", "OR", "AND"})
 
 
 class _Parser:

@@ -19,6 +19,7 @@ from .ast import (
     Call,
     Continue,
     EmrAst,
+    EXPANDABLE,
     Expr,
     ExprStmt,
     ForEach,
@@ -33,8 +34,6 @@ from .ast import (
     called_non_construct_names,
 )
 from .tokens import string_lexeme
-
-EXPANDABLE = frozenset({"IMPLIES", "OR", "AND"})
 
 INDENT = "    "
 

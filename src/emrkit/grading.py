@@ -89,20 +89,21 @@ class StatementAnnotation:
         return all(label in CORRECT_LABELS for label in self.labels)
 
 
-def check_annotation(annotation: StatementAnnotation, emrs: Mapping[str, EmrAst] | None = None) -> None:
+def check_annotation(
+    annotation: StatementAnnotation, classes: Mapping[str, Mapping[int, StatementClass]] | None = None
+) -> None:
+    """Check the labels and, when ``classes`` maps each EMR id to its
+    ``statement_classes_by_line``, line existence and applicability."""
     if not annotation.labels:
         raise AnnotationError(f"{annotation.emr_id} line {annotation.line}: empty label set")
     for label in annotation.labels:
         if label not in LABELS:
             raise UnknownLabel(label)
-    if emrs is None:
+    if classes is None:
         return
-    if annotation.emr_id not in emrs:
+    cls = classes.get(annotation.emr_id, {}).get(annotation.line)
+    if cls is None:
         raise LineNotInEmr(annotation.emr_id, annotation.line)
-    classes = statement_classes_by_line(emrs[annotation.emr_id])
-    if annotation.line not in classes:
-        raise LineNotInEmr(annotation.emr_id, annotation.line)
-    cls = classes[annotation.line]
     for label in annotation.labels:
         expected = StatementClass.SIMPLE if label in SIMPLE_LABELS else StatementClass.COMPLEX
         if cls is not expected:
@@ -114,6 +115,7 @@ def load_annotations(
 ) -> list[StatementAnnotation]:
     """Load line-oriented JSON annotations, validating labels (and, when the
     EMRs are supplied, line existence and Simple/Complex applicability)."""
+    classes = None if emrs is None else {i: statement_classes_by_line(ast) for i, ast in emrs.items()}
     annotations: list[StatementAnnotation] = []
     seen: set[tuple[str, int]] = set()
     for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
@@ -130,7 +132,7 @@ def load_annotations(
         if key in seen:
             raise DuplicateAnnotation(*key)
         seen.add(key)
-        check_annotation(annotation, emrs)
+        check_annotation(annotation, classes)
         annotations.append(annotation)
     return annotations
 

@@ -7,7 +7,6 @@ from .client import (
     LlmTransport,
     MissingScript,
     MockChatClient,
-    chat,
     content_hash,
 )
 from .conversation import Conversation, Message, TranscriptStore, run_turn
@@ -55,7 +54,6 @@ __all__ = [
     "TemplateError",
     "TranscriptStore",
     "UnsupportedFormat",
-    "chat",
     "chunk_document",
     "content_hash",
     "dedupe_mrs",

@@ -120,8 +120,3 @@ class LiveChatClient:
                 last_error = exc
                 time.sleep(self.backoff * (2**attempt))
         raise LlmTransport(f"chat request failed after {self.max_retries} attempts: {last_error}")
-
-
-def chat(client: ChatClient, conversation: Conversation) -> str:
-    """Append exactly one assistant message produced for the history so far."""
-    return client.complete(conversation)

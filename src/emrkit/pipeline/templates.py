@@ -32,7 +32,6 @@ class PromptPhase:
     pipeline: str  # "derive" | "generate"
     ordinal: int
     template: str
-    response_role: str = "assistant"
 
     def render(self, **values: str) -> str:
         return fill(self.template, **values)

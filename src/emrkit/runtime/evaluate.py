@@ -36,7 +36,7 @@ from ..dsl.ast import (
     StringLit,
     VarDecl,
 )
-from ..dsl.validate import has_errors, stub_names, validate
+from ..dsl.validate import stub_names, validate
 from .errors import EvalError, MissingStub, TypeMismatch
 from .values import (
     Action,
@@ -71,7 +71,7 @@ def _require_bool(value: Any, context: str) -> bool:
 class Evaluator:
     def __init__(self, session_factory: SessionFactory | None, stubs: StubBindings):
         self.session_factory = session_factory
-        self.stubs = dict(stubs)
+        self.stubs = stubs
         self.inputs: dict[int, ActionSequence] = {}
         self.outputs: dict[int, OutputSequence] = {}
         self.scopes: list[dict[str, Any]] = [{}]
@@ -187,22 +187,30 @@ class Evaluator:
         if isinstance(e, Name):
             return self.lookup(e.ident)
         if isinstance(e, Not):
-            return not _require_bool(self.eval_expr(e.operand), "'!' operand")
+            return self.eval_logic("NOT", (e.operand,), "'!'")
         if isinstance(e, BoolChain):
-            if e.op == "&&":
-                for op in e.operands:
-                    if not _require_bool(self.eval_expr(op), "'&&' operand"):
-                        return False
-                return True
-            for op in e.operands:
-                if _require_bool(self.eval_expr(op), "'||' operand"):
-                    return True
-            return False
+            return self.eval_logic("AND" if e.op == "&&" else "OR", e.operands, f"'{e.op}'")
         if isinstance(e, MethodCall):
             return self.eval_method(e)
         if isinstance(e, Call):
             return self.eval_call(e)
         raise EvalError(f"unknown expression node {e!r}")
+
+    def eval_logic(self, op: str, operands: tuple[Expr, ...], label: str) -> bool:
+        """Short-circuit NOT/AND/OR/IMPLIES, left to right; ``label`` names the
+        operands in type errors (IMPLIES: its antecedent and consequent)."""
+        if op == "IMPLIES":
+            contexts = ["IMPLIES antecedent", "IMPLIES consequent"]
+        else:
+            contexts = [f"{label} operand"] * len(operands)
+        values = (_require_bool(self.eval_expr(o), c) for o, c in zip(operands, contexts))
+        if op == "NOT":
+            return not next(values)
+        if op == "AND":
+            return all(values)
+        if op == "OR":
+            return any(values)
+        return not next(values) or next(values)
 
     def eval_method(self, e: MethodCall) -> Any:
         receiver = self.eval_expr(e.receiver)
@@ -228,20 +236,8 @@ class Evaluator:
             return self.eval_output(e)
         if e.name == "CREATE":
             return self.eval_create(e)
-        if e.name == "NOT":
-            return not _require_bool(self.eval_expr(e.args[0]), "NOT operand")
-        if e.name == "AND":
-            if not _require_bool(self.eval_expr(e.args[0]), "AND operand"):
-                return False
-            return _require_bool(self.eval_expr(e.args[1]), "AND operand")
-        if e.name == "OR":
-            if _require_bool(self.eval_expr(e.args[0]), "OR operand"):
-                return True
-            return _require_bool(self.eval_expr(e.args[1]), "OR operand")
-        if e.name == "IMPLIES":
-            if not _require_bool(self.eval_expr(e.args[0]), "IMPLIES antecedent"):
-                return True
-            return _require_bool(self.eval_expr(e.args[1]), "IMPLIES consequent")
+        if e.name in ("NOT", "AND", "OR", "IMPLIES"):
+            return self.eval_logic(e.name, e.args, e.name)
         if e.name in self.stubs:
             args = [self.eval_expr(a) for a in e.args]
             return self.stubs[e.name](*args)
@@ -283,7 +279,36 @@ def eval_bool(expr: Expr, env: Mapping[str, Any] | None = None, stubs: StubBindi
 
 
 def unbound_stubs(ast: EmrAst, stubs: StubBindings) -> list[str]:
-    return sorted(name for name in stub_names(validate(ast)) if name not in stubs)
+    """Validate the EMR and return its stub names that ``stubs`` leaves unbound.
+
+    Raises EvalError for a structurally invalid EMR.
+    """
+    diags = validate(ast)
+    first = next((d for d in diags if d.severity == "error"), None)
+    if first is not None:
+        raise EvalError(f"EMR '{ast.id}' has validation errors: {first.message} (line {first.line})")
+    return sorted(name for name in stub_names(diags) if name not in stubs)
+
+
+def run_emr(
+    ast: EmrAst,
+    source_input: ActionSequence,
+    session_factory: SessionFactory,
+    stubs: StubBindings,
+    missing: list[str],
+) -> Verdict:
+    """Verdict of a validated EMR on one source input; ``missing`` is its
+    ``unbound_stubs`` list, and a non-empty one makes it NotExecutable."""
+    if missing:
+        return Verdict(VerdictValue.NOT_EXECUTABLE, stubs=missing)
+    evaluator = Evaluator(session_factory, stubs)
+    evaluator.register_and_execute(1, source_input)
+    evaluator.run(ast.statements)
+    if evaluator.failures:
+        return Verdict(VerdictValue.FAIL, failing_bindings=evaluator.failures)
+    if evaluator.antecedent_held:
+        return Verdict(VerdictValue.PASS)
+    return Verdict(VerdictValue.INAPPLICABLE)
 
 
 def evaluate_emr(
@@ -298,20 +323,4 @@ def evaluate_emr(
     from the SUT propagate.
     """
     stubs = dict(stubs or {})
-    diags = validate(ast)
-    if has_errors(diags):
-        first = next(d for d in diags if d.severity == "error")
-        raise EvalError(f"EMR '{ast.id}' has validation errors: {first.message} (line {first.line})")
-    missing = unbound_stubs(ast, stubs)
-    if missing:
-        return Verdict(VerdictValue.NOT_EXECUTABLE, stubs=missing)
-
-    evaluator = Evaluator(session_factory, stubs)
-    evaluator.register_and_execute(1, source_input)
-    evaluator.run(ast.statements)
-
-    if evaluator.failures:
-        return Verdict(VerdictValue.FAIL, failing_bindings=evaluator.failures)
-    if evaluator.antecedent_held:
-        return Verdict(VerdictValue.PASS)
-    return Verdict(VerdictValue.INAPPLICABLE)
+    return run_emr(ast, source_input, session_factory, stubs, unbound_stubs(ast, stubs))

@@ -7,7 +7,7 @@ from typing import Any, Sequence
 
 from ..dsl.ast import EmrAst
 from .errors import AdapterFailure
-from .evaluate import SessionFactory, evaluate_emr
+from .evaluate import SessionFactory, run_emr, unbound_stubs
 from .values import ActionSequence, StubBindings, Verdict, VerdictValue
 
 VERDICT_ORDER = [v.value for v in VerdictValue] + ["Error"]
@@ -115,14 +115,19 @@ def run_suite(
 ) -> SuiteReport:
     """Evaluate every (EMR, input) pair sequentially and in order.
 
-    Adapter failures are recorded per pair and never abort the suite.
+    Each EMR is validated once per call, not once per pair. Adapter
+    failures are recorded per pair and never abort the suite.
     """
     names = list(input_names) if input_names else [f"input{i + 1}" for i in range(len(inputs))]
     report = SuiteReport()
+    if not inputs:
+        return report
+    stubs = dict(stubs or {})
     for ast in emrs:
+        missing = unbound_stubs(ast, stubs)
         for i, source in enumerate(inputs):
             try:
-                verdict = evaluate_emr(ast, source, session_factory, stubs)
+                verdict = run_emr(ast, source, session_factory, stubs, missing)
                 report.entries.append(SuiteEntry(ast.id, i, names[i], verdict))
             except AdapterFailure as exc:
                 report.entries.append(SuiteEntry(ast.id, i, names[i], None, error=str(exc)))

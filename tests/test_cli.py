@@ -123,6 +123,38 @@ def test_run_adapter_failure_exits_six(tmp_path):
     assert code == 6
 
 
+def broken_smrl(tmp_path: Path) -> Path:
+    emr_dir = tmp_path / "emrs"
+    emr_dir.mkdir()
+    (emr_dir / "search_filter.smrl").write_text(Path(FIG4).read_text())
+    broken = emr_dir / "broken.smrl"
+    broken.write_text("MR {{\n    IMPLIES(true, ;\n}}\n")
+    return broken
+
+
+def test_run_unparseable_smrl_exits_two(tmp_path, capsys):
+    broken = broken_smrl(tmp_path)
+    code = run("--out", tmp_path / "out", "run", broken.parent, "--inputs", INPUTS, "--sut", "mock")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(broken) in err and "2:" in err and "Traceback" not in err
+
+
+def test_run_missing_live_config_exits_two(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    code = run("--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS, "--sut", f"live:{missing}")
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_run_malformed_live_config_exits_two(tmp_path, capsys):
+    config = tmp_path / "adapter.json"
+    config.write_text("{}")
+    code = run("--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS, "--sut", f"live:{config}")
+    assert code == 2
+    assert "base_url" in capsys.readouterr().err
+
+
 def test_run_record_then_replay(tmp_path):
     cassette = tmp_path / "cassette.json"
     assert run("--out", tmp_path / "a", "run", FIG4, "--inputs", INPUTS,
@@ -184,6 +216,13 @@ def test_grade_with_emrs_checks_lines_and_prints_sizes(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "min 10 mean 13.6 max 20 total 136" in out
+
+
+def test_grade_with_unparseable_emr_exits_two(tmp_path, capsys):
+    broken = broken_smrl(tmp_path)
+    assert run("--out", tmp_path / "out", "grade", ANNOTATIONS, "--emrs", broken.parent) == 2
+    err = capsys.readouterr().err
+    assert str(broken) in err and "2:" in err
 
 
 def test_grade_schema_error_exits_two(tmp_path, capsys):

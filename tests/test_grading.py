@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from emrkit.dsl import canonical_units, parse_emr
+from emrkit.dsl import canonical_units, parse_emr, statement_classes_by_line
 from emrkit.grading import (
     ApplicabilityViolation,
     CORRECT_LABELS,
@@ -50,34 +50,39 @@ def test_empty_file_is_empty_list(tmp_path):
     assert load_annotations(path) == []
 
 
-def test_ine_accepted_on_search_filter_guard_line(filter_emr_ast):
+@pytest.fixture
+def filter_classes(filter_emr_ast):
+    return {"search_filter": statement_classes_by_line(filter_emr_ast)}
+
+
+def test_ine_accepted_on_search_filter_guard_line(filter_classes):
     # The if/continue guard is a Complex statement on canonical line 3.
     annotation = StatementAnnotation("search_filter", 3, ["INE"])
-    check_annotation(annotation, {"search_filter": filter_emr_ast})
+    check_annotation(annotation, filter_classes)
 
 
-def test_clc_on_complex_statement_is_applicability_violation(filter_emr_ast):
+def test_clc_on_complex_statement_is_applicability_violation(filter_classes):
     with pytest.raises(ApplicabilityViolation):
-        check_annotation(StatementAnnotation("search_filter", 3, ["CLC"]), {"search_filter": filter_emr_ast})
+        check_annotation(StatementAnnotation("search_filter", 3, ["CLC"]), filter_classes)
 
 
-def test_complex_label_on_simple_statement_rejected(filter_emr_ast):
+def test_complex_label_on_simple_statement_rejected(filter_classes):
     # Canonical line 7 is the bare IMPLIES( opener, a Simple statement.
     with pytest.raises(ApplicabilityViolation):
-        check_annotation(StatementAnnotation("search_filter", 7, ["C"]), {"search_filter": filter_emr_ast})
+        check_annotation(StatementAnnotation("search_filter", 7, ["C"]), filter_classes)
 
 
-def test_unknown_label(filter_emr_ast):
+def test_unknown_label(filter_classes):
     with pytest.raises(UnknownLabel):
-        check_annotation(StatementAnnotation("search_filter", 3, ["NOPE"]), {"search_filter": filter_emr_ast})
+        check_annotation(StatementAnnotation("search_filter", 3, ["NOPE"]), filter_classes)
 
 
-def test_line_not_in_emr(filter_emr_ast):
+def test_line_not_in_emr(filter_classes):
     with pytest.raises(LineNotInEmr):
-        check_annotation(StatementAnnotation("search_filter", 999, ["C"]), {"search_filter": filter_emr_ast})
+        check_annotation(StatementAnnotation("search_filter", 999, ["C"]), filter_classes)
     with pytest.raises(LineNotInEmr):
         # Line 13 exists in the canonical text but is a structural closer.
-        check_annotation(StatementAnnotation("search_filter", 13, ["C"]), {"search_filter": filter_emr_ast})
+        check_annotation(StatementAnnotation("search_filter", 13, ["C"]), filter_classes)
 
 
 def test_duplicate_annotation_rejected(tmp_path):
@@ -97,6 +102,22 @@ def test_fixture_annotations_validate_against_the_suite(emr_suite):
     for emr_id, ast in emr_suite.items():
         lines = {u.line for u in canonical_units(ast)}
         assert {a.line for a in annotations if a.emr_id == emr_id} == lines
+
+
+def test_load_annotations_renders_each_emr_once(emr_suite, monkeypatch):
+    import emrkit.dsl.classify as classify
+
+    rendered = []
+    original = classify.canonical_units
+
+    def counting_units(ast):
+        rendered.append(ast.id)
+        return original(ast)
+
+    monkeypatch.setattr(classify, "canonical_units", counting_units)
+    annotations = load_annotations(fixture_path("suite_annotations.jsonl"), emr_suite)
+    assert Counter(a.emr_id for a in annotations)["emr01"] > 1
+    assert sorted(rendered) == sorted(emr_suite)
 
 
 # --- distribution report ------------------------------------------------------

@@ -71,6 +71,38 @@ def test_type_mismatch_on_non_boolean_operand():
         eval_bool(expr_of("NOT(n)"), {"n": 3})
 
 
+@pytest.mark.parametrize(
+    "snippet, context",
+    [
+        ("!n", "'!' operand"),
+        ("t && n", "'&&' operand"),
+        ("f || n", "'||' operand"),
+        ("NOT(n)", "NOT operand"),
+        ("AND(t, n)", "AND operand"),
+        ("OR(n, t)", "OR operand"),
+        ("IMPLIES(n, t)", "IMPLIES antecedent"),
+        ("IMPLIES(t, n)", "IMPLIES consequent"),
+    ],
+)
+def test_type_mismatch_names_the_operand(snippet, context):
+    with pytest.raises(TypeMismatch) as info:
+        eval_bool(expr_of(snippet), {"n": 3, "t": True, "f": False})
+    assert str(info.value) == f"{context} evaluated to non-boolean 3"
+
+
+def test_infix_chains_short_circuit_left_to_right():
+    calls = []
+
+    def probe(value):
+        calls.append(value)
+        return value
+
+    stubs = {"p": probe}
+    assert eval_bool(expr_of("p(true) && p(false) && p(true)"), stubs=stubs) is False
+    assert eval_bool(expr_of("p(false) || p(true) || p(false)"), stubs=stubs) is True
+    assert calls == [True, False, False, True]
+
+
 # --- follow-up construction ----------------------------------------------------
 
 

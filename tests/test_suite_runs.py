@@ -54,6 +54,31 @@ def test_empty_suite_is_empty_report():
     assert not report.has_failures
 
 
+def test_zero_inputs_give_an_empty_report_even_for_an_invalid_emr():
+    invalid = parse_emr("MR {{ IMPLIES(true); }}", "invalid")
+    report = run_suite([invalid], [], MockShopSut(), STUBS)
+    assert report.entries == []
+
+
+def test_each_emr_is_validated_once_per_run(suite_asts, shop_inputs, monkeypatch):
+    import emrkit.runtime.evaluate as evaluate
+
+    calls = []
+    original = evaluate.validate
+
+    def counting_validate(ast, *args, **kwargs):
+        calls.append(ast.id)
+        return original(ast, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "validate", counting_validate)
+    unbound = parse_emr("MR {{ IMPLIES(mystery(), true); }}", "unbound")
+    emrs = [*suite_asts, unbound]
+    report = run_suite(emrs, shop_inputs, MockShopSut(), STUBS)
+    assert calls == [ast.id for ast in emrs]
+    assert report.counts_for("unbound") == {"NotExecutable": len(shop_inputs)}
+    assert all(e.verdict.stubs == ["mystery"] for e in report.entries if e.emr_id == "unbound")
+
+
 def test_counts_one_pass_one_inapplicable(shop_inputs):
     ast = parse_emr(read_fixture("search_filter.smrl"), "search_filter")
     inputs = [shop_inputs[0], shop_inputs[4]]  # search_chair, login_only

@@ -14,7 +14,7 @@ import csv
 import json
 from pathlib import Path
 
-from emrkit.dsl import canonical_units
+from emrkit.dsl import canonical_units, statement_classes_by_line
 from emrkit.grading import StatementAnnotation, check_annotation, save_annotations
 from emrkit.resources import fixture_path, load_emr_suite
 
@@ -58,6 +58,7 @@ SIMPLE_WLC: dict[str, set[int]] = {
 
 def make_annotations() -> None:
     suite = load_emr_suite()
+    classes = {emr_id: statement_classes_by_line(ast) for emr_id, ast in suite.items()}
     annotations: list[StatementAnnotation] = []
     for emr_id, ast in suite.items():
         simple_ordinal = complex_ordinal = 0
@@ -69,7 +70,7 @@ def make_annotations() -> None:
                 simple_ordinal += 1
                 labels = ["WLC"] if simple_ordinal in SIMPLE_WLC.get(emr_id, set()) else ["CLC"]
             annotation = StatementAnnotation(emr_id, unit.line, list(labels))
-            check_annotation(annotation, suite)
+            check_annotation(annotation, classes)
             annotations.append(annotation)
     save_annotations(annotations, fixture_path("suite_annotations.jsonl"))
     print(f"wrote {len(annotations)} annotations")
