@@ -4,7 +4,8 @@ Subcommands: derive, generate, check, repair, run, grade, survey, pipeline,
 show-config. Exit codes form a fixed mapping:
 
     0  success (run: no Fail verdicts)
-    2  input, schema, or ingestion error (also a bad .smrl or live: config)
+    2  input, schema, or ingestion error (also a bad --config, an unreadable
+       or unparseable .smrl, or a bad live: config)
     3  LLM transport or response-format failure
     4  every EMR in a generate batch failed to parse
     5  at least one Fail verdict
@@ -18,7 +19,7 @@ import argparse
 import importlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -101,24 +102,13 @@ class ToolConfig:
                 raw = json.loads(Path(path).read_text(encoding="utf-8"))
             except (OSError, ValueError) as exc:
                 raise CliError(f"cannot read config {path}: {exc}")
+            if not isinstance(raw, dict):
+                raise CliError(f"config {path} must be a JSON object")
             llm_raw = raw.get("llm", {})
-            config.llm = LlmConfig(
-                endpoint=llm_raw.get("endpoint", ""),
-                model=llm_raw.get("model", "mock"),
-                temperature=float(llm_raw.get("temperature", 0.0)),
-                max_response_tokens=int(llm_raw.get("max_response_tokens", 4096)),
-                credential_env=llm_raw.get("credential_env", "EMRKIT_API_KEY"),
-            )
-            config.mock = bool(raw.get("mock", False))
-            config.mock_scripts = raw.get("mock_scripts", config.mock_scripts)
-            config.templates_dir = raw.get("templates_dir")
-            config.fewshot = raw.get("fewshot", config.fewshot)
-            config.out_dir = raw.get("out_dir", config.out_dir)
-            config.turn_budget = int(raw.get("turn_budget", config.turn_budget))
-            config.max_mrs_per_document = int(raw.get("max_mrs_per_document", 0))
-            config.merge_duplicate_mrs = bool(raw.get("merge_duplicate_mrs", True))
-            config.sut = raw.get("sut", config.sut)
-            config.stubs_module = raw.get("stubs_module", config.stubs_module)
+            if not isinstance(llm_raw, dict):
+                raise CliError(f"'llm' in config {path} must be a JSON object")
+            _overlay(config.llm, llm_raw, path, "llm.")
+            _overlay(config, raw, path, "")
         if getattr(args, "mock", False):
             config.mock = True
         if getattr(args, "out", None):
@@ -126,19 +116,7 @@ class ToolConfig:
         return config
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "llm": self.llm.to_json(),
-            "mock": self.mock,
-            "mock_scripts": self.mock_scripts,
-            "templates_dir": self.templates_dir,
-            "fewshot": self.fewshot,
-            "out_dir": self.out_dir,
-            "turn_budget": self.turn_budget,
-            "max_mrs_per_document": self.max_mrs_per_document,
-            "merge_duplicate_mrs": self.merge_duplicate_mrs,
-            "sut": self.sut,
-            "stubs_module": self.stubs_module,
-        }
+        return {**asdict(self), "llm": self.llm.to_json()}
 
     def chat_client(self):
         if self.mock:
@@ -152,6 +130,30 @@ class ToolConfig:
 
     def conversation_config(self) -> dict[str, Any]:
         return {"model": self.llm.model if not self.mock else "mock", "temperature": self.llm.temperature}
+
+
+def _overlay(target: Any, raw: dict[str, Any], path: str, prefix: str) -> None:
+    """Set each field of the dataclass ``target`` that ``raw`` names.
+
+    A value whose default is a bool or a number is converted to the
+    default's type; one whose default is a string must be a string. Nested
+    dataclasses are left to the caller.
+    """
+    for f in fields(target):
+        default = getattr(target, f.name)
+        if f.name not in raw or is_dataclass(default):
+            continue
+        value = raw[f.name]
+        key = f"'{prefix}{f.name}' in config {path}"
+        if isinstance(default, str):
+            if not isinstance(value, str):
+                raise CliError(f"{key} must be a string, not {value!r}")
+        elif isinstance(default, (bool, int, float)):
+            try:
+                value = type(default)(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CliError(f"bad value for {key}: {exc}")
+        setattr(target, f.name, value)
 
 
 def _write(path: Path, text: str, verbose: bool) -> None:
@@ -261,13 +263,19 @@ def cmd_generate(args: argparse.Namespace, config: ToolConfig) -> int:
     return EXIT_OK
 
 
+def _read_smrl(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}")
+
+
 def _parse_emr_files(paths: Sequence[Path]):
     emrs = []
     for path in paths:
+        source = _read_smrl(path)
         try:
-            emrs.append(parse_emr(path.read_text(encoding="utf-8"), path.stem))
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}")
+            emrs.append(parse_emr(source, path.stem))
         except DslError as exc:
             raise CliError(f"cannot parse {path}: {exc}")
     return emrs
@@ -293,7 +301,7 @@ def cmd_check(args: argparse.Namespace, config: ToolConfig) -> int:
     worst = EXIT_OK
     for path in _collect_smrl(args.emrs):
         try:
-            ast = parse_emr(path.read_text(encoding="utf-8"), path.stem)
+            ast = parse_emr(_read_smrl(path), path.stem)
         except DslError as exc:
             print(json.dumps({"file": str(path), "severity": "error", "message": str(exc)}))
             worst = EXIT_INPUT
@@ -312,8 +320,7 @@ def cmd_check(args: argparse.Namespace, config: ToolConfig) -> int:
 def cmd_repair(args: argparse.Namespace, config: ToolConfig) -> int:
     out = Path(config.out_dir) / "repaired"
     for path in _collect_smrl(args.emrs):
-        source = path.read_text(encoding="utf-8")
-        fixed, log = repair(source)
+        fixed, log = repair(_read_smrl(path))
         for entry in log.entries:
             print(json.dumps({"file": str(path), **entry.to_json()}, sort_keys=True))
         if args.in_place:

@@ -13,9 +13,6 @@ from typing import Iterator, Union
 
 CONSTRUCTS = frozenset({"Input", "Output", "CREATE", "IMPLIES", "NOT", "OR", "AND"})
 
-# Constructs whose statement-level calls lay out one argument per line.
-EXPANDABLE = frozenset({"IMPLIES", "OR", "AND"})
-
 # Construct name -> accepted argument counts.
 CONSTRUCT_ARITY: dict[str, tuple[int, ...]] = {
     "Input": (1,),

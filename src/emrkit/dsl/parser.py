@@ -15,8 +15,10 @@ Grammar (one MR block per source):
     postfix  := primary ('.' IDENT '(' args ')')*
     primary  := 'true' | 'false' | INT | STRING | IDENT ['(' args ')'] | '(' expr ')'
 
-Trailing ``//`` comments become explanations on the statement or expression
-fragment that ends on the comment's line.
+A trailing ``//`` comment becomes the explanation of a node only when the
+canonical layout (``printer``) prints that node's explanation on a line of
+its own, and the node's canonical line breaks on the comment's source line.
+A comment that no such node ends before is dropped.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .ast import (
     Call,
     Continue,
     EmrAst,
-    EXPANDABLE,
     Expr,
     ExprStmt,
     ForEach,
@@ -43,6 +44,7 @@ from .ast import (
     VarDecl,
 )
 from .errors import ParseError
+from .printer import _Line, _rendered
 from .tokens import Token, string_value, tokenize
 
 
@@ -297,53 +299,20 @@ class _Parser:
         return tuple(args), end
 
 
-def _attachable_nodes(ast: EmrAst) -> list[tuple[Node, int, int]]:
-    """Nodes a trailing comment can become the explanation of, each with the
-    source position its canonical line ends at.
-
-    These are exactly the fragments the canonical printer puts on a line of
-    their own: statements, arguments of IMPLIES/OR/AND calls, operands of
-    infix chains directly under such arguments, and the construct calls
-    themselves (anchored at their opening parenthesis, where the expanded
-    layout breaks the line).
-    """
-    nodes: list[tuple[Node, int, int]] = []
-
-    def expr_anchor(e: Expr) -> tuple[int, int]:
-        return e.pos.end_line, e.pos.end_column
-
-    def visit_expandable(call: Call) -> None:
-        # Opening "NAME(" gets its own canonical line.
-        nodes.append((call, call.pos.line, call.pos.column + len(call.name) + 1))
-        for arg in call.args:
-            if isinstance(arg, BoolChain):
-                for op in arg.operands:
-                    nodes.append((op, *expr_anchor(op)))
-            elif isinstance(arg, Call) and arg.name in EXPANDABLE:
-                visit_expandable(arg)
-            else:
-                nodes.append((arg, *expr_anchor(arg)))
-
-    def visit_stmts(stmts: tuple[Stmt, ...]) -> None:
-        for st in stmts:
-            if isinstance(st, ForEach):
-                # Anchor at the loop header, not the closing brace.
-                nodes.append((st, st.iterable.pos.end_line, st.iterable.pos.end_column))
-                visit_stmts(st.body)
-            elif isinstance(st, If):
-                nodes.append((st, st.cond.pos.end_line, st.cond.pos.end_column))
-                visit_stmts(st.body)
-            else:
-                nodes.append((st, st.pos.end_line, st.pos.end_column))
-                if isinstance(st, ExprStmt) and isinstance(st.expr, Call) and st.expr.name in EXPANDABLE:
-                    visit_expandable(st.expr)
-
-    visit_stmts(ast.statements)
-    return nodes
+def _anchor(line: _Line) -> tuple[int, int]:
+    """Source position where the canonical line owned by ``line.owner`` breaks."""
+    node = line.owner
+    if isinstance(node, ForEach):
+        return node.iterable.pos.end_line, node.iterable.pos.end_column
+    if isinstance(node, If):
+        return node.cond.pos.end_line, node.cond.pos.end_column
+    if line.unit_kind == "opener":
+        return node.pos.line, node.pos.column + len(node.name) + 1
+    return node.pos.end_line, node.pos.end_column
 
 
 def _attach_comments(ast: EmrAst, comments: list[Token]) -> None:
-    candidates = _attachable_nodes(ast)
+    candidates = [(line.owner, *_anchor(line)) for line in _rendered(ast) if line.owner is not None]
     for comment in comments:
         best: tuple[Node, int, int] | None = None
         for cand in candidates:

@@ -6,7 +6,11 @@ argument on its own line (and ``&&``/``||`` chains in argument position
 split one operand per line), mirroring how generated EMRs are written and
 read. Every line that carries program logic is a *unit*: the thing that
 gets classified Simple/Complex, annotated, and counted in size statistics.
-Explanations re-appear as trailing ``//`` comments on their unit's line.
+
+Each canonical line has at most one *owner*, the node whose explanation it
+prints as a trailing ``//`` comment. This module is the one place that
+decides the layout: the parser attaches a source comment only to the owner
+of a canonical line, so parse -> print -> parse keeps every explanation.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .ast import (
     Call,
     Continue,
     EmrAst,
-    EXPANDABLE,
     Expr,
     ExprStmt,
     ForEach,
@@ -27,6 +30,7 @@ from .ast import (
     IntLit,
     MethodCall,
     Name,
+    Node,
     Not,
     Stmt,
     StringLit,
@@ -36,6 +40,9 @@ from .ast import (
 from .tokens import string_lexeme
 
 INDENT = "    "
+
+# Constructs whose statement-level calls lay out one argument per line.
+EXPANDABLE = frozenset({"IMPLIES", "OR", "AND"})
 
 
 @dataclass
@@ -60,7 +67,11 @@ class _Line:
     text: str
     unit_kind: str | None = None
     unit_exprs: tuple[Expr, ...] = ()
-    explanation: str | None = None
+    owner: Node | None = None  # the node whose explanation the line prints
+
+    @property
+    def explanation(self) -> str | None:
+        return None if self.owner is None else self.owner.explanation
 
 
 def format_expr(e: Expr) -> str:
@@ -108,9 +119,9 @@ class _Renderer:
         text: str,
         kind: str | None = None,
         exprs: tuple[Expr, ...] = (),
-        explanation: str | None = None,
+        owner: Node | None = None,
     ) -> None:
-        self.lines.append(_Line(indent, text, kind, exprs, explanation))
+        self.lines.append(_Line(indent, text, kind, exprs, owner))
 
     def render(self, ast: EmrAst) -> list[_Line]:
         self.emit(0, "MR {{")
@@ -122,39 +133,38 @@ class _Renderer:
     def statement(self, st: Stmt, d: int) -> None:
         if isinstance(st, ForEach):
             header = f"for ({st.decl_type} {st.var} : {format_expr(st.iterable)}) {{"
-            self.emit(d, header, "for", (st.iterable,), st.explanation)
+            self.emit(d, header, "for", (st.iterable,), st)
             for inner in st.body:
                 self.statement(inner, d + 1)
             self.emit(d, "}")
         elif isinstance(st, If):
             if len(st.body) == 1 and isinstance(st.body[0], Continue):
-                cont = st.body[0]
                 text = f"if ({format_expr(st.cond)}) continue;"
-                self.emit(d, text, "if", (st.cond,), cont.explanation)
+                self.emit(d, text, "if", (st.cond,), st.body[0])
             else:
-                self.emit(d, f"if ({format_expr(st.cond)}) {{", "if", (st.cond,), st.explanation)
+                self.emit(d, f"if ({format_expr(st.cond)}) {{", "if", (st.cond,), st)
                 for inner in st.body:
                     self.statement(inner, d + 1)
                 self.emit(d, "}")
         elif isinstance(st, Continue):
-            self.emit(d, "continue;", "continue", (), st.explanation)
+            self.emit(d, "continue;", "continue", (), st)
         elif isinstance(st, VarDecl):
             text = f"var {st.name} = {format_expr(st.init)};"
-            self.emit(d, text, "var", (st.init,), st.explanation)
+            self.emit(d, text, "var", (st.init,), st)
         elif isinstance(st, ExprStmt):
             if isinstance(st.expr, Call) and st.expr.name in EXPANDABLE:
-                self.expanded_call(st.expr, d, ";", st.explanation)
+                self.expanded_call(st.expr, d, ";", st)
             else:
-                self.emit(d, f"{format_expr(st.expr)};", "expr", (st.expr,), st.explanation)
+                self.emit(d, f"{format_expr(st.expr)};", "expr", (st.expr,), st)
         else:
             raise TypeError(f"unknown statement node: {st!r}")
 
-    def expanded_call(self, call: Call, d: int, terminator: str, closer_explanation: str | None) -> None:
-        self.emit(d, f"{call.name}(", "opener", (), call.explanation)
+    def expanded_call(self, call: Call, d: int, terminator: str, closer: Node | None) -> None:
+        self.emit(d, f"{call.name}(", "opener", (), call)
         for i, arg in enumerate(call.args):
             suffix = "," if i < len(call.args) - 1 else ""
             self.argument(arg, d + 1, suffix)
-        self.emit(d, f"){terminator}", explanation=closer_explanation)
+        self.emit(d, f"){terminator}", owner=closer)
 
     def argument(self, arg: Expr, d: int, suffix: str) -> None:
         if isinstance(arg, Call) and arg.name in EXPANDABLE:
@@ -166,9 +176,9 @@ class _Renderer:
                 text = format_expr(op)
                 if isinstance(op, BoolChain):
                     text = f"({text})"
-                self.emit(d, f"{text}{tail}", "operand", (op,), op.explanation)
+                self.emit(d, f"{text}{tail}", "operand", (op,), op)
         else:
-            self.emit(d, f"{format_expr(arg)}{suffix}", "arg", (arg,), arg.explanation)
+            self.emit(d, f"{format_expr(arg)}{suffix}", "arg", (arg,), arg)
 
 
 def _rendered(ast: EmrAst) -> list[_Line]:

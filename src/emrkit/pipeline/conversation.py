@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .templates import PromptPhase
+
 
 @dataclass
 class Message:
@@ -73,25 +75,20 @@ class TranscriptStore:
         return path
 
 
-class NullTranscriptStore(TranscriptStore):
-    def __init__(self) -> None:
-        super().__init__(Path("."))
-
-    def write(self, conversation: Conversation) -> Path:  # pragma: no cover - trivial
-        return Path("/dev/null")
-
-
 def run_turn(
     conversation: Conversation,
     client: Any,
-    store: TranscriptStore,
-    phase: int,
+    store: TranscriptStore | None,
+    phase: PromptPhase,
     content: str,
 ) -> str:
-    """One user turn: send, persist, read the assistant reply, persist."""
-    conversation.append("user", content, phase)
-    store.write(conversation)
+    """One user turn in ``phase``: send, persist, read the assistant reply,
+    persist. With no store nothing is persisted."""
+    conversation.append("user", content, phase.ordinal)
+    if store is not None:
+        store.write(conversation)
     reply = client.complete(conversation)
-    conversation.append("assistant", reply, phase)
-    store.write(conversation)
+    conversation.append("assistant", reply, phase.ordinal)
+    if store is not None:
+        store.write(conversation)
     return reply

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any
 
 from .client import ChatClient
-from .conversation import Conversation, NullTranscriptStore, TranscriptStore, run_turn
+from .conversation import Conversation, TranscriptStore, run_turn
 from .ingest import Document, chunk_document
 from .templates import DeriveTemplates
 
@@ -129,27 +129,26 @@ def derive_mrs(
     ``max_mrs`` caps how many MRs phase 4 asks for; by default the count is
     left to the model and the caller just gets whatever comes back.
     """
-    store = store or NullTranscriptStore()
-    templates = templates or DeriveTemplates.load()
+    t = templates or DeriveTemplates.load()
     conversation = Conversation("derive", document.doc_id, config=conversation_config(config))
 
-    run_turn(conversation, client, store, 1, templates.context.render())
+    run_turn(conversation, client, store, t.context, t.context.render())
 
     chunks = chunk_document(document.text, turn_budget)
     for i, chunk in enumerate(chunks, start=1):
         part = f"part {i} of {len(chunks)}" if len(chunks) > 1 else "complete"
-        run_turn(conversation, client, store, 2, templates.document.render(part=part, document=chunk))
+        run_turn(conversation, client, store, t.document, t.document.render(part=part, document=chunk))
     if len(chunks) > 1:
-        run_turn(conversation, client, store, 2, templates.consolidate.render())
+        run_turn(conversation, client, store, t.consolidate, t.consolidate.render())
 
-    sentences = run_turn(conversation, client, store, 3, templates.sentences.render())
+    sentences = run_turn(conversation, client, store, t.sentences, t.sentences.render())
     if not sentences.strip():
         return DeriveResult([], conversation)
 
-    request = templates.mrs.render()
+    request = t.mrs.render()
     if max_mrs is not None and max_mrs > 0:
         request += f"\nDerive at most {max_mrs} MRs."
-    response = run_turn(conversation, client, store, 4, request)
+    response = run_turn(conversation, client, store, t.mrs, request)
     mrs, warnings = parse_mr_list(response, document)
     if not mrs and response.strip():
         raise ResponseFormatError("phase-4 response contains no items in the required MR list format", response)

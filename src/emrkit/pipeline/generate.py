@@ -24,7 +24,7 @@ from ..dsl.repair import RepairLog, repair
 from ..dsl.validate import has_errors, stub_names, validate
 from ..sut.catalog import ApiCatalog
 from .client import ChatClient
-from .conversation import Conversation, NullTranscriptStore, TranscriptStore, run_turn
+from .conversation import Conversation, TranscriptStore, run_turn
 from .derive import MetamorphicRelation, conversation_config
 from .templates import GenerateTemplates
 
@@ -99,19 +99,19 @@ def generate_emrs(
     """Run the six-phase generation conversation over a batch of MRs."""
     if not fewshot:
         raise ValueError("generation needs at least one few-shot example")
-    store = store or NullTranscriptStore()
-    templates = templates or GenerateTemplates.load()
+    t = templates or GenerateTemplates.load()
     conversation = Conversation("generate", _batch_ref(mrs), config=conversation_config(config))
 
-    run_turn(conversation, client, store, 1, templates.context.render())
-    run_turn(conversation, client, store, 2, templates.constructs.render(constructs=templates.constructs_text))
-    run_turn(conversation, client, store, 3, templates.output_template.render(template=templates.emr_template_text))
-    run_turn(conversation, client, store, 4, templates.fewshot.render(fewshot=render_fewshot(fewshot)))
-    run_turn(conversation, client, store, 5, templates.apis.render(apis=catalog.render_for_prompt()))
+    run_turn(conversation, client, store, t.context, t.context.render())
+    run_turn(conversation, client, store, t.constructs, t.constructs.render(constructs=t.constructs_text))
+    run_turn(conversation, client, store, t.output_template,
+             t.output_template.render(template=t.emr_template_text))
+    run_turn(conversation, client, store, t.fewshot, t.fewshot.render(fewshot=render_fewshot(fewshot)))
+    run_turn(conversation, client, store, t.apis, t.apis.render(apis=catalog.render_for_prompt()))
 
     items: list[GeneratedEmr] = []
     for mr in mrs:
-        response = run_turn(conversation, client, store, 6, templates.transform.render(mr=mr.text))
+        response = run_turn(conversation, client, store, t.transform, t.transform.render(mr=mr.text))
         raw_source = extract_emr_source(response)
         repaired, log = repair(raw_source)
         try:

@@ -29,7 +29,6 @@ def fill(text: str, /, **values: str) -> str:
 
 @dataclass
 class PromptPhase:
-    pipeline: str  # "derive" | "generate"
     ordinal: int
     template: str
 
@@ -61,11 +60,11 @@ class DeriveTemplates:
     def load(cls, directory: str | Path | None = None) -> "DeriveTemplates":
         directory = Path(directory) if directory else None
         return cls(
-            context=PromptPhase("derive", 1, _load("derive_phase1_context.txt", directory)),
-            document=PromptPhase("derive", 2, _load("derive_phase2_document.txt", directory)),
-            consolidate=PromptPhase("derive", 2, _load("derive_phase2_consolidate.txt", directory)),
-            sentences=PromptPhase("derive", 3, _load("derive_phase3_sentences.txt", directory)),
-            mrs=PromptPhase("derive", 4, _load("derive_phase4_mrs.txt", directory)),
+            context=PromptPhase(1, _load("derive_phase1_context.txt", directory)),
+            document=PromptPhase(2, _load("derive_phase2_document.txt", directory)),
+            consolidate=PromptPhase(2, _load("derive_phase2_consolidate.txt", directory)),
+            sentences=PromptPhase(3, _load("derive_phase3_sentences.txt", directory)),
+            mrs=PromptPhase(4, _load("derive_phase4_mrs.txt", directory)),
         )
 
 
@@ -84,12 +83,12 @@ class GenerateTemplates:
     def load(cls, directory: str | Path | None = None) -> "GenerateTemplates":
         directory = Path(directory) if directory else None
         return cls(
-            context=PromptPhase("generate", 1, _load("generate_phase1_context.txt", directory)),
-            constructs=PromptPhase("generate", 2, _load("generate_phase2_constructs.txt", directory)),
-            output_template=PromptPhase("generate", 3, _load("generate_phase3_template.txt", directory)),
-            fewshot=PromptPhase("generate", 4, _load("generate_phase4_fewshot.txt", directory)),
-            apis=PromptPhase("generate", 5, _load("generate_phase5_apis.txt", directory)),
-            transform=PromptPhase("generate", 6, _load("generate_phase6_transform.txt", directory)),
+            context=PromptPhase(1, _load("generate_phase1_context.txt", directory)),
+            constructs=PromptPhase(2, _load("generate_phase2_constructs.txt", directory)),
+            output_template=PromptPhase(3, _load("generate_phase3_template.txt", directory)),
+            fewshot=PromptPhase(4, _load("generate_phase4_fewshot.txt", directory)),
+            apis=PromptPhase(5, _load("generate_phase5_apis.txt", directory)),
+            transform=PromptPhase(6, _load("generate_phase6_transform.txt", directory)),
             constructs_text=_load("constructs.txt", directory),
             emr_template_text=_load("emr_template.txt", directory),
         )

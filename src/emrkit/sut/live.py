@@ -22,7 +22,7 @@ import json
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..runtime.errors import AdapterFailure
@@ -41,8 +41,10 @@ class AdapterConfig:
     @classmethod
     def load(cls, path: str | Path) -> "AdapterConfig":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if "base_url" not in raw or "actions" not in raw:
-            raise ValueError("adapter config needs 'base_url' and 'actions'")
+        if not isinstance(raw, dict) or "base_url" not in raw or "actions" not in raw:
+            raise ValueError("adapter config must be a JSON object with 'base_url' and 'actions'")
+        if not isinstance(raw["base_url"], str) or not isinstance(raw["actions"], dict):
+            raise ValueError("adapter config needs a string 'base_url' and an object 'actions'")
         return cls(raw["base_url"].rstrip("/"), raw["actions"])
 
 
@@ -65,7 +67,6 @@ def _to_output(status_code: int, body: bytes) -> Output:
 class LiveHttpSession:
     config: AdapterConfig
     timeout: float = 10.0
-    record: list[tuple[Action, Output]] = field(default_factory=list)
 
     def execute(self, action: Action) -> Output:
         mapping = self.config.actions.get(action.kind)
@@ -89,7 +90,6 @@ class LiveHttpSession:
             output = _to_output(exc.code, exc.read())
         except (urllib.error.URLError, OSError) as exc:
             raise TransportError(f"{method} {url} failed: {exc}") from exc
-        self.record.append((action.copy(), output))
         return output
 
 

@@ -60,7 +60,6 @@ def matches_filters(item: dict[str, Any], params: dict[str, Any]) -> bool:
 class MockShopSession:
     session_id: int
     fault: str | None = None
-    record: list[tuple[Action, Output]] = field(default_factory=list)
     _first_search: Output | None = None
     _logged_in: str | None = None
 
@@ -75,7 +74,6 @@ class MockShopSession:
             output = Output("ok", {}, 0)
         else:
             raise AdapterFailure(f"mock shop does not support action kind '{action.kind}'")
-        self.record.append((action.copy(), output))
         return output
 
     def _search(self, params: dict[str, Any]) -> Output:

@@ -137,3 +137,18 @@ def messy_render(source: str, seed: int) -> str:
         pieces.append(rng.choice([" ", "  ", "\n", "\n\t", " \n  "]))
         pieces.append(token.lexeme)
     return "".join(pieces)
+
+
+def scatter_comments(source: str, seed: int) -> str:
+    """Place comments where the canonical layout would not.
+
+    Every inline ``if (...) continue;`` guard breaks after its condition
+    with a comment there, and random lines without a comment gain one.
+    """
+    rng = random.Random(seed)
+    lines = []
+    for line in source.split("\n"):
+        if "//" not in line and rng.random() < 0.3:
+            line += f" // note {rng.randint(0, 9)}"
+        lines.append(line.replace(") continue;", ") // why\ncontinue;"))
+    return "\n".join(lines)

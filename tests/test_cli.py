@@ -155,6 +155,29 @@ def test_run_malformed_live_config_exits_two(tmp_path, capsys):
     assert "base_url" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document", ["5", "[]", '{"base_url": 1, "actions": {}}'])
+def test_run_live_config_of_wrong_shape_exits_two(tmp_path, capsys, document):
+    config = tmp_path / "adapter.json"
+    config.write_text(document)
+    code = run("--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS, "--sut", f"live:{config}")
+    assert code == 2
+    assert str(config) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "{smrl}", "--inputs", INPUTS, "--sut", "mock"],
+    ["check", "{smrl}"],
+    ["repair", "{smrl}"],
+    ["grade", ANNOTATIONS, "--emrs", "{smrl}"],
+], ids=["run", "check", "repair", "grade"])
+def test_non_utf8_smrl_exits_two(tmp_path, capsys, command):
+    smrl = tmp_path / "bad.smrl"
+    smrl.write_bytes(b"\xff\xfe")
+    argv = [str(smrl) if a == "{smrl}" else a for a in command]
+    assert run("--out", tmp_path / "out", *argv) == 2
+    assert f"cannot read {smrl}" in capsys.readouterr().err
+
+
 def test_run_record_then_replay(tmp_path):
     cassette = tmp_path / "cassette.json"
     assert run("--out", tmp_path / "a", "run", FIG4, "--inputs", INPUTS,
@@ -265,3 +288,18 @@ def test_config_file_overrides_and_flags_win(tmp_path, capsys):
     resolved = json.loads(capsys.readouterr().out)
     assert resolved["llm"]["model"] == "gpt-test"
     assert resolved["out_dir"] == str(tmp_path / "cli-out")
+
+
+@pytest.mark.parametrize("document, named", [
+    ("[1]", "must be a JSON object"),
+    ('{"llm": 5}', "'llm' in config"),
+    ('{"turn_budget": "big"}', "'turn_budget' in config"),
+    ('{"llm": {"temperature": null}}', "'llm.temperature' in config"),
+    ('{"sut": 5}', "'sut' in config"),
+])
+def test_bad_config_exits_two(tmp_path, capsys, document, named):
+    config = tmp_path / "config.json"
+    config.write_text(document)
+    assert run("--config", config, "show-config") == 2
+    err = capsys.readouterr().err
+    assert named in err and str(config) in err

@@ -1,6 +1,6 @@
 import pytest
 
-from astgen import ProgramGen, messy_render
+from astgen import ProgramGen, messy_render, scatter_comments
 from emrkit.dsl import (
     BoolChain,
     Call,
@@ -114,10 +114,12 @@ def test_trailing_content_rejected():
 def test_round_trip_property_over_generated_programs():
     checked = 0
     for seed in range(120):
-        source = pretty_print(ProgramGen(seed).program())
-        first = parse_emr(source)
-        second = parse_emr(pretty_print(first))
-        assert structurally_equal(first, second), f"seed {seed}"
+        canonical = pretty_print(ProgramGen(seed).program())
+        for source in (canonical, scatter_comments(canonical, seed)):
+            # Every explanation the first parse attaches survives the print.
+            first = parse_emr(source)
+            second = parse_emr(pretty_print(first))
+            assert structurally_equal(first, second), f"seed {seed}:\n{source}"
         checked += 1
     assert checked >= 100
 

@@ -122,13 +122,6 @@ def test_login_and_unknown_action():
         session.execute(Action(1, "purchase", {}))
 
 
-def test_sessions_record_in_execution_order():
-    session = MockShopSut().session()
-    session.execute(Action(0, "login", {"user": "ada"}))
-    session.execute(search(query="chair"))
-    assert [a.kind for a, _ in session.record] == ["login", "search"]
-
-
 def test_mock_determinism():
     sut = MockShopSut()
     a = sut.session().execute(search(query="desk", category="office"))
@@ -282,7 +275,6 @@ def test_live_adapter_maps_actions_to_endpoints(live_server):
     assert output.status == "ok" and output.summary_size == 1
     login = session.execute(Action(1, "login", {"user": "ada"}))
     assert login.payload == {"user": "ada"}
-    assert [a.kind for a, _ in session.record] == ["search", "login"]
 
 
 def test_live_adapter_unknown_kind(live_server):
