@@ -4,8 +4,8 @@ Subcommands: derive, generate, check, repair, run, grade, survey, pipeline,
 show-config. Exit codes form a fixed mapping:
 
     0  success (run: no Fail verdicts)
-    2  input, schema, or ingestion error (also a bad --config, an unreadable
-       or unparseable .smrl, or a bad live: config)
+    2  bad usage, or an input file that cannot be read or understood; the
+       message names the file (or the --config key)
     3  LLM transport or response-format failure
     4  every EMR in a generate batch failed to parse
     5  at least one Fail verdict
@@ -16,12 +16,13 @@ show-config. Exit codes form a fixed mapping:
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .dsl import DslError, parse_emr, repair, validate
 from .grading import (
@@ -41,6 +42,7 @@ from .pipeline import (
     MissingScript,
     MockChatClient,
     ResponseFormatError,
+    TemplateError,
     TranscriptStore,
     UnsupportedFormat,
     dedupe_mrs,
@@ -78,6 +80,31 @@ class CliError(Exception):
         self.code = code
 
 
+# What reading and decoding an input file raises when the file is missing,
+# unreadable or not in the expected format. A well-formed document of the
+# wrong shape fails in the code that indexes into it, hence the last three.
+_SHAPE_ERRORS = (LookupError, TypeError, AttributeError)
+_INPUT_ERRORS = (
+    OSError, ValueError, DslError, SchemaError, AnnotationError, SurveyError, UnsupportedFormat, TemplateError,
+    *_SHAPE_ERRORS,
+)
+
+
+def _load(what: str, path: str | Path | None, loader: Callable[..., Any], *args: Any) -> Any:
+    """``loader(path, *args)``: the one place where an input file that cannot
+    be read or understood becomes exit 2, with a message that names it."""
+    try:
+        return loader(path, *args)
+    except _INPUT_ERRORS as exc:
+        reason: Any = exc
+        if isinstance(exc, OSError) and exc.strerror:
+            reason = exc.strerror  # the path is already in the message
+        elif isinstance(exc, _SHAPE_ERRORS):
+            reason = f"unexpected structure ({type(exc).__name__}: {exc})"
+        named = f"{what} {path}" if what else path
+        raise CliError(f"cannot read {named}: {reason}")
+
+
 @dataclass
 class ToolConfig:
     """Fully resolved tool configuration; every default is materialized."""
@@ -96,19 +123,7 @@ class ToolConfig:
 
     @classmethod
     def load(cls, path: str | None, args: argparse.Namespace) -> "ToolConfig":
-        config = cls()
-        if path:
-            try:
-                raw = json.loads(Path(path).read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise CliError(f"cannot read config {path}: {exc}")
-            if not isinstance(raw, dict):
-                raise CliError(f"config {path} must be a JSON object")
-            llm_raw = raw.get("llm", {})
-            if not isinstance(llm_raw, dict):
-                raise CliError(f"'llm' in config {path} must be a JSON object")
-            _overlay(config.llm, llm_raw, path, "llm.")
-            _overlay(config, raw, path, "")
+        config = _load("config", path, _read_config) if path else cls()
         if getattr(args, "mock", False):
             config.mock = True
         if getattr(args, "out", None):
@@ -120,10 +135,7 @@ class ToolConfig:
 
     def chat_client(self):
         if self.mock:
-            try:
-                return MockChatClient.from_file(self.mock_scripts)
-            except (OSError, ValueError) as exc:
-                raise CliError(f"cannot load mock scripts {self.mock_scripts}: {exc}")
+            return _load("mock scripts", self.mock_scripts, MockChatClient.from_file)
         if not self.llm.endpoint:
             raise CliError("live mode needs llm.endpoint in the config (or pass --mock)")
         return LiveChatClient(self.llm)
@@ -132,28 +144,43 @@ class ToolConfig:
         return {"model": self.llm.model if not self.mock else "mock", "temperature": self.llm.temperature}
 
 
-def _overlay(target: Any, raw: dict[str, Any], path: str, prefix: str) -> None:
-    """Set each field of the dataclass ``target`` that ``raw`` names.
+# The JSON values a config field takes, by the type of its default (None
+# stands for ``str | None``); a JSON boolean is never a number.
+_CONFIG_VALUES: dict[type, tuple[str, tuple[type, ...]]] = {
+    bool: ("a boolean", (bool,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    type(None): ("a string or null", (str, type(None))),
+}
 
-    A value whose default is a bool or a number is converted to the
-    default's type; one whose default is a string must be a string. Nested
-    dataclasses are left to the caller.
-    """
+
+def _read_config(path: str) -> ToolConfig:
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError("the config must be a JSON object")
+    llm_raw = raw.get("llm", {})
+    if not isinstance(llm_raw, dict):
+        raise ValueError("'llm' in config must be a JSON object")
+    config = ToolConfig()
+    _overlay(config.llm, llm_raw, "llm.")
+    _overlay(config, raw, "")
+    return config
+
+
+def _overlay(target: Any, raw: dict[str, Any], prefix: str) -> None:
+    """Set each field of the dataclass ``target`` that ``raw`` names to a
+    value of the field's type (an int for a float field becomes a float).
+    Nested dataclasses are left to the caller."""
     for f in fields(target):
         default = getattr(target, f.name)
         if f.name not in raw or is_dataclass(default):
             continue
         value = raw[f.name]
-        key = f"'{prefix}{f.name}' in config {path}"
-        if isinstance(default, str):
-            if not isinstance(value, str):
-                raise CliError(f"{key} must be a string, not {value!r}")
-        elif isinstance(default, (bool, int, float)):
-            try:
-                value = type(default)(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise CliError(f"bad value for {key}: {exc}")
-        setattr(target, f.name, value)
+        kind, allowed = _CONFIG_VALUES[type(default)]
+        if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, allowed):
+            raise ValueError(f"'{prefix}{f.name}' in config must be {kind}, not {json.dumps(value)}")
+        setattr(target, f.name, float(value) if isinstance(default, float) else value)
 
 
 def _write(path: Path, text: str, verbose: bool) -> None:
@@ -173,14 +200,11 @@ def _dump_json(data: Any) -> str:
 def cmd_derive(args: argparse.Namespace, config: ToolConfig) -> int:
     out = Path(config.out_dir)
     store = TranscriptStore(out / "transcripts")
-    templates = DeriveTemplates.load(config.templates_dir)
+    templates = _load("templates", config.templates_dir, DeriveTemplates.load)
     client = config.chat_client()
     all_mrs = []
     for doc_path in args.documents:
-        try:
-            document = ingest_document(doc_path)
-        except (OSError, UnsupportedFormat) as exc:
-            raise CliError(f"cannot ingest {doc_path}: {exc}")
+        document = _load("document", doc_path, ingest_document)
         try:
             result: DeriveResult = derive_mrs(
                 document,
@@ -210,31 +234,20 @@ def cmd_derive(args: argparse.Namespace, config: ToolConfig) -> int:
 
 
 def _load_catalog(path: str | None):
-    if not path:
-        return EMPTY_CATALOG
-    try:
-        return load_api_catalog(path)
-    except (OSError, ValueError, SchemaError) as exc:
-        raise CliError(f"cannot load API catalog {path}: {exc}")
+    return _load("API catalog", path, load_api_catalog) if path else EMPTY_CATALOG
 
 
 def cmd_generate(args: argparse.Namespace, config: ToolConfig) -> int:
     out = Path(config.out_dir)
-    try:
-        mrs = load_mr_catalog(args.mrs)
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot load MR catalog {args.mrs}: {exc}")
+    mrs = _load("MR catalog", args.mrs, load_mr_catalog)
     catalog = _load_catalog(args.catalog)
-    try:
-        fewshot = load_fewshot(config.fewshot)
-    except (OSError, ValueError, DslError) as exc:
-        raise CliError(f"cannot load few-shot examples {config.fewshot}: {exc}")
+    fewshot = _load("few-shot examples", config.fewshot, load_fewshot)
     if not mrs:
         print("notice: MR catalog is empty; nothing to generate")
         return EXIT_OK
     client = config.chat_client()
     store = TranscriptStore(out / "transcripts")
-    templates = GenerateTemplates.load(config.templates_dir)
+    templates = _load("templates", config.templates_dir, GenerateTemplates.load)
     try:
         result = generate_emrs(
             mrs, catalog, fewshot, client, store, templates, config=config.conversation_config()
@@ -263,43 +276,40 @@ def cmd_generate(args: argparse.Namespace, config: ToolConfig) -> int:
     return EXIT_OK
 
 
+# A .smrl file's suffix says what it is, so its messages name only the path.
 def _read_smrl(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+    return _load("", path, Path.read_text, "utf-8")
 
 
-def _parse_emr_files(paths: Sequence[Path]):
-    emrs = []
-    for path in paths:
-        source = _read_smrl(path)
-        try:
-            emrs.append(parse_emr(source, path.stem))
-        except DslError as exc:
-            raise CliError(f"cannot parse {path}: {exc}")
-    return emrs
+def _parse_smrl(path: Path):
+    return parse_emr(path.read_text(encoding="utf-8"), path.stem)
 
 
-def _collect_smrl(paths: Sequence[str]) -> list[Path]:
+def _read_input(path: Path) -> ActionSequence:
+    return ActionSequence.from_json(json.loads(path.read_text(encoding="utf-8")))
+
+
+def _collect(paths: Sequence[str], pattern: str, noun: str) -> list[Path]:
+    """The files named by ``paths``, each directory contributing its files
+    that match ``pattern`` in sorted order."""
     files: list[Path] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            files.extend(sorted(path.glob("*.smrl")))
+            files.extend(sorted(path.glob(pattern)))
         elif path.exists():
             files.append(path)
         else:
-            raise CliError(f"no such file or directory: {path}")
+            raise CliError(f"no such {noun} file or directory: {path}")
     if not files:
-        raise CliError("no .smrl files found")
+        raise CliError(f"no {noun} files found in {', '.join(paths)}")
     return files
 
 
 def cmd_check(args: argparse.Namespace, config: ToolConfig) -> int:
     catalog = _load_catalog(args.catalog)
     worst = EXIT_OK
-    for path in _collect_smrl(args.emrs):
+    for path in _collect(args.emrs, "*.smrl", ".smrl"):
         try:
             ast = parse_emr(_read_smrl(path), path.stem)
         except DslError as exc:
@@ -319,7 +329,7 @@ def cmd_check(args: argparse.Namespace, config: ToolConfig) -> int:
 
 def cmd_repair(args: argparse.Namespace, config: ToolConfig) -> int:
     out = Path(config.out_dir) / "repaired"
-    for path in _collect_smrl(args.emrs):
+    for path in _collect(args.emrs, "*.smrl", ".smrl"):
         fixed, log = repair(_read_smrl(path))
         for entry in log.entries:
             print(json.dumps({"file": str(path), **entry.to_json()}, sort_keys=True))
@@ -350,17 +360,11 @@ def _session_factory(spec: str, record_cassette: str | None):
     elif kind == "live":
         if not detail:
             raise CliError("--sut live:<adapter-config.json> needs a config path")
-        try:
-            factory = LiveHttpSut.from_config_file(detail)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot load adapter config {detail}: {exc}")
+        factory = _load("adapter config", detail, LiveHttpSut.from_config_file)
     elif kind == "replay":
         if not detail:
             raise CliError("--sut replay:<cassette.json> needs a cassette path")
-        try:
-            return record_replay("replay", detail)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot open cassette {detail}: {exc}")
+        return _load("cassette", detail, functools.partial(record_replay, "replay"))
     else:
         raise CliError(f"unknown SUT spec '{spec}' (use mock[:fault], live:<config>, replay:<cassette>)")
     if record_cassette:
@@ -369,32 +373,17 @@ def _session_factory(spec: str, record_cassette: str | None):
 
 
 def cmd_run(args: argparse.Namespace, config: ToolConfig) -> int:
-    emr_files = _collect_smrl(args.emrs)
-    emrs = _parse_emr_files(emr_files)
-    input_files: list[Path] = []
-    for raw in args.inputs:
-        path = Path(raw)
-        if path.is_dir():
-            input_files.extend(sorted(path.glob("*.json")))
-        elif path.exists():
-            input_files.append(path)
-        else:
-            raise CliError(f"no such input file: {path}")
-    if not input_files:
-        raise CliError("no input-sequence files found")
-    inputs = []
-    for path in input_files:
-        try:
-            inputs.append(ActionSequence.from_json(json.loads(path.read_text(encoding="utf-8"))))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CliError(f"bad input-sequence file {path}: {exc}")
+    emrs = [_load("", path, _parse_smrl) for path in _collect(args.emrs, "*.smrl", ".smrl")]
+    input_files = _collect(args.inputs, "*.json", "input-sequence")
+    inputs = [_load("input sequence", path, _read_input) for path in input_files]
     stubs = _load_stubs(args.stubs if args.stubs is not None else config.stubs_module)
     factory = _session_factory(args.sut or config.sut, args.record)
     report = run_suite(emrs, inputs, factory, stubs, input_names=[p.stem for p in input_files])
     out = Path(config.out_dir)
     _write(out / "report.json", _dump_json(report.to_json()), args.verbose)
-    _write(out / "report.txt", report.to_text() + "\n", args.verbose)
-    print(report.to_text())
+    text = report.to_text()
+    _write(out / "report.txt", text + "\n", args.verbose)
+    print(text)
     if report.not_executable_stubs:
         print(f"not executable; unbound stubs: {', '.join(report.not_executable_stubs)}", file=sys.stderr)
         return EXIT_NOT_EXECUTABLE
@@ -409,14 +398,11 @@ def cmd_grade(args: argparse.Namespace, config: ToolConfig) -> int:
     emrs = stats = None
     statement_count = args.statements
     if args.emrs:
-        emrs = {ast.id: ast for ast in _parse_emr_files(_collect_smrl(args.emrs))}
+        emrs = {path.stem: _load("", path, _parse_smrl) for path in _collect(args.emrs, "*.smrl", ".smrl")}
         stats = emr_size_stats(emrs.values())
         if statement_count is None:
             statement_count = stats.total
-    try:
-        annotations = load_annotations(args.annotations, emrs)
-    except (OSError, ValueError, KeyError, AnnotationError) as exc:
-        raise CliError(f"cannot load annotations {args.annotations}: {exc}")
+    annotations = _load("annotations", args.annotations, load_annotations, emrs)
     if statement_count is None:
         statement_count = len(annotations)
     report = summarize_annotations(annotations, statement_count)
@@ -431,10 +417,7 @@ def cmd_grade(args: argparse.Namespace, config: ToolConfig) -> int:
 
 
 def cmd_survey(args: argparse.Namespace, config: ToolConfig) -> int:
-    try:
-        responses = load_survey(args.responses)
-    except (OSError, ValueError, KeyError, SurveyError) as exc:
-        raise CliError(f"cannot load survey {args.responses}: {exc}")
+    responses = _load("survey", args.responses, load_survey)
     report = summarize_survey(responses)
     out = Path(config.out_dir)
     _write(out / "survey.json", _dump_json(report.to_json()), args.verbose)

@@ -125,9 +125,11 @@ def load_annotations(
         annotation = StatementAnnotation(
             emr_id=data["emr"],
             line=int(data["line"]),
-            labels=list(data["labels"]),
+            labels=data["labels"],
             note=data.get("note"),
         )
+        if not isinstance(annotation.labels, list) or not all(isinstance(x, str) for x in annotation.labels):
+            raise AnnotationError(f"{annotation.emr_id} line {annotation.line}: labels must be a list of strings")
         key = (annotation.emr_id, annotation.line)
         if key in seen:
             raise DuplicateAnnotation(*key)

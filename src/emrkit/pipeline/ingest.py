@@ -10,9 +10,7 @@ TEXT_SUFFIXES = {".txt", ".md", ".markdown", ".rst", ""}
 
 
 class UnsupportedFormat(Exception):
-    def __init__(self, path: Path, reason: str):
-        super().__init__(f"cannot ingest {path}: {reason}")
-        self.path = path
+    """The document is not plain text or markdown; the message is the reason."""
 
 
 @dataclass
@@ -25,14 +23,14 @@ class Document:
 def ingest_document(path: str | Path) -> Document:
     path = Path(path)
     if path.suffix.lower() not in TEXT_SUFFIXES:
-        raise UnsupportedFormat(path, f"unsupported extension '{path.suffix}' (plain text or markdown only)")
+        raise UnsupportedFormat(f"unsupported extension '{path.suffix}' (plain text or markdown only)")
     raw = path.read_bytes()
     if b"\x00" in raw:
-        raise UnsupportedFormat(path, "binary content")
+        raise UnsupportedFormat("binary content")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise UnsupportedFormat(path, f"not valid UTF-8: {exc}") from exc
+        raise UnsupportedFormat(f"not valid UTF-8: {exc}") from exc
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     doc_id = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
     return Document(doc_id, path.stem, text)

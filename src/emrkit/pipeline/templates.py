@@ -41,11 +41,21 @@ class PromptPhase:
 
 
 def _load(name: str, directory: Path | None) -> str:
-    if directory is not None:
-        candidate = directory / name
-        if candidate.exists():
-            return candidate.read_text(encoding="utf-8").rstrip("\n")
-    return asset_path(name).read_text(encoding="utf-8").rstrip("\n")
+    path = directory / name if directory is not None and (directory / name).exists() else asset_path(name)
+    try:
+        return path.read_text(encoding="utf-8").rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise TemplateError(f"{name}: {exc}") from exc
+
+
+def _phase(ordinal: int, name: str, directory: Path | None, *placeholders: str) -> PromptPhase:
+    """Load a phase template that its pipeline renders with ``placeholders``;
+    any other placeholder fails here rather than midway through a conversation."""
+    template = _load(name, directory)
+    unfilled = sorted(set(_PLACEHOLDER.findall(template)) - set(placeholders))
+    if unfilled:
+        raise TemplateError(f"{name}: placeholder {{{{{unfilled[0]}}}}} is never filled")
+    return PromptPhase(ordinal, template)
 
 
 @dataclass
@@ -60,11 +70,11 @@ class DeriveTemplates:
     def load(cls, directory: str | Path | None = None) -> "DeriveTemplates":
         directory = Path(directory) if directory else None
         return cls(
-            context=PromptPhase(1, _load("derive_phase1_context.txt", directory)),
-            document=PromptPhase(2, _load("derive_phase2_document.txt", directory)),
-            consolidate=PromptPhase(2, _load("derive_phase2_consolidate.txt", directory)),
-            sentences=PromptPhase(3, _load("derive_phase3_sentences.txt", directory)),
-            mrs=PromptPhase(4, _load("derive_phase4_mrs.txt", directory)),
+            context=_phase(1, "derive_phase1_context.txt", directory),
+            document=_phase(2, "derive_phase2_document.txt", directory, "part", "document"),
+            consolidate=_phase(2, "derive_phase2_consolidate.txt", directory),
+            sentences=_phase(3, "derive_phase3_sentences.txt", directory),
+            mrs=_phase(4, "derive_phase4_mrs.txt", directory),
         )
 
 
@@ -83,12 +93,12 @@ class GenerateTemplates:
     def load(cls, directory: str | Path | None = None) -> "GenerateTemplates":
         directory = Path(directory) if directory else None
         return cls(
-            context=PromptPhase(1, _load("generate_phase1_context.txt", directory)),
-            constructs=PromptPhase(2, _load("generate_phase2_constructs.txt", directory)),
-            output_template=PromptPhase(3, _load("generate_phase3_template.txt", directory)),
-            fewshot=PromptPhase(4, _load("generate_phase4_fewshot.txt", directory)),
-            apis=PromptPhase(5, _load("generate_phase5_apis.txt", directory)),
-            transform=PromptPhase(6, _load("generate_phase6_transform.txt", directory)),
+            context=_phase(1, "generate_phase1_context.txt", directory),
+            constructs=_phase(2, "generate_phase2_constructs.txt", directory, "constructs"),
+            output_template=_phase(3, "generate_phase3_template.txt", directory, "template"),
+            fewshot=_phase(4, "generate_phase4_fewshot.txt", directory, "fewshot"),
+            apis=_phase(5, "generate_phase5_apis.txt", directory, "apis"),
+            transform=_phase(6, "generate_phase6_transform.txt", directory, "mr"),
             constructs_text=_load("constructs.txt", directory),
             emr_template_text=_load("emr_template.txt", directory),
         )

@@ -45,9 +45,6 @@ class ActionSequence:
         ]
         return cls(index, actions)
 
-    def to_json(self) -> list[dict[str, Any]]:
-        return [{"kind": a.kind, "parameters": a.parameters} for a in self.actions]
-
 
 @dataclass
 class Output:
@@ -101,13 +98,6 @@ class Verdict:
     value: VerdictValue
     failing_bindings: list[FailingBinding] = field(default_factory=list)
     stubs: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "value": self.value.value,
-            "failing_bindings": [b.to_json() for b in self.failing_bindings],
-            "stubs": self.stubs,
-        }
 
 
 # Host-provided implementations for stub functions: name -> callable.

@@ -74,16 +74,15 @@ class _ReplaySession:
         self.state = state
 
     def execute(self, action: Action) -> Output:
-        entries = self.state["entries"]
         cursor = self.state["cursor"]
-        if cursor >= len(entries):
+        if cursor >= len(self.state["entries"]):
             raise CassetteExhausted(f"cassette exhausted after {cursor} interactions")
-        entry = entries[cursor]
+        recorded, output = self.state["entries"][cursor]
         got = fingerprint(action)
-        if entry["fingerprint"] != got:
-            raise FingerprintMismatch(entry["fingerprint"], got)
+        if recorded != got:
+            raise FingerprintMismatch(recorded, got)
         self.state["cursor"] = cursor + 1
-        return Output.from_json(entry["output"])
+        return output
 
 
 def record_replay(
@@ -94,7 +93,8 @@ def record_replay(
     """Session factory that records to or replays from ``cassette_path``.
 
     ``record`` wraps ``inner_factory`` and persists every interaction;
-    ``replay`` needs no inner factory and never touches the real SUT.
+    ``replay`` needs no inner factory and never touches the real SUT. It
+    decodes every entry up front, so a malformed cassette fails here.
     """
     if mode == "record":
         if inner_factory is None:
@@ -104,6 +104,7 @@ def record_replay(
         return lambda: _RecordingSession(inner_factory(), cassette)
     if mode == "replay":
         cassette = Cassette(cassette_path).load()
-        state = {"entries": cassette.entries, "cursor": 0}
+        entries = [(e["fingerprint"], Output.from_json(e["output"])) for e in cassette.entries]
+        state = {"entries": entries, "cursor": 0}
         return lambda: _ReplaySession(state)
     raise ValueError(f"mode must be 'record' or 'replay', not {mode!r}")

@@ -44,17 +44,6 @@ class ApiCatalog:
         blocks = [f"{e.signature()}\n    {e.doc}" for e in self.entries]
         return "\n".join(blocks)
 
-    def to_json(self) -> list[dict[str, Any]]:
-        return [
-            {
-                "name": e.name,
-                "parameters": [{"name": n, "type": t} for n, t in e.parameters],
-                "returns": e.returns,
-                "doc": e.doc,
-            }
-            for e in self.entries
-        ]
-
 
 def _parse_entry(raw: Mapping[str, Any]) -> ApiEntry:
     if not isinstance(raw, Mapping):

@@ -14,8 +14,7 @@ min_rating/in_stock filters and optional page/page_size pagination) and
 from __future__ import annotations
 
 import copy
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..runtime.errors import AdapterFailure
@@ -38,9 +37,6 @@ ITEMS: tuple[dict[str, Any], ...] = (
     {"id": 12, "name": "Monitor Stand", "category": "office", "brand": "ErgoLine", "price": 39, "rating": 4.3, "in_stock": True},
 )
 
-FILTER_PARAMS = ("category", "brand", "max_price", "min_rating", "in_stock")
-
-
 def matches_filters(item: dict[str, Any], params: dict[str, Any]) -> bool:
     """Whether ``item`` satisfies every filter parameter present in ``params``."""
     if "category" in params and item["category"] != params["category"]:
@@ -58,7 +54,6 @@ def matches_filters(item: dict[str, Any], params: dict[str, Any]) -> bool:
 
 @dataclass
 class MockShopSession:
-    session_id: int
     fault: str | None = None
     _first_search: Output | None = None
     _logged_in: str | None = None
@@ -104,14 +99,13 @@ class MockShopSut:
     """Session factory for the mock shop; one instance per configuration."""
 
     fault: str | None = None
-    _ids: itertools.count = field(default_factory=itertools.count, repr=False)
 
     def __post_init__(self) -> None:
         if self.fault is not None and self.fault not in FAULTS:
             raise ValueError(f"unknown fault '{self.fault}'; known faults: {', '.join(FAULTS)}")
 
     def session(self) -> MockShopSession:
-        return MockShopSession(next(self._ids), self.fault)
+        return MockShopSession(self.fault)
 
     def __call__(self) -> MockShopSession:
         return self.session()

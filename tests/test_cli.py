@@ -296,6 +296,10 @@ def test_config_file_overrides_and_flags_win(tmp_path, capsys):
     ('{"turn_budget": "big"}', "'turn_budget' in config"),
     ('{"llm": {"temperature": null}}', "'llm.temperature' in config"),
     ('{"sut": 5}', "'sut' in config"),
+    ('{"mock": "false"}', "'mock' in config"),
+    ('{"turn_budget": true}', "'turn_budget' in config"),
+    ('{"max_mrs_per_document": 2.7}', "'max_mrs_per_document' in config"),
+    ('{"templates_dir": 5}', "'templates_dir' in config"),
 ])
 def test_bad_config_exits_two(tmp_path, capsys, document, named):
     config = tmp_path / "config.json"
@@ -303,3 +307,51 @@ def test_bad_config_exits_two(tmp_path, capsys, document, named):
     assert run("--config", config, "show-config") == 2
     err = capsys.readouterr().err
     assert named in err and str(config) in err
+
+
+def test_config_values_keep_their_types(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mock": False, "templates_dir": None, "llm": {"temperature": 0}}))
+    assert run("--config", config, "show-config") == 0
+    resolved = json.loads(capsys.readouterr().out)
+    assert resolved["mock"] is False and resolved["templates_dir"] is None
+    assert repr(resolved["llm"]["temperature"]) == "0.0"
+
+
+# Each case writes one malformed input file (``relpath`` under tmp_path) and
+# runs a command that reads it, directly or through the --config key named.
+# Every one of them used to end in a traceback or name the file twice.
+MALFORMED_INPUTS = {
+    "mr-catalog-entry-not-object": ("mrs.json", b"[5]", None, ["generate", "{path}"]),
+    "fewshot-field-not-string": ("fewshot.json", b'[{"mr": 1}]', "fewshot", ["generate", "{empty}"]),
+    "fewshot-not-list": ("fewshot.json", b'{"a": 1}', "fewshot", ["generate", "{empty}"]),
+    "mock-script-not-object": ("scripts.json", b'["x"]', "mock_scripts", ["derive", DOC]),
+    "annotation-not-object": ("ann.jsonl", b"[1,2]\n", None, ["grade", "{path}"]),
+    "survey-row-short": ("survey.csv", b"subject,statement,respondent,rating\nmr01,S1\n", None, ["survey", "{path}"]),
+    "cassette-entry-not-object": (
+        "cassette.json", b"[1]", None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"]),
+    "template-not-utf8": ("templates/derive_phase1_context.txt", b"\xff\xfe", "templates_dir", ["derive", DOC]),
+    "template-unfilled-placeholder": (
+        "templates/derive_phase4_mrs.txt", b"List the MRs for {{nope}}.", "templates_dir", ["derive", DOC]),
+    "document-not-utf8": ("bad.md", b"\xff\xfe", None, ["derive", "{path}"]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_file_exits_two_naming_it_once(tmp_path, capsys, case):
+    relpath, content, config_key, command = case
+    target = tmp_path / relpath
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_bytes(content)
+    named = tmp_path / Path(relpath).parts[0]  # the file, or the templates directory
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    argv = ["--mock", "--out", tmp_path / "out"]
+    if config_key:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({config_key: str(named)}))
+        argv += ["--config", config]
+    argv += [a.replace("{path}", str(named)).replace("{empty}", str(empty)) for a in command]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count(str(named)) == 1 and "Traceback" not in err

@@ -6,6 +6,7 @@ import pytest
 
 from emrkit.dsl import canonical_units, parse_emr, statement_classes_by_line
 from emrkit.grading import (
+    AnnotationError,
     ApplicabilityViolation,
     CORRECT_LABELS,
     DuplicateAnnotation,
@@ -90,6 +91,14 @@ def test_duplicate_annotation_rejected(tmp_path):
     row = json.dumps({"emr": "x", "line": 3, "labels": ["C"]})
     path.write_text(row + "\n" + row + "\n")
     with pytest.raises(DuplicateAnnotation):
+        load_annotations(path)
+
+
+@pytest.mark.parametrize("labels", ["C", "CLC"])
+def test_labels_given_as_a_string_rejected(tmp_path, labels):
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps({"emr": "x", "line": 3, "labels": labels}) + "\n")
+    with pytest.raises(AnnotationError, match="labels must be a list of strings"):
         load_annotations(path)
 
 
