@@ -356,19 +356,25 @@ def _load_stubs(module_name: str):
 def _session_factory(spec: str, record_cassette: str | None):
     kind, _, detail = spec.partition(":")
     if kind == "mock":
-        factory = MockShopSut(detail or None)
+        try:
+            factory = MockShopSut(detail or None)
+        except ValueError as exc:  # an unknown fault; the message lists the known ones
+            raise CliError(f"mock SUT: {exc}")
     elif kind == "live":
         if not detail:
             raise CliError("--sut live:<adapter-config.json> needs a config path")
         factory = _load("adapter config", detail, LiveHttpSut.from_config_file)
     elif kind == "replay":
         if not detail:
-            raise CliError("--sut replay:<cassette.json> needs a cassette path")
+            raise CliError("--sut replay:<cassette.jsonl> needs a cassette path")
         return _load("cassette", detail, functools.partial(record_replay, "replay"))
     else:
-        raise CliError(f"unknown SUT spec '{spec}' (use mock[:fault], live:<config>, replay:<cassette>)")
+        raise CliError(f"unknown SUT spec '{spec}' (use mock[:fault], live:<config>, replay:<cassette.jsonl>)")
     if record_cassette:
-        return record_replay("record", record_cassette, factory)
+        try:
+            return record_replay("record", record_cassette, factory)
+        except OSError as exc:
+            raise CliError(f"cannot write cassette {record_cassette}: {exc.strerror or exc}")
     return factory
 
 
@@ -475,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="evaluate EMRs against a SUT")
     p.add_argument("emrs", nargs="+", help=".smrl files or directories")
     p.add_argument("--inputs", nargs="+", required=True, help="input-sequence JSON files or directories")
-    p.add_argument("--sut", help="mock[:fault] | live:<adapter-config> | replay:<cassette>")
-    p.add_argument("--record", help="record interactions to this cassette file")
+    p.add_argument("--sut", help="mock[:fault] | live:<adapter-config> | replay:<cassette.jsonl>")
+    p.add_argument("--record", help="record interactions to this cassette file (JSON Lines)")
     p.add_argument("--stubs", help="Python module providing a STUBS dict ('none' for no stubs)")
     p.set_defaults(func=cmd_run)
 

@@ -9,7 +9,7 @@ from .client import (
     MockChatClient,
     content_hash,
 )
-from .conversation import Conversation, Message, TranscriptStore, run_turn
+from .conversation import Conversation, Message, TranscriptStore, load_transcript, run_turn
 from .derive import (
     DeriveResult,
     MetamorphicRelation,
@@ -64,6 +64,7 @@ __all__ = [
     "ingest_document",
     "load_fewshot",
     "load_mr_catalog",
+    "load_transcript",
     "parse_mr_list",
     "render_fewshot",
     "run_turn",

@@ -1,16 +1,19 @@
 """Conversations and their on-disk transcripts.
 
-A transcript file is rewritten after every appended message, so an
-interrupted run loses at most the turn in flight.
+A transcript is a JSON Lines file (see ``emrkit.jsonl``),
+``<pipeline>-<ref>.jsonl``: a header line with the conversation's
+``pipeline``, ``ref`` and ``config``, then one line per message. Messages
+are appended as they are sent and received, so an interrupted run loses at
+most the turn in flight.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .. import jsonl
 from .templates import PromptPhase
 
 
@@ -49,30 +52,53 @@ class Conversation:
     def phases(self) -> list[int]:
         return [m.phase for m in self.messages]
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "pipeline": self.pipeline,
-            "ref": self.ref,
-            "config": self.config,
-            "messages": [m.to_json() for m in self.messages],
-        }
+    def header(self) -> dict[str, Any]:
+        return {"pipeline": self.pipeline, "ref": self.ref, "config": self.config}
 
 
 class TranscriptStore:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
+        # path -> (the conversation that owns the file, messages written)
+        self._written: dict[Path, tuple[Conversation, int]] = {}
 
     def path_for(self, conversation: Conversation) -> Path:
-        return self.directory / f"{conversation.pipeline}-{conversation.ref}.json"
+        return self.directory / f"{conversation.pipeline}-{conversation.ref}.jsonl"
 
     def write(self, conversation: Conversation) -> Path:
-        self.directory.mkdir(parents=True, exist_ok=True)
+        """Append the messages of ``conversation`` not yet written. Its first
+        write creates the file, or empties one left by another conversation
+        with the same name, and starts it with the header line."""
         path = self.path_for(conversation)
-        path.write_text(
-            json.dumps(conversation.to_json(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        owner, written = self._written.get(path, (None, 0))
+        if owner is conversation:
+            jsonl.append(path, [m.to_json() for m in conversation.messages[written:]])
+        else:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            records = [conversation.header(), *(m.to_json() for m in conversation.messages)]
+            jsonl.append(path, records, truncate=True)
+        self._written[path] = (conversation, len(conversation.messages))
         return path
+
+
+_HEADER_KEYS = ("pipeline", "ref", "config")
+_MESSAGE_KEYS = ("role", "content", "phase")
+
+
+def _has_keys(record: Any, keys: tuple[str, ...]) -> bool:
+    return isinstance(record, dict) and all(key in record for key in keys)
+
+
+def load_transcript(path: str | Path) -> dict[str, Any]:
+    """A transcript file as ``{pipeline, ref, config, messages}``."""
+    records = jsonl.read(Path(path))
+    if not records or not _has_keys(records[0], _HEADER_KEYS):
+        raise ValueError("line 1 is not a header object with 'pipeline', 'ref' and 'config'")
+    header, *messages = records
+    for number, message in enumerate(messages, 2):
+        if not _has_keys(message, _MESSAGE_KEYS):
+            raise ValueError(f"line {number} is not a message object with 'role', 'content' and 'phase'")
+    return {**{key: header[key] for key in _HEADER_KEYS}, "messages": messages}
 
 
 def run_turn(

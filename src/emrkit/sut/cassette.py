@@ -1,8 +1,9 @@
 """Record/replay of SUT interactions.
 
-A cassette is an append-ordered JSON list of (request fingerprint, output)
-pairs. Replay serves entries strictly in order; a fingerprint mismatch is
-an error, never a silent fallthrough.
+A cassette is a JSON Lines file (see ``emrkit.jsonl``) with one
+``{"fingerprint", "output"}`` line per SUT interaction, appended as the
+interaction happens. Replay serves entries strictly in order; a fingerprint
+mismatch is an error, never a silent fallthrough.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 from pathlib import Path
 from typing import Any, Callable
 
+from .. import jsonl
 from ..runtime.errors import AdapterFailure
 from ..runtime.values import Action, Output
 
@@ -38,21 +40,24 @@ def fingerprint(action: Action) -> str:
 class Cassette:
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.entries: list[dict[str, Any]] = []
 
-    def load(self) -> "Cassette":
-        self.entries = json.loads(self.path.read_text(encoding="utf-8"))
+    def create(self) -> "Cassette":
+        """Create the file empty, or empty an existing one."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.write_bytes(b"")
         return self
 
-    def append(self, fp: str, output: Output) -> None:
-        self.entries.append({"fingerprint": fp, "output": output.to_json()})
-        self.save()
+    def load(self) -> list[tuple[str, Output]]:
+        """Every recorded (fingerprint, output) pair, in recording order."""
+        entries = []
+        for number, entry in enumerate(jsonl.read(self.path), 1):
+            if not isinstance(entry, dict) or not isinstance(entry.get("fingerprint"), str) or "output" not in entry:
+                raise ValueError(f"line {number} is not an object with a string 'fingerprint' and an 'output'")
+            entries.append((entry["fingerprint"], Output.from_json(entry["output"])))
+        return entries
 
-    def save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(
-            json.dumps(self.entries, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    def append(self, fp: str, output: Output) -> None:
+        jsonl.append(self.path, [{"fingerprint": fp, "output": output.to_json()}])
 
 
 class _RecordingSession:
@@ -92,19 +97,18 @@ def record_replay(
 ) -> Callable[[], Any]:
     """Session factory that records to or replays from ``cassette_path``.
 
-    ``record`` wraps ``inner_factory`` and persists every interaction;
-    ``replay`` needs no inner factory and never touches the real SUT. It
-    decodes every entry up front, so a malformed cassette fails here.
+    ``record`` wraps ``inner_factory``, empties the cassette here (so an
+    unwritable path fails before any interaction) and appends every
+    interaction as it happens. ``replay`` needs no inner factory and never
+    touches the real SUT. It decodes every entry up front, so a malformed
+    cassette fails here.
     """
     if mode == "record":
         if inner_factory is None:
             raise ValueError("record mode needs an inner session factory")
-        cassette = Cassette(cassette_path)
-        cassette.save()
+        cassette = Cassette(cassette_path).create()
         return lambda: _RecordingSession(inner_factory(), cassette)
     if mode == "replay":
-        cassette = Cassette(cassette_path).load()
-        entries = [(e["fingerprint"], Output.from_json(e["output"])) for e in cassette.entries]
-        state = {"entries": entries, "cursor": 0}
+        state = {"entries": Cassette(cassette_path).load(), "cursor": 0}
         return lambda: _ReplaySession(state)
     raise ValueError(f"mode must be 'record' or 'replay', not {mode!r}")

@@ -45,6 +45,11 @@ class AdapterConfig:
             raise ValueError("adapter config must be a JSON object with 'base_url' and 'actions'")
         if not isinstance(raw["base_url"], str) or not isinstance(raw["actions"], dict):
             raise ValueError("adapter config needs a string 'base_url' and an object 'actions'")
+        for kind, mapping in raw["actions"].items():
+            if not isinstance(mapping, dict) or not isinstance(mapping.get("path"), str):
+                raise ValueError(f"action '{kind}' must be an object with a string 'path'")
+            if not isinstance(mapping.get("method", "GET"), str):
+                raise ValueError(f"action '{kind}' has a 'method' that is not a string")
         return cls(raw["base_url"].rstrip("/"), raw["actions"])
 
 

@@ -26,7 +26,7 @@ def test_derive_writes_catalog_and_transcript(tmp_path, capsys):
     assert code == 0
     mrs = json.loads((tmp_path / "out" / "mrs.json").read_text())
     assert len(mrs) == 1 and mrs[0]["requirement_ref"] == "R1"
-    transcripts = list((tmp_path / "out" / "transcripts").glob("derive-*.json"))
+    transcripts = list((tmp_path / "out" / "transcripts").glob("derive-*.jsonl"))
     assert len(transcripts) == 1
     assert "1 MR(s) derived" in capsys.readouterr().out
 
@@ -52,7 +52,7 @@ def test_derive_two_documents_two_transcripts_one_catalog(tmp_path):
     config.write_text(json.dumps({"mock": True, "mock_scripts": str(scripts_path)}))
     code = run("--config", config, "--out", tmp_path / "out", "derive", DOC, second, "--allow-empty")
     assert code == 0
-    assert len(list((tmp_path / "out" / "transcripts").glob("derive-*.json"))) == 2
+    assert len(list((tmp_path / "out" / "transcripts").glob("derive-*.jsonl"))) == 2
     assert len(json.loads((tmp_path / "out" / "mrs.json").read_text())) == 1
 
 
@@ -162,6 +162,36 @@ def test_run_live_config_of_wrong_shape_exits_two(tmp_path, capsys, document):
     code = run("--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS, "--sut", f"live:{config}")
     assert code == 2
     assert str(config) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("actions", [
+    {"search": {}}, {"search": "/search"}, {"search": {"path": 5}}, {"search": {"path": "/s", "method": 1}},
+])
+def test_run_live_action_mapping_of_wrong_shape_exits_two(tmp_path, capsys, actions):
+    config = tmp_path / "adapter.json"
+    config.write_text(json.dumps({"base_url": "http://127.0.0.1:9", "actions": actions}))
+    code = run("--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS, "--sut", f"live:{config}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count(str(config)) == 1 and "'search'" in err and "Traceback" not in err
+
+
+def test_run_unknown_mock_fault_exits_two(tmp_path, capsys):
+    code = run("--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS, "--sut", "mock:bogus")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("bogus") == 1 and "stale-results" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+def test_run_record_to_unwritable_path_exits_two_before_any_pair(tmp_path, capsys, where):
+    (tmp_path / "file").write_text("")
+    cassette = tmp_path if where == "directory" else tmp_path / "file" / "c.jsonl"
+    code = run("--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS, "--record", cassette)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count(str(cassette)) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -330,6 +360,9 @@ MALFORMED_INPUTS = {
     "survey-row-short": ("survey.csv", b"subject,statement,respondent,rating\nmr01,S1\n", None, ["survey", "{path}"]),
     "cassette-entry-not-object": (
         "cassette.json", b"[1]", None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"]),
+    "cassette-middle-line-not-json": (
+        "cassette.jsonl", b'{"fingerprint":"a","output":{"status":"ok"}}\nnot json\n{"fingerprint":"b","output":{}}\n',
+        None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"]),
     "template-not-utf8": ("templates/derive_phase1_context.txt", b"\xff\xfe", "templates_dir", ["derive", DOC]),
     "template-unfilled-placeholder": (
         "templates/derive_phase4_mrs.txt", b"List the MRs for {{nope}}.", "templates_dir", ["derive", DOC]),

@@ -18,6 +18,7 @@ from emrkit.pipeline import (
     generate_emrs,
     ingest_document,
     load_fewshot,
+    load_transcript,
     parse_mr_list,
 )
 from emrkit.pipeline.ingest import Document
@@ -147,7 +148,7 @@ def test_derive_phase_order_and_transcript(shop_doc, mock_client, tmp_path):
     assert conv.messages[0].phase == 1 and conv.messages[0].role == "user"
     path = store.path_for(conv)
     assert path.exists()
-    data = json.loads(path.read_text())
+    data = load_transcript(path)
     assert data["pipeline"] == "derive"
     assert len(data["messages"]) == len(conv.messages)
 
@@ -355,7 +356,7 @@ def test_crash_midway_loses_at_most_one_turn(shop_doc, tmp_path):
     with pytest.raises(LlmTransport):
         derive_mrs(shop_doc, client, store)
     (path,) = list(Path(tmp_path).iterdir())
-    messages = json.loads(path.read_text())["messages"]
+    messages = load_transcript(path)["messages"]
     # Two full turns persisted plus the in-flight user message.
     assert [m["role"] for m in messages] == ["user", "assistant", "user", "assistant", "user"]
 
@@ -364,8 +365,52 @@ def test_transcript_records_temperature(shop_doc, tmp_path):
     store = TranscriptStore(tmp_path)
     client = MockChatClient.from_file(fixture_path("mock_scripts.json"))
     result = derive_mrs(shop_doc, client, store, config={"model": "mock", "temperature": 0.0})
-    data = json.loads(store.path_for(result.conversation).read_text())
+    data = load_transcript(store.path_for(result.conversation))
     assert data["config"]["temperature"] == 0.0
+
+
+def test_transcript_is_appended_one_line_per_message(tmp_path):
+    store = TranscriptStore(tmp_path)
+    conv = Conversation("derive", "doc", config={"temperature": 0.0})
+    conv.append("user", "ask", 1)
+    path = store.write(conv)
+    before = path.read_bytes()
+    conv.append("assistant", "reply\u2028with\nbreaks", 1)
+    store.write(conv)
+    after = path.read_bytes()
+    assert path.name == "derive-doc.jsonl"
+    assert after.startswith(before) and after.count(b"\n") == 3
+    data = load_transcript(path)
+    assert data == {"pipeline": "derive", "ref": "doc", "config": {"temperature": 0.0},
+                    "messages": [m.to_json() for m in conv.messages]}
+
+
+def test_transcript_rewritten_by_a_new_conversation_of_the_same_name(tmp_path):
+    store = TranscriptStore(tmp_path)
+    for content in ("first", "second"):
+        conv = Conversation("derive", "doc")
+        conv.append("user", content, 1)
+        path = store.write(conv)
+    assert [m["content"] for m in load_transcript(path)["messages"]] == ["second"]
+
+
+def test_transcript_reader_drops_a_torn_final_line(tmp_path):
+    store = TranscriptStore(tmp_path)
+    conv = Conversation("derive", "doc")
+    conv.append("user", "ask", 1)
+    path = store.write(conv)
+    with open(path, "ab") as f:
+        f.write(b'{"content":"cut sh')
+    assert [m["content"] for m in load_transcript(path)["messages"]] == ["ask"]
+
+
+@pytest.mark.parametrize("text", ["", '{"pipeline":"derive"}\n', '{"pipeline":"derive","ref":"r","config":{}}\n[1]\n',
+                                  '{"pipeline":"derive","ref":"r","config":{}}\nnot json\n{}\n'])
+def test_transcript_reader_rejects_a_bad_line(tmp_path, text):
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="line [12]"):
+        load_transcript(path)
 
 
 def test_live_client_against_local_chat_endpoint():

@@ -225,11 +225,38 @@ def test_replay_needs_existing_cassette(tmp_path):
         record_replay("replay", tmp_path / "missing.json")
 
 
-def test_cassette_is_append_ordered_json(tmp_path):
-    cassette_path = tmp_path / "c.json"
+def test_cassette_is_json_lines_appended_per_interaction(tmp_path):
+    cassette_path = tmp_path / "c.jsonl"
+    session = record_replay("record", cassette_path, MockShopSut())()
+    sizes = []
+    for action in SCRIPT:
+        before = cassette_path.read_bytes()
+        session.execute(action)
+        after = cassette_path.read_bytes()
+        assert after.startswith(before)
+        sizes.append(after.count(b"\n"))
+    assert sizes == [1, 2, 3]
+    lines = cassette_path.read_text().splitlines()
+    assert [sorted(json.loads(line)) for line in lines] == [["fingerprint", "output"]] * 3
+    entries = Cassette(cassette_path).load()
+    assert [json.loads(fp)["kind"] for fp, _ in entries] == ["login", "search", "search"]
+
+
+def test_recording_again_empties_the_cassette(tmp_path):
+    cassette_path = tmp_path / "c.jsonl"
     run_script(record_replay("record", cassette_path, MockShopSut()), SCRIPT)
-    entries = Cassette(cassette_path).load().entries
-    assert [json.loads(e["fingerprint"])["kind"] for e in entries] == ["login", "search", "search"]
+    run_script(record_replay("record", cassette_path, MockShopSut()), SCRIPT[:1])
+    assert len(Cassette(cassette_path).load()) == 1
+
+
+def test_replay_drops_a_torn_final_line(tmp_path):
+    cassette = tmp_path / "c.jsonl"
+    recorded = run_script(record_replay("record", cassette, MockShopSut()), SCRIPT[:2])
+    with open(cassette, "ab") as f:
+        f.write(b'{"fingerprint":"{\\"kind\\":\\"search\\"')
+    assert run_script(record_replay("replay", cassette), SCRIPT[:2]) == recorded
+    with pytest.raises(CassetteExhausted):
+        run_script(record_replay("replay", cassette), SCRIPT)
 
 
 # --- live HTTP adapter -----------------------------------------------------------
