@@ -4,8 +4,9 @@ Subcommands: derive, generate, check, repair, run, grade, survey, pipeline,
 show-config. Exit codes form a fixed mapping:
 
     0  success (run: no Fail verdicts)
-    2  bad usage, or an input file that cannot be read or understood; the
-       message names the file (or the --config key)
+    2  bad usage, an input file that cannot be read or understood, or an
+       output directory that is not one; the message names the file (or
+       the --config key)
     3  LLM transport or response-format failure
     4  every EMR in a generate batch failed to parse
     5  at least one Fail verdict
@@ -508,10 +509,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Fail before any work when the output directory cannot be created: it,
+    or the nearest of its parents that exists, is not a directory."""
+    out = Path(out_dir)
+    nearest = next((p for p in (out, *out.parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        blocker = "it" if nearest == out else str(nearest)
+        raise CliError(f"cannot use output directory {out_dir}: {blocker} is not a directory")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ToolConfig.load(args.config, args)
+        if args.func not in (cmd_check, cmd_show_config):  # the commands that write nothing
+            _check_out_dir(config.out_dir)
         return args.func(args, config)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

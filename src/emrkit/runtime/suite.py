@@ -7,7 +7,7 @@ from typing import Any, Sequence
 
 from ..dsl.ast import EmrAst
 from .errors import AdapterFailure
-from .evaluate import SessionFactory, run_emr, unbound_stubs
+from .evaluate import SessionFactory, compile_emr
 from .values import ActionSequence, StubBindings, Verdict, VerdictValue
 
 VERDICT_ORDER = [v.value for v in VerdictValue] + ["Error"]
@@ -115,8 +115,8 @@ def run_suite(
 ) -> SuiteReport:
     """Evaluate every (EMR, input) pair sequentially and in order.
 
-    Each EMR is validated once per call, not once per pair. Adapter
-    failures are recorded per pair and never abort the suite.
+    Each EMR is validated and compiled once per call, not once per pair.
+    Adapter failures are recorded per pair and never abort the suite.
     """
     names = list(input_names) if input_names else [f"input{i + 1}" for i in range(len(inputs))]
     report = SuiteReport()
@@ -124,10 +124,10 @@ def run_suite(
         return report
     stubs = dict(stubs or {})
     for ast in emrs:
-        missing = unbound_stubs(ast, stubs)
+        program = compile_emr(ast, stubs)
         for i, source in enumerate(inputs):
             try:
-                verdict = run_emr(ast, source, session_factory, stubs, missing)
+                verdict = program(source, session_factory)
                 report.entries.append(SuiteEntry(ast.id, i, names[i], verdict))
             except AdapterFailure as exc:
                 report.entries.append(SuiteEntry(ast.id, i, names[i], None, error=str(exc)))

@@ -15,6 +15,18 @@ class PositionOutOfRange(Exception):
         self.length = length
 
 
+# Immutable JSON scalars: a copy can share them.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _copy_value(value: Any) -> Any:
+    return value if type(value) in _SCALARS else copy.deepcopy(value)
+
+
+def _copy_parameters(parameters: Mapping[str, Any]) -> dict[str, Any]:
+    return {name: _copy_value(value) for name, value in parameters.items()}
+
+
 @dataclass
 class Action:
     position: int
@@ -22,7 +34,9 @@ class Action:
     parameters: dict[str, Any] = field(default_factory=dict)
 
     def copy(self) -> "Action":
-        return Action(self.position, self.kind, copy.deepcopy(self.parameters))
+        """Parameters come from user JSON and may nest: the copy shares
+        immutable scalars and deep-copies nested values."""
+        return Action(self.position, self.kind, _copy_parameters(self.parameters))
 
 
 @dataclass
@@ -130,7 +144,10 @@ Edit = SetParameter | RemoveAction | InsertAction
 
 
 def create_followup(source: ActionSequence, edits: Sequence[Edit] = ()) -> ActionSequence:
-    """Deep-copy ``source`` and apply ``edits``; the source is never touched.
+    """Copy ``source`` and apply ``edits``; the source is never touched.
+
+    The copy (and every edit's value) copies nested values and shares
+    immutable scalars, so no later change to either side reaches the other.
 
     Positions are re-densified after structural edits, so the result is
     always positionally addressable from 0.
@@ -140,7 +157,7 @@ def create_followup(source: ActionSequence, edits: Sequence[Edit] = ()) -> Actio
         if isinstance(edit, SetParameter):
             if not 0 <= edit.position < len(result.actions):
                 raise PositionOutOfRange(edit.position, len(result.actions))
-            result.actions[edit.position].parameters[edit.name] = copy.deepcopy(edit.value)
+            result.actions[edit.position].parameters[edit.name] = _copy_value(edit.value)
         elif isinstance(edit, RemoveAction):
             if not 0 <= edit.position < len(result.actions):
                 raise PositionOutOfRange(edit.position, len(result.actions))
@@ -149,7 +166,7 @@ def create_followup(source: ActionSequence, edits: Sequence[Edit] = ()) -> Actio
             if not 0 <= edit.position <= len(result.actions):
                 raise PositionOutOfRange(edit.position, len(result.actions))
             result.actions.insert(
-                edit.position, Action(edit.position, edit.kind, copy.deepcopy(edit.parameters))
+                edit.position, Action(edit.position, edit.kind, _copy_parameters(edit.parameters))
             )
         else:
             raise TypeError(f"unknown edit: {edit!r}")

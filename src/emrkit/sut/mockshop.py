@@ -9,11 +9,14 @@ min_rating/in_stock filters and optional page/page_size pagination) and
 - ``off-by-one-pagination``: page windows start one item late.
 - ``stale-results``: after the first search of a session, every later
   search returns the first one's results.
+
+Each search returns a fresh list of fresh item dicts. The catalog items
+are flat dicts of scalars, so a stub that mutates a result cannot reach
+``ITEMS``.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any
 
@@ -72,9 +75,9 @@ class MockShopSession:
         return output
 
     def _search(self, params: dict[str, Any]) -> Output:
-        if self.fault == "stale-results" and self._first_search is not None:
-            stale = copy.deepcopy(self._first_search)
-            return stale
+        first = self._first_search
+        if self.fault == "stale-results" and first is not None:
+            return Output(first.status, [dict(item) for item in first.payload], first.summary_size)
 
         query = str(params.get("query", "")).lower()
         results = [item for item in ITEMS if query in item["name"].lower()]
@@ -87,7 +90,7 @@ class MockShopSession:
             if self.fault == "off-by-one-pagination":
                 start += 1
             results = results[start : start + size]
-        payload = [copy.deepcopy(item) for item in results]
+        payload = [dict(item) for item in results]
         output = Output("ok", payload, len(payload))
         if self._first_search is None:
             self._first_search = output

@@ -195,6 +195,22 @@ def test_run_record_to_unwritable_path_exits_two_before_any_pair(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", [
+    ["run", FIG4, "--inputs", INPUTS],
+    ["--mock", "derive", DOC],
+], ids=["run", "derive"])
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+def test_out_that_is_not_a_directory_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command, where):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" if where == "a-file" else tmp_path / "file" / "sub"
+    blocker = "it" if where == "a-file" else str(tmp_path / "file")
+    monkeypatch.chdir(tmp_path)
+    assert run("--out", out, *command) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot use output directory {out}: {blocker} is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("command", [
     ["run", "{smrl}", "--inputs", INPUTS, "--sut", "mock"],
     ["check", "{smrl}"],
     ["repair", "{smrl}"],

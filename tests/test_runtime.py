@@ -11,6 +11,7 @@ from emrkit.runtime import (
     ActionSequence,
     EvalError,
     InsertAction,
+    MissingStub,
     PositionOutOfRange,
     RemoveAction,
     SetParameter,
@@ -291,3 +292,27 @@ def test_determinism_same_inputs_same_verdict(filter_emr_ast, shop_inputs):
     first = evaluate_emr(filter_emr_ast, shop_inputs[0], MockShopSut(), STUBS)
     second = evaluate_emr(filter_emr_ast, shop_inputs[0], MockShopSut(), STUBS)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "statement, message",
+    [
+        ("CREATE(Input(n), Input(1));", "CREATE target must be Input(k) with a literal index"),
+        ("var k = Input(1).foo();", "method 'foo' is not defined on Input(1)"),
+        ("for (var x : 5) { NOT(false); }", "cannot iterate over 5"),
+    ],
+    ids=["create-target", "unknown-method", "not-iterable"],
+)
+def test_run_time_errors_raise_only_when_reached(statement, message):
+    unreached = run_src(f"MR {{{{ if (false) {{ {statement} }} IMPLIES(true, true); }}}}")
+    assert unreached.value is VerdictValue.PASS
+    with pytest.raises(EvalError) as info:
+        run_src(f"MR {{{{ if (true) {{ {statement} }} IMPLIES(true, true); }}}}")
+    assert type(info.value) is EvalError and str(info.value) == message
+
+
+def test_missing_stub_raises_only_when_reached():
+    assert eval_bool(expr_of("OR(true, nope())")) is True
+    with pytest.raises(MissingStub) as info:
+        eval_bool(expr_of("OR(false, nope())"))
+    assert str(info.value) == "no binding for stub function 'nope'"

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -77,6 +78,40 @@ def test_each_emr_is_validated_once_per_run(suite_asts, shop_inputs, monkeypatch
     assert calls == [ast.id for ast in emrs]
     assert report.counts_for("unbound") == {"NotExecutable": len(shop_inputs)}
     assert all(e.verdict.stubs == ["mystery"] for e in report.entries if e.emr_id == "unbound")
+
+
+def test_a_mutating_stub_cannot_reach_the_catalog_the_caller_or_a_later_pair():
+    from emrkit.sut import mockshop
+
+    def vandal(action, output):
+        for item in output.payload:
+            item["price"] = 0
+        action.parameters["tags"].append("b")
+        return True
+
+    def untouched(action, output):
+        return action.parameters["tags"] == ["a"] and all(item["price"] > 0 for item in output.payload)
+
+    def each_action(emr_id: str, check: str):
+        return parse_emr(f"MR {{{{ for (var a : Input(1).actions()) {{ {check}; }} }}}}", emr_id)
+
+    vandalize = each_action("vandalize", "IMPLIES(vandal(a, Output(Input(1), a.getPosition())), true)")
+    observe = each_action("observe", "IMPLIES(true, untouched(a, Output(Input(1), a.getPosition())))")
+    inputs = [
+        ActionSequence.from_json([{"kind": "search", "parameters": {"query": "chair", "tags": ["a"]}}]),
+        ActionSequence.from_json([{"kind": "search", "parameters": {"query": "", "tags": ["a"]}},
+                                  {"kind": "search", "parameters": {"query": "desk", "tags": ["a"]}}]),
+    ]
+    before_items, before_inputs = copy.deepcopy(mockshop.ITEMS), copy.deepcopy(inputs)
+    stubs = {"vandal": vandal, "untouched": untouched}
+    for fault in [None, "stale-results"]:
+        alone = run_suite([observe], inputs, MockShopSut(fault), stubs)
+        after = run_suite([vandalize, observe, vandalize, observe], inputs, MockShopSut(fault), stubs)
+        assert mockshop.ITEMS == before_items
+        assert inputs == before_inputs
+        assert [e.outcome for e in alone.entries] == ["Pass", "Pass"]
+        observed = [e.to_json() for e in after.entries if e.emr_id == observe.id]
+        assert observed == [e.to_json() for e in alone.entries] * 2
 
 
 def test_counts_one_pass_one_inapplicable(shop_inputs):
