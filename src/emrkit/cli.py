@@ -4,9 +4,9 @@ Subcommands: derive, generate, check, repair, run, grade, survey, pipeline,
 show-config. Exit codes form a fixed mapping:
 
     0  success (run: no Fail verdicts)
-    2  bad usage, an input file that cannot be read or understood, or an
-       output directory that is not one; the message names the file (or
-       the --config key)
+    2  bad usage, an input file that cannot be read or understood, an
+       output directory that is not one, or an output file that cannot be
+       written; the message names the file (or the --config key)
     3  LLM transport or response-format failure
     4  every EMR in a generate batch failed to parse
     5  at least one Fail verdict
@@ -45,6 +45,7 @@ from .pipeline import (
     ResponseFormatError,
     TemplateError,
     TranscriptStore,
+    TranscriptWriteError,
     UnsupportedFormat,
     dedupe_mrs,
     derive_mrs,
@@ -184,9 +185,17 @@ def _overlay(target: Any, raw: dict[str, Any], prefix: str) -> None:
         setattr(target, f.name, float(value) if isinstance(default, float) else value)
 
 
+def _cannot_write(path: Path, exc: OSError) -> CliError:
+    # ``exc.filename`` names the directory when that is what failed.
+    return CliError(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
+
+
 def _write(path: Path, text: str, verbose: bool) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _cannot_write(path, exc)
     if verbose:
         print(f"wrote {path}", file=sys.stderr)
 
@@ -218,6 +227,8 @@ def cmd_derive(args: argparse.Namespace, config: ToolConfig) -> int:
             )
         except (LlmTransport, MissingScript, ResponseFormatError) as exc:
             raise CliError(f"derivation failed for {doc_path}: {exc}", EXIT_LLM)
+        except TranscriptWriteError as exc:
+            raise CliError(str(exc))
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         print(f"{document.name}: {len(result.mrs)} MR(s) derived")
@@ -228,7 +239,10 @@ def cmd_derive(args: argparse.Namespace, config: ToolConfig) -> int:
         all_mrs, dropped = dedupe_mrs(all_mrs)
         if dropped:
             print(f"merged {dropped} duplicate MR(s)")
-    save_mr_catalog(all_mrs, out / "mrs.json")
+    try:
+        save_mr_catalog(all_mrs, out / "mrs.json")
+    except OSError as exc:
+        raise _cannot_write(out / "mrs.json", exc)
     if args.verbose:
         print(f"wrote {out / 'mrs.json'}", file=sys.stderr)
     return EXIT_OK
@@ -255,6 +269,8 @@ def cmd_generate(args: argparse.Namespace, config: ToolConfig) -> int:
         )
     except (LlmTransport, MissingScript) as exc:
         raise CliError(f"generation failed: {exc}", EXIT_LLM)
+    except TranscriptWriteError as exc:
+        raise CliError(str(exc))
     emr_dir = out / "emrs"
     ok_count = 0
     for item in result.items:

@@ -48,32 +48,40 @@ from .printer import _Line, _rendered
 from .tokens import Token, string_value, tokenize
 
 
+def _span(start: Token, end: Token) -> Position:
+    return Position(start.line, start.column, end.line, end.column + len(end.lexeme))
+
+
+def _chain(op: str, operands: list[Expr]) -> BoolChain:
+    first, last = operands[0].pos, operands[-1].pos
+    pos = Position(first.line, first.column, last.end_line, last.end_column)
+    return BoolChain(op, tuple(operands), pos=pos)
+
+
 class _Parser:
+    """Recursive descent over the comment-free tokens. Once comments are gone
+    a punctuation or keyword lexeme names its own kind (no identifier,
+    literal or ``eof`` spells ``||``, ``(`` or ``for``), so the grammar
+    tests ``lexemes[i]`` directly."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = [t for t in tokens if t.kind != "comment"]
+        self.lexemes = [t.lexeme for t in self.tokens]
         self.comments = [t for t in tokens if t.kind == "comment"]
         self.i = 0
 
     # -- token helpers --------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
-
-    def at_punct(self, lexeme: str) -> bool:
-        return self.cur.is_punct(lexeme)
-
-    def at_keyword(self, word: str) -> bool:
-        return self.cur.kind == "keyword" and self.cur.lexeme == word
+    def at_eof(self) -> bool:
+        return self.tokens[self.i].kind == "eof"
 
     def advance(self) -> Token:
-        tok = self.cur
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+        """The current token, stepping past it; call only on a matched lexeme."""
+        self.i += 1
+        return self.tokens[self.i - 1]
 
     def error(self, expected: set[str]) -> ParseError:
-        tok = self.cur
+        tok = self.tokens[self.i]
         found = repr(tok.lexeme) if tok.kind != "eof" else "end of input"
         hint = "WLC-AMP" if tok.is_punct("&") else None
         wanted = ", ".join(sorted(expected))
@@ -85,218 +93,181 @@ class _Parser:
             repair_hint=hint,
         )
 
-    def expect_punct(self, lexeme: str) -> Token:
-        if not self.at_punct(lexeme):
+    def expect(self, lexeme: str) -> Token:
+        """The punctuation or keyword ``lexeme``, which must come next."""
+        i = self.i
+        if self.lexemes[i] != lexeme:
             raise self.error({f"'{lexeme}'"})
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
-            raise self.error({f"'{word}'"})
-        return self.advance()
+        self.i = i + 1
+        return self.tokens[i]
 
     def expect_identifier(self) -> Token:
-        if self.cur.kind != "identifier":
+        if self.tokens[self.i].kind != "identifier":
             raise self.error({"identifier"})
         return self.advance()
-
-    def _end_of(self, tok: Token) -> tuple[int, int]:
-        return tok.line, tok.column + len(tok.lexeme)
-
-    def _finish(self, node: Node, start: Token, end: Token) -> None:
-        el, ec = self._end_of(end)
-        node.pos = Position(start.line, start.column, el, ec)
 
     # -- grammar --------------------------------------------------------
 
     def parse_emr(self, emr_id: str) -> EmrAst:
-        start = self.expect_keyword("MR")
-        self.expect_punct("{{")
+        start = self.expect("MR")
+        self.expect("{{")
         stmts: list[Stmt] = []
-        while not self.at_punct("}}"):
-            if self.cur.kind == "eof":
+        while self.lexemes[self.i] != "}}":
+            if self.at_eof():
                 raise self.error({"'}}'", "statement"})
             stmts.append(self.statement())
         end = self.advance()
-        if self.cur.kind != "eof":
+        if not self.at_eof():
             raise self.error({"end of input"})
         ast = EmrAst(emr_id, tuple(stmts), (start.line, end.line))
         _attach_comments(ast, self.comments)
         return ast
 
     def statement(self) -> Stmt:
-        if self.at_keyword("for"):
+        lexeme = self.lexemes[self.i]
+        if lexeme == "for":
             return self.for_stmt()
-        if self.at_keyword("if"):
+        if lexeme == "if":
             return self.if_stmt()
-        if self.at_keyword("continue"):
+        if lexeme == "continue":
             start = self.advance()
-            end = self.expect_punct(";")
-            node = Continue()
-            self._finish(node, start, end)
-            return node
-        if self.at_keyword("var"):
+            return Continue(pos=_span(start, self.expect(";")))
+        if lexeme == "var":
             return self.var_stmt()
-        start = self.cur
+        start = self.tokens[self.i]
         expr = self.expression()
-        if self.at_punct("}") or self.at_punct("}}"):
+        if self.lexemes[self.i] in ("}", "}}"):
             # Tolerate a missing ';' on the last statement of a block;
             # canonical printing puts it back.
             end = self.tokens[self.i - 1]
         else:
-            end = self.expect_punct(";")
-        node = ExprStmt(expr)
-        self._finish(node, start, end)
-        return node
+            end = self.expect(";")
+        return ExprStmt(expr, pos=_span(start, end))
 
     def for_stmt(self) -> ForEach:
-        start = self.expect_keyword("for")
-        self.expect_punct("(")
-        if self.at_keyword("var"):
-            decl_type = self.advance().lexeme
-        elif self.cur.kind == "identifier":
+        start = self.advance()
+        self.expect("(")
+        if self.lexemes[self.i] == "var" or self.tokens[self.i].kind == "identifier":
             decl_type = self.advance().lexeme
         else:
             raise self.error({"'var'", "type name"})
         var = self.expect_identifier().lexeme
-        self.expect_punct(":")
+        self.expect(":")
         iterable = self.expression()
-        self.expect_punct(")")
+        self.expect(")")
         body, end = self.body()
         if not body:
             raise ParseError("loop body must not be empty", start.line, start.column)
-        node = ForEach(decl_type, var, iterable, body)
-        self._finish(node, start, end)
-        return node
+        return ForEach(decl_type, var, iterable, body, pos=_span(start, end))
 
     def if_stmt(self) -> If:
-        start = self.expect_keyword("if")
-        self.expect_punct("(")
+        start = self.advance()
+        self.expect("(")
         cond = self.expression()
-        self.expect_punct(")")
+        self.expect(")")
         body, end = self.body()
-        node = If(cond, body)
-        self._finish(node, start, end)
-        return node
+        return If(cond, body, pos=_span(start, end))
 
     def var_stmt(self) -> VarDecl:
-        start = self.expect_keyword("var")
+        start = self.advance()
         name = self.expect_identifier().lexeme
-        self.expect_punct("=")
+        self.expect("=")
         init = self.expression()
-        end = self.expect_punct(";")
-        node = VarDecl(name, init)
-        self._finish(node, start, end)
-        return node
+        return VarDecl(name, init, pos=_span(start, self.expect(";")))
 
     def body(self) -> tuple[tuple[Stmt, ...], Token]:
-        if self.at_punct("{"):
-            self.advance()
+        if self.lexemes[self.i] == "{":
+            self.i += 1
             stmts: list[Stmt] = []
-            while not self.at_punct("}"):
-                if self.cur.kind == "eof":
+            while self.lexemes[self.i] != "}":
+                if self.at_eof():
                     raise self.error({"'}'", "statement"})
                 stmts.append(self.statement())
-            end = self.advance()
-            return tuple(stmts), end
+            return tuple(stmts), self.advance()
         st = self.statement()
         return (st,), self.tokens[self.i - 1]
 
     # -- expressions ------------------------------------------------------
 
     def expression(self) -> Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
-        first = self.and_expr()
-        if not self.at_punct("||"):
+        first = self.conjunction()
+        if self.lexemes[self.i] != "||":
             return first
         operands = [first]
-        start_line, start_col = first.pos.line, first.pos.column
-        while self.at_punct("||"):
-            self.advance()
-            operands.append(self.and_expr())
-        node = BoolChain("||", tuple(operands))
-        last = operands[-1].pos
-        node.pos = Position(start_line, start_col, last.end_line, last.end_column)
-        return node
+        while self.lexemes[self.i] == "||":
+            self.i += 1
+            operands.append(self.conjunction())
+        return _chain("||", operands)
 
-    def and_expr(self) -> Expr:
+    def conjunction(self) -> Expr:
         first = self.unary()
-        if not self.at_punct("&&"):
+        if self.lexemes[self.i] != "&&":
             return first
         operands = [first]
-        start_line, start_col = first.pos.line, first.pos.column
-        while self.at_punct("&&"):
-            self.advance()
+        while self.lexemes[self.i] == "&&":
+            self.i += 1
             operands.append(self.unary())
-        node = BoolChain("&&", tuple(operands))
-        last = operands[-1].pos
-        node.pos = Position(start_line, start_col, last.end_line, last.end_column)
-        return node
+        return _chain("&&", operands)
 
     def unary(self) -> Expr:
-        if self.at_punct("!"):
+        if self.lexemes[self.i] == "!":
             start = self.advance()
             operand = self.unary()
-            node = Not(operand)
-            node.pos = Position(start.line, start.column, operand.pos.end_line, operand.pos.end_column)
-            return node
+            end = operand.pos
+            return Not(operand, pos=Position(start.line, start.column, end.end_line, end.end_column))
         return self.postfix()
 
     def postfix(self) -> Expr:
         expr = self.primary()
-        while self.at_punct("."):
-            self.advance()
+        while self.lexemes[self.i] == ".":
+            self.i += 1
             name = self.expect_identifier()
-            self.expect_punct("(")
+            self.expect("(")
             args, end = self.args()
-            node = MethodCall(expr, name.lexeme, args)
-            el, ec = self._end_of(end)
-            node.pos = Position(expr.pos.line, expr.pos.column, el, ec)
-            expr = node
+            pos = Position(expr.pos.line, expr.pos.column, end.line, end.column + 1)
+            expr = MethodCall(expr, name.lexeme, args, pos=pos)
         return expr
 
     def primary(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "keyword" and tok.lexeme in ("true", "false"):
-            self.advance()
-            node: Expr = BoolLit(tok.lexeme == "true")
-        elif tok.kind == "integer-literal":
-            self.advance()
-            node = IntLit(int(tok.lexeme))
-        elif tok.kind == "string-literal":
-            self.advance()
-            node = StringLit(string_value(tok.lexeme))
-        elif tok.kind == "identifier":
-            self.advance()
-            if self.at_punct("("):
-                self.advance()
+        tok = self.tokens[self.i]
+        kind = tok.kind
+        lexeme = tok.lexeme
+        if kind == "identifier":
+            self.i += 1
+            if self.lexemes[self.i] == "(":
+                self.i += 1
                 args, end = self.args()
-                node = Call(tok.lexeme, args)
-                self._finish(node, tok, end)
-                return node
-            node = Name(tok.lexeme)
-        elif tok.is_punct("("):
-            self.advance()
+                return Call(lexeme, args, pos=_span(tok, end))
+            return Name(lexeme, pos=_span(tok, tok))
+        if kind == "integer-literal":
+            try:
+                value = int(lexeme)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"integer literal of {len(lexeme)} digits is too long", tok.line, tok.column)
+            self.i += 1
+            return IntLit(value, pos=_span(tok, tok))
+        if kind == "string-literal":
+            self.i += 1
+            return StringLit(string_value(lexeme), pos=_span(tok, tok))
+        if lexeme == "true" or lexeme == "false":
+            self.i += 1
+            return BoolLit(lexeme == "true", pos=_span(tok, tok))
+        if lexeme == "(":
+            self.i += 1
             inner = self.expression()
-            self.expect_punct(")")
+            self.expect(")")
             return inner
-        else:
-            raise self.error({"expression"})
-        self._finish(node, tok, tok)
-        return node
+        raise self.error({"expression"})
 
     def args(self) -> tuple[tuple[Expr, ...], Token]:
         """Arguments after '('; returns (args, the ')' token)."""
-        if self.at_punct(")"):
+        if self.lexemes[self.i] == ")":
             return (), self.advance()
         args = [self.expression()]
-        while self.at_punct(","):
-            self.advance()
+        while self.lexemes[self.i] == ",":
+            self.i += 1
             args.append(self.expression())
-        end = self.expect_punct(")")
-        return tuple(args), end
+        return tuple(args), self.expect(")")
 
 
 def _anchor(line: _Line) -> tuple[int, int]:
@@ -312,6 +283,8 @@ def _anchor(line: _Line) -> tuple[int, int]:
 
 
 def _attach_comments(ast: EmrAst, comments: list[Token]) -> None:
+    if not comments:
+        return
     candidates = [(line.owner, *_anchor(line)) for line in _rendered(ast) if line.owner is not None]
     for comment in comments:
         best: tuple[Node, int, int] | None = None

@@ -1,39 +1,50 @@
 """Tokenizer for the EMR DSL.
 
-Hand-rolled: the language is small and a hand-written lexer gives exact
-line/column positions, which diagnostics and the repair pass depend on.
-Comments are kept in the token stream because trailing ``//`` comments carry
-the per-statement explanations.
+One compiled pattern, scanned with ``finditer``, matches the whitespace
+before each token and then the token, named by the group that matched it.
+The whitespace becomes the token's ``leading_trivia``; its newlines advance
+the line and set the column, so positions stay exact for diagnostics and the
+repair pass. A character that starts no token matches the last group and
+raises ``IllegalCharacter`` at its position. Comments are kept in the token
+stream because trailing ``//`` comments carry the per-statement
+explanations.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import IllegalCharacter
 
 KEYWORDS = frozenset({"MR", "for", "if", "continue", "var", "true", "false"})
 
-# Longest match first: '&&' must win over '&', '{{' over '{'.
-PUNCTUATION = (
-    "{{",
-    "}}",
-    "&&",
-    "||",
-    "{",
-    "}",
-    "(",
-    ")",
-    ",",
-    ";",
-    ":",
-    ".",
-    "!",
-    "&",
-    "=",
-)
+# A string literal's characters: a backslash escapes the character after
+# it, and no newline, escaped or not. What an unterminated literal holds
+# before its line or the input ends is that, with perhaps one backslash.
+_STRING_BODY = r'(?:[^"\\\n]|\\[^\n])*'
+_STRING_START = re.compile(_STRING_BODY + r"\\?")
 
-_WS = " \t\r\n"
+# Python's ``\w`` is exactly ``str.isalnum()`` or ``_``, and ``\d`` exactly
+# ``str.isdecimal()``, the digits ``int()`` accepts. An identifier starts
+# with an ``isalpha()`` character or ``_``: ASCII ones take group 2, any
+# other word (group 8) is an identifier only if its first character is a
+# letter, so a digit such as '²' cannot start a token. Group 1 is the
+# whitespace before the token, and no alternative can start with
+# whitespace, so each match begins where the last one ended.
+_TOKEN = re.compile(
+    r"([ \t\r\n]*)(?:"
+    r"([A-Za-z_]\w*)"  # 2 identifier or keyword
+    r"|(\{\{|\}\}|&&|\|\||[{}(),;:.!&=])"  # 3 punctuation, longest first
+    r"|(//[^\n]*)"  # 4 comment
+    r'|("' + _STRING_BODY + r'")'  # 5 string literal
+    r"|(\d+)"  # 6 integer literal
+    r"|(\Z)"  # 7 end of input
+    r"|(\w+)"  # 8 a word that starts outside ASCII
+    r"|([^ \t\r\n])"  # 9 illegal
+    r")"
+)
+_KINDS = (None, None, "identifier", "punctuation", "comment", "string-literal", "integer-literal", "eof")
 
 
 @dataclass
@@ -53,84 +64,43 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Lex ``source`` into tokens, ending with a single ``eof`` token.
 
-    Raises IllegalCharacter for any byte outside the grammar's alphabet.
+    Raises IllegalCharacter for any character outside the grammar's alphabet.
     """
     tokens: list[Token] = []
-    i = 0
     line = 1
     col = 1
-    n = len(source)
-    trivia_start = 0
-
-    def emit(kind: str, lexeme: str, tline: int, tcol: int) -> None:
-        nonlocal trivia_start
-        tokens.append(Token(kind, lexeme, tline, tcol, source[trivia_start : i - len(lexeme)]))
-        trivia_start = i
-
-    while i < n:
-        ch = source[i]
-        if ch in _WS:
-            if ch == "\n":
-                line += 1
-                col = 1
+    for match in _TOKEN.finditer(source):
+        group = match.lastindex
+        trivia, lexeme = match.group(1, group)
+        if trivia:
+            newline = trivia.rfind("\n")
+            if newline < 0:
+                col += len(trivia)
             else:
-                col += 1
-            i += 1
-            continue
-        start_line, start_col = line, col
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            if j == -1:
-                j = n
-            lexeme = source[i:j]
-            i = j
-            col += len(lexeme)
-            emit("comment", lexeme, start_line, start_col)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            lexeme = source[i:j]
-            i = j
-            col += len(lexeme)
-            emit("keyword" if lexeme in KEYWORDS else "identifier", lexeme, start_line, start_col)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            lexeme = source[i:j]
-            i = j
-            col += len(lexeme)
-            emit("integer-literal", lexeme, start_line, start_col)
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise IllegalCharacter("\n", line, col + (j - i))
-                if source[j] == "\\" and j + 1 < n:
-                    j += 1
-                j += 1
-            if j >= n:
-                raise IllegalCharacter('"', start_line, start_col)
-            lexeme = source[i : j + 1]
-            i = j + 1
-            col += len(lexeme)
-            emit("string-literal", lexeme, start_line, start_col)
-            continue
-        for p in PUNCTUATION:
-            if source.startswith(p, i):
-                i += len(p)
-                col += len(p)
-                emit("punctuation", p, start_line, start_col)
-                break
+                line += trivia.count("\n")
+                col = len(trivia) - newline
+        if group == 2:
+            kind = "keyword" if lexeme in KEYWORDS else "identifier"
+        elif group < 8:
+            kind = _KINDS[group]
+        elif group == 8 and lexeme[0].isalpha():
+            kind = "identifier"
         else:
-            raise IllegalCharacter(ch, line, col)
-
-    tokens.append(Token("eof", "", line, col, source[trivia_start:]))
+            raise _illegal(source, match.start(group), line, col)
+        tokens.append(Token(kind, lexeme, line, col, trivia))
+        if group == 7:
+            break
+        col += len(lexeme)
     return tokens
+
+
+def _illegal(source: str, i: int, line: int, col: int) -> IllegalCharacter:
+    """The error for ``source[i]``, at ``line``:``col``, which starts no token."""
+    if source[i] == '"':
+        j = _STRING_START.match(source, i + 1).end()
+        if source.startswith("\n", j):
+            return IllegalCharacter("\n", line, col + (j - i))
+    return IllegalCharacter(source[i], line, col)
 
 
 def reconstruct(tokens: list[Token]) -> str:

@@ -9,7 +9,7 @@ from .client import (
     MockChatClient,
     content_hash,
 )
-from .conversation import Conversation, Message, TranscriptStore, load_transcript, run_turn
+from .conversation import Conversation, Message, TranscriptStore, TranscriptWriteError, load_transcript, run_turn
 from .derive import (
     DeriveResult,
     MetamorphicRelation,
@@ -53,6 +53,7 @@ __all__ = [
     "ResponseFormatError",
     "TemplateError",
     "TranscriptStore",
+    "TranscriptWriteError",
     "UnsupportedFormat",
     "chunk_document",
     "content_hash",

@@ -56,6 +56,10 @@ class Conversation:
         return {"pipeline": self.pipeline, "ref": self.ref, "config": self.config}
 
 
+class TranscriptWriteError(Exception):
+    """A transcript file, or the directory that holds it, could not be created."""
+
+
 class TranscriptStore:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -74,9 +78,12 @@ class TranscriptStore:
         if owner is conversation:
             jsonl.append(path, [m.to_json() for m in conversation.messages[written:]])
         else:
-            self.directory.mkdir(parents=True, exist_ok=True)
             records = [conversation.header(), *(m.to_json() for m in conversation.messages)]
-            jsonl.append(path, records, truncate=True)
+            try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                jsonl.append(path, records, truncate=True)
+            except OSError as exc:
+                raise TranscriptWriteError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
         self._written[path] = (conversation, len(conversation.messages))
         return path
 

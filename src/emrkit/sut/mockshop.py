@@ -39,6 +39,9 @@ ITEMS: tuple[dict[str, Any], ...] = (
     {"id": 11, "name": "Filing Cabinet", "category": "office", "brand": "SteelBox", "price": 129, "rating": 3.6, "in_stock": True},
     {"id": 12, "name": "Monitor Stand", "category": "office", "brand": "ErgoLine", "price": 39, "rating": 4.3, "in_stock": True},
 )
+# What a search query is matched against, lower-cased once.
+_SEARCHABLE = tuple((item["name"].lower(), item) for item in ITEMS)
+
 
 def matches_filters(item: dict[str, Any], params: dict[str, Any]) -> bool:
     """Whether ``item`` satisfies every filter parameter present in ``params``."""
@@ -80,7 +83,7 @@ class MockShopSession:
             return Output(first.status, [dict(item) for item in first.payload], first.summary_size)
 
         query = str(params.get("query", "")).lower()
-        results = [item for item in ITEMS if query in item["name"].lower()]
+        results = [item for name, item in _SEARCHABLE if query in name]
         if self.fault != "ignore-filter":
             results = [item for item in results if matches_filters(item, params)]
         if "page" in params:

@@ -210,6 +210,22 @@ def test_out_that_is_not_a_directory_exits_two_before_any_work(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+@pytest.mark.parametrize("blocked, kind, command", [
+    ("report.json", "directory", ["run", FIG4, "--inputs", INPUTS]),
+    ("transcripts", "file", ["--mock", "derive", DOC]),
+    ("mrs.json", "directory", ["--mock", "derive", DOC]),
+], ids=["run-report", "derive-transcripts", "derive-catalog"])
+def test_output_that_cannot_be_written_exits_two(tmp_path, capsys, blocked, kind, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / blocked
+    path.mkdir() if kind == "directory" else path.write_text("")
+    assert run("--out", out, *command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["run", "{smrl}", "--inputs", INPUTS, "--sut", "mock"],
     ["check", "{smrl}"],
@@ -247,6 +263,19 @@ def test_check_error_exits_two(tmp_path, capsys):
     bad.write_text("MR {{ IMPLIES(true); }}")
     assert run("check", bad) == 2
     assert "IMPLIES expects 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("²", "1:15: illegal character '²'"),
+    ("9" * 5000, "1:15: integer literal of 5000 digits is too long"),
+], ids=["superscript-digit", "5000-digits"])
+def test_check_integer_literal_int_refuses_exits_two(tmp_path, capsys, literal, message):
+    bad = tmp_path / "bad.smrl"
+    bad.write_text(f"MR {{{{ var x = {literal}; }}}}", encoding="utf-8")
+    assert run("check", bad) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"file": str(bad), "severity": "error", "message": message}
+    assert "Traceback" not in captured.err
 
 
 def test_repair_subcommand_writes_fixed_source(tmp_path, capsys):

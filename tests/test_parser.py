@@ -88,6 +88,29 @@ def test_parse_error_location_and_expectations():
         parse_emr("MR {{ var = 3; }}")
     assert exc.value.line == 1
     assert "identifier" in " ".join(exc.value.expected)
+    cases = [
+        ("MR {{ var = 3; }}", "1:11: expected identifier, found '='", {"identifier"}, None),
+        ("MR {{ IMPLIES(a() & b()); }}",
+         "1:19: expected ')', found '&' (a 'WLC-AMP' repair may fix this; run repair first)", {"')'"}, "WLC-AMP"),
+        ("MR {{ for (3 x : y) { continue; } }}", "1:12: expected 'var', type name, found '3'",
+         {"'var'", "type name"}, None),
+        ("MR {{\n  x;", "2:5: expected '}}', statement, found end of input", {"'}}'", "statement"}, None),
+        ("MR {{ var x = 1 }}", "1:17: expected ';', found '}}'", {"';'"}, None),
+        ("MR {{ }} x", "1:10: expected end of input, found 'x'", {"end of input"}, None),
+        ("MR {{ var x = ; }}", "1:15: expected expression, found ';'", {"expression"}, None),
+        ("MR {{ for (var x : xs) { } }}", "1:7: loop body must not be empty", set(), None),
+        # int() converts at most 4300 digits.
+        ("MR {{ var x = " + "9" * 5000 + "; }}", "1:15: integer literal of 5000 digits is too long", set(), None),
+    ]
+    for source, message, expected, hint in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_emr(source)
+        assert (str(exc.value), exc.value.expected, exc.value.repair_hint) == (message, expected, hint)
+
+
+def test_integer_literals_are_decimal_digits():
+    (stmt,) = parse_emr("MR {{ var x = ٣; }}").statements
+    assert stmt.init == IntLit(3)
 
 
 def test_single_ampersand_suggests_repair():

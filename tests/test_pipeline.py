@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -285,19 +286,39 @@ def test_generate_repairs_ampersand_defect(shop_doc, fewshot, filter_emr_ast):
     result = generate_emrs(mrs, EMPTY_CATALOG, fewshot, client)
     (item,) = result.items
     assert item.status == "repaired"
-    assert [e.rule for e in item.repair_log.entries] == ["WLC-AMP"]
+    assert [e.to_json() for e in item.repair_log.entries] == [
+        {"rule": "WLC-AMP", "line": 9, "before": " &", "after": ",", "message": "replaced ' &' with ','"}
+    ]
     assert structurally_equal(item.ast, filter_emr_ast)
+
+
+def test_generate_tokenizes_a_clean_reply_once(shop_doc, mock_client, fewshot, monkeypatch):
+    lexed = []
+    for name in ("emrkit.dsl.parser", "emrkit.dsl.repair"):  # the package rebinds the bare names
+        module = importlib.import_module(name)
+
+        def counted(source, original=module.tokenize):
+            lexed.append(source)
+            return original(source)
+
+        monkeypatch.setattr(module, "tokenize", counted)
+    mrs = derive_mrs(shop_doc, mock_client).mrs
+    (item,) = generate_emrs(mrs, EMPTY_CATALOG, fewshot, mock_client).items
+    assert item.status == "ok"
+    assert lexed == [item.source]
 
 
 def test_generate_records_unparseable_and_continues(shop_doc, fewshot):
     mrs = derive_mrs(shop_doc, MockChatClient.from_file(fixture_path("mock_scripts.json"))).mrs
-    mrs = mrs + [type(mrs[0])(id="mr-x", text="second MR", document_id=mrs[0].document_id)]
+    # A digit int() refuses, and a literal too long for it, fail like any other bad reply.
+    replies = ["not an EMR at all", "MR {{ var x = ²; }}", "MR {{ var x = " + "9" * 5000 + "; }}"]
+    mrs = mrs + [type(mrs[0])(id=f"mr-x{n}", text=f"MR {n}", document_id=mrs[0].document_id) for n in range(3)]
     scripts = json.loads(fixture_path("mock_scripts.json").read_text())
-    scripts.append({"pipeline": "generate", "phase": 6, "response": "not an EMR at all"})
+    scripts += [{"pipeline": "generate", "phase": 6, "response": reply} for reply in replies]
     client = MockChatClient.from_scripts([s for s in scripts if s["pipeline"] == "generate"])
     result = generate_emrs(mrs, EMPTY_CATALOG, fewshot, client)
-    assert [i.status for i in result.items] == ["ok", "unparseable"]
-    assert result.items[1].error
+    assert [i.status for i in result.items] == ["ok", "unparseable", "unparseable", "unparseable"]
+    assert [i.error.split(": ", 1)[0] for i in result.items[1:]] == ["1:1", "1:15", "1:15"]
 
 
 def test_generate_requires_fewshot(shop_doc, mock_client):

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 
 from astgen import ProgramGen
@@ -51,6 +54,49 @@ def test_illegal_character_reports_position():
         tokenize("MR {{\n  @bad\n}}")
     assert exc.value.line == 2
     assert exc.value.column == 3
+
+
+def test_crlf_and_tab_columns():
+    tokens = tokenize("MR\r\n\t{{ x; // c\r\n\t}}\r\n")
+    assert [(t.kind, t.lexeme, t.line, t.column, t.leading_trivia) for t in tokens] == [
+        ("keyword", "MR", 1, 1, ""),
+        ("punctuation", "{{", 2, 2, "\r\n\t"),
+        ("identifier", "x", 2, 5, " "),
+        ("punctuation", ";", 2, 6, ""),
+        ("comment", "// c\r", 2, 8, " "),
+        ("punctuation", "}}", 3, 2, "\n\t"),
+        ("eof", "", 4, 1, "\r\n"),
+    ]
+
+
+@pytest.mark.parametrize("source, char, line, column", [
+    ('MR\r\n\t{{ "ab', '"', 2, 5),  # unterminated string: the opening quote
+    ('MR {{\r\n\tx("a\nb"); }}', "\n", 2, 6),  # newline inside a string
+    ('MR {{ x("a\\\nb"); }}', "\n", 1, 12),  # an escaped newline too
+    ('x("ab\\', '"', 1, 3),
+    ("var x = ²;", "²", 1, 9),  # a digit int() refuses cannot start a token
+    ("var x = 3²;", "²", 1, 10),
+    ("var x = ½;", "½", 1, 9),
+])
+def test_illegal_character_positions(source, char, line, column):
+    with pytest.raises(IllegalCharacter) as exc:
+        tokenize(source)
+    assert (exc.value.char, exc.value.line, exc.value.column) == (char, line, column)
+
+
+def test_regex_classes_are_the_str_predicates_the_grammar_names():
+    # The lexer's pattern relies on these identities for every code point.
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\w", everything) == [c for c in everything if c.isalnum() or c == "_"]
+    assert re.findall(r"\d", everything) == [c for c in everything if c.isdecimal()]
+
+
+def test_unicode_words_and_digits():
+    assert kinds_and_lexemes(tokenize("x² é_1 ٣4")) == [
+        ("identifier", "x²"),
+        ("identifier", "é_1"),
+        ("integer-literal", "٣4"),
+    ]
 
 
 def test_reconstruction_is_exact(filter_emr_source):
