@@ -407,8 +407,9 @@ def cmd_run(args: argparse.Namespace, config: ToolConfig) -> int:
     text = report.to_text()
     _write(out / "report.txt", text + "\n", args.verbose)
     print(text)
-    if report.not_executable_stubs:
-        print(f"not executable; unbound stubs: {', '.join(report.not_executable_stubs)}", file=sys.stderr)
+    unbound = report.not_executable_stubs
+    if unbound:
+        print(f"not executable; unbound stubs: {', '.join(unbound)}", file=sys.stderr)
         return EXIT_NOT_EXECUTABLE
     if report.has_errors:
         return EXIT_ADAPTER

@@ -63,11 +63,25 @@ class Unit:
 
 @dataclass
 class _Line:
+    """One canonical line: its text is ``head``, or ``head``, the expression
+    and ``tail``, and is formatted only when read."""
+
     indent: int
-    text: str
+    head: str
+    expr: Expr | None = None
+    tail: str = ""
     unit_kind: str | None = None
-    unit_exprs: tuple[Expr, ...] = ()
     owner: Node | None = None  # the node whose explanation the line prints
+
+    @property
+    def text(self) -> str:
+        if self.expr is None:
+            return self.head
+        return self.head + format_expr(self.expr) + self.tail
+
+    @property
+    def unit_exprs(self) -> tuple[Expr, ...]:
+        return () if self.expr is None else (self.expr,)
 
     @property
     def explanation(self) -> str | None:
@@ -109,21 +123,22 @@ def format_expr(e: Expr) -> str:
     raise TypeError(f"unknown expression node: {e!r}")
 
 
-class _Renderer:
+class _Layout:
     def __init__(self) -> None:
         self.lines: list[_Line] = []
 
     def emit(
         self,
         indent: int,
-        text: str,
+        head: str,
+        expr: Expr | None = None,
+        tail: str = "",
         kind: str | None = None,
-        exprs: tuple[Expr, ...] = (),
         owner: Node | None = None,
     ) -> None:
-        self.lines.append(_Line(indent, text, kind, exprs, owner))
+        self.lines.append(_Line(indent, head, expr, tail, kind, owner))
 
-    def render(self, ast: EmrAst) -> list[_Line]:
+    def walk(self, ast: EmrAst) -> list[_Line]:
         self.emit(0, "MR {{")
         for st in ast.statements:
             self.statement(st, 1)
@@ -132,35 +147,32 @@ class _Renderer:
 
     def statement(self, st: Stmt, d: int) -> None:
         if isinstance(st, ForEach):
-            header = f"for ({st.decl_type} {st.var} : {format_expr(st.iterable)}) {{"
-            self.emit(d, header, "for", (st.iterable,), st)
+            self.emit(d, f"for ({st.decl_type} {st.var} : ", st.iterable, ") {", "for", st)
             for inner in st.body:
                 self.statement(inner, d + 1)
             self.emit(d, "}")
         elif isinstance(st, If):
             if len(st.body) == 1 and isinstance(st.body[0], Continue):
-                text = f"if ({format_expr(st.cond)}) continue;"
-                self.emit(d, text, "if", (st.cond,), st.body[0])
+                self.emit(d, "if (", st.cond, ") continue;", "if", st.body[0])
             else:
-                self.emit(d, f"if ({format_expr(st.cond)}) {{", "if", (st.cond,), st)
+                self.emit(d, "if (", st.cond, ") {", "if", st)
                 for inner in st.body:
                     self.statement(inner, d + 1)
                 self.emit(d, "}")
         elif isinstance(st, Continue):
-            self.emit(d, "continue;", "continue", (), st)
+            self.emit(d, "continue;", kind="continue", owner=st)
         elif isinstance(st, VarDecl):
-            text = f"var {st.name} = {format_expr(st.init)};"
-            self.emit(d, text, "var", (st.init,), st)
+            self.emit(d, f"var {st.name} = ", st.init, ";", "var", st)
         elif isinstance(st, ExprStmt):
             if isinstance(st.expr, Call) and st.expr.name in EXPANDABLE:
                 self.expanded_call(st.expr, d, ";", st)
             else:
-                self.emit(d, f"{format_expr(st.expr)};", "expr", (st.expr,), st)
+                self.emit(d, "", st.expr, ";", "expr", st)
         else:
             raise TypeError(f"unknown statement node: {st!r}")
 
     def expanded_call(self, call: Call, d: int, terminator: str, closer: Node | None) -> None:
-        self.emit(d, f"{call.name}(", "opener", (), call)
+        self.emit(d, f"{call.name}(", kind="opener", owner=call)
         for i, arg in enumerate(call.args):
             suffix = "," if i < len(call.args) - 1 else ""
             self.argument(arg, d + 1, suffix)
@@ -173,22 +185,24 @@ class _Renderer:
             last = len(arg.operands) - 1
             for i, op in enumerate(arg.operands):
                 tail = suffix if i == last else f" {arg.op}"
-                text = format_expr(op)
                 if isinstance(op, BoolChain):
-                    text = f"({text})"
-                self.emit(d, f"{text}{tail}", "operand", (op,), op)
+                    self.emit(d, "(", op, f"){tail}", "operand", op)
+                else:
+                    self.emit(d, "", op, tail, "operand", op)
         else:
-            self.emit(d, f"{format_expr(arg)}{suffix}", "arg", (arg,), arg)
+            self.emit(d, "", arg, suffix, "arg", arg)
 
 
-def _rendered(ast: EmrAst) -> list[_Line]:
-    return _Renderer().render(ast)
+def layout(ast: EmrAst) -> list[_Line]:
+    """The canonical lines of ``ast``, each with its owner and unit kind; a
+    line's text is formatted only when it is read."""
+    return _Layout().walk(ast)
 
 
 def pretty_print(ast: EmrAst) -> str:
     """Deterministic canonical text; two prints of equal ASTs are identical."""
     out = []
-    for line in _rendered(ast):
+    for line in layout(ast):
         text = INDENT * line.indent + line.text
         if line.explanation is not None:
             text += f" //{line.explanation}"
@@ -204,7 +218,7 @@ def canonical_units(ast: EmrAst) -> list[Unit]:
     classification, and annotation line keys all derive from this list.
     """
     units: list[Unit] = []
-    for line_no, line in enumerate(_rendered(ast), start=1):
+    for line_no, line in enumerate(layout(ast), start=1):
         if line.unit_kind is None:
             continue
         units.append(

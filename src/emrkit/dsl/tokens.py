@@ -1,19 +1,22 @@
-"""Tokenizer for the EMR DSL.
+"""Lexer for the EMR DSL.
 
 One compiled pattern, scanned with ``finditer``, matches the whitespace
 before each token and then the token, named by the group that matched it.
-The whitespace becomes the token's ``leading_trivia``; its newlines advance
-the line and set the column, so positions stay exact for diagnostics and the
-repair pass. A character that starts no token matches the last group and
-raises ``IllegalCharacter`` at its position. Comments are kept in the token
-stream because trailing ``//`` comments carry the per-statement
-explanations.
+``scan`` keeps only each lexeme and its start offset; a line and column are
+worked out from a table of line starts where a position is needed. A
+character that starts no token matches the last group and raises
+``IllegalCharacter`` at its position. Comments come back on their own,
+because trailing ``//`` comments carry the per-statement explanations.
+``tokenize`` is the same scan as ``Token`` objects with kinds, positions and
+the whitespace before each one, for the repair pass and for tools.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import IllegalCharacter
 
@@ -44,7 +47,6 @@ _TOKEN = re.compile(
     r"|([^ \t\r\n])"  # 9 illegal
     r")"
 )
-_KINDS = (None, None, "identifier", "punctuation", "comment", "string-literal", "integer-literal", "eof")
 
 
 @dataclass
@@ -61,46 +63,85 @@ class Token:
         return self.kind == "punctuation" and self.lexeme == lexeme
 
 
+def scan(source: str) -> tuple[list[str], list[int], list[tuple[int, str]]]:
+    """Lex ``source`` once.
+
+    Returns the lexemes other than comments with their start offsets, ending
+    with the ``eof`` lexeme ``""`` at ``len(source)``, and the comments as
+    (offset, lexeme) pairs. Raises IllegalCharacter for any character outside
+    the grammar's alphabet.
+    """
+    lexemes: list[str] = []
+    starts: list[int] = []
+    comments: list[tuple[int, str]] = []
+    for match in _TOKEN.finditer(source):
+        group = match.lastindex
+        if group == 4:
+            comments.append((match.start(4), match.group(4)))
+            continue
+        if group > 6:
+            if group == 7:
+                break
+            if group == 9 or not match.group(8)[0].isalpha():
+                raise _illegal(source, match.start(group))
+        lexemes.append(match.group(group))
+        starts.append(match.start(group))
+    lexemes.append("")
+    starts.append(len(source))
+    return lexemes, starts, comments
+
+
+def line_starts(source: str) -> list[int]:
+    """The offset at which each line of ``source`` starts."""
+    return [0, *accumulate(len(line) + 1 for line in source.split("\n")[:-1])]
+
+
+def position(lines: list[int], offset: int) -> tuple[int, int]:
+    """1-based (line, column) of ``offset``, given the source's ``line_starts``."""
+    line = bisect_right(lines, offset)
+    return line, offset - lines[line - 1] + 1
+
+
+def kind_of(lexeme: str) -> str:
+    """The kind of a lexeme ``scan`` returned, told by its first character
+    (keywords apart from identifiers by name)."""
+    head = lexeme[:1]
+    if head.isalpha() or head == "_":
+        return "keyword" if lexeme in KEYWORDS else "identifier"
+    if head == '"':
+        return "string-literal"
+    if head.isdecimal():
+        return "integer-literal"
+    if lexeme.startswith("//"):
+        return "comment"
+    return "punctuation" if lexeme else "eof"
+
+
 def tokenize(source: str) -> list[Token]:
-    """Lex ``source`` into tokens, ending with a single ``eof`` token.
+    """Lex ``source`` into tokens, comments included, ending with a single
+    ``eof`` token: a view of ``scan`` for callers that want kinds, lines and
+    trivia.
 
     Raises IllegalCharacter for any character outside the grammar's alphabet.
     """
+    lexemes, starts, comments = scan(source)
+    lines = line_starts(source)
     tokens: list[Token] = []
-    line = 1
-    col = 1
-    for match in _TOKEN.finditer(source):
-        group = match.lastindex
-        trivia, lexeme = match.group(1, group)
-        if trivia:
-            newline = trivia.rfind("\n")
-            if newline < 0:
-                col += len(trivia)
-            else:
-                line += trivia.count("\n")
-                col = len(trivia) - newline
-        if group == 2:
-            kind = "keyword" if lexeme in KEYWORDS else "identifier"
-        elif group < 8:
-            kind = _KINDS[group]
-        elif group == 8 and lexeme[0].isalpha():
-            kind = "identifier"
-        else:
-            raise _illegal(source, match.start(group), line, col)
-        tokens.append(Token(kind, lexeme, line, col, trivia))
-        if group == 7:
-            break
-        col += len(lexeme)
+    end = 0
+    for start, lexeme in sorted([*zip(starts, lexemes), *comments]):
+        tokens.append(Token(kind_of(lexeme), lexeme, *position(lines, start), source[end:start]))
+        end = start + len(lexeme)
     return tokens
 
 
-def _illegal(source: str, i: int, line: int, col: int) -> IllegalCharacter:
-    """The error for ``source[i]``, at ``line``:``col``, which starts no token."""
-    if source[i] == '"':
+def _illegal(source: str, i: int) -> IllegalCharacter:
+    """The error for ``source[i]``, which starts no token."""
+    char = source[i]
+    if char == '"':
         j = _STRING_START.match(source, i + 1).end()
         if source.startswith("\n", j):
-            return IllegalCharacter("\n", line, col + (j - i))
-    return IllegalCharacter(source[i], line, col)
+            i, char = j, "\n"
+    return IllegalCharacter(char, *position(line_starts(source), i))
 
 
 def reconstruct(tokens: list[Token]) -> str:

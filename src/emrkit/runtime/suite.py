@@ -23,7 +23,9 @@ class SuiteEntry:
 
     @property
     def outcome(self) -> str:
-        return self.verdict.value.value if self.verdict else "Error"
+        # ``_value_`` is the attribute behind the enum's ``value`` property,
+        # read directly because reports call this once per entry.
+        return self.verdict.value._value_ if self.verdict else "Error"
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -44,20 +46,28 @@ class SuiteEntry:
 class SuiteReport:
     entries: list[SuiteEntry] = field(default_factory=list)
 
-    def counts_for(self, emr_id: str) -> dict[str, int]:
-        counts = {name: 0 for name in VERDICT_ORDER}
+    def tally(self) -> tuple[dict[str, dict[str, int]], list[str]]:
+        """One pass over the entries: each EMR's outcome counts, in the order
+        the EMRs first appear and without zero counts, and the unbound stubs
+        the verdicts name, in the order they first appear."""
+        per_emr: dict[str, dict[str, int]] = {}
+        stubs: dict[str, None] = {}
         for entry in self.entries:
-            if entry.emr_id == emr_id:
-                counts[entry.outcome] += 1
-        return {name: n for name, n in counts.items() if n}
+            counts = per_emr.get(entry.emr_id)
+            if counts is None:
+                counts = per_emr[entry.emr_id] = dict.fromkeys(VERDICT_ORDER, 0)
+            counts[entry.outcome] += 1
+            if entry.verdict is not None and entry.verdict.stubs:
+                stubs.update(dict.fromkeys(entry.verdict.stubs))
+        nonzero = {emr: {name: n for name, n in counts.items() if n} for emr, counts in per_emr.items()}
+        return nonzero, list(stubs)
+
+    def counts_for(self, emr_id: str) -> dict[str, int]:
+        return self.tally()[0].get(emr_id, {})
 
     @property
     def emr_ids(self) -> list[str]:
-        seen: list[str] = []
-        for entry in self.entries:
-            if entry.emr_id not in seen:
-                seen.append(entry.emr_id)
-        return seen
+        return list(self.tally()[0])
 
     @property
     def has_failures(self) -> bool:
@@ -69,17 +79,11 @@ class SuiteReport:
 
     @property
     def not_executable_stubs(self) -> list[str]:
-        stubs: list[str] = []
-        for e in self.entries:
-            if e.verdict is not None:
-                for name in e.verdict.stubs:
-                    if name not in stubs:
-                        stubs.append(name)
-        return stubs
+        return self.tally()[1]
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "per_emr": {emr: self.counts_for(emr) for emr in self.emr_ids},
+            "per_emr": self.tally()[0],
             "results": [e.to_json() for e in self.entries],
         }
 
@@ -88,8 +92,7 @@ class SuiteReport:
         header = f"{'EMR':<24}" + "".join(f"{name:>14}" for name in VERDICT_ORDER)
         lines.append(header)
         lines.append("-" * len(header))
-        for emr in self.emr_ids:
-            counts = self.counts_for(emr)
+        for emr, counts in self.tally()[0].items():
             row = f"{emr:<24}" + "".join(f"{counts.get(name, 0):>14}" for name in VERDICT_ORDER)
             lines.append(row)
         failing = [e for e in self.entries if e.outcome == "Fail"]

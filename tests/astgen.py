@@ -152,3 +152,21 @@ def scatter_comments(source: str, seed: int) -> str:
             line += f" // note {rng.randint(0, 9)}"
         lines.append(line.replace(") continue;", ") // why\ncontinue;"))
     return "\n".join(lines)
+
+
+def long_emr(n: int, comments: bool = True) -> str:
+    """An EMR of ``n`` one-line statements, each with a distinct trailing
+    comment when ``comments`` is set: declarations, calls, expanded IMPLIES
+    with an ``&&`` operand, and loops whose header and body both carry one."""
+    shapes = (
+        "var v{i} = count(Input(1), {i});{c}",
+        "same{i}(Output(1), Output(Input(2), {i}));{c}",
+        "IMPLIES(pre{i}() && more(), post{i}(v{i}));{c}",
+        "for (var a{i} : Input(1).actions()) {{{c}\n    if (!touch(a{i})) continue;{d}\n}}",
+    )
+    lines = ["MR {{"]
+    for i in range(n):
+        note = f" // note {i}" if comments else ""
+        lines.append(shapes[i % len(shapes)].format(i=i, c=note, d=note and note + "b"))
+    lines.append("}}")
+    return "\n".join(lines)

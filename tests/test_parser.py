@@ -1,6 +1,6 @@
 import pytest
 
-from astgen import ProgramGen, messy_render, scatter_comments
+from astgen import ProgramGen, long_emr, messy_render, scatter_comments
 from emrkit.dsl import (
     BoolChain,
     Call,
@@ -16,6 +16,7 @@ from emrkit.dsl import (
     pretty_print,
     structurally_equal,
 )
+from emrkit.dsl.printer import layout
 
 
 def test_trivial_implies_statement():
@@ -154,3 +155,16 @@ def test_round_trip_property_over_messy_layouts():
         first = parse_emr(source)
         second = parse_emr(pretty_print(first))
         assert structurally_equal(first, second), f"seed {seed}"
+
+
+def test_long_commented_emr_keeps_every_explanation():
+    def explanations(ast):
+        return [line.explanation for line in layout(ast) if line.explanation is not None]
+
+    first = parse_emr(long_emr(2000))
+    notes = explanations(first)
+    assert len(notes) == 2000 + 2000 // 4  # a loop's body statement has its own
+    assert len(set(notes)) == len(notes)
+    second = parse_emr(pretty_print(first))
+    assert explanations(second) == notes
+    assert structurally_equal(first, second)

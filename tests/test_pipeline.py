@@ -292,20 +292,38 @@ def test_generate_repairs_ampersand_defect(shop_doc, fewshot, filter_emr_ast):
     assert structurally_equal(item.ast, filter_emr_ast)
 
 
-def test_generate_tokenizes_a_clean_reply_once(shop_doc, mock_client, fewshot, monkeypatch):
-    lexed = []
-    for name in ("emrkit.dsl.parser", "emrkit.dsl.repair"):  # the package rebinds the bare names
-        module = importlib.import_module(name)
+def _count_scans(monkeypatch) -> list[str]:
+    """Record each source the shared scanner lexes, wherever it is called from."""
+    scanned = []
+    tokens = importlib.import_module("emrkit.dsl.tokens")
+    original = tokens.scan
 
-        def counted(source, original=module.tokenize):
-            lexed.append(source)
-            return original(source)
+    def counted(source):
+        scanned.append(source)
+        return original(source)
 
-        monkeypatch.setattr(module, "tokenize", counted)
+    for name in ("emrkit.dsl.tokens", "emrkit.dsl.parser"):  # the parser imports the bare name
+        monkeypatch.setattr(importlib.import_module(name), "scan", counted)
+    return scanned
+
+
+def test_generate_scans_a_clean_reply_once(shop_doc, mock_client, fewshot, monkeypatch):
+    scanned = _count_scans(monkeypatch)
     mrs = derive_mrs(shop_doc, mock_client).mrs
     (item,) = generate_emrs(mrs, EMPTY_CATALOG, fewshot, mock_client).items
     assert item.status == "ok"
-    assert lexed == [item.source]
+    assert scanned == [item.source]
+
+
+def test_generate_scans_a_repaired_reply_three_times(shop_doc, fewshot, monkeypatch):
+    client = MockChatClient.from_file(fixture_path("mock_scripts_amp_defect.json"))
+    mrs = derive_mrs(shop_doc, client).mrs
+    scanned = _count_scans(monkeypatch)
+    (item,) = generate_emrs(mrs, EMPTY_CATALOG, fewshot, client).items
+    assert item.status == "repaired"
+    reply, repaired, fixed = scanned  # parse the reply, repair it, parse the repaired source
+    assert reply == repaired and " &" in reply
+    assert fixed == item.source != reply
 
 
 def test_generate_records_unparseable_and_continues(shop_doc, fewshot):
