@@ -132,9 +132,6 @@ class ToolConfig:
             config.out_dir = args.out
         return config
 
-    def to_json(self) -> dict[str, Any]:
-        return {**asdict(self), "llm": self.llm.to_json()}
-
     def chat_client(self):
         if self.mock:
             return _load("mock scripts", self.mock_scripts, MockChatClient.from_file)
@@ -350,10 +347,7 @@ def cmd_repair(args: argparse.Namespace, config: ToolConfig) -> int:
         fixed, log = repair(_read_smrl(path))
         for entry in log.entries:
             print(json.dumps({"file": str(path), **entry.to_json()}, sort_keys=True))
-        if args.in_place:
-            path.write_text(fixed, encoding="utf-8")
-        else:
-            _write(out / path.name, fixed, args.verbose)
+        _write(path if args.in_place else out / path.name, fixed, args.verbose)
     return EXIT_OK
 
 
@@ -458,7 +452,7 @@ def cmd_pipeline(args: argparse.Namespace, config: ToolConfig) -> int:
 
 
 def cmd_show_config(args: argparse.Namespace, config: ToolConfig) -> int:
-    print(_dump_json(config.to_json()), end="")
+    print(_dump_json(asdict(config)), end="")
     return EXIT_OK
 
 

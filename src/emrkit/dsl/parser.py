@@ -47,7 +47,7 @@ from .ast import (
     VarDecl,
 )
 from .errors import ParseError
-from .printer import _Line, layout
+from .printer import Unit, layout
 from .tokens import kind_of, line_starts, position, scan, string_value
 
 
@@ -286,14 +286,14 @@ class _Parser:
         return tuple(args), self.expect(")")
 
 
-def _anchor(line: _Line) -> tuple[int, int]:
+def _anchor(line: Unit) -> tuple[int, int]:
     """Source position where the canonical line owned by ``line.owner`` breaks."""
     node = line.owner
     if isinstance(node, ForEach):
         return node.iterable.pos.end_line, node.iterable.pos.end_column
     if isinstance(node, If):
         return node.cond.pos.end_line, node.cond.pos.end_column
-    if line.unit_kind == "opener":
+    if line.kind == "opener":
         return node.pos.line, node.pos.column + len(node.name) + 1
     return node.pos.end_line, node.pos.end_column
 

@@ -45,32 +45,20 @@ INDENT = "    "
 EXPANDABLE = frozenset({"IMPLIES", "OR", "AND"})
 
 
-@dataclass
+@dataclass(slots=True)
 class Unit:
-    """One annotatable line of the canonical form."""
+    """One canonical line. Its text is ``head``, or ``head``, the expression
+    and ``tail``, and is formatted only when read. A line with a ``kind``
+    carries program logic and is one of the EMR's units; structural lines
+    (braces, closing parentheses) have none."""
 
-    index: int  # 1-based position within the EMR
     line: int  # line number in the canonical text (1-based)
-    text: str  # canonical line content, without indentation
-    kind: str  # for | if | continue | var | expr | opener | arg | operand
-    exprs: tuple[Expr, ...]
-    explanation: str | None
-
-    @property
-    def is_complex(self) -> bool:
-        return bool(called_non_construct_names(self.exprs))
-
-
-@dataclass
-class _Line:
-    """One canonical line: its text is ``head``, or ``head``, the expression
-    and ``tail``, and is formatted only when read."""
-
+    index: int  # 1-based position among the EMR's units; 0 on a structural line
     indent: int
     head: str
     expr: Expr | None = None
     tail: str = ""
-    unit_kind: str | None = None
+    kind: str | None = None  # for | if | continue | var | expr | opener | arg | operand
     owner: Node | None = None  # the node whose explanation the line prints
 
     @property
@@ -80,12 +68,16 @@ class _Line:
         return self.head + format_expr(self.expr) + self.tail
 
     @property
-    def unit_exprs(self) -> tuple[Expr, ...]:
+    def exprs(self) -> tuple[Expr, ...]:
         return () if self.expr is None else (self.expr,)
 
     @property
     def explanation(self) -> str | None:
         return None if self.owner is None else self.owner.explanation
+
+    @property
+    def is_complex(self) -> bool:
+        return bool(called_non_construct_names(self.exprs))
 
 
 def format_expr(e: Expr) -> str:
@@ -125,7 +117,8 @@ def format_expr(e: Expr) -> str:
 
 class _Layout:
     def __init__(self) -> None:
-        self.lines: list[_Line] = []
+        self.lines: list[Unit] = []
+        self.units = 0
 
     def emit(
         self,
@@ -136,9 +129,12 @@ class _Layout:
         kind: str | None = None,
         owner: Node | None = None,
     ) -> None:
-        self.lines.append(_Line(indent, head, expr, tail, kind, owner))
+        index = 0
+        if kind is not None:
+            self.units = index = self.units + 1
+        self.lines.append(Unit(len(self.lines) + 1, index, indent, head, expr, tail, kind, owner))
 
-    def walk(self, ast: EmrAst) -> list[_Line]:
+    def walk(self, ast: EmrAst) -> list[Unit]:
         self.emit(0, "MR {{")
         for st in ast.statements:
             self.statement(st, 1)
@@ -193,9 +189,9 @@ class _Layout:
             self.emit(d, "", arg, suffix, "arg", arg)
 
 
-def layout(ast: EmrAst) -> list[_Line]:
-    """The canonical lines of ``ast``, each with its owner and unit kind; a
-    line's text is formatted only when it is read."""
+def layout(ast: EmrAst) -> list[Unit]:
+    """The canonical lines of ``ast``, each with its number, owner and unit
+    kind; a line's text is formatted only when it is read."""
     return _Layout().walk(ast)
 
 
@@ -211,24 +207,7 @@ def pretty_print(ast: EmrAst) -> str:
 
 
 def canonical_units(ast: EmrAst) -> list[Unit]:
-    """The EMR's statements in canonical enumeration order.
-
-    One Unit per logic-bearing canonical line; structural lines (braces,
-    closing parentheses) carry no unit. Size statistics, Simple/Complex
-    classification, and annotation line keys all derive from this list.
-    """
-    units: list[Unit] = []
-    for line_no, line in enumerate(layout(ast), start=1):
-        if line.unit_kind is None:
-            continue
-        units.append(
-            Unit(
-                index=len(units) + 1,
-                line=line_no,
-                text=line.text,
-                kind=line.unit_kind,
-                exprs=line.unit_exprs,
-                explanation=line.explanation,
-            )
-        )
-    return units
+    """The EMR's statements in canonical enumeration order: its
+    logic-bearing canonical lines. Size statistics, Simple/Complex
+    classification, and annotation line keys all derive from this list."""
+    return [line for line in layout(ast) if line.kind is not None]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DslError
-from .tokens import Token, tokenize
+from .tokens import line_starts, position, scan
 
 WLC_AMP = "WLC-AMP"
 
@@ -41,28 +41,28 @@ class RepairLog:
         return bool(self.entries)
 
 
-def _implies_single_arg_amps(tokens: list[Token]) -> list[Token]:
-    """The '&' tokens joining the two halves of one-argument IMPLIES calls."""
-    fixes: list[Token] = []
-    for i, tok in enumerate(tokens):
-        if tok.kind != "identifier" or tok.lexeme != "IMPLIES":
-            continue
-        if i + 1 >= len(tokens) or not tokens[i + 1].is_punct("("):
+def _implies_single_arg_amps(lexemes: list[str], starts: list[int]) -> list[int]:
+    """Offsets of the '&' lexemes joining the two halves of one-argument
+    IMPLIES calls."""
+    fixes: list[int] = []
+    for i, lexeme in enumerate(lexemes):
+        if lexeme != "IMPLIES" or lexemes[i + 1] != "(":
             continue
         depth = 0
         commas = 0
-        amps: list[Token] = []
-        for t in tokens[i + 1 :]:
-            if t.is_punct("("):
+        amps: list[int] = []
+        for j in range(i + 1, len(lexemes)):
+            inner = lexemes[j]
+            if inner == "(":
                 depth += 1
-            elif t.is_punct(")"):
+            elif inner == ")":
                 depth -= 1
                 if depth == 0:
                     break
-            elif depth == 1 and t.is_punct(","):
+            elif depth == 1 and inner == ",":
                 commas += 1
-            elif depth == 1 and t.is_punct("&"):
-                amps.append(t)
+            elif depth == 1 and inner == "&":
+                amps.append(starts[j])
         if commas == 0 and len(amps) == 1:
             fixes.append(amps[0])
     return fixes
@@ -72,27 +72,24 @@ def repair(source: str) -> tuple[str, RepairLog]:
     """Apply the repair rule table to ``source``.
 
     Returns the (possibly unchanged) source and a log with one entry per
-    applied fix. Idempotent; sources that don't lex are returned as-is.
+    applied fix, in line order. Idempotent; sources that don't lex are
+    returned as-is.
     """
     log = RepairLog()
     try:
-        tokens = tokenize(source)
+        lexemes, starts, _ = scan(source)
     except DslError:
         return source, log
-
-    fixes = _implies_single_arg_amps(tokens)
+    fixes = _implies_single_arg_amps(lexemes, starts)
     if not fixes:
         return source, log
 
-    lines = source.split("\n")
-    # Right-to-left so earlier column positions stay valid.
-    for tok in sorted(fixes, key=lambda t: (t.line, t.column), reverse=True):
-        text = lines[tok.line - 1]
-        col = tok.column - 1  # 0-based index of the '&'
-        prefix = text[:col].rstrip()
-        before = text[len(prefix) : col + 1]
-        lines[tok.line - 1] = prefix + "," + text[col + 1 :]
-        log.entries.append(RepairEntry(tok.line, WLC_AMP, before, ","))
-
+    lines = line_starts(source)
+    # Right-to-left, so each cut leaves the offsets before it valid; the
+    # spaces before an '&' on its line go with it.
+    for at in sorted(fixes, reverse=True):
+        prefix = source[:at].rstrip(" \t\r")
+        log.entries.append(RepairEntry(position(lines, at)[0], WLC_AMP, source[len(prefix) : at + 1], ","))
+        source = prefix + "," + source[at + 1 :]
     log.entries.sort(key=lambda e: e.line)
-    return "\n".join(lines), log
+    return source, log

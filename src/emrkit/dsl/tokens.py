@@ -8,7 +8,7 @@ character that starts no token matches the last group and raises
 ``IllegalCharacter`` at its position. Comments come back on their own,
 because trailing ``//`` comments carry the per-statement explanations.
 ``tokenize`` is the same scan as ``Token`` objects with kinds, positions and
-the whitespace before each one, for the repair pass and for tools.
+the whitespace before each one, for tests and tools.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ class Token:
     # Whitespace between the previous token and this one; lets callers
     # reconstruct the original source byte-for-byte.
     leading_trivia: str = field(default="", compare=False)
-
-    def is_punct(self, lexeme: str) -> bool:
-        return self.kind == "punctuation" and self.lexeme == lexeme
 
 
 def scan(source: str) -> tuple[list[str], list[int], list[tuple[int, str]]]:

@@ -122,9 +122,11 @@ def load_annotations(
         if not raw_line.strip():
             continue
         data = json.loads(raw_line)
+        if type(data["line"]) is not int:  # a JSON integer: not a number with a fraction, nor a boolean
+            raise AnnotationError(f"{data['emr']}: line must be an integer, not {json.dumps(data['line'])}")
         annotation = StatementAnnotation(
             emr_id=data["emr"],
-            line=int(data["line"]),
+            line=data["line"],
             labels=data["labels"],
             note=data.get("note"),
         )

@@ -40,17 +40,7 @@ class LlmConfig:
     model: str = "mock"
     temperature: float = 0.0
     max_response_tokens: int = 4096
-    credential_env: str = "EMRKIT_API_KEY"
-
-    def to_json(self) -> dict:
-        # The credential itself never enters transcripts, only the env var name.
-        return {
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "temperature": self.temperature,
-            "max_response_tokens": self.max_response_tokens,
-            "credential_env": self.credential_env,
-        }
+    credential_env: str = "EMRKIT_API_KEY"  # the variable that holds the credential, never stored itself
 
 
 class ChatClient(Protocol):

@@ -47,13 +47,26 @@ class MetamorphicRelation:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "MetamorphicRelation":
-        return cls(
+        """The MR ``data`` describes; a field of the wrong JSON type raises ValueError."""
+        mr = cls(
             id=data["id"],
             text=data["text"],
             document_id=data.get("document_id", ""),
             requirement_ref=data.get("requirement_ref"),
-            source_sentences=list(data.get("source_sentences", [])),
+            source_sentences=data.get("source_sentences", []),
         )
+        sentences = mr.source_sentences
+        for name, ok, kind in (
+            ("id", isinstance(mr.id, str), "a string"),
+            ("text", isinstance(mr.text, str), "a string"),
+            ("document_id", isinstance(mr.document_id, str), "a string"),
+            ("requirement_ref", mr.requirement_ref is None or isinstance(mr.requirement_ref, str), "a string or null"),
+            ("source_sentences", isinstance(sentences, list) and all(isinstance(x, str) for x in sentences),
+             "a list of strings"),
+        ):
+            if not ok:
+                raise ValueError(f"MR field '{name}' must be {kind}, not {json.dumps(getattr(mr, name))}")
+        return mr
 
 
 @dataclass

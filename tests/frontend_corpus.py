@@ -6,10 +6,17 @@ edits of those sources (about half of which do not parse). A case's digest cover
 the whole parse: the AST dump with every position and explanation, or the
 error's class, line, column, message, expected set and repair hint.
 
-``tests/frontend_digests.json`` pins the digests; ``test_frontend_differential``
-compares against it. To record it again from the code on ``PYTHONPATH``:
+A second digest covers ``repair`` and the canonical units, over the corpus
+and seeded WLC-AMP injections (a comma of a base source replaced by a lone
+``&``): the repaired source and its log, and, where the repaired source
+parses, every ``canonical_units`` row and ``classify_statements``.
+
+``tests/frontend_digests.json`` and ``tests/repair_units_digests.json`` pin the
+digests; ``test_frontend_differential`` compares against them. To record them
+again from the code on ``PYTHONPATH``:
 
     PYTHONPATH=src python tests/frontend_corpus.py > tests/frontend_digests.json
+    PYTHONPATH=src python tests/frontend_corpus.py repair > tests/repair_units_digests.json
 """
 
 from __future__ import annotations
@@ -17,9 +24,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 
 from astgen import ProgramGen, messy_render, scatter_comments
-from emrkit.dsl import DslError, parse_emr, pretty_print
+from emrkit.dsl import DslError, classify_statements, canonical_units, parse_emr, pretty_print, repair
 from emrkit.resources import fixture_path
 
 GENERATED = 160  # astgen seeds, each rendered messily and with scattered comments
@@ -28,6 +36,16 @@ EDITS = 1000
 # and '/', quotes and escapes, whitespace, digits int() accepts or refuses,
 # a non-ASCII letter and characters no token starts with.
 EDIT_ALPHABET = [*"{}(),;:.!&|=/\"\\", " ", "\t", "\n", "\r", *"aZ_09", "é", "²", "٣", "@", "#", "$"]
+INJECTIONS = 1200
+# What an injection puts in place of a comma: the WLC-AMP defect with the
+# '&' where the comma was, after a space, or at the start of the next line.
+AMPS = ("&", " &", "\n&", "\r\n  &")
+# Nested IMPLIES calls, so that one source can need an inner and an outer fix.
+NESTED = (
+    "MR {{ IMPLIES(IMPLIES(a(), b()), c()); }}",
+    "MR {{ IMPLIES(f(IMPLIES(a(), b())), IMPLIES(c(), d())); }}",
+    "MR {{\n    IMPLIES(\n        IMPLIES(p(x), q(x)), // why\n        OR(r(), IMPLIES(s(), t()))\n    );\n}}",
+)
 
 
 def bundled_sources() -> list[tuple[str, str]]:
@@ -59,6 +77,22 @@ def corpus() -> list[tuple[str, str]]:
     return cases
 
 
+def injections() -> list[tuple[str, str]]:
+    """(case id, source) pairs: bundled, generated and nested sources with
+    one to three of their commas replaced by a lone '&', in a fixed order."""
+    bases = [source for name, source in corpus() if not name.startswith("edit-") and "," in source]
+    bases += NESTED * 10
+    rng = random.Random(9)
+    cases = []
+    for n in range(INJECTIONS):
+        source = rng.choice(bases)
+        commas = [i for i, char in enumerate(source) if char == ","]
+        for at in sorted(rng.sample(commas, min(len(commas), rng.randint(1, 3))), reverse=True):
+            source = source[:at] + rng.choice(AMPS) + source[at + 1 :]
+        cases.append((f"amp-{n}", source))
+    return cases
+
+
 def outcome(source: str) -> str:
     """Everything the front end makes of ``source``, as text."""
     try:
@@ -67,6 +101,20 @@ def outcome(source: str) -> str:
         expected = sorted(getattr(exc, "expected", ()))
         hint = getattr(exc, "repair_hint", None)
         return repr((type(exc).__name__, exc.line, exc.column, str(exc), expected, hint))
+
+
+def repair_outcome(source: str) -> str:
+    """What ``repair`` makes of ``source`` and, where the result parses, its
+    canonical units and their classes, as text."""
+    fixed, log = repair(source)
+    text = repr((fixed, [entry.to_json() for entry in log.entries]))
+    try:
+        ast = parse_emr(fixed, "case")
+    except DslError:
+        return text
+    rows = [(u.index, u.line, u.kind, u.text, u.explanation, u.is_complex) for u in canonical_units(ast)]
+    classes = [(index, cls.value) for index, cls in classify_statements(ast)]
+    return repr((text, rows, classes))
 
 
 def digest(text: str) -> str:
@@ -78,6 +126,12 @@ def digests() -> dict[str, list[str]]:
     return {name: [digest(source), digest(outcome(source))] for name, source in corpus()}
 
 
+def repair_digests() -> dict[str, list[str]]:
+    """Case id -> [digest of the source, digest of its repair outcome]."""
+    return {name: [digest(source), digest(repair_outcome(source))] for name, source in corpus() + injections()}
+
+
 if __name__ == "__main__":
-    rows = [f"{json.dumps(name)}: {json.dumps(pair)}" for name, pair in digests().items()]
+    pinned = repair_digests() if sys.argv[1:] == ["repair"] else digests()
+    rows = [f"{json.dumps(name)}: {json.dumps(pair)}" for name, pair in pinned.items()]
     print("{\n" + ",\n".join(rows) + "\n}")

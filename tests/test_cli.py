@@ -294,6 +294,19 @@ def test_repair_in_place(tmp_path):
     assert "IMPLIES(a(), b())" in broken.read_text()
 
 
+def test_repair_in_place_that_cannot_write_exits_two(tmp_path, capsys, monkeypatch):
+    broken = tmp_path / "broken.smrl"
+    broken.write_text("MR {{ IMPLIES(a() & b()); }}")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert run("repair", broken, "--in-place") == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {broken}" in err and "Traceback" not in err
+
+
 def test_grade_matches_reference_table(tmp_path, capsys):
     code = run("--out", tmp_path / "out", "grade", ANNOTATIONS, "--statements", "136")
     assert code == 0
@@ -398,10 +411,14 @@ def test_config_values_keep_their_types(tmp_path, capsys):
 # Every one of them used to end in a traceback or name the file twice.
 MALFORMED_INPUTS = {
     "mr-catalog-entry-not-object": ("mrs.json", b"[5]", None, ["generate", "{path}"]),
+    "mr-catalog-text-not-string": ("mrs.json", b'[{"id": "m1", "text": 5}]', None, ["generate", "{path}"]),
+    "mr-catalog-id-not-string": ("mrs.json", b'[{"id": 1, "text": "t"}]', None, ["generate", "{path}"]),
     "fewshot-field-not-string": ("fewshot.json", b'[{"mr": 1}]', "fewshot", ["generate", "{empty}"]),
     "fewshot-not-list": ("fewshot.json", b'{"a": 1}', "fewshot", ["generate", "{empty}"]),
     "mock-script-not-object": ("scripts.json", b'["x"]', "mock_scripts", ["derive", DOC]),
     "annotation-not-object": ("ann.jsonl", b"[1,2]\n", None, ["grade", "{path}"]),
+    "annotation-line-not-integer": (
+        "ann.jsonl", b'{"emr": "x", "line": 3.7, "labels": ["C"]}\n', None, ["grade", "{path}"]),
     "survey-row-short": ("survey.csv", b"subject,statement,respondent,rating\nmr01,S1\n", None, ["survey", "{path}"]),
     "cassette-entry-not-object": (
         "cassette.json", b"[1]", None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"]),
@@ -413,6 +430,14 @@ MALFORMED_INPUTS = {
         "templates/derive_phase4_mrs.txt", b"List the MRs for {{nope}}.", "templates_dir", ["derive", DOC]),
     "document-not-utf8": ("bad.md", b"\xff\xfe", None, ["derive", "{path}"]),
 }
+
+
+def test_malformed_mr_catalog_exits_before_any_turn(tmp_path, capsys):
+    mrs = tmp_path / "mrs.json"
+    mrs.write_text('[{"id": "m1", "text": 5}]')
+    assert run("--mock", "--out", tmp_path / "out", "generate", mrs) == 2
+    assert "MR field 'text' must be a string, not 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())

@@ -1,14 +1,20 @@
 """The front end gives, on a seeded corpus, exactly the results pinned in
 ``frontend_digests.json``: the same ASTs, positions and explanations, and the
-same errors (class, line, column, message, expected set, repair hint)."""
+same errors (class, line, column, message, expected set, repair hint). On the
+corpus and seeded WLC-AMP injections, ``repair`` and the canonical units give
+exactly the results pinned in ``repair_units_digests.json``."""
 
 import json
 from pathlib import Path
 
-from frontend_corpus import EDITS, GENERATED, corpus, digest, outcome
+from emrkit.dsl import repair
+from frontend_corpus import EDITS, GENERATED, INJECTIONS, corpus, digest, injections, outcome, repair_outcome
 
-PINNED = json.loads((Path(__file__).parent / "frontend_digests.json").read_text(encoding="utf-8"))
+HERE = Path(__file__).parent
+PINNED = json.loads((HERE / "frontend_digests.json").read_text(encoding="utf-8"))
+PINNED_REPAIRS = json.loads((HERE / "repair_units_digests.json").read_text(encoding="utf-8"))
 CASES = corpus()
+REPAIR_CASES = CASES + injections()
 
 
 def test_corpus_is_the_pinned_one():
@@ -26,3 +32,19 @@ def test_corpus_mixes_parses_and_both_error_kinds():
         return "parse" if text.startswith("EmrAst(") else text.split("'")[1]
 
     assert {kind(outcome(source)) for _, source in CASES} == {"parse", "ParseError", "IllegalCharacter"}
+
+
+def test_injections_are_the_pinned_ones():
+    assert len(REPAIR_CASES) == len(CASES) + INJECTIONS
+    assert [name for name, _ in REPAIR_CASES] == list(PINNED_REPAIRS)
+    assert [name for name, source in REPAIR_CASES if digest(source) != PINNED_REPAIRS[name][0]] == []
+
+
+def test_every_case_repairs_and_lays_out_as_pinned():
+    assert [name for name, s in REPAIR_CASES if digest(repair_outcome(s)) != PINNED_REPAIRS[name][1]] == []
+
+
+def test_injections_give_fixes_that_parse_and_sources_left_alone():
+    repairs = [repair(source) for _, source in injections()]
+    assert {min(len(log.entries), 2) for _, log in repairs} == {0, 1, 2}
+    assert sum(1 for fixed, log in repairs if log and outcome(fixed).startswith("EmrAst(")) > 50

@@ -102,6 +102,14 @@ def test_labels_given_as_a_string_rejected(tmp_path, labels):
         load_annotations(path)
 
 
+@pytest.mark.parametrize("line", [3.7, True, "3", None])
+def test_line_that_is_not_a_json_integer_rejected(tmp_path, line):
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps({"emr": "x", "line": line, "labels": ["C"]}) + "\n")
+    with pytest.raises(AnnotationError, match="line must be an integer"):
+        load_annotations(path)
+
+
 def test_fixture_annotations_validate_against_the_suite(emr_suite):
     annotations = load_annotations(fixture_path("suite_annotations.jsonl"), emr_suite)
     assert len(annotations) == 136

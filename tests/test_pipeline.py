@@ -208,6 +208,17 @@ def test_dedupe_mrs_drops_textual_repeats(shop_doc):
     assert dropped == 1
 
 
+@pytest.mark.parametrize("name, value", [
+    ("id", 1), ("text", 5), ("document_id", None), ("requirement_ref", 3),
+    ("source_sentences", "one sentence"), ("source_sentences", ["ok", 2]),
+])
+def test_mr_from_json_rejects_a_field_of_the_wrong_type(name, value):
+    from emrkit.pipeline import MetamorphicRelation
+
+    with pytest.raises(ValueError, match=f"MR field '{name}' must be"):
+        MetamorphicRelation.from_json({"id": "m1", "text": "t", name: value})
+
+
 def test_non_verbatim_sentence_flagged_not_kept(shop_doc):
     response = f'1. MR: {MR1}\n   SOURCE: "A sentence that is not in the document."\n   REQ: R9'
     mrs, warnings = parse_mr_list(response, shop_doc)
@@ -302,7 +313,8 @@ def _count_scans(monkeypatch) -> list[str]:
         scanned.append(source)
         return original(source)
 
-    for name in ("emrkit.dsl.tokens", "emrkit.dsl.parser"):  # the parser imports the bare name
+    # The parser and repair import the bare name.
+    for name in ("emrkit.dsl.tokens", "emrkit.dsl.parser", "emrkit.dsl.repair"):
         monkeypatch.setattr(importlib.import_module(name), "scan", counted)
     return scanned
 

@@ -2,12 +2,15 @@
 """Time the EMR front end layer by layer over the bundled ``.smrl`` files.
 
 The layers are ``tokenize``, ``parse_emr``, the printer's layout pass (the
-canonical lines with their owners, before any text is read) and
-``validate``. Each round times every layer once over all the bundled EMRs,
-in turn, so a change in machine speed during the run moves every layer
-alike. Times are the thread's CPU time, which leaves out the time the
-machine gives to other processes. Prints the median over the rounds of the
-mean microseconds per EMR, with the quartiles.
+canonical lines with their owners, before any text is read),
+``canonical_units``, ``validate`` and ``repair``. ``repair`` runs on each EMR
+with the comma of its first IMPLIES replaced by `` &`` (the WLC-AMP defect,
+as the benchmark's ``author`` workload injects it), where it has one.
+Each round times every layer once over all the bundled EMRs, in turn, so a
+change in machine speed during the run moves every layer alike. Times are
+the thread's CPU time, which leaves out the time the machine gives to other
+processes. Prints the median over the rounds of the mean microseconds per
+EMR, with the quartiles.
 
     PYTHONPATH=src python tools/time_frontend.py [--rounds 300] [--against OTHER/src]
 
@@ -23,9 +26,13 @@ import importlib
 import statistics
 import sys
 import time
+from pathlib import Path
 from typing import Any, Callable
 
-LAYERS = ("tokenize", "parse_emr", "layout", "validate")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import inject_amp_defect  # noqa: E402
+
+LAYERS = ("tokenize", "parse_emr", "layout", "canonical_units", "validate", "repair")
 
 
 def load_layers(src: str | None) -> dict[str, tuple[Callable[[Any], Any], list[Any]]]:
@@ -52,7 +59,9 @@ def load_layers(src: str | None) -> dict[str, tuple[Callable[[Any], Any], list[A
         "tokenize": (dsl.tokenize, sources),
         "parse_emr": (dsl.parse_emr, sources),
         "layout": (layout, asts),
+        "canonical_units": (dsl.canonical_units, asts),
         "validate": (dsl.validate, asts),
+        "repair": (dsl.repair, [inject_amp_defect(s) or s for s in sources]),
     }
 
 
@@ -89,7 +98,7 @@ def main() -> None:
         if args.against:
             ratio = statistics.median(samples["against", layer]) / statistics.median(samples["this", layer])
             cells.append(f"against/this {ratio:.2f}x")
-        print(f"{layer:<10} " + "   ".join(cells))
+        print(f"{layer:<15} " + "   ".join(cells))
 
 
 if __name__ == "__main__":
