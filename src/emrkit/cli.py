@@ -397,7 +397,9 @@ def cmd_run(args: argparse.Namespace, config: ToolConfig) -> int:
     factory = _session_factory(args.sut or config.sut, args.record)
     report = run_suite(emrs, inputs, factory, stubs, input_names=[p.stem for p in input_files])
     out = Path(config.out_dir)
-    _write(out / "report.json", _dump_json(report.to_json()), args.verbose)
+    # Compact: without ``indent``, json.dumps runs its C encoder.
+    report_json = json.dumps(report.to_json(), sort_keys=True, ensure_ascii=False) + "\n"
+    _write(out / "report.json", report_json, args.verbose)
     text = report.to_text()
     _write(out / "report.txt", text + "\n", args.verbose)
     print(text)

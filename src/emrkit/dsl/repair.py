@@ -41,39 +41,43 @@ class RepairLog:
         return bool(self.entries)
 
 
+# The lexemes that open, split and close a call's arguments.
+_ARGUMENT_PUNCTUATION = frozenset({"(", ",", "&", ")"})
+
+
 def _implies_single_arg_amps(lexemes: list[str], starts: list[int]) -> list[int]:
-    """Offsets of the '&' lexemes joining the two halves of one-argument
-    IMPLIES calls."""
-    fixes: list[int] = []
+    """Offsets, in source order, of the '&' lexemes joining the two halves
+    of one-argument IMPLIES calls (an IMPLIES left open at the end of the
+    source counts as closed there).
+
+    One pass with a stack of the open parentheses: the frame of an IMPLIES
+    call lists the indices of the ',' and '&' lexemes directly inside it;
+    any other parenthesis has the frame None."""
+    frames: list[list[int] | None] = []
+    closed: list[list[int] | None] = []
     for i, lexeme in enumerate(lexemes):
-        if lexeme != "IMPLIES" or lexemes[i + 1] != "(":
+        if lexeme not in _ARGUMENT_PUNCTUATION:
             continue
-        depth = 0
-        commas = 0
-        amps: list[int] = []
-        for j in range(i + 1, len(lexemes)):
-            inner = lexemes[j]
-            if inner == "(":
-                depth += 1
-            elif inner == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            elif depth == 1 and inner == ",":
-                commas += 1
-            elif depth == 1 and inner == "&":
-                amps.append(starts[j])
-        if commas == 0 and len(amps) == 1:
-            fixes.append(amps[0])
-    return fixes
+        if lexeme == "(":
+            frames.append([] if lexemes[i - 1] == "IMPLIES" else None)
+        elif lexeme == ")":
+            if frames:
+                closed.append(frames.pop())
+        elif frames and frames[-1] is not None:
+            frames[-1].append(i)
+    closed += frames
+    return sorted(
+        starts[frame[0]] for frame in closed
+        if frame is not None and len(frame) == 1 and lexemes[frame[0]] == "&"
+    )
 
 
 def repair(source: str) -> tuple[str, RepairLog]:
     """Apply the repair rule table to ``source``.
 
     Returns the (possibly unchanged) source and a log with one entry per
-    applied fix, in line order. Idempotent; sources that don't lex are
-    returned as-is.
+    applied fix, in line order (fixes on one line from right to left).
+    Idempotent; sources that don't lex are returned as-is.
     """
     log = RepairLog()
     try:
@@ -85,11 +89,16 @@ def repair(source: str) -> tuple[str, RepairLog]:
         return source, log
 
     lines = line_starts(source)
-    # Right-to-left, so each cut leaves the offsets before it valid; the
-    # spaces before an '&' on its line go with it.
-    for at in sorted(fixes, reverse=True):
-        prefix = source[:at].rstrip(" \t\r")
-        log.entries.append(RepairEntry(position(lines, at)[0], WLC_AMP, source[len(prefix) : at + 1], ","))
-        source = prefix + "," + source[at + 1 :]
+    # Each '&' becomes a comma and takes the spaces before it on its line
+    # along; those cannot reach back past the '&' of the fix before.
+    pieces = []
+    done = 0
+    for at in fixes:
+        kept = source[done:at].rstrip(" \t\r")
+        pieces += [kept, ","]
+        log.entries.append(RepairEntry(position(lines, at)[0], WLC_AMP, source[done + len(kept) : at + 1], ","))
+        done = at + 1
+    pieces.append(source[done:])
+    log.entries.reverse()
     log.entries.sort(key=lambda e: e.line)
-    return source, log
+    return "".join(pieces), log

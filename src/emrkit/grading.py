@@ -122,8 +122,14 @@ def load_annotations(
         if not raw_line.strip():
             continue
         data = json.loads(raw_line)
+        if not isinstance(data["emr"], str):
+            raise AnnotationError(f"emr must be a string, not {json.dumps(data['emr'])}")
         if type(data["line"]) is not int:  # a JSON integer: not a number with a fraction, nor a boolean
             raise AnnotationError(f"{data['emr']}: line must be an integer, not {json.dumps(data['line'])}")
+        if not isinstance(data.get("note"), (str, type(None))):
+            raise AnnotationError(
+                f"{data['emr']} line {data['line']}: note must be a string or null, not {json.dumps(data['note'])}"
+            )
         annotation = StatementAnnotation(
             emr_id=data["emr"],
             line=data["line"],

@@ -13,8 +13,6 @@ import hashlib
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -88,6 +86,11 @@ class LiveChatClient:
     backoff: float = 0.5
 
     def complete(self, conversation: Conversation) -> str:
+        # Imported here: urllib.request loads http.client, ssl and email,
+        # which no offline command needs.
+        import urllib.error
+        import urllib.request
+
         payload = {
             "model": self.config.model,
             "temperature": self.config.temperature,

@@ -107,7 +107,7 @@ class Evaluator:
             raise EvalError("no SUT session factory; cannot execute inputs")
         registered = sequence.copy(index=index)
         session = self.session_factory()
-        outputs = [session.execute(action) for action in registered.actions]
+        outputs = list(map(session.execute, registered.actions))
         self.inputs[index] = registered
         self.outputs[index] = OutputSequence(outputs)
 
@@ -259,8 +259,25 @@ def _logic(op: str, operands: tuple[Expr, ...], label: str, stubs: StubBindings)
     return chain
 
 
+def _applied(fn: Callable[..., Any], args: list[Compiled]) -> Compiled:
+    """``fn`` called on the values of ``args``, evaluated left to right; a
+    call with up to three arguments builds no argument list."""
+    if not args:
+        return lambda ev: fn()
+    if len(args) == 1:
+        [a] = args
+        return lambda ev: fn(a(ev))
+    if len(args) == 2:
+        a, b = args
+        return lambda ev: fn(a(ev), b(ev))
+    if len(args) == 3:
+        a, b, c = args
+        return lambda ev: fn(a(ev), b(ev), c(ev))
+    return lambda ev: fn(*[a(ev) for a in args])
+
+
 # Runtime method -> (receiver type, result from the receiver and the arguments).
-_METHODS: dict[str, tuple[type, Callable[[Any, list[Any]], Any]]] = {
+_METHODS: dict[str, tuple[type, Callable[[Any, tuple[Any, ...]], Any]]] = {
     "actions": (ActionSequence, lambda receiver, args: receiver.actions),
     "getPosition": (Action, lambda receiver, args: receiver.position),
     "getKind": (Action, lambda receiver, args: receiver.kind),
@@ -269,20 +286,17 @@ _METHODS: dict[str, tuple[type, Callable[[Any, list[Any]], Any]]] = {
 
 
 def _method(e: MethodCall, stubs: StubBindings) -> Compiled:
-    name, receiver = e.name, _expr(e.receiver, stubs)
-    args = [_expr(a, stubs) for a in e.args]
+    name = e.name
     kind, get = _METHODS.get(name, ((), None))
-    if name == "getParameter" and len(args) != 1:
+    if name == "getParameter" and len(e.args) != 1:
         kind = ()  # isinstance(x, ()) is always false
 
-    def method(ev: Evaluator) -> Any:
-        target = receiver(ev)
-        values = [a(ev) for a in args]
+    def method(target: Any, *args: Any) -> Any:
         if isinstance(target, kind):
-            return get(target, values)
+            return get(target, args)
         raise EvalError(f"method '{name}' is not defined on {render_value(target)}")
 
-    return method
+    return _applied(method, [_expr(a, stubs) for a in (e.receiver, *e.args)])
 
 
 def _call(e: Call, stubs: StubBindings) -> Compiled:
@@ -300,8 +314,7 @@ def _call(e: Call, stubs: StubBindings) -> Compiled:
     if name in ("NOT", "AND", "OR", "IMPLIES"):
         return _logic(name, args, name, stubs)
     if name in stubs:
-        fn, compiled = stubs[name], [_expr(a, stubs) for a in args]
-        return lambda ev: fn(*[a(ev) for a in compiled])
+        return _applied(stubs[name], [_expr(a, stubs) for a in args])
     return _raising(MissingStub, name)
 
 

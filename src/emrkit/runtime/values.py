@@ -24,7 +24,13 @@ def _copy_value(value: Any) -> Any:
 
 
 def _copy_parameters(parameters: Mapping[str, Any]) -> dict[str, Any]:
-    return {name: _copy_value(value) for name, value in parameters.items()}
+    """Parameters come from user JSON and may nest: the copy shares
+    immutable scalars and deep-copies nested values."""
+    copied = dict(parameters)
+    for name, value in copied.items():
+        if type(value) not in _SCALARS:
+            copied[name] = copy.deepcopy(value)
+    return copied
 
 
 @dataclass
@@ -32,11 +38,6 @@ class Action:
     position: int
     kind: str
     parameters: dict[str, Any] = field(default_factory=dict)
-
-    def copy(self) -> "Action":
-        """Parameters come from user JSON and may nest: the copy shares
-        immutable scalars and deep-copies nested values."""
-        return Action(self.position, self.kind, _copy_parameters(self.parameters))
 
 
 @dataclass
@@ -49,7 +50,15 @@ class ActionSequence:
             action.position = pos
 
     def copy(self, index: int | None = None) -> "ActionSequence":
-        return ActionSequence(self.index if index is None else index, [a.copy() for a in self.actions])
+        """One pass over the actions: each copy takes its position from its
+        place in the sequence."""
+        result = ActionSequence.__new__(ActionSequence)  # dense already: no __post_init__ walk
+        result.index = self.index if index is None else index
+        result.actions = [
+            Action(position, action.kind, _copy_parameters(action.parameters))
+            for position, action in enumerate(self.actions)
+        ]
+        return result
 
     @classmethod
     def from_json(cls, data: Sequence[Mapping[str, Any]], index: int = 1) -> "ActionSequence":
@@ -170,8 +179,9 @@ def create_followup(source: ActionSequence, edits: Sequence[Edit] = ()) -> Actio
             )
         else:
             raise TypeError(f"unknown edit: {edit!r}")
-        for pos, action in enumerate(result.actions):
-            action.position = pos
+        if isinstance(edit, (RemoveAction, InsertAction)):
+            for pos, action in enumerate(result.actions):
+                action.position = pos
     return result
 
 

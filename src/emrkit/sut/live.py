@@ -19,9 +19,7 @@ their length as summary size).
 from __future__ import annotations
 
 import json
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +72,11 @@ class LiveHttpSession:
     timeout: float = 10.0
 
     def execute(self, action: Action) -> Output:
+        # Imported here: urllib.request loads http.client, ssl and email,
+        # which no offline command needs.
+        import urllib.error
+        import urllib.request
+
         mapping = self.config.actions.get(action.kind)
         if mapping is None:
             raise AdapterFailure(f"adapter config has no mapping for action kind '{action.kind}'")

@@ -13,11 +13,15 @@ min_rating/in_stock filters and optional page/page_size pagination) and
 Each search returns a fresh list of fresh item dicts. The catalog items
 are flat dicts of scalars, so a stub that mutates a result cannot reach
 ``ITEMS``.
+
+A ``MockShopSut`` memoizes which catalog items match a (query, filters)
+key, for all the sessions it makes; paging and the copies still happen on
+every search. A key that cannot be hashed or compared is never memoized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..runtime.errors import AdapterFailure
@@ -41,6 +45,8 @@ ITEMS: tuple[dict[str, Any], ...] = (
 )
 # What a search query is matched against, lower-cased once.
 _SEARCHABLE = tuple((item["name"].lower(), item) for item in ITEMS)
+# The search parameters ``matches_filters`` reads.
+_FILTER_PARAMETERS = ("category", "brand", "max_price", "min_rating", "in_stock")
 
 
 def matches_filters(item: dict[str, Any], params: dict[str, Any]) -> bool:
@@ -63,6 +69,9 @@ class MockShopSession:
     fault: str | None = None
     _first_search: Output | None = None
     _logged_in: str | None = None
+    # (query, filters) key -> the catalog items it matches; shared with the
+    # other sessions of the same ``MockShopSut``.
+    _matches: dict[tuple, tuple[dict[str, Any], ...]] = field(default_factory=dict, repr=False, compare=False)
 
     def execute(self, action: Action) -> Output:
         if action.kind == "search":
@@ -80,12 +89,9 @@ class MockShopSession:
     def _search(self, params: dict[str, Any]) -> Output:
         first = self._first_search
         if self.fault == "stale-results" and first is not None:
-            return Output(first.status, [dict(item) for item in first.payload], first.summary_size)
+            return Output(first.status, list(map(dict, first.payload)), first.summary_size)
 
-        query = str(params.get("query", "")).lower()
-        results = [item for name, item in _SEARCHABLE if query in name]
-        if self.fault != "ignore-filter":
-            results = [item for item in results if matches_filters(item, params)]
+        results = self._matching(params)
         if "page" in params:
             page = int(params["page"])
             size = int(params.get("page_size", 10))
@@ -93,11 +99,33 @@ class MockShopSession:
             if self.fault == "off-by-one-pagination":
                 start += 1
             results = results[start : start + size]
-        payload = [dict(item) for item in results]
+        payload = list(map(dict, results))
         output = Output("ok", payload, len(payload))
         if self._first_search is None:
             self._first_search = output
         return output
+
+    def _matching(self, params: dict[str, Any]) -> tuple[dict[str, Any], ...]:
+        """The catalog items that match the query of ``params`` and, unless
+        the fault drops them, its filters."""
+        query = str(params.get("query", "")).lower()
+        filtered = self.fault != "ignore-filter"
+        key: tuple | None = (query,)
+        if filtered:
+            key = (query, *[(name, params[name]) for name in _FILTER_PARAMETERS if name in params])
+        try:
+            hit = self._matches.get(key)
+        except Exception:  # a value that cannot be hashed or compared: never memoized
+            key = hit = None
+        if hit is not None:
+            return hit
+        results = tuple([
+            item for name, item in _SEARCHABLE
+            if query in name and (not filtered or matches_filters(item, params))
+        ])
+        if key is not None:
+            self._matches[key] = results
+        return results
 
 
 @dataclass
@@ -105,13 +133,14 @@ class MockShopSut:
     """Session factory for the mock shop; one instance per configuration."""
 
     fault: str | None = None
+    _matches: dict[tuple, tuple[dict[str, Any], ...]] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.fault is not None and self.fault not in FAULTS:
             raise ValueError(f"unknown fault '{self.fault}'; known faults: {', '.join(FAULTS)}")
 
     def session(self) -> MockShopSession:
-        return MockShopSession(self.fault)
+        return MockShopSession(self.fault, _matches=self._matches)
 
     def __call__(self) -> MockShopSession:
         return self.session()

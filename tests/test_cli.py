@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from emrkit.cli import main
+from emrkit.dsl import parse_emr
 from emrkit.resources import fixture_path
+from emrkit.runtime import ActionSequence, run_suite
+from emrkit.shopstubs import STUBS
+from emrkit.sut import MockShopSut
 
 DOC = str(fixture_path("requirements_shop.md"))
 FIG4 = str(fixture_path("search_filter.smrl"))
@@ -102,6 +109,32 @@ def test_run_correct_sut_exits_zero(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["per_emr"]["search_filter"] == {"Pass": 4, "Inapplicable": 1}
     assert (tmp_path / "out" / "report.txt").exists()
+
+
+def test_report_json_is_compact_and_parses_back_to_the_report(tmp_path):
+    suite = fixture_path("suite")
+    run("--out", tmp_path, "run", suite, FIG4, "--inputs", INPUTS, "--sut", "mock:ignore-filter")
+    text = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert text.endswith("}\n") and text.count("\n") == 1
+    emr_files = [*sorted(suite.glob("*.smrl")), Path(FIG4)]
+    emrs = [parse_emr(path.read_text(encoding="utf-8"), path.stem) for path in emr_files]
+    input_files = sorted(Path(INPUTS).glob("*.json"))
+    inputs = [ActionSequence.from_json(json.loads(path.read_text(encoding="utf-8"))) for path in input_files]
+    names = [path.stem for path in input_files]
+    report = run_suite(emrs, inputs, MockShopSut("ignore-filter"), STUBS, input_names=names)
+    assert report.has_failures and report.not_executable_stubs
+    assert json.loads(text) == report.to_json()
+
+
+def test_importing_the_cli_loads_no_http_modules():
+    probe = "import sys, emrkit.cli; print(sorted(m for m in HEAVY if m in sys.modules))"
+    heavy = ["http.client", "ssl", "email.parser"]
+    result = subprocess.run(
+        [sys.executable, "-c", f"HEAVY = {heavy!r}; {probe}"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_run_faulty_sut_exits_five_with_binding(tmp_path, capsys):
@@ -419,6 +452,9 @@ MALFORMED_INPUTS = {
     "annotation-not-object": ("ann.jsonl", b"[1,2]\n", None, ["grade", "{path}"]),
     "annotation-line-not-integer": (
         "ann.jsonl", b'{"emr": "x", "line": 3.7, "labels": ["C"]}\n', None, ["grade", "{path}"]),
+    "annotation-emr-not-string": ("ann.jsonl", b'{"emr": 5, "line": 3, "labels": ["C"]}\n', None, ["grade", "{path}"]),
+    "annotation-note-not-string": (
+        "ann.jsonl", b'{"emr": "x", "line": 3, "labels": ["C"], "note": 7}\n', None, ["grade", "{path}"]),
     "survey-row-short": ("survey.csv", b"subject,statement,respondent,rating\nmr01,S1\n", None, ["survey", "{path}"]),
     "cassette-entry-not-object": (
         "cassette.json", b"[1]", None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"]),

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -108,6 +109,29 @@ def test_line_that_is_not_a_json_integer_rejected(tmp_path, line):
     path.write_text(json.dumps({"emr": "x", "line": line, "labels": ["C"]}) + "\n")
     with pytest.raises(AnnotationError, match="line must be an integer"):
         load_annotations(path)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"emr": 5}, "emr must be a string, not 5"),
+        ({"emr": None}, "emr must be a string, not null"),
+        ({"note": 7}, "note must be a string or null, not 7"),
+        ({"note": ["n"]}, 'note must be a string or null, not ["n"]'),
+    ],
+    ids=["emr-int", "emr-null", "note-int", "note-list"],
+)
+def test_emr_and_note_of_the_wrong_type_rejected(tmp_path, fields, message):
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps({"emr": "x", "line": 3, "labels": ["C"], **fields}) + "\n")
+    with pytest.raises(AnnotationError, match=re.escape(message)):
+        load_annotations(path)
+
+
+def test_absent_or_null_note_accepted(tmp_path):
+    path = tmp_path / "ann.jsonl"
+    path.write_text('{"emr": "x", "line": 3, "labels": ["C"]}\n{"emr": "x", "line": 4, "labels": ["C"], "note": null}\n')
+    assert [a.note for a in load_annotations(path)] == [None, None]
 
 
 def test_fixture_annotations_validate_against_the_suite(emr_suite):

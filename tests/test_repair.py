@@ -1,4 +1,5 @@
 import random
+import time
 
 from emrkit.dsl import WLC_AMP, parse_emr, repair, validate
 
@@ -135,3 +136,14 @@ def test_repair_log_lines_match_input_lines():
     assert entry.before in defective.split("\n")[entry.line - 1]
     parse_emr(fixed)
     assert validate(parse_emr(fixed)) != []  # stubs remain, but it parses
+
+
+def test_deeply_nested_implies_repairs_in_linear_time():
+    depth = 20_000
+    start = time.process_time()
+    unclosed, log = repair("IMPLIES(" * depth)
+    assert unclosed == "IMPLIES(" * depth and not log.entries
+    fixed, log = repair("IMPLIES(a &\n" * depth + ")" * depth)
+    assert time.process_time() - start < 2
+    assert fixed == "IMPLIES(a,\n" * depth + ")" * depth
+    assert [e.line for e in log.entries] == list(range(1, depth + 1))

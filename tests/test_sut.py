@@ -4,8 +4,12 @@ import threading
 
 import pytest
 
-from emrkit.runtime import Action, AdapterFailure
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from emrkit.runtime import Action, AdapterFailure, Output
 from emrkit.sut import (
+    FAULTS,
     ITEMS,
     AdapterConfig,
     Cassette,
@@ -17,6 +21,7 @@ from emrkit.sut import (
     TransportError,
     fingerprint,
     load_api_catalog,
+    matches_filters,
     record_replay,
 )
 from emrkit.resources import fixture_path
@@ -127,6 +132,111 @@ def test_mock_determinism():
     a = sut.session().execute(search(query="desk", category="office"))
     b = sut.session().execute(search(query="desk", category="office"))
     assert a == b
+
+
+class Incomparable:
+    """A hashable filter value whose every comparison raises; ``like`` gives
+    it that value's hash, so a memo lookup may have to compare it."""
+
+    def __init__(self, like):
+        self.like = like
+
+    def __hash__(self):
+        return hash(self.like)
+
+    def __eq__(self, other):
+        raise ValueError(f"cannot compare with {self.like!r}")
+
+    __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __eq__
+
+    def __repr__(self):
+        return f"Incomparable({self.like!r})"
+
+
+FILTER_VALUES = {
+    "category": ["office", "living", "outdoor", None],
+    "brand": ["SeatCraft", "ErgoLine"],
+    "max_price": [250, 200.0, 49, True],
+    "min_rating": [4.0, 4, 3.9],
+    "in_stock": [True, False, 1, 0],
+}
+ODD_VALUES = [[250], {"a": 1}, Incomparable("office"), Incomparable(250), Incomparable(None), "250"]
+
+
+@st.composite
+def search_parameters(draw):
+    params = {"query": draw(st.sampled_from(["", "chair", "Chair", "desk", "table", "nothing"]))}
+    for name, values in FILTER_VALUES.items():
+        if draw(st.booleans()):
+            params[name] = draw(st.sampled_from(values + ODD_VALUES))
+    if draw(st.booleans()):
+        params["page"] = draw(st.integers(0, 2))
+        params["page_size"] = draw(st.integers(1, 6))
+    return params
+
+
+def reference_search(params, fault):
+    """A first search in a session, straight from ``ITEMS``."""
+    query = str(params.get("query", "")).lower()
+    hits = [item for item in ITEMS if query in item["name"].lower()]
+    if fault != "ignore-filter":
+        hits = [item for item in hits if matches_filters(item, params)]
+    if "page" in params:
+        size = params["page_size"]
+        start = params["page"] * size + (fault == "off-by-one-pagination")
+        hits = hits[start : start + size]
+    return Output("ok", [dict(item) for item in hits], len(hits))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the same error on every call is part of the outcome
+        return type(exc), str(exc)
+
+
+@given(searches=st.lists(search_parameters(), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_memoized_search_equals_a_cold_search_and_the_catalog(searches):
+    for fault in (None, *FAULTS):
+        warm = MockShopSut(fault)
+        for params in searches * 2:
+            outcome(warm.session().execute, search(**params))
+        for params in searches:
+            expected = outcome(reference_search, params, fault)
+            cold = MockShopSut(fault)
+            assert outcome(cold.session().execute, search(**params)) == expected
+            assert outcome(cold.session().execute, search(**params)) == expected
+            memoized = len(warm._matches)
+            hit = outcome(warm.session().execute, search(**params))
+            assert hit == expected
+            if not isinstance(expected, Output):
+                assert cold._matches == {} and len(warm._matches) == memoized  # an error is never memoized
+                continue
+            assert all(item is not original for item in hit.payload for original in ITEMS)
+            for item in hit.payload:
+                item["price"] = -1
+            assert warm.session().execute(search(**params)) == expected
+
+
+def test_a_value_that_cannot_be_hashed_or_compared_is_never_memoized():
+    sut = MockShopSut()
+    sut.session().execute(search(query="nothing", category="office"))
+    # No item matches the query, so the filter value is never compared;
+    # the memo lookup, which has to compare it, must not raise either.
+    for odd in (Incomparable("office"), ["office"]):
+        assert sut.session().execute(search(query="nothing", category=odd)) == Output("ok", [], 0)
+    with pytest.raises(ValueError, match="cannot compare"):
+        sut.session().execute(search(query="chair", category=Incomparable("office")))
+    assert list(sut._matches) == [("nothing", ("category", "office"))]
+
+
+def test_sessions_of_one_sut_share_the_memo_and_suts_do_not():
+    sut, other = MockShopSut(), MockShopSut()
+    sut.session().execute(search(query="chair", category="office"))
+    sut.session().execute(search(query="Chair", category="office", page=0, page_size=2))
+    assert list(sut._matches) == [("chair", ("category", "office"))]
+    assert other._matches == {}
 
 
 # --- API catalog ---------------------------------------------------------------
