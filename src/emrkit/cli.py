@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from . import jsonl
 from .dsl import DslError, parse_emr, repair, validate
 from .grading import (
     AnnotationError,
@@ -189,8 +190,7 @@ def _cannot_write(path: Path, exc: OSError) -> CliError:
 
 def _write(path: Path, text: str, verbose: bool) -> None:
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        jsonl.rewrite(path, text.encode("utf-8"))
     except OSError as exc:
         raise _cannot_write(path, exc)
     if verbose:

@@ -18,6 +18,7 @@ from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from . import jsonl
 from .dsl.ast import EmrAst
 from .dsl.classify import StatementClass, statement_classes_by_line
 from .dsl.printer import canonical_units
@@ -149,7 +150,7 @@ def load_annotations(
 
 def save_annotations(annotations: Iterable[StatementAnnotation], path: str | Path) -> None:
     lines = [json.dumps(a.to_json(), sort_keys=True, ensure_ascii=False) for a in annotations]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    jsonl.rewrite(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _percent_half_up(count: int, denominator: int) -> float:

@@ -1,16 +1,23 @@
-"""Append-only JSON Lines files: one compact JSON object per line.
+"""How emrkit writes files: append-only JSON Lines, and whole-file rewrites.
 
 Every append is one ``write`` of complete lines, so an interrupted run
 leaves at most a torn final line. No proper prefix of a JSON object is
 itself valid JSON, which is how the reader tells a torn line from a
 complete one whose file merely lacks the final newline.
+
+A whole-file output (a report, an EMR, a catalog) is rewritten in place by
+``rewrite``: opening an existing file with ``O_TRUNC`` frees its blocks and
+costs far more than overwriting them and cutting the file to length.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Iterable
+
+_REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT
 
 
 def append(path: Path, records: Iterable[Any], truncate: bool = False) -> None:
@@ -21,6 +28,25 @@ def append(path: Path, records: Iterable[Any], truncate: bool = False) -> None:
     )
     with open(path, "wb" if truncate else "ab", buffering=0) as f:
         f.write(data.encode("utf-8"))
+
+
+def rewrite(path: str | Path, data: bytes) -> None:
+    """Make ``path`` hold exactly ``data``: overwrite it in place, then cut
+    it to ``len(data)``. Missing parent directories are created. An
+    interrupted rewrite leaves the new bytes followed by the old file's
+    tail, so this is only for files read whole, never for JSON Lines."""
+    try:
+        fd = os.open(path, _REWRITE_FLAGS, 0o666)
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, _REWRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def read(path: Path) -> list[Any]:

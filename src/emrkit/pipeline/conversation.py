@@ -81,6 +81,8 @@ class TranscriptStore:
             records = [conversation.header(), *(m.to_json() for m in conversation.messages)]
             try:
                 self.directory.mkdir(parents=True, exist_ok=True)
+                # Truncate, not jsonl.rewrite: an interrupted in-place rewrite would
+                # leave whole stale lines after the new ones, and they would decode.
                 jsonl.append(path, records, truncate=True)
             except OSError as exc:
                 raise TranscriptWriteError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .. import jsonl
 from .client import ChatClient
 from .conversation import Conversation, TranscriptStore, run_turn
 from .ingest import Document, chunk_document
@@ -183,11 +184,8 @@ def dedupe_mrs(mrs: list[MetamorphicRelation]) -> tuple[list[MetamorphicRelation
 
 
 def save_mr_catalog(mrs: list[MetamorphicRelation], path: str | Path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(
-        json.dumps([mr.to_json() for mr in mrs], indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps([mr.to_json() for mr in mrs], indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    jsonl.rewrite(path, text.encode("utf-8"))
 
 
 def load_mr_catalog(path: str | Path) -> list[MetamorphicRelation]:

@@ -46,8 +46,11 @@ class ActionSequence:
     actions: list[Action] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        for pos, action in enumerate(self.actions):
-            action.position = pos
+        # Renumber by replacing: the caller may still hold these actions in another sequence.
+        self.actions = [
+            action if action.position == pos else Action(pos, action.kind, action.parameters)
+            for pos, action in enumerate(self.actions)
+        ]
 
     def copy(self, index: int | None = None) -> "ActionSequence":
         """One pass over the actions: each copy takes its position from its

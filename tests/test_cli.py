@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from emrkit import jsonl
 from emrkit.cli import main
 from emrkit.dsl import parse_emr
 from emrkit.resources import fixture_path
@@ -101,6 +102,52 @@ def test_pipeline_mock_runs_are_byte_identical(tmp_path):
     assert run("--mock", "--out", out1, "pipeline", DOC) == 0
     assert run("--mock", "--out", out2, "pipeline", DOC) == 0
     assert tree_bytes(out1) == tree_bytes(out2)
+
+
+def write_every_output(out: Path, work: Path) -> None:
+    """Every command that writes whole-file outputs, run into ``out``; its
+    inputs are made under ``work`` on first use."""
+    suite, broken = work / "suite", work / "broken.smrl"
+    if not suite.exists():
+        suite.mkdir(parents=True)
+        for entry in json.loads(fixture_path("emr_suite.json").read_text()):
+            (suite / f"{entry['id']}.smrl").write_text(fixture_path(*entry["file"].split("/")).read_text())
+        broken.write_text("MR {{ IMPLIES(a() & b()); }}")
+    assert run("--mock", "--out", out, "pipeline", DOC) == 0
+    assert run("--out", out, "run", FIG4, "--inputs", INPUTS, "--sut", "mock") == 0
+    assert run("--out", out, "grade", ANNOTATIONS, "--emrs", suite) == 0
+    assert run("--out", out, "survey", SURVEY) == 0
+    assert run("--out", out, "repair", broken) == 0
+
+
+def test_rerunning_into_one_out_writes_the_bytes_of_a_fresh_run(tmp_path):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    write_every_output(reused, tmp_path)
+    for path in reused.rglob("*"):
+        if path.is_file():  # a longer previous output: the rerun must cut its tail
+            path.write_bytes(path.read_bytes() + b"stale tail\n" * 50)
+    write_every_output(reused, tmp_path)
+    write_every_output(fresh, tmp_path)
+    files = tree_bytes(fresh)
+    assert {"report.json", "sizes.json", "survey.json", "repaired/broken.smrl"} <= files.keys()
+    assert tree_bytes(reused) == files
+
+
+def test_rerunning_opens_no_existing_output_with_o_trunc(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    write_every_output(out, tmp_path)
+    whole_files = {str(out / name) for name in tree_bytes(out) if not name.startswith("transcripts")}
+    opened: dict[str, int] = {}
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened[str(path)] = opened.get(str(path), 0) | flags
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    write_every_output(out, tmp_path)
+    assert whole_files <= opened.keys()
+    assert [path for path in whole_files if opened[path] & os.O_TRUNC] == []
 
 
 def test_run_correct_sut_exits_zero(tmp_path, capsys):
@@ -247,7 +294,8 @@ def test_out_that_is_not_a_directory_exits_two_before_any_work(tmp_path, capsys,
     ("report.json", "directory", ["run", FIG4, "--inputs", INPUTS]),
     ("transcripts", "file", ["--mock", "derive", DOC]),
     ("mrs.json", "directory", ["--mock", "derive", DOC]),
-], ids=["run-report", "derive-transcripts", "derive-catalog"])
+    ("grade.json", "directory", ["grade", ANNOTATIONS]),
+], ids=["run-report", "derive-transcripts", "derive-catalog", "grade"])
 def test_output_that_cannot_be_written_exits_two(tmp_path, capsys, blocked, kind, command):
     out = tmp_path / "out"
     out.mkdir()
@@ -331,10 +379,10 @@ def test_repair_in_place_that_cannot_write_exits_two(tmp_path, capsys, monkeypat
     broken = tmp_path / "broken.smrl"
     broken.write_text("MR {{ IMPLIES(a() & b()); }}")
 
-    def refuse(self, *args, **kwargs):
-        raise PermissionError(13, "Permission denied", str(self))
+    def refuse(path, data):
+        raise PermissionError(13, "Permission denied", str(path))
 
-    monkeypatch.setattr(Path, "write_text", refuse)
+    monkeypatch.setattr(jsonl, "rewrite", refuse)
     assert run("repair", broken, "--in-place") == 2
     err = capsys.readouterr().err
     assert f"cannot write {broken}" in err and "Traceback" not in err

@@ -111,6 +111,13 @@ def seq(*kinds: str) -> ActionSequence:
     return ActionSequence(1, [Action(i, k, {"query": k}) for i, k in enumerate(kinds)])
 
 
+def test_building_a_sequence_from_anothers_actions_leaves_them_numbered():
+    source = seq("search", "login")
+    tail = ActionSequence(2, source.actions[1:])
+    assert [a.position for a in source.actions] == [0, 1]
+    assert [(a.position, a.kind) for a in tail.actions] == [(0, "login")]
+
+
 def test_identity_copy_is_equal_but_isolated():
     source = seq("search", "login")
     clone = create_followup(source)
