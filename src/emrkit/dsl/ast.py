@@ -9,7 +9,7 @@ what makes the parse/print round trip lossless for annotated programs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 CONSTRUCTS = frozenset({"Input", "Output", "CREATE", "IMPLIES", "NOT", "OR", "AND"})
 
@@ -76,10 +76,6 @@ class Call(Node):
 
     name: str = ""
     args: tuple["Expr", ...] = ()
-
-    @property
-    def is_construct(self) -> bool:
-        return self.name in CONSTRUCTS
 
 
 @dataclass
@@ -153,29 +149,23 @@ def structurally_equal(a: EmrAst, b: EmrAst) -> bool:
     return a.statements == b.statements
 
 
-def walk_exprs(node: Expr) -> Iterator[Expr]:
-    yield node
-    if isinstance(node, Call):
-        for a in node.args:
-            yield from walk_exprs(a)
-    elif isinstance(node, MethodCall):
-        yield from walk_exprs(node.receiver)
-        for a in node.args:
-            yield from walk_exprs(a)
-    elif isinstance(node, Not):
-        yield from walk_exprs(node.operand)
-    elif isinstance(node, BoolChain):
-        for o in node.operands:
-            yield from walk_exprs(o)
-
-
 def called_non_construct_names(exprs: tuple[Expr, ...]) -> list[str]:
-    """Names of free-function and method calls that are not DSL constructs."""
+    """Names of free-function and method calls that are not DSL constructs,
+    in pre-order (a call before its receiver and arguments)."""
     names: list[str] = []
-    for root in exprs:
-        for e in walk_exprs(root):
-            if isinstance(e, Call) and not e.is_construct:
+    stack = [*reversed(exprs)]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Call):
+            if e.name not in CONSTRUCTS:
                 names.append(e.name)
-            elif isinstance(e, MethodCall):
-                names.append(e.name)
+            stack += reversed(e.args)
+        elif isinstance(e, MethodCall):
+            names.append(e.name)
+            stack += reversed(e.args)
+            stack.append(e.receiver)
+        elif isinstance(e, Not):
+            stack.append(e.operand)
+        elif isinstance(e, BoolChain):
+            stack += reversed(e.operands)
     return names

@@ -47,16 +47,31 @@ from .ast import (
     VarDecl,
 )
 from .errors import ParseError
-from .printer import Unit, layout
-from .tokens import kind_of, line_starts, position, scan, string_value
+from .printer import owner_lines
+from .tokens import KEYWORDS, comments, kind_of, line_starts, position, scan, string_value
+
+# How deep parentheses, '!' operands, call arguments and loop or guard
+# bodies may nest, counted together: deeper sources raise ParseError, so
+# that no nesting reaches Python's recursion limit here or in the printer,
+# validator and runtime that walk the AST.
+MAX_NESTING = 100
+
+# Nodes and their positions are built without a class call, which would pass
+# the keyword-only ``pos`` through a dict and cost more than the rest of a
+# node's parse. Attributes are set in the order the dataclass ``__init__``
+# sets them, so instances share one key table.
+_new = object.__new__
 
 
 def _chain(op: str, operands: list[Expr]) -> Expr:
     if len(operands) == 1:
         return operands[0]
     first, last = operands[0].pos, operands[-1].pos
-    pos = Position(first.line, first.column, last.end_line, last.end_column)
-    return BoolChain(op, tuple(operands), pos=pos)
+    pos = _new(Position)
+    pos.line, pos.column, pos.end_line, pos.end_column = first.line, first.column, last.end_line, last.end_column
+    node = _new(BoolChain)
+    node.pos, node.explanation, node.op, node.operands = pos, None, op, tuple(operands)
+    return node
 
 
 class _Parser:
@@ -67,12 +82,15 @@ class _Parser:
     other kinds differ in their first character, so the grammar tests
     ``lexemes[i]`` directly. Token positions are the start offsets; a line
     and column are looked up only for a node's ``Position`` or an error.
+    ``depth`` counts the nesting open at the current lexeme.
     """
 
     def __init__(self, source: str):
-        self.lexemes, self.starts, self.comments = scan(source)
+        self.source = source
+        self.lexemes, self.starts = scan(source)
         self.lines = line_starts(source)
         self.i = 0
+        self.depth = 0
 
     # -- positions ------------------------------------------------------
 
@@ -88,7 +106,10 @@ class _Parser:
         end = self.starts[last] + len(self.lexemes[last])
         line = bisect_right(lines, start)
         end_line = bisect_right(lines, end)
-        return Position(line, start - lines[line - 1] + 1, end_line, end - lines[end_line - 1] + 1)
+        pos = _new(Position)
+        pos.line, pos.column = line, start - lines[line - 1] + 1
+        pos.end_line, pos.end_column = end_line, end - lines[end_line - 1] + 1
+        return pos
 
     # -- lexeme helpers -------------------------------------------------
 
@@ -98,6 +119,15 @@ class _Parser:
         hint = "WLC-AMP" if lexeme == "&" else None
         wanted = ", ".join(sorted(expected))
         return ParseError(f"expected {wanted}, found {found}", *self.where(self.i), frozenset(expected), hint)
+
+    def nest(self, i: int) -> None:
+        """Open one more level of nesting at lexeme ``i``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.too_deep(i)
+
+    def too_deep(self, i: int) -> ParseError:
+        return ParseError(f"nesting deeper than {MAX_NESTING} levels", *self.where(i))
 
     def expect(self, lexeme: str) -> int:
         """Index of the punctuation or keyword ``lexeme``, which must come next."""
@@ -129,8 +159,12 @@ class _Parser:
         if self.lexemes[self.i]:
             raise self.error({"end of input"})
         ast = EmrAst(emr_id, tuple(stmts), (self.where(start)[0], self.where(end)[0]))
-        if self.comments:
-            _attach_comments(ast, [(*position(self.lines, at), text) for at, text in self.comments])
+        by_line = {}
+        for at, text in comments(self.source, self.lexemes, self.starts):
+            line = bisect_right(self.lines, at)
+            by_line[line] = (at - self.lines[line - 1] + 1, text)
+        if by_line:
+            _attach_comments(ast, by_line)
         return ast
 
     def statement(self) -> Stmt:
@@ -142,7 +176,9 @@ class _Parser:
             return self.if_stmt()
         if lexeme == "continue":
             self.i += 1
-            return Continue(pos=self.span(start, self.expect(";")))
+            node = _new(Continue)
+            node.pos, node.explanation = self.span(start, self.expect(";")), None
+            return node
         if lexeme == "var":
             return self.var_stmt()
         expr = self.expression()
@@ -152,7 +188,9 @@ class _Parser:
             end = self.i - 1
         else:
             end = self.expect(";")
-        return ExprStmt(expr, pos=self.span(start, end))
+        node = _new(ExprStmt)
+        node.pos, node.explanation, node.expr = self.span(start, end), None, expr
+        return node
 
     def for_stmt(self) -> ForEach:
         start = self.i
@@ -166,10 +204,13 @@ class _Parser:
         self.expect(":")
         iterable = self.expression()
         self.expect(")")
-        body, end = self.body()
+        body = self.body()
         if not body:
             raise ParseError("loop body must not be empty", *self.where(start))
-        return ForEach(decl_type, var, iterable, body, pos=self.span(start, end))
+        node = _new(ForEach)
+        node.pos, node.explanation = self.span(start, self.i - 1), None
+        node.decl_type, node.var, node.iterable, node.body = decl_type, var, iterable, body
+        return node
 
     def if_stmt(self) -> If:
         start = self.i
@@ -177,8 +218,10 @@ class _Parser:
         self.expect("(")
         cond = self.expression()
         self.expect(")")
-        body, end = self.body()
-        return If(cond, body, pos=self.span(start, end))
+        body = self.body()
+        node = _new(If)
+        node.pos, node.explanation, node.cond, node.body = self.span(start, self.i - 1), None, cond, body
+        return node
 
     def var_stmt(self) -> VarDecl:
         start = self.i
@@ -186,10 +229,13 @@ class _Parser:
         name = self.expect_identifier()
         self.expect("=")
         init = self.expression()
-        return VarDecl(name, init, pos=self.span(start, self.expect(";")))
+        node = _new(VarDecl)
+        node.pos, node.explanation, node.name, node.init = self.span(start, self.expect(";")), None, name, init
+        return node
 
-    def body(self) -> tuple[tuple[Stmt, ...], int]:
-        """The statements of a loop or guard body and the index of its last lexeme."""
+    def body(self) -> tuple[Stmt, ...]:
+        """The statements of a loop or guard body."""
+        self.nest(self.i)
         if self.lexemes[self.i] == "{":
             self.i += 1
             stmts: list[Stmt] = []
@@ -198,19 +244,26 @@ class _Parser:
                     raise self.error({"'}'", "statement"})
                 stmts.append(self.statement())
             self.i += 1
-            return tuple(stmts), self.i - 1
-        st = self.statement()
-        return (st,), self.i - 1
+            body = tuple(stmts)
+        else:
+            body = (self.statement(),)
+        self.depth -= 1
+        return body
 
     # -- expressions ------------------------------------------------------
 
     def expression(self) -> Expr:
         """Both infix levels: '&&' chains of unaries, joined by '||'."""
-        lexemes = self.lexemes
         first = self.unary()
-        op = lexemes[self.i]
+        op = self.lexemes[self.i]
         if op != "&&" and op != "||":
             return first
+        return self.chain(first)
+
+    def chain(self, first: Expr) -> Expr:
+        """The '&&' and '||' chain that ``first`` starts, with the operator next."""
+        lexemes = self.lexemes
+        op = lexemes[self.i]
         disjuncts: list[Expr] = []
         conjuncts = [first]
         while op == "&&" or op == "||":
@@ -224,103 +277,125 @@ class _Parser:
         return _chain("||", disjuncts)
 
     def unary(self) -> Expr:
-        """'!' operands, and a primary with its method calls."""
-        lexemes = self.lexemes
-        start = self.i
-        if lexemes[start] == "!":
-            self.i += 1
+        """A '!' operand, or a primary with its method calls."""
+        lexemes, lines = self.lexemes, self.lines
+        i = self.i
+        lexeme = lexemes[i]
+        start = self.starts[i]
+        line = bisect_right(lines, start)
+        column = start - lines[line - 1] + 1
+        # The span of the lexeme alone, which never crosses a line; a call and
+        # a '!' move its end.
+        pos = _new(Position)
+        pos.line, pos.column, pos.end_line, pos.end_column = line, column, line, column + len(lexeme)
+        self.i = i + 1
+        head = lexeme[:1]
+        if (head.isalpha() or head == "_") and lexeme not in KEYWORDS:
+            if lexemes[i + 1] == "(":
+                self.i = i + 2
+                args = self.args()
+                end = self.starts[self.i - 1] + 1
+                end_line = bisect_right(lines, end)
+                pos.end_line, pos.end_column = end_line, end - lines[end_line - 1] + 1
+                expr = _new(Call)
+                expr.pos, expr.explanation, expr.name, expr.args = pos, None, lexeme, args
+            else:
+                expr = _new(Name)
+                expr.pos, expr.explanation, expr.ident = pos, None, lexeme
+        elif head.isdecimal():
+            try:
+                value = int(lexeme)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"integer literal of {len(lexeme)} digits is too long", line, column)
+            expr = _new(IntLit)
+            expr.pos, expr.explanation, expr.value = pos, None, value
+        elif head == '"':
+            expr = _new(StringLit)
+            expr.pos, expr.explanation, expr.value = pos, None, string_value(lexeme)
+        elif lexeme == "true" or lexeme == "false":
+            expr = _new(BoolLit)
+            expr.pos, expr.explanation, expr.value = pos, None, lexeme == "true"
+        elif lexeme == "(":
+            self.nest(i)
+            expr = self.expression()
+            self.expect(")")
+            self.depth -= 1
+        elif lexeme == "!":
+            self.nest(i)
             operand = self.unary()
-            line, column = self.where(start)
-            end = operand.pos
-            return Not(operand, pos=Position(line, column, end.end_line, end.end_column))
-        expr = self.primary()
+            self.depth -= 1
+            pos.end_line, pos.end_column = operand.pos.end_line, operand.pos.end_column
+            node = _new(Not)
+            node.pos, node.explanation, node.operand = pos, None, operand
+            return node
+        else:
+            self.i = i
+            raise self.error({"expression"})
         while lexemes[self.i] == ".":
             self.i += 1
             name = self.expect_identifier()
             self.expect("(")
-            args, end = self.args()
-            end_line, end_column = position(self.lines, self.starts[end] + 1)
-            expr = MethodCall(expr, name, args, pos=Position(expr.pos.line, expr.pos.column, end_line, end_column))
+            args = self.args()
+            end = self.starts[self.i - 1] + 1
+            end_line = bisect_right(lines, end)
+            pos = _new(Position)
+            pos.line, pos.column = expr.pos.line, expr.pos.column
+            pos.end_line, pos.end_column = end_line, end - lines[end_line - 1] + 1
+            call = _new(MethodCall)
+            call.pos, call.explanation, call.receiver, call.name, call.args = pos, None, expr, name, args
+            expr = call
         return expr
 
-    def primary(self) -> Expr:
+    def args(self) -> tuple[Expr, ...]:
+        """The arguments after '(', and the move past the ')'."""
+        lexemes = self.lexemes
         i = self.i
-        lexeme = self.lexemes[i]
-        kind = kind_of(lexeme)
-        if kind == "identifier":
+        if lexemes[i] == ")":
             self.i = i + 1
-            if self.lexemes[i + 1] == "(":
-                self.i = i + 2
-                args, end = self.args()
-                return Call(lexeme, args, pos=self.span(i, end))
-            return Name(lexeme, pos=self.span(i, i))
-        if kind == "integer-literal":
-            try:
-                value = int(lexeme)
-            except ValueError:  # more digits than int() converts
-                raise ParseError(f"integer literal of {len(lexeme)} digits is too long", *self.where(i))
-            self.i = i + 1
-            return IntLit(value, pos=self.span(i, i))
-        if kind == "string-literal":
-            self.i = i + 1
-            return StringLit(string_value(lexeme), pos=self.span(i, i))
-        if lexeme == "true" or lexeme == "false":
-            self.i = i + 1
-            return BoolLit(lexeme == "true", pos=self.span(i, i))
-        if lexeme == "(":
-            self.i = i + 1
-            inner = self.expression()
-            self.expect(")")
-            return inner
-        raise self.error({"expression"})
-
-    def args(self) -> tuple[tuple[Expr, ...], int]:
-        """Arguments after '('; returns (args, the index of the ')')."""
-        if self.lexemes[self.i] == ")":
+            return ()
+        self.depth += 1  # ``nest``, inlined: most calls have arguments
+        if self.depth > MAX_NESTING:
+            raise self.too_deep(i - 1)
+        args = []
+        while True:  # ``expression``, inlined: most arguments are one unary
+            arg = self.unary()
+            op = lexemes[self.i]
+            args.append(self.chain(arg) if op == "&&" or op == "||" else arg)
+            if lexemes[self.i] != ",":
+                break
             self.i += 1
-            return (), self.i - 1
-        args = [self.expression()]
-        while self.lexemes[self.i] == ",":
-            self.i += 1
-            args.append(self.expression())
-        return tuple(args), self.expect(")")
+        self.depth -= 1
+        i = self.i
+        if lexemes[i] != ")":
+            raise self.error({"')'"})
+        self.i = i + 1  # ``expect``, inlined
+        return tuple(args)
 
 
-def _anchor(line: Unit) -> tuple[int, int]:
-    """Source position where the canonical line owned by ``line.owner`` breaks."""
-    node = line.owner
-    if isinstance(node, ForEach):
-        return node.iterable.pos.end_line, node.iterable.pos.end_column
-    if isinstance(node, If):
-        return node.cond.pos.end_line, node.cond.pos.end_column
-    if line.kind == "opener":
-        return node.pos.line, node.pos.column + len(node.name) + 1
-    return node.pos.end_line, node.pos.end_column
-
-
-def _attach_comments(ast: EmrAst, comments: list[tuple[int, int, str]]) -> None:
-    """Give each (line, column, lexeme) comment to the node it explains.
+def _attach_comments(ast: EmrAst, by_line: dict[int, tuple[int, str]]) -> None:
+    """Give each comment, given as line -> (column, lexeme), to the node it explains.
 
     A comment runs to the end of its line, so a line holds at most one, and
-    each owner line is matched against the comment on its anchor's line only.
+    each owner line is matched against the comment on its anchor's line only:
+    the source position where the owner's canonical line breaks.
     """
-    by_line = {line: (column, lexeme) for line, column, lexeme in comments}
     best: dict[int, tuple[tuple[int, int, int], Node]] = {}
-    for line in layout(ast):
-        node = line.owner
-        if node is None:
-            continue
-        anchor_line, anchor_column = _anchor(line)
-        comment = by_line.get(anchor_line)
-        if comment is None or anchor_column > comment[0]:
+    for kind, node in owner_lines(ast):
+        if kind == "opener":
+            line, column = node.pos.line, node.pos.column + len(node.name) + 1
+        else:
+            end = node.iterable.pos if isinstance(node, ForEach) else node.cond.pos if isinstance(node, If) else node.pos
+            line, column = end.end_line, end.end_column
+        comment = by_line.get(line)
+        if comment is None or column > comment[0]:
             continue
         # The line that breaks last wins; then the node that starts first.
-        key = (anchor_column, -node.pos.line, -node.pos.column)
-        if anchor_line not in best or key > best[anchor_line][0]:
-            best[anchor_line] = (key, node)
-    for anchor_line, (_, node) in best.items():
+        key = (column, -node.pos.line, -node.pos.column)
+        if line not in best or key > best[line][0]:
+            best[line] = (key, node)
+    for line, (_, node) in best.items():
         if node.explanation is None:
-            node.explanation = by_line[anchor_line][1][2:].strip()
+            node.explanation = by_line[line][1][2:].strip()
 
 
 def parse_emr(source: str, emr_id: str = "emr") -> EmrAst:

@@ -189,6 +189,20 @@ class _Layout:
             self.emit(d, "", arg, suffix, "arg", arg)
 
 
+class _Owners(_Layout):
+    """The same walk, keeping of each line only its kind and owner, and only
+    when it has an owner: what comment attachment reads."""
+
+    def emit(self, indent, head, expr=None, tail="", kind=None, owner=None) -> None:  # type: ignore[override]
+        if owner is not None:
+            self.lines.append((kind, owner))
+
+
+def owner_lines(ast: EmrAst) -> list[tuple[str | None, Node]]:
+    """(kind, owner) of each canonical line of ``ast`` that has an owner, in order."""
+    return _Owners().walk(ast)
+
+
 def layout(ast: EmrAst) -> list[Unit]:
     """The canonical lines of ``ast``, each with its number, owner and unit
     kind; a line's text is formatted only when it is read."""

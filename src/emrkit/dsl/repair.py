@@ -81,7 +81,7 @@ def repair(source: str) -> tuple[str, RepairLog]:
     """
     log = RepairLog()
     try:
-        lexemes, starts, _ = scan(source)
+        lexemes, starts = scan(source)
     except DslError:
         return source, log
     fixes = _implies_single_arg_amps(lexemes, starts)

@@ -1,14 +1,14 @@
 """Lexer for the EMR DSL.
 
-One compiled pattern, scanned with ``finditer``, matches the whitespace
-before each token and then the token, named by the group that matched it.
-``scan`` keeps only each lexeme and its start offset; a line and column are
-worked out from a table of line starts where a position is needed. A
-character that starts no token matches the last group and raises
-``IllegalCharacter`` at its position. Comments come back on their own,
-because trailing ``//`` comments carry the per-statement explanations.
-``tokenize`` is the same scan as ``Token`` objects with kinds, positions and
-the whitespace before each one, for tests and tools.
+One compiled pattern, scanned with ``finditer``, matches the whitespace and
+comments before each token and then the token, in group 1, or a character
+that starts no token, in group 2. ``scan`` keeps only each lexeme and its
+start offset; a line and column are worked out from a table of line starts
+where a position is needed. An illegal character raises
+``IllegalCharacter`` at its position. ``comments`` finds the trailing ``//``
+comments, which carry the per-statement explanations, in a source that
+scans. ``tokenize`` is the same scan as ``Token`` objects with kinds,
+positions and the whitespace before each one, for tests and tools.
 """
 
 from __future__ import annotations
@@ -25,27 +25,26 @@ KEYWORDS = frozenset({"MR", "for", "if", "continue", "var", "true", "false"})
 # A string literal's characters: a backslash escapes the character after
 # it, and no newline, escaped or not. What an unterminated literal holds
 # before its line or the input ends is that, with perhaps one backslash.
-_STRING_BODY = r'(?:[^"\\\n]|\\[^\n])*'
+_STRING_BODY = r'(?:[^"\\\n]++|\\[^\n])*+'
 _STRING_START = re.compile(_STRING_BODY + r"\\?")
 
 # Python's ``\w`` is exactly ``str.isalnum()`` or ``_``, and ``\d`` exactly
 # ``str.isdecimal()``, the digits ``int()`` accepts. An identifier starts
-# with an ``isalpha()`` character or ``_``: ASCII ones take group 2, any
-# other word (group 8) is an identifier only if its first character is a
-# letter, so a digit such as '²' cannot start a token. Group 1 is the
-# whitespace before the token, and no alternative can start with
-# whitespace, so each match begins where the last one ended.
+# with an ``isalpha()`` character or ``_``: ASCII ones match in group 1, any
+# other word (group 2) is an identifier only if its first character is a
+# letter, so a digit such as '²' cannot start a token. Group 2 takes any
+# character the others do not, so each match begins where the last one
+# ended; a source ending in whitespace or a comment gives one more, empty
+# match after the end-of-input one. No part of a match ever has to give
+# characters back for the rest to match, so every repeat is possessive
+# (``*+``), which spares the regex engine its backtracking state.
 _TOKEN = re.compile(
-    r"([ \t\r\n]*)(?:"
-    r"([A-Za-z_]\w*)"  # 2 identifier or keyword
-    r"|(\{\{|\}\}|&&|\|\||[{}(),;:.!&=])"  # 3 punctuation, longest first
-    r"|(//[^\n]*)"  # 4 comment
-    r'|("' + _STRING_BODY + r'")'  # 5 string literal
-    r"|(\d+)"  # 6 integer literal
-    r"|(\Z)"  # 7 end of input
-    r"|(\w+)"  # 8 a word that starts outside ASCII
-    r"|([^ \t\r\n])"  # 9 illegal
-    r")"
+    r"[ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+(?:("
+    r"[A-Za-z_]\w*+"  # identifier or keyword
+    r"|\{\{|\}\}|&&|\|\||[{}(),;:.!&=]"  # punctuation, longest first
+    r'|"' + _STRING_BODY + r'"|\d++'  # string and integer literals
+    r"|\Z"  # end of input
+    r")|(\w++|[^ \t\r\n]))"  # a word that starts outside ASCII, or illegal
 )
 
 
@@ -60,32 +59,46 @@ class Token:
     leading_trivia: str = field(default="", compare=False)
 
 
-def scan(source: str) -> tuple[list[str], list[int], list[tuple[int, str]]]:
+def scan(source: str) -> tuple[list[str], list[int]]:
     """Lex ``source`` once.
 
     Returns the lexemes other than comments with their start offsets, ending
-    with the ``eof`` lexeme ``""`` at ``len(source)``, and the comments as
-    (offset, lexeme) pairs. Raises IllegalCharacter for any character outside
-    the grammar's alphabet.
+    with the ``eof`` lexeme ``""`` at ``len(source)``. Raises IllegalCharacter
+    for any character outside the grammar's alphabet.
     """
-    lexemes: list[str] = []
-    starts: list[int] = []
-    comments: list[tuple[int, str]] = []
-    for match in _TOKEN.finditer(source):
-        group = match.lastindex
-        if group == 4:
-            comments.append((match.start(4), match.group(4)))
+    matches = list(_TOKEN.finditer(source))
+    if len(matches) > 1 and matches[-2][1] == "":
+        matches.pop()
+    lexemes = [match[1] for match in matches]
+    starts = [match.start(1) for match in matches]
+    if -1 in starts:  # a match of group 2
+        for i, start in enumerate(starts):
+            if start < 0:
+                match = matches[i]
+                if not match[2][0].isalpha():
+                    raise _illegal(source, match.start(2))
+                lexemes[i], starts[i] = match[2], match.start(2)
+    return lexemes, starts
+
+
+def comments(source: str, lexemes: list[str], starts: list[int]) -> list[tuple[int, str]]:
+    """The (offset, lexeme) of each comment of ``source``, given its scan: a
+    ``//`` that no lexeme (a string literal, if ``source`` has one) holds
+    runs to the end of its line."""
+    found = []
+    strings = '"' in source
+    at = source.find("//")
+    while at >= 0:
+        i = bisect_right(starts, at) - 1 if strings else -1
+        if i >= 0 and at < starts[i] + len(lexemes[i]):
+            at = source.find("//", starts[i] + len(lexemes[i]))
             continue
-        if group > 6:
-            if group == 7:
-                break
-            if group == 9 or not match.group(8)[0].isalpha():
-                raise _illegal(source, match.start(group))
-        lexemes.append(match.group(group))
-        starts.append(match.start(group))
-    lexemes.append("")
-    starts.append(len(source))
-    return lexemes, starts, comments
+        end = source.find("\n", at)
+        if end < 0:
+            end = len(source)
+        found.append((at, source[at:end]))
+        at = source.find("//", end)
+    return found
 
 
 def line_starts(source: str) -> list[int]:
@@ -121,11 +134,11 @@ def tokenize(source: str) -> list[Token]:
 
     Raises IllegalCharacter for any character outside the grammar's alphabet.
     """
-    lexemes, starts, comments = scan(source)
+    lexemes, starts = scan(source)
     lines = line_starts(source)
     tokens: list[Token] = []
     end = 0
-    for start, lexeme in sorted([*zip(starts, lexemes), *comments]):
+    for start, lexeme in sorted([*zip(starts, lexemes), *comments(source, lexemes, starts)]):
         tokens.append(Token(kind_of(lexeme), lexeme, *position(lines, start), source[end:start]))
         end = start + len(lexeme)
     return tokens

@@ -18,6 +18,7 @@ from .ast import (
     Call,
     Continue,
     CONSTRUCT_ARITY,
+    CONSTRUCTS,
     EmrAst,
     Expr,
     ExprStmt,
@@ -29,7 +30,6 @@ from .ast import (
     Stmt,
     StringLit,
     VarDecl,
-    walk_exprs,
 )
 
 if TYPE_CHECKING:
@@ -65,28 +65,18 @@ def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnosti
 
     def boolean_position(e: Expr, context: str) -> None:
         if isinstance(e, (IntLit, StringLit)):
-            diags.append(
-                Diagnostic("error", f"{context} must be a boolean expression", e.pos.line)
-            )
+            diags.append(Diagnostic("error", f"{context} must be a boolean expression", e.pos.line))
 
     def integer_position(e: Expr, context: str) -> None:
         if isinstance(e, (StringLit, BoolLit)):
-            diags.append(
-                Diagnostic("error", f"{context} must be an integer", e.pos.line)
-            )
+            diags.append(Diagnostic("error", f"{context} must be an integer", e.pos.line))
 
     def check_construct(call: Call) -> None:
         accepted = CONSTRUCT_ARITY[call.name]
         if len(call.args) not in accepted:
             expected = " or ".join(str(a) for a in accepted)
-            diags.append(
-                Diagnostic(
-                    "error",
-                    f"{call.name} expects {expected} argument{'s' if accepted != (1,) else ''}",
-                    call.pos.line,
-                    symbol=call.name,
-                )
-            )
+            plural = "s" if accepted != (1,) else ""
+            diags.append(Diagnostic("error", f"{call.name} expects {expected} argument{plural}", call.pos.line, call.name))
             return
         if call.name == "Input":
             integer_position(call.args[0], "Input index")
@@ -96,25 +86,12 @@ def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnosti
             else:
                 integer_position(call.args[1], "Output position")
                 if isinstance(call.args[0], (IntLit, StringLit, BoolLit)):
-                    diags.append(
-                        Diagnostic(
-                            "error",
-                            "two-argument Output takes an input sequence first",
-                            call.pos.line,
-                            symbol="Output",
-                        )
-                    )
+                    message = "two-argument Output takes an input sequence first"
+                    diags.append(Diagnostic("error", message, call.pos.line, "Output"))
         elif call.name == "CREATE":
             target = call.args[0]
             if not (isinstance(target, Call) and target.name == "Input"):
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        "CREATE target must be an Input(k) expression",
-                        call.pos.line,
-                        symbol="CREATE",
-                    )
-                )
+                diags.append(Diagnostic("error", "CREATE target must be an Input(k) expression", call.pos.line, "CREATE"))
         elif call.name in ("IMPLIES", "OR", "AND"):
             for arg in call.args:
                 boolean_position(arg, f"{call.name} operand")
@@ -122,44 +99,41 @@ def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnosti
             boolean_position(call.args[0], "NOT operand")
 
     def check_expr(root: Expr) -> None:
-        for e in walk_exprs(root):
-            if isinstance(e, Call):
-                if e.is_construct:
+        # The nodes of ``root`` in pre-order, from one explicit stack. Nodes
+        # are told apart by their exact class (no AST class is subclassed),
+        # and a Diagnostic is built without a keyword argument, which a class
+        # call would pass through a dict.
+        stack = [root]
+        pop, push = stack.pop, stack.extend
+        while stack:
+            e = pop()
+            kind = type(e)
+            if kind is Call:
+                name = e.name
+                if name in CONSTRUCTS:
                     check_construct(e)
-                elif e.name in known:
-                    if e.name in arities and len(e.args) != arities[e.name]:
-                        diags.append(
-                            Diagnostic(
-                                "error",
-                                f"{e.name} expects {arities[e.name]} argument(s), got {len(e.args)}",
-                                e.pos.line,
-                                symbol=e.name,
-                            )
-                        )
-                elif e.name not in seen_stubs:
-                    seen_stubs.add(e.name)
-                    diags.append(
-                        Diagnostic(
-                            "stub",
-                            f"unresolved function '{e.name}'; bind it or add it to the API catalog",
-                            e.pos.line,
-                            symbol=e.name,
-                        )
-                    )
-            elif isinstance(e, MethodCall) and e.name not in RUNTIME_METHODS:
-                diags.append(
-                    Diagnostic(
-                        "warning",
-                        f"method '{e.name}' is not provided by the runtime",
-                        e.pos.line,
-                        symbol=e.name,
-                    )
-                )
-            elif isinstance(e, Not):
+                elif name in known:
+                    if name in arities and len(e.args) != arities[name]:
+                        message = f"{name} expects {arities[name]} argument(s), got {len(e.args)}"
+                        diags.append(Diagnostic("error", message, e.pos.line, name))
+                elif name not in seen_stubs:
+                    seen_stubs.add(name)
+                    message = f"unresolved function '{name}'; bind it or add it to the API catalog"
+                    diags.append(Diagnostic("stub", message, e.pos.line, name))
+                push(reversed(e.args))
+            elif kind is MethodCall:
+                if e.name not in RUNTIME_METHODS:
+                    message = f"method '{e.name}' is not provided by the runtime"
+                    diags.append(Diagnostic("warning", message, e.pos.line, e.name))
+                push(reversed(e.args))
+                stack.append(e.receiver)
+            elif kind is Not:
                 boolean_position(e.operand, "'!' operand")
-            elif isinstance(e, BoolChain):
+                stack.append(e.operand)
+            elif kind is BoolChain:
                 for op in e.operands:
                     boolean_position(op, f"'{e.op}' operand")
+                push(reversed(e.operands))
 
     def check_stmts(stmts: tuple[Stmt, ...], in_loop: bool) -> None:
         for st in stmts:

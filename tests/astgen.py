@@ -170,3 +170,18 @@ def long_emr(n: int, comments: bool = True) -> str:
         lines.append(shapes[i % len(shapes)].format(i=i, c=note, d=note and note + "b"))
     lines.append("}}")
     return "\n".join(lines)
+
+
+# Sources whose one statement nests one construct ``depth`` levels deep:
+# parentheses, '!', NOT( calls, or guard bodies inside one loop body.
+NESTINGS = ("paren", "bang", "not", "if")
+
+
+def nested_emr(kind: str, depth: int) -> str:
+    if kind == "paren":
+        return "MR {{ var x = " + "(" * depth + "true" + ")" * depth + "; }}"
+    if kind == "bang":
+        return "MR {{ var x = " + "!" * depth + "true; }}"
+    if kind == "not":
+        return "MR {{ var x = " + "NOT(" * depth + "true" + ")" * depth + "; }}"
+    return "MR {{ for (var a : Input(1).actions()) {" + " if (true)" * (depth - 1) + " continue; } }}"

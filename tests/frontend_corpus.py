@@ -11,12 +11,17 @@ and seeded WLC-AMP injections (a comma of a base source replaced by a lone
 ``&``): the repaired source and its log, and, where the repaired source
 parses, every ``canonical_units`` row and ``classify_statements``.
 
-``tests/frontend_digests.json`` and ``tests/repair_units_digests.json`` pin the
-digests; ``test_frontend_differential`` compares against them. To record them
-again from the code on ``PYTHONPATH``:
+A third digest covers ``validate``: for every corpus source that parses, the
+diagnostics in order (severity, message, line, symbol), once without a
+catalog and once with ``api_catalog_search_filter.json``.
+
+``tests/frontend_digests.json``, ``tests/repair_units_digests.json`` and
+``tests/validate_digests.json`` pin the digests; ``test_frontend_differential``
+compares against them. To record them again from the code on ``PYTHONPATH``:
 
     PYTHONPATH=src python tests/frontend_corpus.py > tests/frontend_digests.json
     PYTHONPATH=src python tests/frontend_corpus.py repair > tests/repair_units_digests.json
+    PYTHONPATH=src python tests/frontend_corpus.py validate > tests/validate_digests.json
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ import random
 import sys
 
 from astgen import ProgramGen, messy_render, scatter_comments
-from emrkit.dsl import DslError, classify_statements, canonical_units, parse_emr, pretty_print, repair
+from emrkit.dsl import DslError, classify_statements, canonical_units, parse_emr, pretty_print, repair, validate
 from emrkit.resources import fixture_path
+from emrkit.sut.catalog import load_api_catalog
 
 GENERATED = 160  # astgen seeds, each rendered messily and with scattered comments
 EDITS = 1000
@@ -117,6 +123,16 @@ def repair_outcome(source: str) -> str:
     return repr((text, rows, classes))
 
 
+def validate_outcome(source: str, catalog) -> str | None:
+    """The diagnostics of ``source`` against ``catalog``, as text; None if
+    ``source`` does not parse."""
+    try:
+        ast = parse_emr(source, "case")
+    except DslError:
+        return None
+    return repr([(d.severity, d.message, d.line, d.symbol) for d in validate(ast, catalog)])
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
 
@@ -131,7 +147,20 @@ def repair_digests() -> dict[str, list[str]]:
     return {name: [digest(source), digest(repair_outcome(source))] for name, source in corpus() + injections()}
 
 
+def validate_digests() -> dict[str, list[str]]:
+    """Case id -> [digest of the source, digest of its diagnostics without a
+    catalog, and with the search-filter catalog], for the cases that parse."""
+    catalog = load_api_catalog(fixture_path("api_catalog_search_filter.json"))
+    pinned = {}
+    for name, source in corpus():
+        bare = validate_outcome(source, None)
+        if bare is not None:
+            pinned[name] = [digest(source), digest(bare), digest(validate_outcome(source, catalog))]
+    return pinned
+
+
 if __name__ == "__main__":
-    pinned = repair_digests() if sys.argv[1:] == ["repair"] else digests()
+    mode = sys.argv[1:2]
+    pinned = repair_digests() if mode == ["repair"] else validate_digests() if mode == ["validate"] else digests()
     rows = [f"{json.dumps(name)}: {json.dumps(pair)}" for name, pair in pinned.items()]
     print("{\n" + ",\n".join(rows) + "\n}")

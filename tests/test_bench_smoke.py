@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -24,7 +26,11 @@ def test_bench_smoke_run_passes():
     assert result.stdout.strip().splitlines()[-1] == "smoke: ok"
 
 
-def test_bench_layers_writes_the_write_row(tmp_path):
+@pytest.fixture(scope="module")
+def layer_rows(tmp_path_factory):
+    """Every row of ``tools/bench_layers.py`` at n = 2/4, written into a file
+    that already holds another row."""
+    tmp_path = tmp_path_factory.mktemp("layers")
     out = tmp_path / "BENCH_layers.json"
     out.write_text(json.dumps({"rows": {"other": {}}}))
     result = subprocess.run(
@@ -35,16 +41,34 @@ def test_bench_layers_writes_the_write_row(tmp_path):
         text=True,
     )
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
-    rows = json.loads(out.read_text())["rows"]
-    assert rows["other"] == {}
-    row = rows["write"]
+    return json.loads(out.read_text())["rows"]
+
+
+QUARTILES = {"median", "q1", "q3"}
+
+
+def test_bench_layers_writes_the_write_row(layer_rows):
+    assert layer_rows["other"] == {}
+    row = layer_rows["write"]
     assert row["n"] == [2, 4] and row["rounds"] == 3 and set(row["commits"]) == {"this", "against"}
-    quartiles = {"median", "q1", "q3"}
     for version in ("this", "against"):
         assert set(row[version]["loglog_slope"]) == {"wall_ms", "cpu_ms"}
         for n in ("2", "4"):
             for clock in ("wall_ms", "cpu_ms"):
                 stats = row[version]["by_n"][n][clock]
-                assert set(stats) == quartiles and stats["q1"] <= stats["median"] <= stats["q3"]
+                assert set(stats) == QUARTILES and stats["q1"] <= stats["median"] <= stats["q3"]
     for n in ("2", "4"):
-        assert set(row["paired_against_over_this"][n]["wall_ms"]) == quartiles
+        assert set(row["paired_against_over_this"][n]["wall_ms"]) == QUARTILES
+
+
+@pytest.mark.parametrize("name", ["scan", "parse_emr", "layout", "canonical_units", "validate", "repair"])
+def test_bench_layers_writes_the_front_end_rows(layer_rows, name):
+    row = layer_rows[name]
+    assert row["n"] == [2, 4] and row["rounds"] == 3 and set(row["commits"]) == {"this", "against"}
+    for version in ("this", "against"):
+        stats = [row[version]["bundled"]["cpu_us"], *(row[version]["by_n"][n]["cpu_ms"] for n in ("2", "4"))]
+        assert all(set(s) == QUARTILES and 0 < s["q1"] <= s["median"] <= s["q3"] for s in stats)
+        assert set(row[version]["loglog_slope"]) == {"cpu_ms"}
+    paired = row["paired_against_over_this"]
+    assert set(paired) == {"bundled", "2", "4"}
+    assert set(paired["bundled"]["cpu_us"]) == QUARTILES and set(paired["4"]["cpu_ms"]) == QUARTILES

@@ -1,14 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from astgen import NESTINGS, nested_emr
 from emrkit import jsonl
 from emrkit.cli import main
 from emrkit.dsl import parse_emr
+from emrkit.dsl.parser import MAX_NESTING
 from emrkit.resources import fixture_path
 from emrkit.runtime import ActionSequence, run_suite
 from emrkit.shopstubs import STUBS
@@ -337,6 +340,47 @@ def test_check_clean_and_stub_output(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out.strip().split("\n")[-1])["severity"] == "none"
+
+
+# Sources that used to end in a RecursionError traceback.
+TOO_DEEP = {"paren": 2000, "bang": 3000, "not": 1500, "if": 1500}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_check_on_too_deep_a_source_exits_two_naming_the_file_and_position(tmp_path, capsys, kind):
+    deep = tmp_path / "deep.smrl"
+    deep.write_text(nested_emr(kind, TOO_DEEP[kind]))
+    assert run("check", deep) == 2
+    out, err = capsys.readouterr()
+    (line,) = [json.loads(row) for row in out.splitlines()]
+    assert line["file"] == str(deep) and line["severity"] == "error"
+    assert re.fullmatch(rf"1:\d+: nesting deeper than {MAX_NESTING} levels", line["message"])
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", ["run", "grade"])
+def test_run_and_grade_on_too_deep_a_source_exit_two(tmp_path, capsys, command):
+    deep = tmp_path / "deep.smrl"
+    deep.write_text(nested_emr("not", TOO_DEEP["not"]))
+    if command == "run":
+        argv = ["run", deep, "--inputs", INPUTS, "--sut", "mock"]
+    else:
+        argv = ["grade", ANNOTATIONS, "--emrs", deep]
+    assert run("--out", tmp_path / "out", *argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {deep}: 1:{18 + 4 * MAX_NESTING}: nesting deeper than" in err and "Traceback" not in err
+
+
+def test_pipeline_records_a_too_deep_reply_as_unparseable(tmp_path, capsys):
+    scripts = json.loads(fixture_path("mock_scripts.json").read_text())
+    (reply,) = [s for s in scripts if s["pipeline"] == "generate" and s["phase"] == 6]
+    reply["response"] = "```\n" + nested_emr("not", 400) + "\n```"
+    (tmp_path / "scripts.json").write_text(json.dumps(scripts))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mock": True, "mock_scripts": str(tmp_path / "scripts.json")}))
+    assert run("--config", config, "--out", tmp_path / "out", "pipeline", DOC) == 4
+    out, err = capsys.readouterr()
+    assert ": unparseable" in out and "every EMR failed to parse" in err and "Traceback" not in err
 
 
 def test_check_error_exits_two(tmp_path, capsys):

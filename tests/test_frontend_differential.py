@@ -2,17 +2,32 @@
 ``frontend_digests.json``: the same ASTs, positions and explanations, and the
 same errors (class, line, column, message, expected set, repair hint). On the
 corpus and seeded WLC-AMP injections, ``repair`` and the canonical units give
-exactly the results pinned in ``repair_units_digests.json``."""
+exactly the results pinned in ``repair_units_digests.json``. On every corpus
+source that parses, ``validate`` gives exactly the diagnostics pinned in
+``validate_digests.json``, without a catalog and with one."""
 
 import json
 from pathlib import Path
 
-from emrkit.dsl import repair
-from frontend_corpus import EDITS, GENERATED, INJECTIONS, corpus, digest, injections, outcome, repair_outcome
+from emrkit.dsl import parse_emr, repair, validate
+from emrkit.resources import fixture_path
+from emrkit.sut.catalog import load_api_catalog
+from frontend_corpus import (
+    EDITS,
+    GENERATED,
+    INJECTIONS,
+    corpus,
+    digest,
+    injections,
+    outcome,
+    repair_outcome,
+    validate_outcome,
+)
 
 HERE = Path(__file__).parent
 PINNED = json.loads((HERE / "frontend_digests.json").read_text(encoding="utf-8"))
 PINNED_REPAIRS = json.loads((HERE / "repair_units_digests.json").read_text(encoding="utf-8"))
+PINNED_DIAGNOSTICS = json.loads((HERE / "validate_digests.json").read_text(encoding="utf-8"))
 CASES = corpus()
 REPAIR_CASES = CASES + injections()
 
@@ -48,3 +63,22 @@ def test_injections_give_fixes_that_parse_and_sources_left_alone():
     repairs = [repair(source) for _, source in injections()]
     assert {min(len(log.entries), 2) for _, log in repairs} == {0, 1, 2}
     assert sum(1 for fixed, log in repairs if log and outcome(fixed).startswith("EmrAst(")) > 50
+
+
+def test_every_parsed_case_validates_as_pinned():
+    catalog = load_api_catalog(fixture_path("api_catalog_search_filter.json"))
+    parsed = [(name, source) for name, source in CASES if outcome(source).startswith("EmrAst(")]
+    assert [name for name, _ in parsed] == list(PINNED_DIAGNOSTICS)
+    assert [
+        name for name, source in parsed
+        if [digest(source), digest(validate_outcome(source, None)), digest(validate_outcome(source, catalog))]
+        != PINNED_DIAGNOSTICS[name]
+    ] == []
+
+
+def test_pinned_diagnostics_cover_every_severity_and_the_catalog():
+    catalog = load_api_catalog(fixture_path("api_catalog_search_filter.json"))
+    asts = [parse_emr(source) for name, source in CASES if name in PINNED_DIAGNOSTICS]
+    severities = {d.severity for ast in asts for d in validate(ast)}
+    assert severities == {"error", "warning", "stub"}
+    assert sum(1 for ast in asts if validate(ast) != validate(ast, catalog)) > 50

@@ -1,8 +1,11 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
 
-from astgen import ProgramGen, long_emr, messy_render, scatter_comments
+from astgen import NESTINGS, ProgramGen, long_emr, messy_render, nested_emr, scatter_comments
 from emrkit.dsl import (
     BoolChain,
+    BoolLit,
     Call,
     Continue,
     ExprStmt,
@@ -10,13 +13,23 @@ from emrkit.dsl import (
     If,
     IntLit,
     MethodCall,
+    Name,
+    Not,
     ParseError,
+    StringLit,
     VarDecl,
+    canonical_units,
+    classify_statements,
     parse_emr,
     pretty_print,
     structurally_equal,
+    validate,
 )
+from emrkit.dsl.parser import MAX_NESTING
 from emrkit.dsl.printer import layout
+from emrkit.runtime import run_suite
+from emrkit.shopstubs import STUBS
+from emrkit.sut import MockShopSut
 
 
 def test_trivial_implies_statement():
@@ -168,3 +181,54 @@ def test_long_commented_emr_keeps_every_explanation():
     second = parse_emr(pretty_print(first))
     assert explanations(second) == notes
     assert structurally_equal(first, second)
+
+
+# The reproductions of sources that used to end in a RecursionError, and
+# where each goes too deep: the opening lexeme of level MAX_NESTING + 1.
+TOO_DEEP = {"paren": (2000, 15 + MAX_NESTING), "bang": (3000, 15 + MAX_NESTING),
+            "not": (1500, 18 + 4 * MAX_NESTING), "if": (1500, 42 + 10 * MAX_NESTING)}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_too_deep_a_source_raises_parse_error_where_it_goes_too_deep(kind):
+    depth, column = TOO_DEEP[kind]
+    with pytest.raises(ParseError) as exc:
+        parse_emr(nested_emr(kind, depth))
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert exc.value.message == f"nesting deeper than {MAX_NESTING} levels"
+    with pytest.raises(ParseError):
+        parse_emr(nested_emr(kind, MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_a_source_at_the_nesting_limit_validates_prints_and_runs(kind, shop_inputs):
+    ast = parse_emr(nested_emr(kind, MAX_NESTING), kind)
+    assert not [d for d in validate(ast) if d.severity == "error"]
+    assert structurally_equal(parse_emr(pretty_print(ast)), ast)
+    assert repr(ast) and canonical_units(ast) and classify_statements(ast)
+    report = run_suite([ast], shop_inputs, MockShopSut(), STUBS)
+    assert [entry.outcome for entry in report.entries] == ["Inapplicable"] * len(shop_inputs)
+
+
+def test_nodes_built_without_their_class_match_constructed_ones():
+    source = """MR {{
+    for (var a : Input(1).actions()) {
+        if (!check(a)) continue;
+        if (x && (y || "s")) { var v = f(true, 2); }
+        IMPLIES(a, b);
+    }
+}}"""
+    seen = set()
+    stack = list(parse_emr(source).statements)
+    while stack:
+        node = stack.pop()
+        seen.add(type(node))
+        for obj in (node, node.pos):
+            # The attributes ``__init__`` would set, in its order.
+            assert list(vars(obj)) == [f.name for f in fields(obj)]
+        values = [getattr(node, f.name) for f in fields(node) if f.name not in ("pos", "explanation")]
+        assert type(node)(*values, pos=node.pos) == node
+        for value in values:
+            stack += [v for v in (value if isinstance(value, tuple) else (value,)) if is_dataclass(v)]
+    assert seen == {ForEach, If, Continue, VarDecl, ExprStmt, Call, MethodCall, Name, IntLit, StringLit, BoolLit,
+                    Not, BoolChain}

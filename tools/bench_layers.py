@@ -1,27 +1,46 @@
 #!/usr/bin/env python3
 """Per-layer scaling rows, written to ``BENCH_layers.json``.
 
-One row so far, ``write``: one round rewrites n existing output files
-through ``emrkit.cli._write``, the path every whole-file output of the CLI
-takes, with the contents of the bundled ``.smrl`` fixtures. The files are
-created before the first round and each round writes the bytes they
-already hold, as a rerun into the same ``--out`` does. Before each round
-the files are flushed to disk (``fsync``, untimed), as the benchmark's
-steps start after ``os.sync()``: rewriting a file whose blocks are on disk
-is what a rerun pays for.
+``write``: one round rewrites n existing output files through
+``emrkit.cli._write``, the path every whole-file output of the CLI takes,
+with the contents of the bundled ``.smrl`` fixtures. The files are created
+before the first round and each round writes the bytes they already hold,
+as a rerun into the same ``--out`` does. Before each round the files are
+flushed to disk (``fsync``, untimed), as the benchmark's steps start after
+``os.sync()``: rewriting a file whose blocks are on disk is what a rerun
+pays for. Timed in wall-clock and in thread-CPU milliseconds per round.
 
-Each round is timed in wall-clock time and in the thread's CPU time. The
-row records, per n, the median with the quartiles of each, in
-milliseconds per round, and the log-log slope of the median over n (1.0 is
-linear).
+The front-end rows time one DSL layer each, in thread-CPU time (which leaves
+out the time the machine gives to other processes):
 
-    PYTHONPATH=src python tools/bench_layers.py [--sizes 50 200 400] [--rounds 50] [--against OTHER/src]
+- ``scan``: ``dsl.tokens.scan`` on the source;
+- ``parse_emr``: the whole parse, comment attachment included;
+- ``layout``: the printer's canonical lines with their owners, before any
+  text is read;
+- ``canonical_units``: the logic-bearing canonical lines;
+- ``validate``: ``dsl.validate`` without a catalog;
+- ``repair``: ``dsl.repair`` on the source with the comma of its first
+  IMPLIES replaced by `` &`` (the WLC-AMP defect, as the benchmark's
+  ``author`` workload injects it), where it has one.
+
+Each runs on the 13 bundled EMRs (``bundled``: microseconds per EMR of one
+round over all of them) and on one ``tests/astgen.py`` ``long_emr`` of n
+statements with a trailing comment on every line (``by_n``: milliseconds
+per call). Layers after the parse get the ASTs their own checkout parsed.
+
+Every row records, per n, the median with the quartiles of each clock, and
+the log-log slope of the median over n (1.0 is linear, 2.0 quadratic).
+
+    PYTHONPATH=src python tools/bench_layers.py [--rows ROW ...] [--sizes 50 200 400]
+        [--rounds 100] [--against OTHER/src] [--check]
 
 ``--against`` loads a second checkout's ``emrkit`` into the same process
 and interleaves its rounds with this one's (the order flips every round),
 so both come from one machine state, and adds the paired ratio
 against/this of each round as the median with the quartiles: a ratio above
-1 means this checkout is faster. The files live under ``--dir`` (default
+1 means this checkout is faster. ``--check`` exits 1 when a slope of this
+checkout is above 1.3; timings on a shared machine are too noisy for it to
+gate the test suite. The ``write`` files live under ``--dir`` (default
 ``.bench_build/layers``), which should be on the disk that outputs go to.
 """
 
@@ -38,21 +57,39 @@ import sys
 import time
 from pathlib import Path
 from types import ModuleType
-from typing import Any
+from typing import Any, Callable
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import inject_amp_defect  # noqa: E402
+
+FRONTEND = ("scan", "parse_emr", "layout", "canonical_units", "validate", "repair")
+ROWS = ("write", *FRONTEND)
+MAX_SLOPE = 1.3
+
+Sampler = Callable[[], dict[str, float]]
 
 
 def load_emrkit(src: str) -> dict[str, ModuleType]:
-    """``emrkit.cli`` and ``emrkit.resources`` imported from ``src``."""
+    """The ``emrkit`` modules the rows call, imported from ``src``."""
     for name in [m for m in sys.modules if m == "emrkit" or m.startswith("emrkit.")]:
         del sys.modules[name]
     sys.path.insert(0, src)
     try:
         importlib.invalidate_caches()
-        return {name: importlib.import_module(f"emrkit.{name}") for name in ("cli", "resources")}
+        names = ("cli", "resources", "dsl", "dsl.tokens", "dsl.printer")
+        return {name: importlib.import_module(f"emrkit.{name}") for name in names}
     finally:
         sys.path.remove(src)
+
+
+def long_emr(n: int) -> str:
+    """``tests/astgen.py``'s n-statement EMR, every line commented."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    try:
+        return importlib.import_module("astgen").long_emr(n)
+    finally:
+        sys.path.remove(str(ROOT / "tests"))
 
 
 def commit_of(src: str) -> str | None:
@@ -75,29 +112,69 @@ def fixture_texts(resources: ModuleType) -> list[str]:
     return [path.read_text(encoding="utf-8") for path in paths]
 
 
-class WriteRow:
-    """n output files of one checkout, rewritten once per round."""
+def write_sampler(modules: dict[str, ModuleType], directory: Path, n: int) -> Sampler:
+    """One round rewrites n output files of one checkout."""
+    write = modules["cli"]._write
+    texts = fixture_texts(modules["resources"])
+    files = [(directory / f"emr{i:04d}.smrl", texts[i % len(texts)]) for i in range(n)]
+    for path, text in files:
+        write(path, text, False)
 
-    def __init__(self, modules: dict[str, ModuleType], directory: Path, n: int):
-        self.write = modules["cli"]._write
-        texts = fixture_texts(modules["resources"])
-        self.files = [(directory / f"emr{i:04d}.smrl", texts[i % len(texts)]) for i in range(n)]
-        for path, text in self.files:
-            self.write(path, text, False)
-
-    def round(self) -> tuple[float, float]:
-        """Wall and CPU milliseconds of one round."""
-        for path, _ in self.files:
+    def sample() -> dict[str, float]:
+        for path, _ in files:
             fd = os.open(path, os.O_RDONLY)
             try:
                 os.fsync(fd)
             finally:
                 os.close(fd)
-        write = self.write
         wall, cpu = time.perf_counter_ns(), time.thread_time_ns()
-        for path, text in self.files:
+        for path, text in files:
             write(path, text, False)
-        return (time.perf_counter_ns() - wall) / 1e6, (time.thread_time_ns() - cpu) / 1e6
+        return {"wall_ms": (time.perf_counter_ns() - wall) / 1e6, "cpu_ms": (time.thread_time_ns() - cpu) / 1e6}
+
+    return sample
+
+
+def frontend_sampler(modules: dict[str, ModuleType], layer: str, sources: list[str], clock: str) -> Sampler:
+    """One round runs ``layer`` of one checkout once on each source; the
+    sample is the mean per source in ``clock``'s unit (us or ms)."""
+    dsl = modules["dsl"]
+    if layer == "scan":
+        fn, items = modules["dsl.tokens"].scan, sources
+    elif layer == "parse_emr":
+        fn, items = dsl.parse_emr, sources
+    elif layer == "repair":
+        fn, items = dsl.repair, [inject_amp_defect(s) or s for s in sources]
+    else:
+        fn = {"layout": modules["dsl.printer"].layout, "canonical_units": dsl.canonical_units,
+              "validate": dsl.validate}[layer]
+        items = [dsl.parse_emr(s) for s in sources]
+    scale = len(items) * (1e3 if clock == "cpu_us" else 1e6)
+
+    def sample() -> dict[str, float]:
+        start = time.thread_time_ns()
+        for item in items:
+            fn(item)
+        return {clock: (time.thread_time_ns() - start) / scale}
+
+    return sample
+
+
+def interleaved(samplers: dict[tuple[str, str], Sampler], rounds: int) -> dict[str, dict[str, dict[str, list[float]]]]:
+    """Case -> version -> clock -> samples of the (case, version) samplers:
+    one untimed warm-up call each, then ``rounds`` calls each. Every round
+    calls every sampler once, the order flipped every round, so a change
+    in machine speed during the run moves every case and version alike."""
+    order = list(samplers.items())
+    for _, sample in order:
+        sample()
+    samples: dict[str, dict[str, dict[str, list[float]]]] = {}
+    for _ in range(rounds):
+        order.reverse()  # no version or case always runs first
+        for (case, v), sample in order:
+            for clock, value in sample().items():
+                samples.setdefault(case, {}).setdefault(v, {}).setdefault(clock, []).append(value)
+    return samples
 
 
 def summary(values: list[float]) -> dict[str, float]:
@@ -112,41 +189,63 @@ def loglog_slope(sizes: list[int], medians: list[float]) -> float:
     return round(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs), 3)
 
 
-def measure_write(versions: dict[str, dict[str, ModuleType]], sizes: list[int], rounds: int,
-                  directory: Path) -> dict[str, Any]:
-    per_n: dict[int, dict[str, dict[str, list[float]]]] = {}
+def measure(row: str, versions: dict[str, dict[str, ModuleType]], sizes: list[int], rounds: int,
+            directory: Path) -> dict[str, Any]:
+    """The row's statistics per version and, with two versions, the paired ratios."""
+    samplers: dict[tuple[str, str], Sampler] = {}
+    if row != "write":
+        for v, modules in versions.items():
+            samplers["bundled", v] = frontend_sampler(modules, row, fixture_texts(modules["resources"]), "cpu_us")
     for n in sizes:
-        rows = {v: WriteRow(modules, directory / f"{v}-n{n}", n) for v, modules in versions.items()}
-        order = list(rows.items())
-        for _, row in order:  # warm-up: first calls and the page cache
-            row.round()
-        samples: dict[str, dict[str, list[float]]] = {v: {"wall_ms": [], "cpu_ms": []} for v in rows}
-        for _ in range(rounds):
-            order.reverse()  # neither version always runs first
-            for v, row in order:
-                wall, cpu = row.round()
-                samples[v]["wall_ms"].append(wall)
-                samples[v]["cpu_ms"].append(cpu)
-        per_n[n] = samples
+        for v, modules in versions.items():  # a case's versions run next to each other
+            if row == "write":
+                samplers[str(n), v] = write_sampler(modules, directory / f"{v}-n{n}", n)
+            else:
+                samplers[str(n), v] = frontend_sampler(modules, row, [long_emr(n)], "cpu_ms")
+    cases = interleaved(samplers, rounds)
     result: dict[str, Any] = {}
     for v in versions:
-        stats = {str(n): {k: summary(per_n[n][v][k]) for k in ("wall_ms", "cpu_ms")} for n in sizes}
-        slopes = {k: loglog_slope(sizes, [stats[str(n)][k]["median"] for n in sizes]) for k in ("wall_ms", "cpu_ms")}
-        result[v] = {"by_n": stats, "loglog_slope": slopes}
+        by_n = {str(n): {clock: summary(s) for clock, s in cases[str(n)][v].items()} for n in sizes}
+        result[v] = {
+            "by_n": by_n,
+            "loglog_slope": {clock: loglog_slope(sizes, [by_n[str(n)][clock]["median"] for n in sizes])
+                             for clock in by_n[str(sizes[0])]},
+        }
+        if "bundled" in cases:
+            result[v]["bundled"] = {clock: summary(s) for clock, s in cases["bundled"][v].items()}
     if "against" in versions:
         result["paired_against_over_this"] = {
-            str(n): {k: summary([a / t for a, t in zip(per_n[n]["against"][k], per_n[n]["this"][k])])
-                     for k in ("wall_ms", "cpu_ms")}
-            for n in sizes
+            case: {clock: summary([a / t for a, t in zip(samples["against"][clock], samples["this"][clock])])
+                   for clock in samples["this"]}
+            for case, samples in cases.items()
         }
     return result
 
 
+def report(name: str, row: dict[str, Any]) -> None:
+    def cell(stats: dict[str, float], digits: int) -> str:
+        return f"{stats['median']:.{digits}f} [{stats['q1']:.{digits}f}-{stats['q3']:.{digits}f}]"
+
+    for v in row["commits"]:
+        cells = [f"bundled {cell(row[v]['bundled']['cpu_us'], 1)} us"] if "bundled" in row[v] else []
+        for n, stats in row[v]["by_n"].items():
+            clock = "wall_ms" if "wall_ms" in stats else "cpu_ms"
+            cells.append(f"n={n} {cell(stats[clock], 2)} ms")
+        print(f"{name:<15} {v:<8} " + "   ".join(cells) + f"   slope {row[v]['loglog_slope']}")
+    if "paired_against_over_this" in row:
+        cells = [f"{case} {cell(ratios.get('wall_ms') or next(iter(ratios.values())), 3)}x"
+                 for case, ratios in row["paired_against_over_this"].items()]
+        print(f"{name:<15} against/this     " + "   ".join(cells))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rows", nargs="+", choices=ROWS, default=list(ROWS), metavar="ROW",
+                    help=f"rows to measure (default: all of {', '.join(ROWS)})")
     ap.add_argument("--sizes", type=int, nargs="+", default=[50, 200, 400], metavar="N")
-    ap.add_argument("--rounds", type=int, default=50)
+    ap.add_argument("--rounds", type=int, default=100)
     ap.add_argument("--against", metavar="SRC", help="another checkout's src directory to time alongside")
+    ap.add_argument("--check", action="store_true", help=f"exit 1 if a slope of this checkout is above {MAX_SLOPE}")
     ap.add_argument("--dir", type=Path, default=Path(".bench_build") / "layers", help="where the files are written")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_layers.json")
     args = ap.parse_args()
@@ -156,25 +255,24 @@ def main() -> None:
     if args.against:
         srcs["against"] = str(Path(args.against).resolve())
     versions = {v: load_emrkit(src) for v, src in srcs.items()}
-    row = {
-        "what": "rewrite n existing output files through emrkit.cli._write; ms per round",
-        "rounds": args.rounds,
-        "n": args.sizes,
-        "commits": {v: commit_of(src) for v, src in srcs.items()},
-        **measure_write(versions, args.sizes, args.rounds, args.dir.resolve()),
-    }
+    commits = {v: commit_of(src) for v, src in srcs.items()}
     document = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
-    document.setdefault("rows", {})["write"] = row
+    steep = []
+    for name in args.rows:
+        if name == "write":
+            what = "rewrite n existing output files through emrkit.cli._write; ms per round"
+        else:
+            what = (f"{name} on the bundled EMRs (thread-CPU us per EMR) and on an n-statement long_emr "
+                    "(thread-CPU ms per call)")
+        row = {"what": what, "rounds": args.rounds, "n": args.sizes, "commits": commits,
+               **measure(name, versions, args.sizes, args.rounds, args.dir.resolve())}
+        document.setdefault("rows", {})[name] = row
+        report(name, row)
+        steep += [f"{name} {clock} slope {s}" for clock, s in row["this"]["loglog_slope"].items() if s > MAX_SLOPE]
     args.out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    for v in versions:
-        cells = [f"n={n} wall {s['wall_ms']['median']:.2f} [{s['wall_ms']['q1']:.2f}-{s['wall_ms']['q3']:.2f}] ms"
-                 for n, s in row[v]["by_n"].items()]
-        print(f"write {v:<8} " + "   ".join(cells) + f"   slope {row[v]['loglog_slope']['wall_ms']}")
-    if args.against:
-        cells = [f"n={n} {p['wall_ms']['median']:.3f}x [{p['wall_ms']['q1']:.3f}-{p['wall_ms']['q3']:.3f}]"
-                 for n, p in row["paired_against_over_this"].items()]
-        print("write paired against/this wall " + "   ".join(cells))
     print(f"wrote {args.out}")
+    if args.check and steep:
+        sys.exit(f"slope above {MAX_SLOPE}: " + "; ".join(steep))
 
 
 if __name__ == "__main__":
