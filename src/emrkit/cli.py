@@ -10,7 +10,8 @@ show-config. Exit codes form a fixed mapping:
     3  LLM transport or response-format failure
     4  every EMR in a generate batch failed to parse
     5  at least one Fail verdict
-    6  SUT adapter failure
+    6  at least one Error entry: a pair that raised (a SUT adapter failure,
+       a runtime error, a stub that raised) or an EMR that failed validation
     7  EMRs not executable (unbound stub functions)
 """
 
@@ -73,7 +74,7 @@ EXIT_INPUT = 2
 EXIT_LLM = 3
 EXIT_ALL_FAILED = 4
 EXIT_FAILURES = 5
-EXIT_ADAPTER = 6
+EXIT_ERRORS = 6
 EXIT_NOT_EXECUTABLE = 7
 
 
@@ -84,12 +85,13 @@ class CliError(Exception):
 
 
 # What reading and decoding an input file raises when the file is missing,
-# unreadable or not in the expected format. A well-formed document of the
-# wrong shape fails in the code that indexes into it, hence the last three.
+# unreadable or not in the expected format (``json`` raises RecursionError
+# on a document nested too deep). A well-formed document of the wrong shape
+# fails in the code that indexes into it, hence the last three.
 _SHAPE_ERRORS = (LookupError, TypeError, AttributeError)
 _INPUT_ERRORS = (
-    OSError, ValueError, DslError, SchemaError, AnnotationError, SurveyError, UnsupportedFormat, TemplateError,
-    *_SHAPE_ERRORS,
+    OSError, ValueError, RecursionError, DslError, SchemaError, AnnotationError, SurveyError, UnsupportedFormat,
+    TemplateError, *_SHAPE_ERRORS,
 )
 
 
@@ -119,8 +121,6 @@ class ToolConfig:
     fewshot: str = str(fixture_path("fewshot.json"))
     out_dir: str = "out"
     turn_budget: int = 12000
-    max_mrs_per_document: int = 0  # 0: leave the count to the model
-    merge_duplicate_mrs: bool = True
     sut: str = "mock"
     stubs_module: str = "emrkit.shopstubs"
 
@@ -220,7 +220,6 @@ def cmd_derive(args: argparse.Namespace, config: ToolConfig) -> int:
                 templates,
                 config=config.conversation_config(),
                 turn_budget=config.turn_budget,
-                max_mrs=config.max_mrs_per_document or None,
             )
         except (LlmTransport, MissingScript, ResponseFormatError) as exc:
             raise CliError(f"derivation failed for {doc_path}: {exc}", EXIT_LLM)
@@ -232,10 +231,9 @@ def cmd_derive(args: argparse.Namespace, config: ToolConfig) -> int:
         if not result.mrs and not args.allow_empty:
             raise CliError(f"no MRs derived from {doc_path} (use --allow-empty to accept)", EXIT_LLM)
         all_mrs.extend(result.mrs)
-    if config.merge_duplicate_mrs:
-        all_mrs, dropped = dedupe_mrs(all_mrs)
-        if dropped:
-            print(f"merged {dropped} duplicate MR(s)")
+    all_mrs, dropped = dedupe_mrs(all_mrs)
+    if dropped:
+        print(f"merged {dropped} duplicate MR(s)")
     try:
         save_mr_catalog(all_mrs, out / "mrs.json")
     except OSError as exc:
@@ -408,7 +406,7 @@ def cmd_run(args: argparse.Namespace, config: ToolConfig) -> int:
         print(f"not executable; unbound stubs: {', '.join(unbound)}", file=sys.stderr)
         return EXIT_NOT_EXECUTABLE
     if report.has_errors:
-        return EXIT_ADAPTER
+        return EXIT_ERRORS
     if report.has_failures:
         return EXIT_FAILURES
     return EXIT_OK

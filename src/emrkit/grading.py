@@ -153,14 +153,9 @@ def save_annotations(annotations: Iterable[StatementAnnotation], path: str | Pat
     jsonl.rewrite(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _percent_half_up(count: int, denominator: int) -> float:
-    value = Decimal(count * 100) / Decimal(denominator)
-    return float(value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
-
-
-def _percent_floor(count: int, denominator: int) -> float:
-    value = Decimal(count * 100) / Decimal(denominator)
-    return float(value.quantize(Decimal("0.1"), rounding=ROUND_FLOOR))
+def _percent(count: int, denominator: int, quantum: str = "0.1", rounding: str = ROUND_HALF_UP) -> Decimal:
+    """``count`` as a percentage of ``denominator``, rounded to ``quantum``."""
+    return (Decimal(count * 100) / Decimal(denominator)).quantize(Decimal(quantum), rounding=rounding)
 
 
 @dataclass
@@ -217,14 +212,15 @@ def summarize_annotations(
     if statement_count == 0:
         percentages = {label: 0.0 for label in LABELS}
     else:
-        percentages = {label: _percent_half_up(counts[label], statement_count) for label in LABELS}
+        percentages = {label: float(_percent(counts[label], statement_count)) for label in LABELS}
     return DistributionReport(
         statement_count=statement_count,
         label_counts=counts,
         label_percentages=percentages,
         label_count=label_count,
         correct_statement_count=correct,
-        correct_rate_percent=_percent_floor(correct, statement_count) if statement_count else 0.0,
+        correct_rate_percent=(float(_percent(correct, statement_count, rounding=ROUND_FLOOR))
+                              if statement_count else 0.0),
     )
 
 
@@ -292,8 +288,7 @@ class SurveyReport:
         total = self.responses_for(statement)
         if total == 0:
             return None
-        value = Decimal(self.positive_count(statement) * 100) / Decimal(total)
-        return int(value.quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+        return int(_percent(self.positive_count(statement), total, "1"))
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {}

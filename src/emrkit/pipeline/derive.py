@@ -136,13 +136,9 @@ def derive_mrs(
     templates: DeriveTemplates | None = None,
     config: dict[str, Any] | None = None,
     turn_budget: int = 12000,
-    max_mrs: int | None = None,
 ) -> DeriveResult:
-    """Run the four-phase derivation conversation for one document.
-
-    ``max_mrs`` caps how many MRs phase 4 asks for; by default the count is
-    left to the model and the caller just gets whatever comes back.
-    """
+    """Run the four-phase derivation conversation for one document; how
+    many MRs phase 4 returns is left to the model."""
     t = templates or DeriveTemplates.load()
     conversation = Conversation("derive", document.doc_id, config=conversation_config(config))
 
@@ -159,10 +155,7 @@ def derive_mrs(
     if not sentences.strip():
         return DeriveResult([], conversation)
 
-    request = t.mrs.render()
-    if max_mrs is not None and max_mrs > 0:
-        request += f"\nDerive at most {max_mrs} MRs."
-    response = run_turn(conversation, client, store, t.mrs, request)
+    response = run_turn(conversation, client, store, t.mrs, t.mrs.render())
     mrs, warnings = parse_mr_list(response, document)
     if not mrs and response.strip():
         raise ResponseFormatError("phase-4 response contains no items in the required MR list format", response)

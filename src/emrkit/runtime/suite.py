@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..dsl.ast import EmrAst
-from .errors import AdapterFailure
+from .errors import AdapterFailure, EvalError
 from .evaluate import SessionFactory, compile_emr
-from .values import ActionSequence, StubBindings, Verdict, VerdictValue
+from .values import ActionSequence, PositionOutOfRange, StubBindings, Verdict, VerdictValue
 
 VERDICT_ORDER = [v.value for v in VerdictValue] + ["Error"]
 
@@ -119,7 +119,8 @@ def run_suite(
     """Evaluate every (EMR, input) pair sequentially and in order.
 
     Each EMR is validated and compiled once per call, not once per pair.
-    Adapter failures are recorded per pair and never abort the suite.
+    Nothing a pair raises aborts the suite: it becomes that pair's Error
+    entry, and an EMR that fails validation gives one per input.
     """
     names = list(input_names) if input_names else [f"input{i + 1}" for i in range(len(inputs))]
     report = SuiteReport()
@@ -127,11 +128,24 @@ def run_suite(
         return report
     stubs = dict(stubs or {})
     for ast in emrs:
-        program = compile_emr(ast, stubs)
+        try:
+            program = compile_emr(ast, stubs)
+        except Exception as exc:
+            error = _error_message(exc)
+            report.entries += [SuiteEntry(ast.id, i, names[i], None, error=error) for i in range(len(inputs))]
+            continue
         for i, source in enumerate(inputs):
             try:
-                verdict = program(source, session_factory)
-                report.entries.append(SuiteEntry(ast.id, i, names[i], verdict))
-            except AdapterFailure as exc:
-                report.entries.append(SuiteEntry(ast.id, i, names[i], None, error=str(exc)))
+                entry = SuiteEntry(ast.id, i, names[i], program(source, session_factory))
+            except Exception as exc:
+                entry = SuiteEntry(ast.id, i, names[i], None, error=_error_message(exc))
+            report.entries.append(entry)
     return report
+
+
+def _error_message(exc: Exception) -> str:
+    """An Error entry's text: the message of emrkit's own errors; the class
+    and the message of anything else (a stub that raised, say)."""
+    if isinstance(exc, (EvalError, AdapterFailure, PositionOutOfRange)):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"

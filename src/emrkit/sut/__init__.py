@@ -2,7 +2,7 @@
 
 from .cassette import Cassette, CassetteExhausted, FingerprintMismatch, fingerprint, record_replay
 from .catalog import EMPTY_CATALOG, ApiCatalog, ApiEntry, SchemaError, load_api_catalog
-from .live import AdapterConfig, LiveHttpSession, LiveHttpSut, TransportError
+from .live import AdapterConfig, LiveHttpSut, TransportError
 from .mockshop import FAULTS, ITEMS, MockShopSession, MockShopSut, matches_filters
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "FAULTS",
     "FingerprintMismatch",
     "ITEMS",
-    "LiveHttpSession",
     "LiveHttpSut",
     "MockShopSession",
     "MockShopSut",

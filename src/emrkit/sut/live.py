@@ -67,9 +67,19 @@ def _to_output(status_code: int, body: bytes) -> Output:
 
 
 @dataclass
-class LiveHttpSession:
+class LiveHttpSut:
+    """A live SUT keeps no session state of its own, so it is its own
+    session factory: every session is the SUT itself."""
+
     config: AdapterConfig
     timeout: float = 10.0
+
+    @classmethod
+    def from_config_file(cls, path: str | Path) -> "LiveHttpSut":
+        return cls(AdapterConfig.load(path))
+
+    def __call__(self) -> "LiveHttpSut":
+        return self
 
     def execute(self, action: Action) -> Output:
         # Imported here: urllib.request loads http.client, ssl and email,
@@ -99,19 +109,3 @@ class LiveHttpSession:
         except (urllib.error.URLError, OSError) as exc:
             raise TransportError(f"{method} {url} failed: {exc}") from exc
         return output
-
-
-@dataclass
-class LiveHttpSut:
-    config: AdapterConfig
-    timeout: float = 10.0
-
-    @classmethod
-    def from_config_file(cls, path: str | Path, timeout: float = 10.0) -> "LiveHttpSut":
-        return cls(AdapterConfig.load(path), timeout)
-
-    def session(self) -> LiveHttpSession:
-        return LiveHttpSession(self.config, self.timeout)
-
-    def __call__(self) -> LiveHttpSession:
-        return self.session()

@@ -72,3 +72,17 @@ def test_bench_layers_writes_the_front_end_rows(layer_rows, name):
     paired = row["paired_against_over_this"]
     assert set(paired) == {"bundled", "2", "4"}
     assert set(paired["bundled"]["cpu_us"]) == QUARTILES and set(paired["4"]["cpu_ms"]) == QUARTILES
+
+
+@pytest.mark.parametrize("config", ["mock", "mock:ignore-filter", "mock:off-by-one-pagination", "mock:stale-results"])
+def test_bench_layers_writes_the_run_suite_rows(layer_rows, config):
+    row = layer_rows[f"run_suite:{config}"]
+    assert row["n"] == [2, 4] and row["rounds"] == 3 and set(row["commits"]) == {"this", "against"}
+    assert config in row["what"]
+    for version in ("this", "against"):
+        stats = [row[version]["bundled"]["cpu_ms"], *(row[version]["by_n"][n]["cpu_ms"] for n in ("2", "4"))]
+        assert all(set(s) == QUARTILES and 0 < s["q1"] <= s["median"] <= s["q3"] for s in stats)
+        assert set(row[version]["loglog_slope"]) == {"cpu_ms"}
+    paired = row["paired_against_over_this"]
+    assert set(paired) == {"bundled", "2", "4"}
+    assert all(set(paired[case]["cpu_ms"]) == QUARTILES for case in paired)

@@ -206,6 +206,78 @@ def test_run_adapter_failure_exits_six(tmp_path):
     assert code == 6
 
 
+def nested_input(depth: int) -> list:
+    value: object = 0
+    for _ in range(depth):
+        value = [value]
+    return [{"kind": "search", "parameters": {"query": "chair", "deep": value}}]
+
+
+# Each case used to end `emrkit run` in a traceback: (an EMR run next to
+# search_filter, or an input added to the bundled ones; how the message of
+# each Error entry it gives begins). ``boom`` is a stub that raises.
+BAD_PAIRS = {
+    "invalid-emr": ("MR {{ NOT(true, false); }}", None,
+                    "EMR 'bad' has validation errors: NOT expects 1 argument (line 1)"),
+    "unbound-identifier": ("MR {{ var y = zz; y; }}", None, "unbound identifier 'zz'"),
+    "unknown-method": ("MR {{ Input(1).foo(); }}", None, "method 'foo' is not defined on Input(1)"),
+    "position-out-of-range": ("MR {{ var x = Output(Input(1), 7); }}", None, "position 7 out of range"),
+    "stub-raised": ("MR {{ IMPLIES(boom(), true); }}", None, "ZeroDivisionError: "),
+    "nested-input": (None, nested_input(600), "RecursionError: maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PAIRS.values(), ids=BAD_PAIRS.keys())
+def test_a_bad_pair_is_an_error_entry_and_exit_six(tmp_path, capsys, monkeypatch, case):
+    source, extra_input, message = case
+    (tmp_path / "boom_stubs.py").write_text("from emrkit.shopstubs import STUBS as SHOP\n"
+                                           "STUBS = {**SHOP, 'boom': lambda: 1 // 0}\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "boom_stubs", raising=False)
+    emrs, inputs = tmp_path / "emrs", tmp_path / "inputs"
+    emrs.mkdir()
+    inputs.mkdir()
+    (emrs / "search_filter.smrl").write_text(Path(FIG4).read_text())
+    for path in Path(INPUTS).glob("*.json"):
+        (inputs / path.name).write_text(path.read_text())
+    if source is not None:
+        (emrs / "bad.smrl").write_text(source + "\n")
+    if extra_input is not None:
+        (inputs / "bad.json").write_text(json.dumps(extra_input))
+
+    def results(out: Path, *argv) -> tuple[int, list[dict]]:
+        code = run("--out", out, "run", *argv, "--sut", "mock", "--stubs", "boom_stubs")
+        printed, err = capsys.readouterr()
+        assert "Traceback" not in printed + err
+        entries = json.loads((out / "report.json").read_text())["results"]
+        return code, [{k: v for k, v in e.items() if k != "input_index"} for e in entries]
+
+    code, entries = results(tmp_path / "out", emrs, "--inputs", inputs)
+    assert code == 6
+    bad = [e for e in entries if "bad" in (e["emr"], e["input"])]
+    assert [e for e in entries if e["outcome"] == "Error"] == bad and len(bad) == (5 if source else 1)
+    assert all(e["error"].startswith(message) for e in bad)
+    assert [e for e in entries if e not in bad] == results(tmp_path / "alone", FIG4, "--inputs", INPUTS)[1]
+
+
+# JSON nested deeper than the decoder's recursion limit, read through each
+# way a JSON file reaches `emrkit run`.
+@pytest.mark.parametrize("where", ["--inputs", "--config", "--sut replay:"])
+def test_too_deeply_nested_json_exits_two_naming_the_file(tmp_path, capsys, where):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "\n")
+    argv = ["--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS]
+    if where == "--inputs":
+        argv[-1] = deep
+    elif where == "--config":
+        argv = ["--config", deep, *argv]
+    else:
+        argv += ["--sut", f"replay:{deep}"]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{deep}: maximum recursion depth exceeded" in err and "Traceback" not in err
+
+
 def broken_smrl(tmp_path: Path) -> Path:
     emr_dir = tmp_path / "emrs"
     emr_dir.mkdir()
@@ -511,7 +583,6 @@ def test_config_file_overrides_and_flags_win(tmp_path, capsys):
     ('{"sut": 5}', "'sut' in config"),
     ('{"mock": "false"}', "'mock' in config"),
     ('{"turn_budget": true}', "'turn_budget' in config"),
-    ('{"max_mrs_per_document": 2.7}', "'max_mrs_per_document' in config"),
     ('{"templates_dir": 5}', "'templates_dir' in config"),
 ])
 def test_bad_config_exits_two(tmp_path, capsys, document, named):
@@ -520,6 +591,15 @@ def test_bad_config_exits_two(tmp_path, capsys, document, named):
     assert run("--config", config, "show-config") == 2
     err = capsys.readouterr().err
     assert named in err and str(config) in err
+
+
+def test_a_config_naming_a_retired_key_still_loads(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_mrs_per_document": 3, "merge_duplicate_mrs": False, "turn_budget": 500}))
+    assert run("--config", config, "show-config") == 0
+    resolved = json.loads(capsys.readouterr().out)
+    assert resolved["turn_budget"] == 500
+    assert "max_mrs_per_document" not in resolved and "merge_duplicate_mrs" not in resolved
 
 
 def test_config_values_keep_their_types(tmp_path, capsys):

@@ -176,25 +176,6 @@ def test_unparseable_mr_list_raises_format_error(shop_doc):
         derive_mrs(shop_doc, client)
 
 
-def test_max_mrs_appends_cap_to_phase4_request(shop_doc):
-    seen = {}
-
-    class CapturingClient:
-        def complete(self, conversation):
-            message = conversation.last_user_message()
-            if message.phase == 2:
-                return "summary"
-            if message.phase == 3:
-                return R1
-            if message.phase == 4:
-                seen["request"] = message.content
-                return f'1. MR: {MR1}\n   SOURCE: "{R1}"\n   REQ: R1'
-            return "ok"
-
-    derive_mrs(shop_doc, CapturingClient(), max_mrs=5)
-    assert "at most 5 MRs" in seen["request"]
-
-
 def test_dedupe_mrs_drops_textual_repeats(shop_doc):
     from emrkit.pipeline import MetamorphicRelation, dedupe_mrs
 

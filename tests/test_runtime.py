@@ -323,3 +323,10 @@ def test_missing_stub_raises_only_when_reached():
     with pytest.raises(MissingStub) as info:
         eval_bool(expr_of("OR(false, nope())"))
     assert str(info.value) == "no binding for stub function 'nope'"
+
+
+def test_the_runtime_methods_are_the_ones_validate_accepts():
+    from emrkit.dsl.validate import RUNTIME_METHODS
+    from emrkit.runtime.evaluate import _METHODS
+
+    assert set(_METHODS) == RUNTIME_METHODS

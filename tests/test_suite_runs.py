@@ -73,11 +73,15 @@ def test_each_emr_is_validated_once_per_run(suite_asts, shop_inputs, monkeypatch
 
     monkeypatch.setattr(evaluate, "validate", counting_validate)
     unbound = parse_emr("MR {{ IMPLIES(mystery(), true); }}", "unbound")
-    emrs = [*suite_asts, unbound]
+    invalid = parse_emr("MR {{ NOT(true, false); }}", "invalid")
+    emrs = [*suite_asts, unbound, invalid]
     report = run_suite(emrs, shop_inputs, MockShopSut(), STUBS)
     assert calls == [ast.id for ast in emrs]
     assert report.counts_for("unbound") == {"NotExecutable": len(shop_inputs)}
     assert all(e.verdict.stubs == ["mystery"] for e in report.entries if e.emr_id == "unbound")
+    assert report.counts_for("invalid") == {"Error": len(shop_inputs)}
+    assert {e.error for e in report.entries if e.emr_id == "invalid"} == {
+        "EMR 'invalid' has validation errors: NOT expects 1 argument (line 1)"}
 
 
 def test_a_mutating_stub_cannot_reach_the_catalog_the_caller_or_a_later_pair():

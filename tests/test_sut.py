@@ -407,7 +407,7 @@ def live_server():
 def test_live_adapter_maps_actions_to_endpoints(live_server):
     config = AdapterConfig(live_server, {"search": {"path": "/search", "method": "GET"},
                                          "login": {"path": "/login", "method": "POST"}})
-    session = LiveHttpSut(config).session()
+    session = LiveHttpSut(config)()
     output = session.execute(search(query="chair"))
     assert output.status == "ok" and output.summary_size == 1
     login = session.execute(Action(1, "login", {"user": "ada"}))
@@ -417,13 +417,13 @@ def test_live_adapter_maps_actions_to_endpoints(live_server):
 def test_live_adapter_unknown_kind(live_server):
     config = AdapterConfig(live_server, {"search": {"path": "/search", "method": "GET"}})
     with pytest.raises(AdapterFailure):
-        LiveHttpSut(config).session().execute(Action(0, "purchase", {}))
+        LiveHttpSut(config).execute(Action(0, "purchase", {}))
 
 
 def test_live_adapter_transport_error():
     config = AdapterConfig("http://127.0.0.1:1", {"search": {"path": "/s", "method": "GET"}})
     with pytest.raises(TransportError):
-        LiveHttpSut(config, timeout=0.3).session().execute(search(query="x"))
+        LiveHttpSut(config, timeout=0.3).execute(search(query="x"))
 
 
 def test_live_recorded_then_replayed(live_server, tmp_path):

@@ -10,8 +10,8 @@ flushed to disk (``fsync``, untimed), as the benchmark's steps start after
 ``os.sync()``: rewriting a file whose blocks are on disk is what a rerun
 pays for. Timed in wall-clock and in thread-CPU milliseconds per round.
 
-The front-end rows time one DSL layer each, in thread-CPU time (which leaves
-out the time the machine gives to other processes):
+The other rows are timed in thread-CPU time, which leaves out the time the
+machine gives to other processes. The front-end rows time one DSL layer each:
 
 - ``scan``: ``dsl.tokens.scan`` on the source;
 - ``parse_emr``: the whole parse, comment attachment included;
@@ -27,6 +27,15 @@ Each runs on the 13 bundled EMRs (``bundled``: microseconds per EMR of one
 round over all of them) and on one ``tests/astgen.py`` ``long_emr`` of n
 statements with a trailing comment on every line (``by_n``: milliseconds
 per call). Layers after the parse get the ASTs their own checkout parsed.
+
+The ``run_suite:CONFIG`` rows time ``runtime.run_suite`` with
+``emrkit.shopstubs`` against the mock shop in ``CONFIG`` (``mock`` and each
+of its faults), on the 13 EMRs of the benchmark's ``suite-run`` workload
+(``bench/workloads.py``) and input sequences drawn as it draws them, with
+seed 1. ``bundled``: its 64 inputs in 4 chunks, each chunk against a fresh
+``MockShopSut``, as one ``emrkit run`` step runs them (milliseconds per
+round of the 4 chunks); ``by_n``: n inputs in one call against a fresh
+``MockShopSut`` (milliseconds per call).
 
 Every row records, per n, the median with the quartiles of each clock, and
 the log-log slope of the median over n (1.0 is linear, 2.0 quadratic).
@@ -51,33 +60,34 @@ import importlib
 import json
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 from types import ModuleType
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
-from workloads import inject_amp_defect  # noqa: E402
+from workloads import CHUNKS, SIZES, SUT_CONFIGS, emr_sources, inject_amp_defect, make_inputs  # noqa: E402
 
-FRONTEND = ("scan", "parse_emr", "layout", "canonical_units", "validate", "repair")
-ROWS = ("write", *FRONTEND)
 MAX_SLOPE = 1.3
+SEED = 1  # of the run_suite rows' input sequences
 
+Modules = dict[str, ModuleType]
 Sampler = Callable[[], dict[str, float]]
 
 
-def load_emrkit(src: str) -> dict[str, ModuleType]:
+def load_emrkit(src: str) -> Modules:
     """The ``emrkit`` modules the rows call, imported from ``src``."""
     for name in [m for m in sys.modules if m == "emrkit" or m.startswith("emrkit.")]:
         del sys.modules[name]
     sys.path.insert(0, src)
     try:
         importlib.invalidate_caches()
-        names = ("cli", "resources", "dsl", "dsl.tokens", "dsl.printer")
+        names = ("cli", "resources", "dsl", "dsl.tokens", "dsl.printer", "runtime", "shopstubs", "sut")
         return {name: importlib.import_module(f"emrkit.{name}") for name in names}
     finally:
         sys.path.remove(src)
@@ -112,7 +122,21 @@ def fixture_texts(resources: ModuleType) -> list[str]:
     return [path.read_text(encoding="utf-8") for path in paths]
 
 
-def write_sampler(modules: dict[str, ModuleType], directory: Path, n: int) -> Sampler:
+def timed(fn: Callable[[Any], Any], items: list[Any], clock: str) -> Sampler:
+    """One round calls ``fn`` once on each item; the sample is the mean per
+    item in ``clock``'s unit (us or ms)."""
+    scale = len(items) * (1e3 if clock == "cpu_us" else 1e6)
+
+    def sample() -> dict[str, float]:
+        start = time.thread_time_ns()
+        for item in items:
+            fn(item)
+        return {clock: (time.thread_time_ns() - start) / scale}
+
+    return sample
+
+
+def write_sampler(modules: Modules, n: int, directory: Path) -> Sampler:
     """One round rewrites n output files of one checkout."""
     write = modules["cli"]._write
     texts = fixture_texts(modules["resources"])
@@ -135,29 +159,66 @@ def write_sampler(modules: dict[str, ModuleType], directory: Path, n: int) -> Sa
     return sample
 
 
-def frontend_sampler(modules: dict[str, ModuleType], layer: str, sources: list[str], clock: str) -> Sampler:
-    """One round runs ``layer`` of one checkout once on each source; the
-    sample is the mean per source in ``clock``'s unit (us or ms)."""
-    dsl = modules["dsl"]
-    if layer == "scan":
-        fn, items = modules["dsl.tokens"].scan, sources
-    elif layer == "parse_emr":
-        fn, items = dsl.parse_emr, sources
-    elif layer == "repair":
-        fn, items = dsl.repair, [inject_amp_defect(s) or s for s in sources]
-    else:
-        fn = {"layout": modules["dsl.printer"].layout, "canonical_units": dsl.canonical_units,
-              "validate": dsl.validate}[layer]
-        items = [dsl.parse_emr(s) for s in sources]
-    scale = len(items) * (1e3 if clock == "cpu_us" else 1e6)
+# Front-end layer -> (its function in a checkout, the argument it takes for a source).
+FRONTEND: dict[str, tuple[Callable[[Modules], Callable[[Any], Any]], Callable[[Modules, str], Any]]] = {
+    "scan": (lambda m: m["dsl.tokens"].scan, lambda m, source: source),
+    "parse_emr": (lambda m: m["dsl"].parse_emr, lambda m, source: source),
+    "layout": (lambda m: m["dsl.printer"].layout, lambda m, source: m["dsl"].parse_emr(source)),
+    "canonical_units": (lambda m: m["dsl"].canonical_units, lambda m, source: m["dsl"].parse_emr(source)),
+    "validate": (lambda m: m["dsl"].validate, lambda m, source: m["dsl"].parse_emr(source)),
+    "repair": (lambda m: m["dsl"].repair, lambda m, source: inject_amp_defect(source) or source),
+}
 
-    def sample() -> dict[str, float]:
-        start = time.thread_time_ns()
-        for item in items:
-            fn(item)
-        return {clock: (time.thread_time_ns() - start) / scale}
 
-    return sample
+def frontend_sampler(modules: Modules, layer: str, sources: list[str], clock: str) -> Sampler:
+    function, argument = FRONTEND[layer]
+    return timed(function(modules), [argument(modules, source) for source in sources], clock)
+
+
+def run_suite_sampler(modules: Modules, config: str, count: int, chunks: int) -> Sampler:
+    """One round runs the ``suite-run`` EMRs of one checkout on ``count``
+    seeded inputs, in ``chunks`` calls, each against a fresh mock shop."""
+    dsl, runtime, sut, stubs = modules["dsl"], modules["runtime"], modules["sut"], modules["shopstubs"].STUBS
+    asts = [dsl.parse_emr(text, emr_id) for emr_id, text in emr_sources(modules["resources"]).items()]
+    inputs = [runtime.ActionSequence.from_json(actions) for actions in make_inputs(random.Random(SEED), count)]
+    size = count // chunks
+    parts = [inputs[i * size : (i + 1) * size] for i in range(chunks)]
+    fault = config.partition(":")[2] or None
+
+    def run(parts: list[list[Any]]) -> None:
+        for part in parts:
+            runtime.run_suite(asts, part, sut.MockShopSut(fault), stubs)
+
+    return timed(run, [parts], "cpu_ms")
+
+
+class Row(NamedTuple):
+    what: str
+    by_n: Callable[[Modules, int, Path], Sampler]  # (checkout, n, its own scratch directory)
+    bundled: Callable[[Modules], Sampler] | None = None
+
+
+def frontend_row(layer: str) -> Row:
+    return Row(f"{layer} on the bundled EMRs (thread-CPU us per EMR) and on an n-statement long_emr "
+               "(thread-CPU ms per call)",
+               lambda m, n, _: frontend_sampler(m, layer, [long_emr(n)], "cpu_ms"),
+               lambda m: frontend_sampler(m, layer, fixture_texts(m["resources"]), "cpu_us"))
+
+
+def run_suite_row(config: str) -> Row:
+    count = SIZES["suite-run"]
+    return Row(f"run_suite with emrkit.shopstubs against {config}: the suite-run EMRs on its {count} inputs "
+               f"in {CHUNKS} calls (thread-CPU ms per round) and on n inputs in one call (thread-CPU ms per "
+               f"call); inputs seeded {SEED}",
+               lambda m, n, _: run_suite_sampler(m, config, n, 1),
+               lambda m: run_suite_sampler(m, config, count, CHUNKS))
+
+
+ROWS: dict[str, Row] = {
+    "write": Row("rewrite n existing output files through emrkit.cli._write; ms per round", write_sampler),
+    **{layer: frontend_row(layer) for layer in FRONTEND},
+    **{f"run_suite:{config}": run_suite_row(config) for config in SUT_CONFIGS},
+}
 
 
 def interleaved(samplers: dict[tuple[str, str], Sampler], rounds: int) -> dict[str, dict[str, dict[str, list[float]]]]:
@@ -189,19 +250,16 @@ def loglog_slope(sizes: list[int], medians: list[float]) -> float:
     return round(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs), 3)
 
 
-def measure(row: str, versions: dict[str, dict[str, ModuleType]], sizes: list[int], rounds: int,
+def measure(row: Row, versions: dict[str, Modules], sizes: list[int], rounds: int,
             directory: Path) -> dict[str, Any]:
     """The row's statistics per version and, with two versions, the paired ratios."""
     samplers: dict[tuple[str, str], Sampler] = {}
-    if row != "write":
+    if row.bundled is not None:
         for v, modules in versions.items():
-            samplers["bundled", v] = frontend_sampler(modules, row, fixture_texts(modules["resources"]), "cpu_us")
+            samplers["bundled", v] = row.bundled(modules)
     for n in sizes:
         for v, modules in versions.items():  # a case's versions run next to each other
-            if row == "write":
-                samplers[str(n), v] = write_sampler(modules, directory / f"{v}-n{n}", n)
-            else:
-                samplers[str(n), v] = frontend_sampler(modules, row, [long_emr(n)], "cpu_ms")
+            samplers[str(n), v] = row.by_n(modules, n, directory / f"{v}-n{n}")
     cases = interleaved(samplers, rounds)
     result: dict[str, Any] = {}
     for v in versions:
@@ -223,19 +281,18 @@ def measure(row: str, versions: dict[str, dict[str, ModuleType]], sizes: list[in
 
 
 def report(name: str, row: dict[str, Any]) -> None:
-    def cell(stats: dict[str, float], digits: int) -> str:
-        return f"{stats['median']:.{digits}f} [{stats['q1']:.{digits}f}-{stats['q3']:.{digits}f}]"
+    def cell(clocks: dict[str, dict[str, float]], digits: int, unit: bool = True) -> str:
+        clock, stats = next(iter(clocks.items()))  # wall-clock first where a row has it
+        text = f"{stats['median']:.{digits}f} [{stats['q1']:.{digits}f}-{stats['q3']:.{digits}f}]"
+        return text + (" " + clock.rpartition("_")[2] if unit else "x")
 
     for v in row["commits"]:
-        cells = [f"bundled {cell(row[v]['bundled']['cpu_us'], 1)} us"] if "bundled" in row[v] else []
-        for n, stats in row[v]["by_n"].items():
-            clock = "wall_ms" if "wall_ms" in stats else "cpu_ms"
-            cells.append(f"n={n} {cell(stats[clock], 2)} ms")
-        print(f"{name:<15} {v:<8} " + "   ".join(cells) + f"   slope {row[v]['loglog_slope']}")
+        cells = [f"bundled {cell(row[v]['bundled'], 1)}"] if "bundled" in row[v] else []
+        cells += [f"n={n} {cell(clocks, 2)}" for n, clocks in row[v]["by_n"].items()]
+        print(f"{name} {v}: " + "   ".join(cells) + f"   slope {row[v]['loglog_slope']}")
     if "paired_against_over_this" in row:
-        cells = [f"{case} {cell(ratios.get('wall_ms') or next(iter(ratios.values())), 3)}x"
-                 for case, ratios in row["paired_against_over_this"].items()]
-        print(f"{name:<15} against/this     " + "   ".join(cells))
+        cells = [f"{case} {cell(ratios, 3, unit=False)}" for case, ratios in row["paired_against_over_this"].items()]
+        print(f"{name} against/this: " + "   ".join(cells))
 
 
 def main() -> None:
@@ -259,13 +316,8 @@ def main() -> None:
     document = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     steep = []
     for name in args.rows:
-        if name == "write":
-            what = "rewrite n existing output files through emrkit.cli._write; ms per round"
-        else:
-            what = (f"{name} on the bundled EMRs (thread-CPU us per EMR) and on an n-statement long_emr "
-                    "(thread-CPU ms per call)")
-        row = {"what": what, "rounds": args.rounds, "n": args.sizes, "commits": commits,
-               **measure(name, versions, args.sizes, args.rounds, args.dir.resolve())}
+        row = {"what": ROWS[name].what, "rounds": args.rounds, "n": args.sizes, "commits": commits,
+               **measure(ROWS[name], versions, args.sizes, args.rounds, args.dir.resolve())}
         document.setdefault("rows", {})[name] = row
         report(name, row)
         steep += [f"{name} {clock} slope {s}" for clock, s in row["this"]["loglog_slope"].items() if s > MAX_SLOPE]
