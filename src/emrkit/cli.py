@@ -7,11 +7,13 @@ show-config. Exit codes form a fixed mapping:
     2  bad usage, an input file that cannot be read or understood, an
        output directory that is not one, or an output file that cannot be
        written; the message names the file (or the --config key)
-    3  LLM transport or response-format failure
+    3  a failed LLM conversation: any LlmError (transport, a missing mock
+       script, a reply in the wrong format)
     4  every EMR in a generate batch failed to parse
     5  at least one Fail verdict
     6  at least one Error entry: a pair that raised (a SUT adapter failure,
-       a runtime error, a stub that raised) or an EMR that failed validation
+       a runtime error, a stub that raised) or an EMR that failed validation;
+       report.txt lists each one's reason
     7  EMRs not executable (unbound stub functions)
 """
 
@@ -29,8 +31,6 @@ from typing import Any, Callable, Sequence
 from . import jsonl
 from .dsl import DslError, parse_emr, repair, validate
 from .grading import (
-    AnnotationError,
-    SurveyError,
     emr_size_stats,
     load_annotations,
     load_survey,
@@ -41,14 +41,9 @@ from .pipeline import (
     DeriveResult,
     LiveChatClient,
     LlmConfig,
-    LlmTransport,
-    MissingScript,
+    LlmError,
     MockChatClient,
-    ResponseFormatError,
-    TemplateError,
     TranscriptStore,
-    TranscriptWriteError,
-    UnsupportedFormat,
     dedupe_mrs,
     derive_mrs,
     generate_emrs,
@@ -64,7 +59,6 @@ from .sut import (
     EMPTY_CATALOG,
     LiveHttpSut,
     MockShopSut,
-    SchemaError,
     load_api_catalog,
     record_replay,
 )
@@ -85,14 +79,12 @@ class CliError(Exception):
 
 
 # What reading and decoding an input file raises when the file is missing,
-# unreadable or not in the expected format (``json`` raises RecursionError
-# on a document nested too deep). A well-formed document of the wrong shape
-# fails in the code that indexes into it, hence the last three.
+# unreadable or not in the expected format: every emrkit error for bad input
+# is a ValueError, and ``json`` raises RecursionError on a document nested
+# too deep. A well-formed document of the wrong shape fails in the code that
+# indexes into it, hence the last three.
 _SHAPE_ERRORS = (LookupError, TypeError, AttributeError)
-_INPUT_ERRORS = (
-    OSError, ValueError, RecursionError, DslError, SchemaError, AnnotationError, SurveyError, UnsupportedFormat,
-    TemplateError, *_SHAPE_ERRORS,
-)
+_INPUT_ERRORS = (OSError, ValueError, RecursionError, *_SHAPE_ERRORS)
 
 
 def _load(what: str, path: str | Path | None, loader: Callable[..., Any], *args: Any) -> Any:
@@ -165,6 +157,8 @@ def _read_config(path: str) -> ToolConfig:
     config = ToolConfig()
     _overlay(config.llm, llm_raw, "llm.")
     _overlay(config, raw, "")
+    if config.turn_budget < 1:
+        raise ValueError(f"'turn_budget' in config must be at least 1, not {config.turn_budget}")
     return config
 
 
@@ -221,10 +215,10 @@ def cmd_derive(args: argparse.Namespace, config: ToolConfig) -> int:
                 config=config.conversation_config(),
                 turn_budget=config.turn_budget,
             )
-        except (LlmTransport, MissingScript, ResponseFormatError) as exc:
+        except LlmError as exc:
             raise CliError(f"derivation failed for {doc_path}: {exc}", EXIT_LLM)
-        except TranscriptWriteError as exc:
-            raise CliError(str(exc))
+        except OSError as exc:
+            raise _cannot_write(store.directory, exc)
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         print(f"{document.name}: {len(result.mrs)} MR(s) derived")
@@ -262,10 +256,10 @@ def cmd_generate(args: argparse.Namespace, config: ToolConfig) -> int:
         result = generate_emrs(
             mrs, catalog, fewshot, client, store, templates, config=config.conversation_config()
         )
-    except (LlmTransport, MissingScript) as exc:
+    except LlmError as exc:
         raise CliError(f"generation failed: {exc}", EXIT_LLM)
-    except TranscriptWriteError as exc:
-        raise CliError(str(exc))
+    except OSError as exc:
+        raise _cannot_write(store.directory, exc)
     emr_dir = out / "emrs"
     ok_count = 0
     for item in result.items:
@@ -354,8 +348,9 @@ def _load_stubs(module_name: str):
         return {}
     try:
         module = importlib.import_module(module_name)
-    except ImportError as exc:
-        raise CliError(f"cannot import stubs module '{module_name}': {exc}")
+    except Exception as exc:  # not found, or the module raised while it ran
+        reason = exc if isinstance(exc, ImportError) else f"{type(exc).__name__}: {exc}"
+        raise CliError(f"cannot import stubs module '{module_name}': {reason}")
     stubs = getattr(module, "STUBS", None)
     if not isinstance(stubs, dict):
         raise CliError(f"stubs module '{module_name}' does not define a STUBS dict")
@@ -423,7 +418,10 @@ def cmd_grade(args: argparse.Namespace, config: ToolConfig) -> int:
     annotations = _load("annotations", args.annotations, load_annotations, emrs)
     if statement_count is None:
         statement_count = len(annotations)
-    report = summarize_annotations(annotations, statement_count)
+    try:
+        report = summarize_annotations(annotations, statement_count)
+    except ValueError as exc:  # --statements below the number of annotations
+        raise CliError(f"cannot grade {args.annotations}: {exc}")
     out = Path(config.out_dir)
     _write(out / "grade.json", _dump_json(report.to_json()), args.verbose)
     print(report.to_text())

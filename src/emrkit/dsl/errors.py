@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 
-class DslError(Exception):
+class DslError(ValueError):
     """Base class for lexer/parser errors, carrying a source location."""
 
     def __init__(self, message: str, line: int, column: int):

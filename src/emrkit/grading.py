@@ -28,24 +28,8 @@ LABELS = ("C", "CLC", "AI", "WS", "WI", "IE", "INE", "ITE", "ES", "ENO", "WAU", 
 CORRECT_LABELS = frozenset({"C", "CLC", "AI"})
 SIMPLE_LABELS = frozenset({"CLC", "WLC"})
 
-LABEL_DESCRIPTIONS = {
-    "CLC": "correct use of a language construct",
-    "C": "correct statement",
-    "AI": "valid alternative implementation",
-    "WLC": "misused language construct",
-    "WS": "wrong statement",
-    "WI": "does not implement its own explanation",
-    "IE": "invented function although an adequate API exists",
-    "INE": "invented function because no adequate API exists",
-    "ITE": "invented function that swallows too much logic",
-    "ES": "existing API called with swapped parameters",
-    "ENO": "existing API called in a non-object-oriented way",
-    "WAU": "misused a valid API",
-    "MISS": "missing instruction for the explained behavior",
-}
 
-
-class AnnotationError(Exception):
+class AnnotationError(ValueError):
     pass
 
 
@@ -231,7 +215,7 @@ POSITIVE_RATINGS = frozenset({"strongly agree", "agree"})
 SURVEY_STATEMENTS = ("S1", "S2", "S3", "S1E", "S2E", "S3E")
 
 
-class SurveyError(Exception):
+class SurveyError(ValueError):
     pass
 
 

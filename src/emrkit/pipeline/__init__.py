@@ -4,12 +4,13 @@ from .client import (
     ChatClient,
     LiveChatClient,
     LlmConfig,
+    LlmError,
     LlmTransport,
     MissingScript,
     MockChatClient,
     content_hash,
 )
-from .conversation import Conversation, Message, TranscriptStore, TranscriptWriteError, load_transcript, run_turn
+from .conversation import Conversation, Message, TranscriptStore, load_transcript, run_turn
 from .derive import (
     DeriveResult,
     MetamorphicRelation,
@@ -44,6 +45,7 @@ __all__ = [
     "GeneratedEmr",
     "LiveChatClient",
     "LlmConfig",
+    "LlmError",
     "LlmTransport",
     "Message",
     "MetamorphicRelation",
@@ -53,7 +55,6 @@ __all__ = [
     "ResponseFormatError",
     "TemplateError",
     "TranscriptStore",
-    "TranscriptWriteError",
     "UnsupportedFormat",
     "chunk_document",
     "content_hash",

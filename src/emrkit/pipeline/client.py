@@ -20,11 +20,15 @@ from typing import Protocol
 from .conversation import Conversation
 
 
-class LlmTransport(Exception):
+class LlmError(Exception):
+    """A conversation with the LLM failed: no reply, or one in the wrong format."""
+
+
+class LlmTransport(LlmError):
     """The chat endpoint could not produce a response (retries exhausted)."""
 
 
-class MissingScript(Exception):
+class MissingScript(LlmError):
     def __init__(self, pipeline: str, phase: int, content_hash: str):
         super().__init__(
             f"no scripted response for pipeline={pipeline!r} phase={phase} content_hash={content_hash}"

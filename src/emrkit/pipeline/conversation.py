@@ -56,10 +56,6 @@ class Conversation:
         return {"pipeline": self.pipeline, "ref": self.ref, "config": self.config}
 
 
-class TranscriptWriteError(Exception):
-    """A transcript file, or the directory that holds it, could not be created."""
-
-
 class TranscriptStore:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -72,20 +68,18 @@ class TranscriptStore:
     def write(self, conversation: Conversation) -> Path:
         """Append the messages of ``conversation`` not yet written. Its first
         write creates the file, or empties one left by another conversation
-        with the same name, and starts it with the header line."""
+        with the same name, and starts it with the header line. A failed
+        write raises its ``OSError``."""
         path = self.path_for(conversation)
         owner, written = self._written.get(path, (None, 0))
         if owner is conversation:
             jsonl.append(path, [m.to_json() for m in conversation.messages[written:]])
         else:
             records = [conversation.header(), *(m.to_json() for m in conversation.messages)]
-            try:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                # Truncate, not jsonl.rewrite: an interrupted in-place rewrite would
-                # leave whole stale lines after the new ones, and they would decode.
-                jsonl.append(path, records, truncate=True)
-            except OSError as exc:
-                raise TranscriptWriteError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+            self.directory.mkdir(parents=True, exist_ok=True)
+            # Truncate, not jsonl.rewrite: an interrupted in-place rewrite would
+            # leave whole stale lines after the new ones, and they would decode.
+            jsonl.append(path, records, truncate=True)
         self._written[path] = (conversation, len(conversation.messages))
         return path
 

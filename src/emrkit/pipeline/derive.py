@@ -17,13 +17,13 @@ from pathlib import Path
 from typing import Any
 
 from .. import jsonl
-from .client import ChatClient
+from .client import ChatClient, LlmError
 from .conversation import Conversation, TranscriptStore, run_turn
 from .ingest import Document, chunk_document
 from .templates import DeriveTemplates
 
 
-class ResponseFormatError(Exception):
+class ResponseFormatError(LlmError):
     def __init__(self, message: str, response: str):
         super().__init__(message)
         self.response = response

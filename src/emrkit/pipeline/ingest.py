@@ -9,7 +9,7 @@ from pathlib import Path
 TEXT_SUFFIXES = {".txt", ".md", ".markdown", ".rst", ""}
 
 
-class UnsupportedFormat(Exception):
+class UnsupportedFormat(ValueError):
     """The document is not plain text or markdown; the message is the reason."""
 
 

@@ -11,7 +11,7 @@ from ..resources import asset_path
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 
 
-class TemplateError(Exception):
+class TemplateError(ValueError):
     pass
 
 

@@ -106,6 +106,11 @@ class SuiteReport:
                     lines.append(
                         f"  {entry.emr_id} on {entry.input_name}: line {b.line} with {bound}"
                     )
+        errors = [e for e in self.entries if e.verdict is None]
+        if errors:
+            lines.append("")
+            lines.append("errors:")
+            lines.extend(f"  {e.emr_id} on {e.input_name}: {e.error}" for e in errors)
         return "\n".join(lines)
 
 

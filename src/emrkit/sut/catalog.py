@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 
-class SchemaError(Exception):
+class SchemaError(ValueError):
     def __init__(self, message: str, entry: Any = None):
         if entry is not None:
             message = f"{message}: {json.dumps(entry, sort_keys=True)[:200]}"

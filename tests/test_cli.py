@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -10,12 +11,21 @@ import pytest
 from astgen import NESTINGS, nested_emr
 from emrkit import jsonl
 from emrkit.cli import main
-from emrkit.dsl import parse_emr
+from emrkit.dsl import DslError, parse_emr
 from emrkit.dsl.parser import MAX_NESTING
+from emrkit.grading import AnnotationError, SurveyError
+from emrkit.pipeline import (
+    LlmError,
+    LlmTransport,
+    MissingScript,
+    ResponseFormatError,
+    TemplateError,
+    UnsupportedFormat,
+)
 from emrkit.resources import fixture_path
 from emrkit.runtime import ActionSequence, run_suite
 from emrkit.shopstubs import STUBS
-from emrkit.sut import MockShopSut
+from emrkit.sut import MockShopSut, SchemaError
 
 DOC = str(fixture_path("requirements_shop.md"))
 FIG4 = str(fixture_path("search_filter.smrl"))
@@ -30,6 +40,17 @@ def run(*argv) -> int:
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# The CLI maps an error to its exit code by base class alone: a ValueError
+# from reading an input is exit 2, an LlmError during a conversation exit 3.
+@pytest.mark.parametrize("cls, base", [
+    *((cls, ValueError) for cls in (DslError, SchemaError, AnnotationError, SurveyError, UnsupportedFormat,
+                                    TemplateError)),
+    *((cls, LlmError) for cls in (LlmTransport, MissingScript, ResponseFormatError)),
+], ids=lambda value: value.__name__)
+def test_each_error_family_shares_its_base(cls, base):
+    assert issubclass(cls, base)
 
 
 def test_derive_writes_catalog_and_transcript(tmp_path, capsys):
@@ -250,6 +271,12 @@ def test_a_bad_pair_is_an_error_entry_and_exit_six(tmp_path, capsys, monkeypatch
         printed, err = capsys.readouterr()
         assert "Traceback" not in printed + err
         entries = json.loads((out / "report.json").read_text())["results"]
+        # report.txt, which run also prints, gives each Error entry's reason.
+        text = (out / "report.txt").read_text()
+        reasons = [f"  {e['emr']} on {e['input']}: {e['error']}" for e in entries if e["outcome"] == "Error"]
+        assert printed == text and ("errors:" in text) == bool(reasons)
+        if reasons:
+            assert text.endswith("\nerrors:\n" + "".join(f"{r}\n" for r in reasons))
         return code, [{k: v for k, v in e.items() if k != "input_index"} for e in entries]
 
     code, entries = results(tmp_path / "out", emrs, "--inputs", inputs)
@@ -370,12 +397,28 @@ def test_out_that_is_not_a_directory_exits_two_before_any_work(tmp_path, capsys,
     ("transcripts", "file", ["--mock", "derive", DOC]),
     ("mrs.json", "directory", ["--mock", "derive", DOC]),
     ("grade.json", "directory", ["grade", ANNOTATIONS]),
-], ids=["run-report", "derive-transcripts", "derive-catalog", "grade"])
-def test_output_that_cannot_be_written_exits_two(tmp_path, capsys, blocked, kind, command):
+    ("derive", "full-disk", ["--mock", "derive", DOC]),
+    ("generate", "full-disk", ["--mock", "pipeline", DOC]),
+], ids=["run-report", "derive-transcripts", "derive-catalog", "grade", "derive-transcript-append",
+        "generate-transcript-append"])
+def test_output_that_cannot_be_written_exits_two(tmp_path, capsys, monkeypatch, blocked, kind, command):
     out = tmp_path / "out"
     out.mkdir()
     path = out / blocked
-    path.mkdir() if kind == "directory" else path.write_text("")
+    if kind == "full-disk":
+        # The disk fills up after the first write of a `blocked` transcript:
+        # its first plain append fails, and the OS names no file.
+        path = out / "transcripts"
+        append = jsonl.append
+
+        def append_until_full(target, records, truncate=False):
+            if not truncate and target.name.startswith(f"{blocked}-"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            append(target, records, truncate)
+
+        monkeypatch.setattr(jsonl, "append", append_until_full)
+    else:
+        path.mkdir() if kind == "directory" else path.write_text("")
     assert run("--out", out, *command) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
@@ -394,6 +437,21 @@ def test_non_utf8_smrl_exits_two(tmp_path, capsys, command):
     argv = [str(smrl) if a == "{smrl}" else a for a in command]
     assert run("--out", tmp_path / "out", *argv) == 2
     assert f"cannot read {smrl}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, reason", [
+    ("STUBS = {'x': undefined_name}\n", "NameError: name 'undefined_name' is not defined"),
+    ("STUBS = {\n", "SyntaxError: "),
+], ids=["name-error", "syntax-error"])
+def test_stubs_module_that_raises_on_import_exits_two(tmp_path, capsys, monkeypatch, source, reason):
+    (tmp_path / "raising_stubs.py").write_text(source)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "raising_stubs", raising=False)
+    argv = ["--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS, "--stubs", "raising_stubs"]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot import stubs module 'raising_stubs': {reason}")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_run_record_then_replay(tmp_path):
@@ -513,6 +571,14 @@ def test_grade_matches_reference_table(tmp_path, capsys):
     assert data["labels"]["CLC"]["count"] == 54
 
 
+@pytest.mark.parametrize("count", ["1", "-5"])
+def test_grade_statements_below_the_annotations_exits_two(tmp_path, capsys, count):
+    assert run("--out", tmp_path / "out", "grade", ANNOTATIONS, "--statements", count) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot grade {ANNOTATIONS}: statement count {count} is below the 136 annotated statements\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_grade_with_emrs_checks_lines_and_prints_sizes(tmp_path, capsys):
     suite_dir = tmp_path / "suite"
     suite_dir.mkdir()
@@ -584,6 +650,8 @@ def test_config_file_overrides_and_flags_win(tmp_path, capsys):
     ('{"mock": "false"}', "'mock' in config"),
     ('{"turn_budget": true}', "'turn_budget' in config"),
     ('{"templates_dir": 5}', "'templates_dir' in config"),
+    ('{"turn_budget": 0}', "'turn_budget' in config must be at least 1, not 0"),
+    ('{"turn_budget": -3}', "'turn_budget' in config must be at least 1, not -3"),
 ])
 def test_bad_config_exits_two(tmp_path, capsys, document, named):
     config = tmp_path / "config.json"
