@@ -192,7 +192,8 @@ def _write(path: Path, text: str, verbose: bool) -> None:
 
 
 def _dump_json(data: Any) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    # Compact: without ``indent``, json.dumps runs its C encoder.
+    return json.dumps(data, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 # --- subcommands --------------------------------------------------------------
@@ -241,6 +242,23 @@ def _load_catalog(path: str | None):
     return _load("API catalog", path, load_api_catalog) if path else EMPTY_CATALOG
 
 
+# The files generate writes for an MR: its EMR and three sidecars when the
+# reply parses, the rejected reply when it does not. Each outcome removes the
+# other's files, so a rerun into the same --out leaves no stale EMR to check
+# or run.
+_EMR_SUFFIXES = (".smrl", ".stubs.json", ".repairs.json", ".explanations.json")
+_REJECTED_SUFFIXES = (".rejected.txt",)
+
+
+def _remove(directory: Path, mr_id: str, suffixes: tuple[str, ...]) -> None:
+    for suffix in suffixes:
+        path = directory / f"{mr_id}{suffix}"
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise _cannot_write(path, exc)
+
+
 def cmd_generate(args: argparse.Namespace, config: ToolConfig) -> int:
     out = Path(config.out_dir)
     mrs = _load("MR catalog", args.mrs, load_mr_catalog)
@@ -266,6 +284,7 @@ def cmd_generate(args: argparse.Namespace, config: ToolConfig) -> int:
         print(f"{item.mr_id}: {item.status}")
         if item.status == "unparseable":
             _write(emr_dir / f"{item.mr_id}.rejected.txt", (item.source or "") + "\n", args.verbose)
+            _remove(emr_dir, item.mr_id, _EMR_SUFFIXES)
             continue
         ok_count += 1
         _write(emr_dir / f"{item.mr_id}.smrl", (item.source or "") + "\n", args.verbose)
@@ -276,6 +295,7 @@ def cmd_generate(args: argparse.Namespace, config: ToolConfig) -> int:
             args.verbose,
         )
         _write(emr_dir / f"{item.mr_id}.explanations.json", _dump_json(item.explanations), args.verbose)
+        _remove(emr_dir, item.mr_id, _REJECTED_SUFFIXES)
     if ok_count == 0:
         print("error: every EMR failed to parse", file=sys.stderr)
         return EXIT_ALL_FAILED
@@ -390,9 +410,7 @@ def cmd_run(args: argparse.Namespace, config: ToolConfig) -> int:
     factory = _session_factory(args.sut or config.sut, args.record)
     report = run_suite(emrs, inputs, factory, stubs, input_names=[p.stem for p in input_files])
     out = Path(config.out_dir)
-    # Compact: without ``indent``, json.dumps runs its C encoder.
-    report_json = json.dumps(report.to_json(), sort_keys=True, ensure_ascii=False) + "\n"
-    _write(out / "report.json", report_json, args.verbose)
+    _write(out / "report.json", _dump_json(report.to_json()), args.verbose)
     text = report.to_text()
     _write(out / "report.txt", text + "\n", args.verbose)
     print(text)
@@ -450,7 +468,7 @@ def cmd_pipeline(args: argparse.Namespace, config: ToolConfig) -> int:
 
 
 def cmd_show_config(args: argparse.Namespace, config: ToolConfig) -> int:
-    print(_dump_json(asdict(config)), end="")
+    print(json.dumps(asdict(config), indent=2, sort_keys=True, ensure_ascii=False))
     return EXIT_OK
 
 

@@ -79,6 +79,17 @@ def repair(source: str) -> tuple[str, RepairLog]:
     applied fix, in line order (fixes on one line from right to left).
     Idempotent; sources that don't lex are returned as-is.
     """
+    # Every fix rewrites a '&' lexeme. A source whose runs of '&' all have
+    # even length holds none (such a run lexes as '&&' pairs, or lies in a
+    # string or comment), so it needs no scan.
+    if "&" not in source.replace("&&", ""):
+        return source, RepairLog()
+    return _repair_scanned(source)
+
+
+def _repair_scanned(source: str) -> tuple[str, RepairLog]:
+    """``repair`` on a source that may hold a lone '&': scan it for the
+    '&' lexemes to rewrite."""
     log = RepairLog()
     try:
         lexemes, starts = scan(source)

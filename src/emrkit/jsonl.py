@@ -1,6 +1,7 @@
 """How emrkit writes files: append-only JSON Lines, and whole-file rewrites.
 
-Every append is one ``write`` of complete lines, so an interrupted run
+Every append writes complete lines at the end of the file, calling
+``write`` again for whatever a short write left over, so an interrupted run
 leaves at most a torn final line. No proper prefix of a JSON object is
 itself valid JSON, which is how the reader tells a torn line from a
 complete one whose file merely lacks the final newline.
@@ -17,17 +18,29 @@ import os
 from pathlib import Path
 from typing import Any, Iterable
 
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 _REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """``os.write`` until every byte of ``data`` is written: one call may
+    write fewer bytes than asked (after a signal, or on a nearly full disk)."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def append(path: Path, records: Iterable[Any], truncate: bool = False) -> None:
     """Write ``records`` at the end of ``path`` (created if missing, emptied
-    first with ``truncate``) in a single write."""
+    first with ``truncate``)."""
     data = "".join(
         json.dumps(r, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n" for r in records
     )
-    with open(path, "wb" if truncate else "ab", buffering=0) as f:
-        f.write(data.encode("utf-8"))
+    fd = os.open(path, _APPEND_FLAGS | (os.O_TRUNC if truncate else 0), 0o666)
+    try:
+        _write_all(fd, data.encode("utf-8"))
+    finally:
+        os.close(fd)
 
 
 def rewrite(path: str | Path, data: bytes) -> None:
@@ -41,9 +54,7 @@ def rewrite(path: str | Path, data: bytes) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(path, _REWRITE_FLAGS, 0o666)
     try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
+        _write_all(fd, data)
         os.ftruncate(fd, len(data))
     finally:
         os.close(fd)

@@ -2,10 +2,10 @@
 
 Six phases: (1) context, (2) the DSL construct notations, (3) the output
 template, (4) few-shot MR/EMR pairs, (5) the SUT's API docs, (6) one
-transform request per MR. Every response is parsed; one that does not
-parse is passed through the repair rules and parsed again. An EMR that
-still does not parse is recorded as such and the pipeline moves on to the
-next MR.
+transform request per MR. Every response is passed through the repair
+rules and then parsed once; a response that parses as it is has nothing
+for them to rewrite. An EMR that does not parse is recorded as such and the
+pipeline moves on to the next MR.
 """
 
 from __future__ import annotations
@@ -114,17 +114,12 @@ def generate_emrs(
     for mr in mrs:
         response = run_turn(conversation, client, store, t.transform, t.transform.render(mr=mr.text))
         raw_source = extract_emr_source(response)
-        repaired, log = raw_source, RepairLog()
+        # A source that parses has no lone '&', the only token the repair
+        # rules rewrite, so repairing first leaves every source that parses
+        # as it is and spares a defective reply a failed parse.
+        repaired, log = repair(raw_source)
         try:
-            try:
-                ast = parse_emr(raw_source, mr.id)
-            except DslError:
-                # A source that parses has no lone '&', the only token the
-                # repair rules rewrite, so only a failed parse needs repair.
-                repaired, log = repair(raw_source)
-                if not log:
-                    raise
-                ast = parse_emr(repaired, mr.id)
+            ast = parse_emr(repaired, mr.id)
         except DslError as exc:
             items.append(
                 GeneratedEmr(mr.id, "unparseable", source=raw_source, repair_log=log, error=str(exc))

@@ -99,6 +99,45 @@ def injections() -> list[tuple[str, str]]:
     return cases
 
 
+# Sources around a lone '&' that the bundled EMRs lack: '&' in a string
+# literal and in a comment, with and without a WLC-AMP defect beside it,
+# '&&&', a lone '&' outside IMPLIES, a defect in a source that does not lex,
+# and sources that do not parse whatever repair does.
+AMP_CORNERS = {
+    "string-amp": 'MR {{ var s = "a & b"; IMPLIES(p(s), q()); }}',
+    "string-amp-and-defect": 'MR {{ IMPLIES(p("a & b") & q()); }}',
+    "comment-amp": "MR {{\n    IMPLIES(p(), q()); // p & q\n}}",
+    "comment-amp-and-defect": "MR {{\n    IMPLIES(p() & // p & q\n        q());\n}}",
+    "triple-amp-in-implies": "MR {{ IMPLIES(p() &&& q()); }}",
+    "triple-amp": "MR {{ var x = a &&& b; }}",
+    "lone-amp-outside-implies": "MR {{ var x = f(a & b); }}",
+    "unlexable-defect": "MR {{ IMPLIES(a() & b()) @@@ }}",
+    "prose": "not an EMR at all",
+    "bad-digit": "MR {{ var x = ²; }}",
+    "pairs-only": "MR {{ a && }}",
+}
+
+
+def first_implies_amp(source: str) -> str:
+    """``source`` with the comma splitting its first IMPLIES replaced by ' &'."""
+    depth = 0
+    for at in range(source.index("IMPLIES("), len(source)):
+        char = source[at]
+        depth += (char == "(") - (char == ")")
+        if char == "," and depth == 1:
+            return source[:at] + " &" + source[at + 1 :]
+    raise ValueError("the first IMPLIES has no comma")
+
+
+def amp_cases() -> list[tuple[str, str]]:
+    """(case id, source) pairs: each bundled EMR as it is and with the WLC-AMP
+    defect in its first IMPLIES, then ``AMP_CORNERS``."""
+    cases = []
+    for name, source in bundled_sources():
+        cases += [(name, source), (f"{name}-amp", first_implies_amp(source))]
+    return cases + list(AMP_CORNERS.items())
+
+
 def outcome(source: str) -> str:
     """Everything the front end makes of ``source``, as text."""
     try:

@@ -74,11 +74,10 @@ def test_bench_layers_writes_the_front_end_rows(layer_rows, name):
     assert set(paired["bundled"]["cpu_us"]) == QUARTILES and set(paired["4"]["cpu_ms"]) == QUARTILES
 
 
-@pytest.mark.parametrize("config", ["mock", "mock:ignore-filter", "mock:off-by-one-pagination", "mock:stale-results"])
-def test_bench_layers_writes_the_run_suite_rows(layer_rows, config):
-    row = layer_rows[f"run_suite:{config}"]
+def check_cpu_ms_row(row, what):
+    """A row timed in thread-CPU ms on ``bundled`` and at n = 2/4, paired."""
     assert row["n"] == [2, 4] and row["rounds"] == 3 and set(row["commits"]) == {"this", "against"}
-    assert config in row["what"]
+    assert what in row["what"]
     for version in ("this", "against"):
         stats = [row[version]["bundled"]["cpu_ms"], *(row[version]["by_n"][n]["cpu_ms"] for n in ("2", "4"))]
         assert all(set(s) == QUARTILES and 0 < s["q1"] <= s["median"] <= s["q3"] for s in stats)
@@ -86,3 +85,12 @@ def test_bench_layers_writes_the_run_suite_rows(layer_rows, config):
     paired = row["paired_against_over_this"]
     assert set(paired) == {"bundled", "2", "4"}
     assert all(set(paired[case]["cpu_ms"]) == QUARTILES for case in paired)
+
+
+@pytest.mark.parametrize("config", ["mock", "mock:ignore-filter", "mock:off-by-one-pagination", "mock:stale-results"])
+def test_bench_layers_writes_the_run_suite_rows(layer_rows, config):
+    check_cpu_ms_row(layer_rows[f"run_suite:{config}"], config)
+
+
+def test_bench_layers_writes_the_pipeline_row(layer_rows):
+    check_cpu_ms_row(layer_rows["pipeline"], "pipeline --mock")

@@ -513,6 +513,40 @@ def test_pipeline_records_a_too_deep_reply_as_unparseable(tmp_path, capsys):
     assert ": unparseable" in out and "every EMR failed to parse" in err and "Traceback" not in err
 
 
+def test_a_rerun_keeps_only_the_files_of_its_own_outcome(tmp_path, capsys):
+    out, emrs = tmp_path / "out", tmp_path / "out" / "emrs"
+    emrs.mkdir(parents=True)
+    (emrs / "other-mr09.smrl").write_text("MR {{ }}\n")  # an MR id no run here produces
+    scripts = json.loads(fixture_path("mock_scripts.json").read_text())
+    (reply,) = [s for s in scripts if s["pipeline"] == "generate" and s["phase"] == 6]
+    reply["response"] = "not an EMR at all"
+    (tmp_path / "rejected.json").write_text(json.dumps(scripts))
+    rejecting = tmp_path / "config.json"
+    rejecting.write_text(json.dumps({"mock": True, "mock_scripts": str(tmp_path / "rejected.json")}))
+
+    assert run("--mock", "--out", out, "pipeline", DOC) == 0
+    parsed = tree_bytes(emrs)
+    (smrl,) = [name for name in parsed if name.endswith("-mr01.smrl")]
+    mr_id = smrl.removesuffix(".smrl")
+    assert sorted(parsed) == sorted([f"{mr_id}{suffix}" for suffix in (
+        ".explanations.json", ".repairs.json", ".smrl", ".stubs.json")] + ["other-mr09.smrl"])
+    assert run("--config", rejecting, "--out", out, "pipeline", DOC) == 4
+    assert sorted(tree_bytes(emrs)) == [f"{mr_id}.rejected.txt", "other-mr09.smrl"]
+    assert run("check", emrs) == 0  # the rejected EMR is not checked
+    assert run("--mock", "--out", out, "pipeline", DOC) == 0
+    assert tree_bytes(emrs) == parsed
+
+    # Removing a stale file can fail like a write: exit 2, naming it.
+    assert run("--config", rejecting, "--out", out, "pipeline", DOC) == 4
+    (emrs / f"{mr_id}.rejected.txt").unlink()
+    (emrs / f"{mr_id}.rejected.txt").mkdir()
+    (emrs / f"{mr_id}.rejected.txt" / "x").write_text("")
+    capsys.readouterr()
+    assert run("--mock", "--out", out, "pipeline", DOC) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {emrs / mr_id}.rejected.txt: ") and err.count("\n") == 1
+
+
 def test_check_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.smrl"
     bad.write_text("MR {{ IMPLIES(true); }}")

@@ -1,5 +1,7 @@
-"""The whole-file writer: in-place rewrites that leave exactly the new bytes."""
+"""The writers: appends that finish a short write, and in-place rewrites
+that leave exactly the new bytes."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,25 @@ def test_rewrite_creates_missing_parents_only_when_the_open_fails(tmp_path, monk
     made.clear()
     jsonl.rewrite(path, b"second\n")
     assert made == [] and path.read_bytes() == b"second\n"
+
+
+def test_append_finishes_a_short_write(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    records = [{"n": n, "text": "café → " * n} for n in range(20)]
+    jsonl.append(path, records[:1])
+    calls = []
+    write = os.write
+
+    def short_write(fd, data):  # at most 7 bytes per call, as a write cut short by a signal
+        calls.append(len(data))
+        return write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", short_write)
+    jsonl.append(path, records[1:10])
+    jsonl.append(path, records[10:])
+    assert len(calls) > 100
+    assert jsonl.read(path) == records
+    jsonl.append(path, records[3:5], truncate=True)
+    monkeypatch.undo()
+    assert jsonl.read(path) == records[3:5]
+    assert path.read_bytes().count(b"\n") == 2

@@ -4,10 +4,20 @@ from pathlib import Path
 
 import pytest
 
-from emrkit.dsl import parse_emr, structurally_equal, validate, has_errors
+from emrkit.dsl import (
+    DslError,
+    canonical_units,
+    has_errors,
+    parse_emr,
+    repair,
+    structurally_equal,
+    stub_names,
+    validate,
+)
 from emrkit.pipeline import (
     Conversation,
     LlmTransport,
+    MetamorphicRelation,
     MissingScript,
     MockChatClient,
     ResponseFormatError,
@@ -22,10 +32,12 @@ from emrkit.pipeline import (
     load_transcript,
     parse_mr_list,
 )
+from emrkit.pipeline.generate import extract_emr_source
 from emrkit.pipeline.ingest import Document
 from emrkit.pipeline.templates import DeriveTemplates, GenerateTemplates, TemplateError, fill
 from emrkit.resources import fixture_path, read_fixture
 from emrkit.sut import EMPTY_CATALOG, load_api_catalog
+from frontend_corpus import amp_cases
 
 R1 = (
     "The system should provide advanced search options to allow users to refine their "
@@ -308,15 +320,61 @@ def test_generate_scans_a_clean_reply_once(shop_doc, mock_client, fewshot, monke
     assert scanned == [item.source]
 
 
-def test_generate_scans_a_repaired_reply_three_times(shop_doc, fewshot, monkeypatch):
+def test_generate_scans_a_repaired_reply_twice(shop_doc, fewshot, monkeypatch):
     client = MockChatClient.from_file(fixture_path("mock_scripts_amp_defect.json"))
     mrs = derive_mrs(shop_doc, client).mrs
     scanned = _count_scans(monkeypatch)
     (item,) = generate_emrs(mrs, EMPTY_CATALOG, fewshot, client).items
     assert item.status == "repaired"
-    reply, repaired, fixed = scanned  # parse the reply, repair it, parse the repaired source
-    assert reply == repaired and " &" in reply
+    reply, fixed = scanned  # repair the reply, then parse the repaired source
+    assert " &" in reply
     assert fixed == item.source != reply
+
+
+def _parse_then_repair(source, mr_id):
+    """The reference order: what generate_emrs made of a reply's EMR source
+    when it repaired only a failed parse. Parse; on a DslError, repair, and
+    parse again when the repair log is not empty. Returns the status, the
+    source kept, the repair log entries, the error text and the AST."""
+    try:
+        return "ok", source, [], None, parse_emr(source, mr_id)
+    except DslError as exc:
+        error = exc
+    repaired, log = repair(source)
+    entries = [e.to_json() for e in log.entries]
+    if log:
+        try:
+            return "repaired", repaired, entries, None, parse_emr(repaired, mr_id)
+        except DslError as exc:
+            error = exc
+    return "unparseable", source, entries, str(error), None
+
+
+def test_generate_repairs_first_with_the_outcome_of_parsing_first(fewshot):
+    cases = amp_cases()
+    mrs = [MetamorphicRelation(id=f"mr-{name}", text=f"MR {name}", document_id="doc") for name, _ in cases]
+    scripts = json.loads(fixture_path("mock_scripts.json").read_text())
+    scripts = [s for s in scripts if s["pipeline"] == "generate" and s["phase"] < 6]
+    replies = [f"Here it is.\n```\n{source}\n```\n" for _, source in cases]
+    scripts += [{"pipeline": "generate", "phase": 6, "response": reply} for reply in replies]
+    items = generate_emrs(mrs, EMPTY_CATALOG, fewshot, MockChatClient.from_scripts(scripts)).items
+    statuses = set()
+    for (name, _), reply, mr, item in zip(cases, replies, mrs, items, strict=True):
+        status, kept, entries, error, ast = _parse_then_repair(extract_emr_source(reply), mr.id)
+        statuses.add((status, bool(entries)))
+        assert (item.mr_id, item.status, item.source, item.error) == (mr.id, status, kept, error), name
+        assert [e.to_json() for e in item.repair_log.entries] == entries, name
+        if ast is None:
+            assert item.ast is None and item.stubs == [] and item.explanations == [], name
+            continue
+        assert structurally_equal(item.ast, ast), name
+        assert item.stubs == stub_names(validate(ast, EMPTY_CATALOG)), name
+        assert item.explanations == [
+            {"index": u.index, "line": u.line, "statement": u.text, "explanation": u.explanation}
+            for u in canonical_units(ast)
+        ], name
+    # Every branch of the reference is taken, a repair that does not help included.
+    assert statuses == {("ok", False), ("repaired", True), ("unparseable", True), ("unparseable", False)}
 
 
 def test_generate_records_unparseable_and_continues(shop_doc, fewshot):

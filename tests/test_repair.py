@@ -1,7 +1,14 @@
+import importlib
 import random
 import time
 
+import pytest
+
 from emrkit.dsl import WLC_AMP, parse_emr, repair, validate
+from frontend_corpus import amp_cases, bundled_sources
+
+# The package binds the name ``repair`` to the function.
+repair_module = importlib.import_module("emrkit.dsl.repair")
 
 
 def test_spec_example_splits_at_the_ampersand():
@@ -147,3 +154,23 @@ def test_deeply_nested_implies_repairs_in_linear_time():
     assert time.process_time() - start < 2
     assert fixed == "IMPLIES(a,\n" * depth + ")" * depth
     assert [e.line for e in log.entries] == list(range(1, depth + 1))
+
+
+@pytest.mark.parametrize("source", [source for _, source in amp_cases()], ids=[name for name, _ in amp_cases()])
+def test_the_fast_path_agrees_with_the_scan(source):
+    fixed, log = repair(source)
+    assert (fixed, log) == repair_module._repair_scanned(source)
+
+
+def test_sources_without_a_lone_ampersand_are_not_scanned(monkeypatch):
+    scanned = []
+    scan = repair_module.scan
+    monkeypatch.setattr(repair_module, "scan", lambda source: scanned.append(source) or scan(source))
+    clean = [source for _, source in bundled_sources()]
+    assert sum("&&" in source for source in clean) >= 10  # the fast path sees '&&', not only no '&'
+    for source in clean + ["MR {{ a &&&& b; }}", ""]:
+        assert repair(source) == (source, repair_module.RepairLog())
+    assert scanned == []
+    for source in ["&", "&&&", "// &", '"&"']:
+        repair(source)
+    assert scanned == ["&", "&&&", "// &", '"&"']

@@ -37,6 +37,14 @@ seed 1. ``bundled``: its 64 inputs in 4 chunks, each chunk against a fresh
 round of the 4 chunks); ``by_n``: n inputs in one call against a fresh
 ``MockShopSut`` (milliseconds per call).
 
+The ``pipeline`` row times ``emrkit.cli.main`` running ``pipeline --mock``
+in-process, derive and generate with their transcripts and output files, as
+the benchmark's ``author`` workload runs it: ``bundled`` is one 32-MR round
+of that workload with seed 1 (milliseconds per round), ``by_n`` one round of
+the same workload drawn with n MRs a round, 30 % of the replies with the
+WLC-AMP defect (milliseconds per call). Each round writes into the same
+``--out``, as a rerun does.
+
 Every row records, per n, the median with the quartiles of each clock, and
 the log-log slope of the median over n (1.0 is linear, 2.0 quadratic).
 
@@ -49,14 +57,16 @@ so both come from one machine state, and adds the paired ratio
 against/this of each round as the median with the quartiles: a ratio above
 1 means this checkout is faster. ``--check`` exits 1 when a slope of this
 checkout is above 1.3; timings on a shared machine are too noisy for it to
-gate the test suite. The ``write`` files live under ``--dir`` (default
-``.bench_build/layers``), which should be on the disk that outputs go to.
+gate the test suite. The ``write`` files and the ``pipeline`` workspaces
+live under ``--dir`` (default ``.bench_build/layers``), which should be on
+the disk that outputs go to.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import json
 import math
 import os
@@ -65,16 +75,27 @@ import statistics
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 from types import ModuleType
 from typing import Any, Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
-from workloads import CHUNKS, SIZES, SUT_CONFIGS, emr_sources, inject_amp_defect, make_inputs  # noqa: E402
+from workloads import (  # noqa: E402
+    AUTHOR_EXIT,
+    AUTHOR_ROUNDS,
+    CHUNKS,
+    SIZES,
+    SUT_CONFIGS,
+    build,
+    emr_sources,
+    inject_amp_defect,
+    make_inputs,
+)
 
 MAX_SLOPE = 1.3
-SEED = 1  # of the run_suite rows' input sequences
+SEED = 1  # of the run_suite rows' input sequences and the pipeline row's mock scripts
 
 Modules = dict[str, ModuleType]
 Sampler = Callable[[], dict[str, float]]
@@ -192,17 +213,33 @@ def run_suite_sampler(modules: Modules, config: str, count: int, chunks: int) ->
     return timed(run, [parts], "cpu_ms")
 
 
+def pipeline_sampler(modules: Modules, mrs: int, directory: Path) -> Sampler:
+    """One round runs ``emrkit pipeline --mock`` of one checkout in-process on
+    the first round of an ``author`` workspace with ``mrs`` MRs a round,
+    into the same ``--out`` every time."""
+    plan = build("author", SEED, mrs * AUTHOR_ROUNDS, directory, modules["resources"])
+    main = modules["cli"].main
+
+    def run(argv: list[str]) -> None:
+        with redirect_stdout(io.StringIO()):
+            code = main(argv)
+        if code != AUTHOR_EXIT:
+            raise RuntimeError(f"emrkit {' '.join(argv)} exited {code}")
+
+    return timed(run, [plan.step("pipeline-1").argv], "cpu_ms")
+
+
 class Row(NamedTuple):
     what: str
     by_n: Callable[[Modules, int, Path], Sampler]  # (checkout, n, its own scratch directory)
-    bundled: Callable[[Modules], Sampler] | None = None
+    bundled: Callable[[Modules, Path], Sampler] | None = None
 
 
 def frontend_row(layer: str) -> Row:
     return Row(f"{layer} on the bundled EMRs (thread-CPU us per EMR) and on an n-statement long_emr "
                "(thread-CPU ms per call)",
                lambda m, n, _: frontend_sampler(m, layer, [long_emr(n)], "cpu_ms"),
-               lambda m: frontend_sampler(m, layer, fixture_texts(m["resources"]), "cpu_us"))
+               lambda m, _: frontend_sampler(m, layer, fixture_texts(m["resources"]), "cpu_us"))
 
 
 def run_suite_row(config: str) -> Row:
@@ -211,13 +248,18 @@ def run_suite_row(config: str) -> Row:
                f"in {CHUNKS} calls (thread-CPU ms per round) and on n inputs in one call (thread-CPU ms per "
                f"call); inputs seeded {SEED}",
                lambda m, n, _: run_suite_sampler(m, config, n, 1),
-               lambda m: run_suite_sampler(m, config, count, CHUNKS))
+               lambda m, _: run_suite_sampler(m, config, count, CHUNKS))
 
 
 ROWS: dict[str, Row] = {
     "write": Row("rewrite n existing output files through emrkit.cli._write; ms per round", write_sampler),
     **{layer: frontend_row(layer) for layer in FRONTEND},
     **{f"run_suite:{config}": run_suite_row(config) for config in SUT_CONFIGS},
+    "pipeline": Row(f"emrkit pipeline --mock in-process on the author workload's mock script (seed {SEED}, "
+                    f"{SIZES['author'] // AUTHOR_ROUNDS} MRs a round, 30% with the WLC-AMP defect; thread-CPU ms "
+                    "per round) and on an n-MR script drawn the same way (thread-CPU ms per call)",
+                    pipeline_sampler,
+                    lambda m, directory: pipeline_sampler(m, SIZES["author"] // AUTHOR_ROUNDS, directory)),
 }
 
 
@@ -256,7 +298,7 @@ def measure(row: Row, versions: dict[str, Modules], sizes: list[int], rounds: in
     samplers: dict[tuple[str, str], Sampler] = {}
     if row.bundled is not None:
         for v, modules in versions.items():
-            samplers["bundled", v] = row.bundled(modules)
+            samplers["bundled", v] = row.bundled(modules, directory / f"{v}-bundled")
     for n in sizes:
         for v, modules in versions.items():  # a case's versions run next to each other
             samplers[str(n), v] = row.by_n(modules, n, directory / f"{v}-n{n}")
