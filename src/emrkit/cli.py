@@ -1,7 +1,5 @@
-"""Command-line interface.
-
-Subcommands: derive, generate, check, repair, run, grade, survey, pipeline,
-show-config. Exit codes form a fixed mapping:
+"""Command-line interface: the subcommands are the ``COMMANDS`` table at the
+bottom of this module. Exit codes form a fixed mapping:
 
     0  success (run: no Fail verdicts)
     2  bad usage, an input file that cannot be read or understood, an
@@ -20,6 +18,7 @@ show-config. Exit codes form a fixed mapping:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib
 import json
@@ -38,7 +37,6 @@ from .grading import (
     summarize_survey,
 )
 from .pipeline import (
-    DeriveResult,
     LiveChatClient,
     LlmConfig,
     LlmError,
@@ -116,15 +114,6 @@ class ToolConfig:
     sut: str = "mock"
     stubs_module: str = "emrkit.shopstubs"
 
-    @classmethod
-    def load(cls, path: str | None, args: argparse.Namespace) -> "ToolConfig":
-        config = _load("config", path, _read_config) if path else cls()
-        if getattr(args, "mock", False):
-            config.mock = True
-        if getattr(args, "out", None):
-            config.out_dir = args.out
-        return config
-
     def chat_client(self):
         if self.mock:
             return _load("mock scripts", self.mock_scripts, MockChatClient.from_file)
@@ -182,13 +171,35 @@ def _cannot_write(path: Path, exc: OSError) -> CliError:
     return CliError(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
 
 
-def _write(path: Path, text: str, verbose: bool) -> None:
+def _write(verbose: bool, path: Path, content: str | Callable[[Path], Any] | None) -> None:
+    """The one writer of every output file: ``content`` is text, a function
+    that writes the file at the path it is given, or None to remove ``path``.
+    A failure is exit 2 naming the file; --verbose reports each file written."""
     try:
-        jsonl.rewrite(path, text.encode("utf-8"))
+        if content is None:
+            path.unlink(missing_ok=True)
+        elif callable(content):
+            content(path)
+        else:
+            jsonl.rewrite(path, content.encode("utf-8"))
     except OSError as exc:
         raise _cannot_write(path, exc)
-    if verbose:
+    if verbose and content is not None:
         print(f"wrote {path}", file=sys.stderr)
+
+
+Write = Callable[[Path, "str | Callable[[Path], Any] | None"], None]  # ``_write`` with --verbose bound
+
+
+@contextlib.contextmanager
+def _conversation(failure: str, store: TranscriptStore):
+    """A failed conversation is exit 3; a transcript that cannot be written, exit 2."""
+    try:
+        yield
+    except LlmError as exc:
+        raise CliError(f"{failure}: {exc}", EXIT_LLM)
+    except OSError as exc:
+        raise _cannot_write(store.directory, exc)
 
 
 def _dump_json(data: Any) -> str:
@@ -199,7 +210,7 @@ def _dump_json(data: Any) -> str:
 # --- subcommands --------------------------------------------------------------
 
 
-def cmd_derive(args: argparse.Namespace, config: ToolConfig) -> int:
+def cmd_derive(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
     out = Path(config.out_dir)
     store = TranscriptStore(out / "transcripts")
     templates = _load("templates", config.templates_dir, DeriveTemplates.load)
@@ -207,8 +218,8 @@ def cmd_derive(args: argparse.Namespace, config: ToolConfig) -> int:
     all_mrs = []
     for doc_path in args.documents:
         document = _load("document", doc_path, ingest_document)
-        try:
-            result: DeriveResult = derive_mrs(
+        with _conversation(f"derivation failed for {doc_path}", store):
+            result = derive_mrs(
                 document,
                 client,
                 store,
@@ -216,10 +227,6 @@ def cmd_derive(args: argparse.Namespace, config: ToolConfig) -> int:
                 config=config.conversation_config(),
                 turn_budget=config.turn_budget,
             )
-        except LlmError as exc:
-            raise CliError(f"derivation failed for {doc_path}: {exc}", EXIT_LLM)
-        except OSError as exc:
-            raise _cannot_write(store.directory, exc)
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         print(f"{document.name}: {len(result.mrs)} MR(s) derived")
@@ -229,12 +236,7 @@ def cmd_derive(args: argparse.Namespace, config: ToolConfig) -> int:
     all_mrs, dropped = dedupe_mrs(all_mrs)
     if dropped:
         print(f"merged {dropped} duplicate MR(s)")
-    try:
-        save_mr_catalog(all_mrs, out / "mrs.json")
-    except OSError as exc:
-        raise _cannot_write(out / "mrs.json", exc)
-    if args.verbose:
-        print(f"wrote {out / 'mrs.json'}", file=sys.stderr)
+    write(out / "mrs.json", functools.partial(save_mr_catalog, all_mrs))
     return EXIT_OK
 
 
@@ -242,24 +244,7 @@ def _load_catalog(path: str | None):
     return _load("API catalog", path, load_api_catalog) if path else EMPTY_CATALOG
 
 
-# The files generate writes for an MR: its EMR and three sidecars when the
-# reply parses, the rejected reply when it does not. Each outcome removes the
-# other's files, so a rerun into the same --out leaves no stale EMR to check
-# or run.
-_EMR_SUFFIXES = (".smrl", ".stubs.json", ".repairs.json", ".explanations.json")
-_REJECTED_SUFFIXES = (".rejected.txt",)
-
-
-def _remove(directory: Path, mr_id: str, suffixes: tuple[str, ...]) -> None:
-    for suffix in suffixes:
-        path = directory / f"{mr_id}{suffix}"
-        try:
-            path.unlink(missing_ok=True)
-        except OSError as exc:
-            raise _cannot_write(path, exc)
-
-
-def cmd_generate(args: argparse.Namespace, config: ToolConfig) -> int:
+def cmd_generate(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
     out = Path(config.out_dir)
     mrs = _load("MR catalog", args.mrs, load_mr_catalog)
     catalog = _load_catalog(args.catalog)
@@ -270,33 +255,27 @@ def cmd_generate(args: argparse.Namespace, config: ToolConfig) -> int:
     client = config.chat_client()
     store = TranscriptStore(out / "transcripts")
     templates = _load("templates", config.templates_dir, GenerateTemplates.load)
-    try:
+    with _conversation("generation failed", store):
         result = generate_emrs(
             mrs, catalog, fewshot, client, store, templates, config=config.conversation_config()
         )
-    except LlmError as exc:
-        raise CliError(f"generation failed: {exc}", EXIT_LLM)
-    except OSError as exc:
-        raise _cannot_write(store.directory, exc)
     emr_dir = out / "emrs"
-    ok_count = 0
+    # The files of an MR: its EMR and three sidecars when the reply parses, the
+    # rejected reply when it does not. Each outcome removes the other's files,
+    # so a rerun into the same --out leaves no stale EMR to check or run.
     for item in result.items:
         print(f"{item.mr_id}: {item.status}")
         if item.status == "unparseable":
-            _write(emr_dir / f"{item.mr_id}.rejected.txt", (item.source or "") + "\n", args.verbose)
-            _remove(emr_dir, item.mr_id, _EMR_SUFFIXES)
+            write(emr_dir / f"{item.mr_id}.rejected.txt", (item.source or "") + "\n")
+            for suffix in (".smrl", ".stubs.json", ".repairs.json", ".explanations.json"):
+                write(emr_dir / f"{item.mr_id}{suffix}", None)
             continue
-        ok_count += 1
-        _write(emr_dir / f"{item.mr_id}.smrl", (item.source or "") + "\n", args.verbose)
-        _write(emr_dir / f"{item.mr_id}.stubs.json", _dump_json(item.stubs), args.verbose)
-        _write(
-            emr_dir / f"{item.mr_id}.repairs.json",
-            _dump_json([e.to_json() for e in item.repair_log.entries]),
-            args.verbose,
-        )
-        _write(emr_dir / f"{item.mr_id}.explanations.json", _dump_json(item.explanations), args.verbose)
-        _remove(emr_dir, item.mr_id, _REJECTED_SUFFIXES)
-    if ok_count == 0:
+        write(emr_dir / f"{item.mr_id}.smrl", (item.source or "") + "\n")
+        write(emr_dir / f"{item.mr_id}.stubs.json", _dump_json(item.stubs))
+        write(emr_dir / f"{item.mr_id}.repairs.json", _dump_json([e.to_json() for e in item.repair_log.entries]))
+        write(emr_dir / f"{item.mr_id}.explanations.json", _dump_json(item.explanations))
+        write(emr_dir / f"{item.mr_id}.rejected.txt", None)
+    if all(item.status == "unparseable" for item in result.items):
         print("error: every EMR failed to parse", file=sys.stderr)
         return EXIT_ALL_FAILED
     return EXIT_OK
@@ -332,7 +311,7 @@ def _collect(paths: Sequence[str], pattern: str, noun: str) -> list[Path]:
     return files
 
 
-def cmd_check(args: argparse.Namespace, config: ToolConfig) -> int:
+def cmd_check(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
     catalog = _load_catalog(args.catalog)
     worst = EXIT_OK
     for path in _collect(args.emrs, "*.smrl", ".smrl"):
@@ -353,13 +332,13 @@ def cmd_check(args: argparse.Namespace, config: ToolConfig) -> int:
     return worst
 
 
-def cmd_repair(args: argparse.Namespace, config: ToolConfig) -> int:
+def cmd_repair(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
     out = Path(config.out_dir) / "repaired"
     for path in _collect(args.emrs, "*.smrl", ".smrl"):
         fixed, log = repair(_read_smrl(path))
         for entry in log.entries:
             print(json.dumps({"file": str(path), **entry.to_json()}, sort_keys=True))
-        _write(path if args.in_place else out / path.name, fixed, args.verbose)
+        write(path if args.in_place else out / path.name, fixed)
     return EXIT_OK
 
 
@@ -402,7 +381,7 @@ def _session_factory(spec: str, record_cassette: str | None):
     return factory
 
 
-def cmd_run(args: argparse.Namespace, config: ToolConfig) -> int:
+def cmd_run(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
     emrs = [_load("", path, _parse_smrl) for path in _collect(args.emrs, "*.smrl", ".smrl")]
     input_files = _collect(args.inputs, "*.json", "input-sequence")
     inputs = [_load("input sequence", path, _read_input) for path in input_files]
@@ -410,9 +389,9 @@ def cmd_run(args: argparse.Namespace, config: ToolConfig) -> int:
     factory = _session_factory(args.sut or config.sut, args.record)
     report = run_suite(emrs, inputs, factory, stubs, input_names=[p.stem for p in input_files])
     out = Path(config.out_dir)
-    _write(out / "report.json", _dump_json(report.to_json()), args.verbose)
+    write(out / "report.json", _dump_json(report.to_json()))
     text = report.to_text()
-    _write(out / "report.txt", text + "\n", args.verbose)
+    write(out / "report.txt", text + "\n")
     print(text)
     unbound = report.not_executable_stubs
     if unbound:
@@ -425,56 +404,86 @@ def cmd_run(args: argparse.Namespace, config: ToolConfig) -> int:
     return EXIT_OK
 
 
-def cmd_grade(args: argparse.Namespace, config: ToolConfig) -> int:
+def cmd_grade(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
     emrs = stats = None
-    statement_count = args.statements
     if args.emrs:
         emrs = {path.stem: _load("", path, _parse_smrl) for path in _collect(args.emrs, "*.smrl", ".smrl")}
         stats = emr_size_stats(emrs.values())
-        if statement_count is None:
-            statement_count = stats.total
     annotations = _load("annotations", args.annotations, load_annotations, emrs)
+    statement_count = args.statements
     if statement_count is None:
-        statement_count = len(annotations)
+        statement_count = stats.total if stats is not None else len(annotations)
     try:
         report = summarize_annotations(annotations, statement_count)
     except ValueError as exc:  # --statements below the number of annotations
         raise CliError(f"cannot grade {args.annotations}: {exc}")
     out = Path(config.out_dir)
-    _write(out / "grade.json", _dump_json(report.to_json()), args.verbose)
+    write(out / "grade.json", _dump_json(report.to_json()))
     print(report.to_text())
     if stats is not None:
-        _write(out / "sizes.json", _dump_json(stats.to_json()), args.verbose)
+        write(out / "sizes.json", _dump_json(stats.to_json()))
         mean = f"{stats.mean:.1f}" if stats.mean is not None else "-"
         print(f"sizes: min {stats.min} mean {mean} max {stats.max} total {stats.total}")
     return EXIT_OK
 
 
-def cmd_survey(args: argparse.Namespace, config: ToolConfig) -> int:
+def cmd_survey(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
     responses = _load("survey", args.responses, load_survey)
     report = summarize_survey(responses)
-    out = Path(config.out_dir)
-    _write(out / "survey.json", _dump_json(report.to_json()), args.verbose)
+    write(Path(config.out_dir) / "survey.json", _dump_json(report.to_json()))
     print(report.to_text())
     return EXIT_OK
 
 
-def cmd_pipeline(args: argparse.Namespace, config: ToolConfig) -> int:
-    code = cmd_derive(args, config)
-    if code != EXIT_OK:
-        return code
-    args.mrs = str(Path(config.out_dir) / "mrs.json")
-    return cmd_generate(args, config)
+def cmd_pipeline(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
+    cmd_derive(args, config, write)  # returns EXIT_OK or raises
+    generate_args = argparse.Namespace(mrs=str(Path(config.out_dir) / "mrs.json"), catalog=args.catalog)
+    return cmd_generate(generate_args, config, write)
 
 
-def cmd_show_config(args: argparse.Namespace, config: ToolConfig) -> int:
+def cmd_show_config(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
     print(json.dumps(asdict(config), indent=2, sort_keys=True, ensure_ascii=False))
     return EXIT_OK
 
 
-# --- argument parsing -----------------------------------------------------------
+# --- the subcommand table -------------------------------------------------------
 
 
+def _arg(*flags: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, options
+
+
+# The arguments more than one subcommand takes.
+_DOCUMENTS = _arg("documents", nargs="+", help="requirements documents (text/markdown)")
+_ALLOW_EMPTY = _arg("--allow-empty", action="store_true", help="succeed even when a document yields no MRs")
+_CATALOG = _arg("--catalog", help="SUT API catalog (JSON)")
+_EMRS = _arg("emrs", nargs="+", help=".smrl files or directories")
+
+# name -> (function, whether it writes under --out, help, arguments...)
+COMMANDS: dict[str, tuple[Any, ...]] = {
+    "derive": (cmd_derive, True, "derive MRs from requirements documents", _DOCUMENTS, _ALLOW_EMPTY),
+    "generate": (cmd_generate, True, "generate EMRs from an MR catalog",
+                 _arg("mrs", help="MR catalog file (mrs.json)"), _CATALOG),
+    "check": (cmd_check, False, "parse and validate EMR files", _EMRS, _CATALOG),
+    "repair": (cmd_repair, True, "apply the auto-repair rules to EMR sources",
+               _EMRS, _arg("--in-place", action="store_true", help="rewrite the input files")),
+    "run": (cmd_run, True, "evaluate EMRs against a SUT", _EMRS,
+            _arg("--inputs", nargs="+", required=True, help="input-sequence JSON files or directories"),
+            _arg("--sut", help="mock[:fault] | live:<adapter-config> | replay:<cassette.jsonl>"),
+            _arg("--record", help="record interactions to this cassette file (JSON Lines)"),
+            _arg("--stubs", help="Python module providing a STUBS dict ('none' for no stubs)")),
+    "grade": (cmd_grade, True, "summarize statement annotations",
+              _arg("annotations", help="line-oriented JSON annotation file"),
+              _arg("--emrs", nargs="*", help="the annotated .smrl files (enables line/class checks)"),
+              _arg("--statements", type=int, help="total statement count (defaults to EMR statement total)")),
+    "survey": (cmd_survey, True, "aggregate Likert survey responses",
+               _arg("responses", help="CSV with header subject,statement,respondent,rating")),
+    "pipeline": (cmd_pipeline, True, "derive then generate in one go", _DOCUMENTS, _CATALOG, _ALLOW_EMPTY),
+    "show-config": (cmd_show_config, False, "print the fully resolved configuration"),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emrkit",
@@ -485,54 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (default: out)")
     parser.add_argument("--verbose", action="store_true", help="report every file written")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("derive", help="derive MRs from requirements documents")
-    p.add_argument("documents", nargs="+", help="requirements documents (text/markdown)")
-    p.add_argument("--allow-empty", action="store_true", help="succeed even when a document yields no MRs")
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser("generate", help="generate EMRs from an MR catalog")
-    p.add_argument("mrs", help="MR catalog file (mrs.json)")
-    p.add_argument("--catalog", help="SUT API catalog (JSON)")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("check", help="parse and validate EMR files")
-    p.add_argument("emrs", nargs="+", help=".smrl files or directories")
-    p.add_argument("--catalog", help="SUT API catalog (JSON)")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("repair", help="apply the auto-repair rules to EMR sources")
-    p.add_argument("emrs", nargs="+", help=".smrl files or directories")
-    p.add_argument("--in-place", action="store_true", help="rewrite the input files")
-    p.set_defaults(func=cmd_repair)
-
-    p = sub.add_parser("run", help="evaluate EMRs against a SUT")
-    p.add_argument("emrs", nargs="+", help=".smrl files or directories")
-    p.add_argument("--inputs", nargs="+", required=True, help="input-sequence JSON files or directories")
-    p.add_argument("--sut", help="mock[:fault] | live:<adapter-config> | replay:<cassette.jsonl>")
-    p.add_argument("--record", help="record interactions to this cassette file (JSON Lines)")
-    p.add_argument("--stubs", help="Python module providing a STUBS dict ('none' for no stubs)")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("grade", help="summarize statement annotations")
-    p.add_argument("annotations", help="line-oriented JSON annotation file")
-    p.add_argument("--emrs", nargs="*", help="the annotated .smrl files (enables line/class checks)")
-    p.add_argument("--statements", type=int, help="total statement count (defaults to EMR statement total)")
-    p.set_defaults(func=cmd_grade)
-
-    p = sub.add_parser("survey", help="aggregate Likert survey responses")
-    p.add_argument("responses", help="CSV with header subject,statement,respondent,rating")
-    p.set_defaults(func=cmd_survey)
-
-    p = sub.add_parser("pipeline", help="derive then generate in one go")
-    p.add_argument("documents", nargs="+", help="requirements documents (text/markdown)")
-    p.add_argument("--catalog", help="SUT API catalog (JSON)")
-    p.add_argument("--allow-empty", action="store_true", help="succeed even when a document yields no MRs")
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("show-config", help="print the fully resolved configuration")
-    p.set_defaults(func=cmd_show_config)
-
+    for name, (_, _, summary, *arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
     return parser
 
 
@@ -548,11 +513,14 @@ def _check_out_dir(out_dir: str) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, writes, *_ = COMMANDS[args.command]
     try:
-        config = ToolConfig.load(args.config, args)
-        if args.func not in (cmd_check, cmd_show_config):  # the commands that write nothing
+        config = _load("config", args.config, _read_config) if args.config else ToolConfig()
+        config.mock |= args.mock
+        config.out_dir = args.out or config.out_dir
+        if writes:
             _check_out_dir(config.out_dir)
-        return args.func(args, config)
+        return command(args, config, functools.partial(_write, args.verbose))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -63,8 +63,17 @@ class MockChatClient:
     def from_scripts(cls, scripts: list[dict]) -> "MockChatClient":
         client = cls()
         for entry in scripts:
-            key = (entry["pipeline"], int(entry["phase"]), entry.get("content_hash", "*"))
-            client.queues.setdefault(key, []).append(entry["response"])
+            pipeline, phase, digest = entry["pipeline"], entry["phase"], entry.get("content_hash", "*")
+            response = entry["response"]
+            for name, value, ok, kind in (
+                ("pipeline", pipeline, isinstance(pipeline, str), "a string"),
+                ("phase", phase, isinstance(phase, int) and not isinstance(phase, bool), "an integer"),
+                ("content_hash", digest, isinstance(digest, str), "a string"),
+                ("response", response, isinstance(response, str), "a string"),
+            ):
+                if not ok:
+                    raise ValueError(f"mock script field '{name}' must be {kind}, not {json.dumps(value)}")
+            client.queues.setdefault((pipeline, phase, digest), []).append(response)
         return client
 
     @classmethod

@@ -42,6 +42,8 @@ def load_fewshot(path: str | Path) -> list[FewShotExample]:
     """Load MR/EMR pairs; every EMR must parse without error diagnostics."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     examples = [FewShotExample(item["mr"], item["emr"]) for item in raw]
+    if not examples:
+        raise ValueError("the file holds no examples; generation needs at least one")
     for i, example in enumerate(examples):
         ast = parse_emr(example.emr, f"fewshot{i + 1}")
         diags = validate(ast)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from astgen import NESTINGS, nested_emr
-from emrkit import jsonl
+from emrkit import cli, jsonl
 from emrkit.cli import main
 from emrkit.dsl import DslError, parse_emr
 from emrkit.dsl.parser import MAX_NESTING
@@ -722,7 +722,10 @@ MALFORMED_INPUTS = {
     "mr-catalog-id-not-string": ("mrs.json", b'[{"id": 1, "text": "t"}]', None, ["generate", "{path}"]),
     "fewshot-field-not-string": ("fewshot.json", b'[{"mr": 1}]', "fewshot", ["generate", "{empty}"]),
     "fewshot-not-list": ("fewshot.json", b'{"a": 1}', "fewshot", ["generate", "{empty}"]),
+    "fewshot-empty": ("fewshot.json", b"[]", "fewshot", ["generate", "{empty}"]),
     "mock-script-not-object": ("scripts.json", b'["x"]', "mock_scripts", ["derive", DOC]),
+    "mock-script-response-null": (
+        "scripts.json", b'[{"pipeline": "derive", "phase": 1, "response": null}]', "mock_scripts", ["pipeline", DOC]),
     "annotation-not-object": ("ann.jsonl", b"[1,2]\n", None, ["grade", "{path}"]),
     "annotation-line-not-integer": (
         "ann.jsonl", b'{"emr": "x", "line": 3.7, "labels": ["C"]}\n', None, ["grade", "{path}"]),
@@ -768,3 +771,34 @@ def test_malformed_input_file_exits_two_naming_it_once(tmp_path, capsys, case):
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.count(str(named)) == 1 and "Traceback" not in err
+
+
+def test_verbose_reports_each_file_written_in_order(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("--mock", "--verbose", "--out", out, "pipeline", DOC) == 0
+    (mr_id,) = [mr["id"] for mr in json.loads((out / "mrs.json").read_text())]
+    suffixes = (".smrl", ".stubs.json", ".repairs.json", ".explanations.json")
+    written = [out / "mrs.json", *(out / "emrs" / f"{mr_id}{suffix}" for suffix in suffixes)]
+    assert capsys.readouterr().err == "".join(f"wrote {path}\n" for path in written)
+    assert run("--verbose", "--out", out, "run", out / "emrs", "--inputs", INPUTS, "--sut", "mock") == 0
+    assert capsys.readouterr().err == f"wrote {out / 'report.json'}\nwrote {out / 'report.txt'}\n"
+
+
+def test_without_verbose_nothing_reports_a_write(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("--mock", "--out", out, "pipeline", DOC) == 0
+    assert run("--out", out, "run", out / "emrs", "--inputs", INPUTS, "--sut", "mock") == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_the_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as usage:
+        run("--out", tmp_path / "out", "frobnicate")
+    assert usage.value.code == 2
+    assert run("--out", tmp_path / "out", "check", FIG4) == 0
+    with pytest.raises(SystemExit) as usage:
+        run("--out", tmp_path / "out", "run", FIG4)  # --inputs is required
+    assert usage.value.code == 2
+    assert run("--out", tmp_path / "out", "survey", SURVEY) == 0
+    assert run("show-config") == 0

@@ -543,3 +543,18 @@ def test_live_client_retries_then_raises():
     conv.append("user", "ping", 1)
     with pytest.raises(LlmTransport):
         client.complete(conv)
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("pipeline", 5, "a string"),
+    ("phase", True, "an integer"),
+    ("phase", "1", "an integer"),
+    ("phase", 1.0, "an integer"),
+    ("content_hash", 5, "a string"),
+    ("response", None, "a string"),
+])
+def test_mock_scripts_need_a_value_of_each_field_type(field, value, kind):
+    entry = {"pipeline": "derive", "phase": 1, "content_hash": "*", "response": "ok", field: value}
+    with pytest.raises(ValueError) as excinfo:
+        MockChatClient.from_scripts([entry])
+    assert str(excinfo.value) == f"mock script field '{field}' must be {kind}, not {json.dumps(value)}"

@@ -2,8 +2,8 @@
 """Per-layer scaling rows, written to ``BENCH_layers.json``.
 
 ``write``: one round rewrites n existing output files through
-``emrkit.cli._write``, the path every whole-file output of the CLI takes,
-with the contents of the bundled ``.smrl`` fixtures. The files are created
+``emrkit.jsonl.rewrite``, which the CLI's writer calls for every whole-file
+output, with the contents of the bundled ``.smrl`` fixtures. The files are created
 before the first round and each round writes the bytes they already hold,
 as a rerun into the same ``--out`` does. Before each round the files are
 flushed to disk (``fsync``, untimed), as the benchmark's steps start after
@@ -108,7 +108,7 @@ def load_emrkit(src: str) -> Modules:
     sys.path.insert(0, src)
     try:
         importlib.invalidate_caches()
-        names = ("cli", "resources", "dsl", "dsl.tokens", "dsl.printer", "runtime", "shopstubs", "sut")
+        names = ("cli", "jsonl", "resources", "dsl", "dsl.tokens", "dsl.printer", "runtime", "shopstubs", "sut")
         return {name: importlib.import_module(f"emrkit.{name}") for name in names}
     finally:
         sys.path.remove(src)
@@ -159,11 +159,11 @@ def timed(fn: Callable[[Any], Any], items: list[Any], clock: str) -> Sampler:
 
 def write_sampler(modules: Modules, n: int, directory: Path) -> Sampler:
     """One round rewrites n output files of one checkout."""
-    write = modules["cli"]._write
+    rewrite = modules["jsonl"].rewrite
     texts = fixture_texts(modules["resources"])
     files = [(directory / f"emr{i:04d}.smrl", texts[i % len(texts)]) for i in range(n)]
     for path, text in files:
-        write(path, text, False)
+        rewrite(path, text.encode("utf-8"))
 
     def sample() -> dict[str, float]:
         for path, _ in files:
@@ -174,7 +174,7 @@ def write_sampler(modules: Modules, n: int, directory: Path) -> Sampler:
                 os.close(fd)
         wall, cpu = time.perf_counter_ns(), time.thread_time_ns()
         for path, text in files:
-            write(path, text, False)
+            rewrite(path, text.encode("utf-8"))  # as the CLI's writer encodes each text
         return {"wall_ms": (time.perf_counter_ns() - wall) / 1e6, "cpu_ms": (time.thread_time_ns() - cpu) / 1e6}
 
     return sample
@@ -252,7 +252,7 @@ def run_suite_row(config: str) -> Row:
 
 
 ROWS: dict[str, Row] = {
-    "write": Row("rewrite n existing output files through emrkit.cli._write; ms per round", write_sampler),
+    "write": Row("rewrite n existing output files through emrkit.jsonl.rewrite; ms per round", write_sampler),
     **{layer: frontend_row(layer) for layer in FRONTEND},
     **{f"run_suite:{config}": run_suite_row(config) for config in SUT_CONFIGS},
     "pipeline": Row(f"emrkit pipeline --mock in-process on the author workload's mock script (seed {SEED}, "
