@@ -28,7 +28,9 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import jsonl
-from .dsl import DslError, parse_emr, repair, validate
+from .dsl import DslError, parse_emr
+from .dsl.repair import repair
+from .dsl.validate import validate
 from .grading import (
     emr_size_stats,
     load_annotations,

@@ -1,4 +1,8 @@
-"""Lexer, parser, validator, printer, classifier, and repairer for the EMR DSL."""
+"""Lexer, parser, validator, printer, classifier, and repairer for the EMR DSL.
+
+``repair`` and ``validate`` name submodules here: import those functions
+from ``emrkit.dsl.repair`` and ``emrkit.dsl.validate``.
+"""
 
 from .ast import (
     BoolChain,
@@ -24,9 +28,9 @@ from .classify import StatementClass, classify_statements, statement_classes_by_
 from .errors import DslError, IllegalCharacter, ParseError
 from .parser import parse_emr
 from .printer import Unit, canonical_units, format_expr, pretty_print
-from .repair import WLC_AMP, RepairEntry, RepairLog, repair
+from .repair import WLC_AMP, RepairEntry, RepairLog
 from .tokens import Token, reconstruct, tokenize
-from .validate import Diagnostic, has_errors, stub_names, validate
+from .validate import Diagnostic, has_errors, stub_names
 
 __all__ = [
     "BoolChain",
@@ -63,10 +67,8 @@ __all__ = [
     "parse_emr",
     "pretty_print",
     "reconstruct",
-    "repair",
     "statement_classes_by_line",
     "structurally_equal",
     "stub_names",
     "tokenize",
-    "validate",
 ]

@@ -16,9 +16,8 @@ import json
 from dataclasses import dataclass, field
 from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
-from . import jsonl
 from .dsl.ast import EmrAst
 from .dsl.classify import StatementClass, statement_classes_by_line
 from .dsl.printer import canonical_units
@@ -27,33 +26,6 @@ from .dsl.printer import canonical_units
 LABELS = ("C", "CLC", "AI", "WS", "WI", "IE", "INE", "ITE", "ES", "ENO", "WAU", "WLC", "MISS")
 CORRECT_LABELS = frozenset({"C", "CLC", "AI"})
 SIMPLE_LABELS = frozenset({"CLC", "WLC"})
-
-
-class AnnotationError(ValueError):
-    pass
-
-
-class UnknownLabel(AnnotationError):
-    def __init__(self, label: str):
-        super().__init__(f"unknown annotation label '{label}' (known: {', '.join(LABELS)})")
-
-
-class ApplicabilityViolation(AnnotationError):
-    def __init__(self, label: str, cls: StatementClass, emr_id: str, line: int):
-        applies = "Simple" if label in SIMPLE_LABELS else "Complex"
-        super().__init__(
-            f"label {label} applies to {applies} statements, but {emr_id} line {line} is {cls.value}"
-        )
-
-
-class LineNotInEmr(AnnotationError):
-    def __init__(self, emr_id: str, line: int):
-        super().__init__(f"line {line} is not a statement line of EMR '{emr_id}'")
-
-
-class DuplicateAnnotation(AnnotationError):
-    def __init__(self, emr_id: str, line: int):
-        super().__init__(f"duplicate annotation for {emr_id} line {line}")
 
 
 @dataclass
@@ -80,19 +52,22 @@ def check_annotation(
     """Check the labels and, when ``classes`` maps each EMR id to its
     ``statement_classes_by_line``, line existence and applicability."""
     if not annotation.labels:
-        raise AnnotationError(f"{annotation.emr_id} line {annotation.line}: empty label set")
+        raise ValueError(f"{annotation.emr_id} line {annotation.line}: empty label set")
     for label in annotation.labels:
         if label not in LABELS:
-            raise UnknownLabel(label)
+            raise ValueError(f"unknown annotation label '{label}' (known: {', '.join(LABELS)})")
     if classes is None:
         return
     cls = classes.get(annotation.emr_id, {}).get(annotation.line)
     if cls is None:
-        raise LineNotInEmr(annotation.emr_id, annotation.line)
+        raise ValueError(f"line {annotation.line} is not a statement line of EMR '{annotation.emr_id}'")
     for label in annotation.labels:
         expected = StatementClass.SIMPLE if label in SIMPLE_LABELS else StatementClass.COMPLEX
         if cls is not expected:
-            raise ApplicabilityViolation(label, cls, annotation.emr_id, annotation.line)
+            raise ValueError(
+                f"label {label} applies to {expected.value} statements, "
+                f"but {annotation.emr_id} line {annotation.line} is {cls.value}"
+            )
 
 
 def load_annotations(
@@ -108,11 +83,11 @@ def load_annotations(
             continue
         data = json.loads(raw_line)
         if not isinstance(data["emr"], str):
-            raise AnnotationError(f"emr must be a string, not {json.dumps(data['emr'])}")
+            raise ValueError(f"emr must be a string, not {json.dumps(data['emr'])}")
         if type(data["line"]) is not int:  # a JSON integer: not a number with a fraction, nor a boolean
-            raise AnnotationError(f"{data['emr']}: line must be an integer, not {json.dumps(data['line'])}")
+            raise ValueError(f"{data['emr']}: line must be an integer, not {json.dumps(data['line'])}")
         if not isinstance(data.get("note"), (str, type(None))):
-            raise AnnotationError(
+            raise ValueError(
                 f"{data['emr']} line {data['line']}: note must be a string or null, not {json.dumps(data['note'])}"
             )
         annotation = StatementAnnotation(
@@ -122,19 +97,14 @@ def load_annotations(
             note=data.get("note"),
         )
         if not isinstance(annotation.labels, list) or not all(isinstance(x, str) for x in annotation.labels):
-            raise AnnotationError(f"{annotation.emr_id} line {annotation.line}: labels must be a list of strings")
+            raise ValueError(f"{annotation.emr_id} line {annotation.line}: labels must be a list of strings")
         key = (annotation.emr_id, annotation.line)
         if key in seen:
-            raise DuplicateAnnotation(*key)
+            raise ValueError(f"duplicate annotation for {key[0]} line {key[1]}")
         seen.add(key)
         check_annotation(annotation, classes)
         annotations.append(annotation)
     return annotations
-
-
-def save_annotations(annotations: Iterable[StatementAnnotation], path: str | Path) -> None:
-    lines = [json.dumps(a.to_json(), sort_keys=True, ensure_ascii=False) for a in annotations]
-    jsonl.rewrite(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _percent(count: int, denominator: int, quantum: str = "0.1", rounding: str = ROUND_HALF_UP) -> Decimal:
@@ -188,7 +158,7 @@ def summarize_annotations(
     for annotation in annotations:
         for label in annotation.labels:
             if label not in counts:
-                raise UnknownLabel(label)
+                raise ValueError(f"unknown annotation label '{label}' (known: {', '.join(LABELS)})")
             counts[label] += 1
         if annotation.is_correct:
             correct += 1
@@ -215,15 +185,6 @@ POSITIVE_RATINGS = frozenset({"strongly agree", "agree"})
 SURVEY_STATEMENTS = ("S1", "S2", "S3", "S1E", "S2E", "S3E")
 
 
-class SurveyError(ValueError):
-    pass
-
-
-class DuplicateResponse(SurveyError):
-    def __init__(self, respondent: str, subject: str, statement: str):
-        super().__init__(f"duplicate response: {respondent} on {subject}/{statement}")
-
-
 @dataclass
 class LikertResponse:
     subject: str  # the MR or EMR being rated
@@ -233,9 +194,19 @@ class LikertResponse:
 
     def __post_init__(self) -> None:
         if self.statement not in SURVEY_STATEMENTS:
-            raise SurveyError(f"unknown survey statement '{self.statement}'")
+            raise ValueError(f"unknown survey statement '{self.statement}'")
         if self.rating not in RATINGS:
-            raise SurveyError(f"unknown rating '{self.rating}' (known: {', '.join(RATINGS)})")
+            raise ValueError(f"unknown rating '{self.rating}' (known: {', '.join(RATINGS)})")
+
+
+def _csv_rows(handle: Iterable[str]) -> Iterator[dict[str, str]]:
+    """``csv.DictReader`` rows; a line the csv module cannot split (a field
+    over its size limit, say) is a ValueError naming the line."""
+    reader = csv.DictReader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from exc
 
 
 def load_survey(path: str | Path) -> list[LikertResponse]:
@@ -243,13 +214,13 @@ def load_survey(path: str | Path) -> list[LikertResponse]:
     responses: list[LikertResponse] = []
     seen: set[tuple[str, str, str]] = set()
     with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
+        for row in _csv_rows(handle):
             response = LikertResponse(
                 row["subject"].strip(), row["statement"].strip(), row["respondent"].strip(), row["rating"].strip()
             )
             key = (response.respondent, response.subject, response.statement)
             if key in seen:
-                raise DuplicateResponse(*key)
+                raise ValueError(f"duplicate response: {key[0]} on {key[1]}/{key[2]}")
             seen.add(key)
             responses.append(response)
     return responses

@@ -5,8 +5,6 @@ from .client import (
     LiveChatClient,
     LlmConfig,
     LlmError,
-    LlmTransport,
-    MissingScript,
     MockChatClient,
     content_hash,
 )
@@ -14,7 +12,6 @@ from .conversation import Conversation, Message, TranscriptStore, load_transcrip
 from .derive import (
     DeriveResult,
     MetamorphicRelation,
-    ResponseFormatError,
     dedupe_mrs,
     derive_mrs,
     load_mr_catalog,
@@ -30,8 +27,8 @@ from .generate import (
     load_fewshot,
     render_fewshot,
 )
-from .ingest import Document, UnsupportedFormat, chunk_document, ingest_document
-from .templates import DeriveTemplates, GenerateTemplates, PromptPhase, TemplateError, fill
+from .ingest import Document, chunk_document, ingest_document
+from .templates import DeriveTemplates, GenerateTemplates, PromptPhase, fill
 
 __all__ = [
     "ChatClient",
@@ -46,16 +43,11 @@ __all__ = [
     "LiveChatClient",
     "LlmConfig",
     "LlmError",
-    "LlmTransport",
     "Message",
     "MetamorphicRelation",
-    "MissingScript",
     "MockChatClient",
     "PromptPhase",
-    "ResponseFormatError",
-    "TemplateError",
     "TranscriptStore",
-    "UnsupportedFormat",
     "chunk_document",
     "content_hash",
     "dedupe_mrs",

@@ -4,7 +4,7 @@ The mock is keyed by (pipeline, phase, content hash of the latest user
 message); script files may give the hash as "*" to match any content.
 Several entries under one key form a queue consumed call by call, so a
 phase that repeats (one message per MR) can be scripted. An unknown key
-raises MissingScript: the mock never fabricates a reply.
+raises LlmError: the mock never fabricates a reply.
 """
 
 from __future__ import annotations
@@ -22,18 +22,6 @@ from .conversation import Conversation
 
 class LlmError(Exception):
     """A conversation with the LLM failed: no reply, or one in the wrong format."""
-
-
-class LlmTransport(LlmError):
-    """The chat endpoint could not produce a response (retries exhausted)."""
-
-
-class MissingScript(LlmError):
-    def __init__(self, pipeline: str, phase: int, content_hash: str):
-        super().__init__(
-            f"no scripted response for pipeline={pipeline!r} phase={phase} content_hash={content_hash}"
-        )
-        self.key = (pipeline, phase, content_hash)
 
 
 @dataclass
@@ -87,7 +75,9 @@ class MockChatClient:
             queue = self.queues.get(key)
             if queue:
                 return queue.pop(0)
-        raise MissingScript(conversation.pipeline, last.phase, digest)
+        raise LlmError(
+            f"no scripted response for pipeline={conversation.pipeline!r} phase={last.phase} content_hash={digest}"
+        )
 
 
 @dataclass
@@ -124,5 +114,6 @@ class LiveChatClient:
                 return data["choices"][0]["message"]["content"]
             except (urllib.error.URLError, OSError, KeyError, ValueError) as exc:
                 last_error = exc
-                time.sleep(self.backoff * (2**attempt))
-        raise LlmTransport(f"chat request failed after {self.max_retries} attempts: {last_error}")
+                if attempt + 1 < self.max_retries:
+                    time.sleep(self.backoff * (2**attempt))
+        raise LlmError(f"chat request failed after {self.max_retries} attempts: {last_error}")

@@ -23,12 +23,6 @@ from .ingest import Document, chunk_document
 from .templates import DeriveTemplates
 
 
-class ResponseFormatError(LlmError):
-    def __init__(self, message: str, response: str):
-        super().__init__(message)
-        self.response = response
-
-
 @dataclass
 class MetamorphicRelation:
     id: str
@@ -158,7 +152,7 @@ def derive_mrs(
     response = run_turn(conversation, client, store, t.mrs, t.mrs.render())
     mrs, warnings = parse_mr_list(response, document)
     if not mrs and response.strip():
-        raise ResponseFormatError("phase-4 response contains no items in the required MR list format", response)
+        raise LlmError("phase-4 response contains no items in the required MR list format")
     return DeriveResult(mrs, conversation, warnings)
 
 

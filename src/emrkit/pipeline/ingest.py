@@ -9,10 +9,6 @@ from pathlib import Path
 TEXT_SUFFIXES = {".txt", ".md", ".markdown", ".rst", ""}
 
 
-class UnsupportedFormat(ValueError):
-    """The document is not plain text or markdown; the message is the reason."""
-
-
 @dataclass
 class Document:
     doc_id: str  # content hash: identical content gets an identical id
@@ -21,16 +17,17 @@ class Document:
 
 
 def ingest_document(path: str | Path) -> Document:
+    """Read a plain text or markdown file; for any other file, a ValueError says why."""
     path = Path(path)
     if path.suffix.lower() not in TEXT_SUFFIXES:
-        raise UnsupportedFormat(f"unsupported extension '{path.suffix}' (plain text or markdown only)")
+        raise ValueError(f"unsupported extension '{path.suffix}' (plain text or markdown only)")
     raw = path.read_bytes()
     if b"\x00" in raw:
-        raise UnsupportedFormat("binary content")
+        raise ValueError("binary content")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise UnsupportedFormat(f"not valid UTF-8: {exc}") from exc
+        raise ValueError(f"not valid UTF-8: {exc}") from exc
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     doc_id = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
     return Document(doc_id, path.stem, text)

@@ -11,17 +11,13 @@ from ..resources import asset_path
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 
 
-class TemplateError(ValueError):
-    pass
-
-
 def fill(text: str, /, **values: str) -> str:
     """Substitute {{name}} placeholders; every placeholder must be supplied."""
 
     def replace(match: re.Match) -> str:
         name = match.group(1)
         if name not in values:
-            raise TemplateError(f"placeholder {{{{{name}}}}} was not filled")
+            raise ValueError(f"placeholder {{{{{name}}}}} was not filled")
         return values[name]
 
     return _PLACEHOLDER.sub(replace, text)
@@ -45,7 +41,7 @@ def _load(name: str, directory: Path | None) -> str:
     try:
         return path.read_text(encoding="utf-8").rstrip("\n")
     except UnicodeDecodeError as exc:
-        raise TemplateError(f"{name}: {exc}") from exc
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def _phase(ordinal: int, name: str, directory: Path | None, *placeholders: str) -> PromptPhase:
@@ -54,7 +50,7 @@ def _phase(ordinal: int, name: str, directory: Path | None, *placeholders: str) 
     template = _load(name, directory)
     unfilled = sorted(set(_PLACEHOLDER.findall(template)) - set(placeholders))
     if unfilled:
-        raise TemplateError(f"{name}: placeholder {{{{{unfilled[0]}}}}} is never filled")
+        raise ValueError(f"{name}: placeholder {{{{{unfilled[0]}}}}} is never filled")
     return PromptPhase(ordinal, template)
 
 

@@ -1,6 +1,6 @@
 """Evaluation semantics for EMRs: verdicts, follow-up inputs, suite runs."""
 
-from .errors import AdapterFailure, EvalError, MissingStub, TypeMismatch
+from .errors import AdapterFailure, EvalError
 from .evaluate import Evaluator, eval_bool, evaluate_emr, unbound_stubs
 from .suite import SuiteEntry, SuiteReport, run_suite
 from .values import (
@@ -30,7 +30,6 @@ __all__ = [
     "Evaluator",
     "FailingBinding",
     "InsertAction",
-    "MissingStub",
     "Output",
     "OutputSequence",
     "PositionOutOfRange",
@@ -39,7 +38,6 @@ __all__ = [
     "StubBindings",
     "SuiteEntry",
     "SuiteReport",
-    "TypeMismatch",
     "Verdict",
     "VerdictValue",
     "create_followup",

@@ -4,17 +4,8 @@ from __future__ import annotations
 
 
 class EvalError(Exception):
-    """EMR evaluation failed for a structural reason (not a SUT fault)."""
-
-
-class TypeMismatch(EvalError):
-    """A boolean operator received a non-boolean operand."""
-
-
-class MissingStub(EvalError):
-    def __init__(self, name: str):
-        super().__init__(f"no binding for stub function '{name}'")
-        self.name = name
+    """EMR evaluation failed for a structural reason (not a SUT fault): a
+    non-boolean operand, an unbound stub, an ill-formed construct."""
 
 
 class AdapterFailure(Exception):

@@ -46,7 +46,7 @@ from ..dsl.ast import (
     VarDecl,
 )
 from ..dsl.validate import stub_names, validate
-from .errors import EvalError, MissingStub, TypeMismatch
+from .errors import EvalError
 from .values import (
     Action,
     ActionSequence,
@@ -73,7 +73,7 @@ Compiled = Callable[["Evaluator"], Any]
 
 def _require_bool(value: Any, context: str) -> bool:
     if not isinstance(value, bool):
-        raise TypeMismatch(f"{context} evaluated to non-boolean {render_value(value)}")
+        raise EvalError(f"{context} evaluated to non-boolean {render_value(value)}")
     return value
 
 
@@ -129,9 +129,9 @@ class Evaluator:
         return Verdict(VerdictValue.INAPPLICABLE)
 
 
-def _raising(error: Callable[[str], Exception], message: str) -> Compiled:
+def _raising(message: str) -> Compiled:
     def fail(ev: Evaluator) -> Any:
-        raise error(message)
+        raise EvalError(message)
 
     return fail
 
@@ -168,7 +168,7 @@ def _stmt(st: Stmt, stubs: StubBindings) -> Compiled:
         return declare
     if isinstance(st, ExprStmt):
         return _check(st, stubs)
-    return _raising(EvalError, f"unknown statement node {st!r}")
+    return _raising(f"unknown statement node {st!r}")
 
 
 def _for_each(st: ForEach, stubs: StubBindings) -> Compiled:
@@ -231,7 +231,7 @@ def _expr(e: Expr, stubs: StubBindings) -> Compiled:
         return _method(e, stubs)
     if isinstance(e, Call):
         return _call(e, stubs)
-    return _raising(EvalError, f"unknown expression node {e!r}")
+    return _raising(f"unknown expression node {e!r}")
 
 
 def _logic(op: str, operands: tuple[Expr, ...], label: str, stubs: StubBindings) -> Compiled:
@@ -302,7 +302,7 @@ def _method(e: MethodCall, stubs: StubBindings) -> Compiled:
 def _call(e: Call, stubs: StubBindings) -> Compiled:
     name, args = e.name, e.args
     if name in CONSTRUCT_ARITY and len(args) not in CONSTRUCT_ARITY[name]:
-        return _raising(EvalError, f"{name} cannot take {len(args)} argument(s)")
+        return _raising(f"{name} cannot take {len(args)} argument(s)")
     if name == "Input":
         return _by_index(_expr(args[0], stubs), "Input", Evaluator.input_sequence)
     if name == "Output" and len(args) == 1:
@@ -315,14 +315,14 @@ def _call(e: Call, stubs: StubBindings) -> Compiled:
         return _logic(name, args, name, stubs)
     if name in stubs:
         return _applied(stubs[name], [_expr(a, stubs) for a in args])
-    return _raising(MissingStub, name)
+    return _raising(f"no binding for stub function '{name}'")
 
 
 def _by_index(index: Compiled, construct: str, get: Callable[[Evaluator, int], Any]) -> Compiled:
     def indexed(ev: Evaluator) -> Any:
         value = index(ev)
         if not isinstance(value, int):
-            raise TypeMismatch(f"{construct} index must be an integer")
+            raise EvalError(f"{construct} index must be an integer")
         return get(ev, value)
 
     return indexed
@@ -332,10 +332,10 @@ def _output_at(sequence: Compiled, position: Compiled) -> Compiled:
     def output_at(ev: Evaluator) -> Output:
         inputs = sequence(ev)
         if not isinstance(inputs, ActionSequence):
-            raise TypeMismatch("two-argument Output takes an input sequence first")
+            raise EvalError("two-argument Output takes an input sequence first")
         at = position(ev)
         if not isinstance(at, int) or isinstance(at, bool):
-            raise TypeMismatch("Output position must be an integer")
+            raise EvalError("Output position must be an integer")
         return ev.output_sequence(inputs.index).at(at)
 
     return output_at
@@ -345,13 +345,13 @@ def _create(args: tuple[Expr, ...], stubs: StubBindings) -> Compiled:
     target = args[0]
     if not (isinstance(target, Call) and target.name == "Input" and target.args
             and isinstance(target.args[0], IntLit)):
-        return _raising(EvalError, "CREATE target must be Input(k) with a literal index")
+        return _raising("CREATE target must be Input(k) with a literal index")
     index, source = target.args[0].value, _expr(args[1], stubs)
 
     def create(ev: Evaluator) -> bool:
         value = source(ev)
         if not isinstance(value, ActionSequence):
-            raise TypeMismatch("CREATE source must be an input sequence")
+            raise EvalError("CREATE source must be an input sequence")
         ev.register_and_execute(index, value)
         return True
 

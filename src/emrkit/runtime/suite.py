@@ -62,13 +62,6 @@ class SuiteReport:
         nonzero = {emr: {name: n for name, n in counts.items() if n} for emr, counts in per_emr.items()}
         return nonzero, list(stubs)
 
-    def counts_for(self, emr_id: str) -> dict[str, int]:
-        return self.tally()[0].get(emr_id, {})
-
-    @property
-    def emr_ids(self) -> list[str]:
-        return list(self.tally()[0])
-
     @property
     def has_failures(self) -> bool:
         return any(e.outcome == "Fail" for e in self.entries)

@@ -17,17 +17,6 @@ from ..runtime.errors import AdapterFailure
 from ..runtime.values import Action, Output
 
 
-class FingerprintMismatch(AdapterFailure):
-    def __init__(self, expected: str, got: str):
-        super().__init__(f"cassette fingerprint mismatch: recorded {expected}, requested {got}")
-        self.expected = expected
-        self.got = got
-
-
-class CassetteExhausted(AdapterFailure):
-    pass
-
-
 def fingerprint(action: Action) -> str:
     """Action kind plus canonically ordered parameters."""
     return json.dumps(
@@ -81,11 +70,11 @@ class _ReplaySession:
     def execute(self, action: Action) -> Output:
         cursor = self.state["cursor"]
         if cursor >= len(self.state["entries"]):
-            raise CassetteExhausted(f"cassette exhausted after {cursor} interactions")
+            raise AdapterFailure(f"cassette exhausted after {cursor} interactions")
         recorded, output = self.state["entries"][cursor]
         got = fingerprint(action)
         if recorded != got:
-            raise FingerprintMismatch(recorded, got)
+            raise AdapterFailure(f"cassette fingerprint mismatch: recorded {recorded}, requested {got}")
         self.state["cursor"] = cursor + 1
         return output
 

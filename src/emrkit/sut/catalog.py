@@ -8,12 +8,11 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 
-class SchemaError(ValueError):
-    def __init__(self, message: str, entry: Any = None):
-        if entry is not None:
-            message = f"{message}: {json.dumps(entry, sort_keys=True)[:200]}"
-        super().__init__(message)
-        self.entry = entry
+def _entry_error(message: str, entry: Any) -> ValueError:
+    """A catalog error that quotes the start of the entry it is about."""
+    if entry is not None:
+        message = f"{message}: {json.dumps(entry, sort_keys=True)[:200]}"
+    return ValueError(message)
 
 
 @dataclass
@@ -47,17 +46,17 @@ class ApiCatalog:
 
 def _parse_entry(raw: Mapping[str, Any]) -> ApiEntry:
     if not isinstance(raw, Mapping):
-        raise SchemaError("catalog entry must be an object", raw)
+        raise _entry_error("catalog entry must be an object", raw)
     for key in ("name", "returns", "doc"):
         if not isinstance(raw.get(key), str) or not raw[key].strip():
-            raise SchemaError(f"catalog entry needs a non-empty '{key}'", dict(raw))
+            raise _entry_error(f"catalog entry needs a non-empty '{key}'", dict(raw))
     params_raw = raw.get("parameters", [])
     if not isinstance(params_raw, Sequence) or isinstance(params_raw, str):
-        raise SchemaError("'parameters' must be a list", dict(raw))
+        raise _entry_error("'parameters' must be a list", dict(raw))
     parameters: list[tuple[str, str]] = []
     for p in params_raw:
         if not isinstance(p, Mapping) or "name" not in p or "type" not in p:
-            raise SchemaError("parameter needs 'name' and 'type'", dict(raw))
+            raise _entry_error("parameter needs 'name' and 'type'", dict(raw))
         parameters.append((str(p["name"]), str(p["type"])))
     return ApiEntry(raw["name"], parameters, raw["returns"], raw["doc"])
 
@@ -66,12 +65,12 @@ def load_api_catalog(path: str | Path) -> ApiCatalog:
     """Load a catalog file (JSON list of entries), preserving file order."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, list):
-        raise SchemaError("catalog file must contain a JSON list")
+        raise ValueError("catalog file must contain a JSON list")
     entries = [_parse_entry(item) for item in raw]
     seen: set[str] = set()
     for e in entries:
         if e.name in seen:
-            raise SchemaError(f"duplicate catalog entry name '{e.name}'")
+            raise ValueError(f"duplicate catalog entry name '{e.name}'")
         seen.add(e.name)
     return ApiCatalog(entries)
 

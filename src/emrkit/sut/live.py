@@ -27,10 +27,6 @@ from ..runtime.errors import AdapterFailure
 from ..runtime.values import Action, Output
 
 
-class TransportError(AdapterFailure):
-    pass
-
-
 @dataclass
 class AdapterConfig:
     base_url: str
@@ -107,5 +103,5 @@ class LiveHttpSut:
         except urllib.error.HTTPError as exc:
             output = _to_output(exc.code, exc.read())
         except (urllib.error.URLError, OSError) as exc:
-            raise TransportError(f"{method} {url} failed: {exc}") from exc
+            raise AdapterFailure(f"{method} {url} failed: {exc}") from exc
         return output

@@ -32,7 +32,9 @@ import random
 import sys
 
 from astgen import ProgramGen, messy_render, scatter_comments
-from emrkit.dsl import DslError, classify_statements, canonical_units, parse_emr, pretty_print, repair, validate
+from emrkit.dsl import DslError, classify_statements, canonical_units, parse_emr, pretty_print
+from emrkit.dsl.repair import repair
+from emrkit.dsl.validate import validate
 from emrkit.resources import fixture_path
 from emrkit.sut.catalog import load_api_catalog
 

@@ -17,11 +17,11 @@ from emrkit.cli import main as cli_main
 from emrkit.dsl import (
     parse_emr,
     pretty_print,
-    repair,
     structurally_equal,
     stub_names,
-    validate,
 )
+from emrkit.dsl.repair import repair
+from emrkit.dsl.validate import validate
 from emrkit.grading import (
     emr_size_stats,
     load_annotations,

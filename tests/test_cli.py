@@ -1,6 +1,8 @@
 import errno
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,23 +11,15 @@ from pathlib import Path
 import pytest
 
 from astgen import NESTINGS, nested_emr
+import emrkit
 from emrkit import cli, jsonl
 from emrkit.cli import main
 from emrkit.dsl import DslError, parse_emr
 from emrkit.dsl.parser import MAX_NESTING
-from emrkit.grading import AnnotationError, SurveyError
-from emrkit.pipeline import (
-    LlmError,
-    LlmTransport,
-    MissingScript,
-    ResponseFormatError,
-    TemplateError,
-    UnsupportedFormat,
-)
 from emrkit.resources import fixture_path
 from emrkit.runtime import ActionSequence, run_suite
 from emrkit.shopstubs import STUBS
-from emrkit.sut import MockShopSut, SchemaError
+from emrkit.sut import MockShopSut
 
 DOC = str(fixture_path("requirements_shop.md"))
 FIG4 = str(fixture_path("search_filter.smrl"))
@@ -42,15 +36,23 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-# The CLI maps an error to its exit code by base class alone: a ValueError
-# from reading an input is exit 2, an LlmError during a conversation exit 3.
-@pytest.mark.parametrize("cls, base", [
-    *((cls, ValueError) for cls in (DslError, SchemaError, AnnotationError, SurveyError, UnsupportedFormat,
-                                    TemplateError)),
-    *((cls, LlmError) for cls in (LlmTransport, MissingScript, ResponseFormatError)),
-], ids=lambda value: value.__name__)
-def test_each_error_family_shares_its_base(cls, base):
-    assert issubclass(cls, base)
+# Errors are told apart by what handles them: the CLI maps a ValueError from
+# reading an input to exit 2 and an LlmError during a conversation to exit 3,
+# and run_suite reads EvalError, AdapterFailure and PositionOutOfRange. A new
+# kind of failure is a new message on one of these, not a new class, unless a
+# handler or a caller needs to tell it apart.
+def test_emrkit_defines_exactly_the_exception_classes_its_handlers_tell_apart():
+    defined = {}
+    for info in pkgutil.walk_packages(emrkit.__path__, "emrkit."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == info.name:
+                defined[value.__name__] = value
+    assert sorted(defined) == [
+        "AdapterFailure", "CliError", "DslError", "EvalError", "IllegalCharacter", "LlmError", "ParseError",
+        "PositionOutOfRange",
+    ]
+    assert issubclass(defined["DslError"], ValueError)
 
 
 def test_derive_writes_catalog_and_transcript(tmp_path, capsys):

@@ -9,7 +9,9 @@ source that parses, ``validate`` gives exactly the diagnostics pinned in
 import json
 from pathlib import Path
 
-from emrkit.dsl import parse_emr, repair, validate
+from emrkit.dsl import parse_emr
+from emrkit.dsl.repair import repair
+from emrkit.dsl.validate import validate
 from emrkit.resources import fixture_path
 from emrkit.sut.catalog import load_api_catalog
 from frontend_corpus import (

@@ -23,10 +23,10 @@ from emrkit.dsl import (
     parse_emr,
     pretty_print,
     structurally_equal,
-    validate,
 )
 from emrkit.dsl.parser import MAX_NESTING
 from emrkit.dsl.printer import layout
+from emrkit.dsl.validate import validate
 from emrkit.runtime import run_suite
 from emrkit.shopstubs import STUBS
 from emrkit.sut import MockShopSut

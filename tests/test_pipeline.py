@@ -1,5 +1,6 @@
 import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,20 +10,17 @@ from emrkit.dsl import (
     canonical_units,
     has_errors,
     parse_emr,
-    repair,
     structurally_equal,
     stub_names,
-    validate,
 )
+from emrkit.dsl.repair import repair
+from emrkit.dsl.validate import validate
 from emrkit.pipeline import (
     Conversation,
-    LlmTransport,
+    LlmError,
     MetamorphicRelation,
-    MissingScript,
     MockChatClient,
-    ResponseFormatError,
     TranscriptStore,
-    UnsupportedFormat,
     chunk_document,
     content_hash,
     derive_mrs,
@@ -34,7 +32,7 @@ from emrkit.pipeline import (
 )
 from emrkit.pipeline.generate import extract_emr_source
 from emrkit.pipeline.ingest import Document
-from emrkit.pipeline.templates import DeriveTemplates, GenerateTemplates, TemplateError, fill
+from emrkit.pipeline.templates import DeriveTemplates, GenerateTemplates, fill
 from emrkit.resources import fixture_path, read_fixture
 from emrkit.sut import EMPTY_CATALOG, load_api_catalog
 from frontend_corpus import amp_cases
@@ -89,11 +87,11 @@ def test_line_endings_normalized(tmp_path):
 def test_unsupported_format(tmp_path):
     pdfish = tmp_path / "doc.pdf"
     pdfish.write_bytes(b"%PDF-1.4")
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(ValueError, match=r"^unsupported extension '\.pdf' \(plain text or markdown only\)$"):
         ingest_document(pdfish)
     binary = tmp_path / "doc.txt"
     binary.write_bytes(b"a\x00b")
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(ValueError, match="^binary content$"):
         ingest_document(binary)
 
 
@@ -120,7 +118,7 @@ def test_small_document_is_one_chunk(shop_doc):
 
 def test_fill_requires_every_placeholder():
     assert fill("a {{x}} c", x="b") == "a b c"
-    with pytest.raises(TemplateError):
+    with pytest.raises(ValueError, match=r"^placeholder \{\{y\}\} was not filled$"):
         fill("a {{x}} {{y}}", x="b")
 
 
@@ -184,7 +182,7 @@ def test_unparseable_mr_list_raises_format_error(shop_doc):
         {"pipeline": "derive", "phase": 3, "response": R1},
         {"pipeline": "derive", "phase": 4, "response": "here are some MRs, unformatted"},
     ])
-    with pytest.raises(ResponseFormatError):
+    with pytest.raises(LlmError, match="^phase-4 response contains no items in the required MR list format$"):
         derive_mrs(shop_doc, client)
 
 
@@ -417,7 +415,8 @@ def test_mock_client_keyed_by_pipeline_phase_hash():
 def test_mock_client_missing_script_is_loud():
     conv = Conversation("derive", "x")
     conv.append("user", "unexpected", 1)
-    with pytest.raises(MissingScript):
+    message = f"no scripted response for pipeline='derive' phase=1 content_hash={content_hash('unexpected')}"
+    with pytest.raises(LlmError, match=f"^{re.escape(message)}$"):
         MockChatClient.from_scripts([]).complete(conv)
 
 
@@ -438,12 +437,12 @@ def test_crash_midway_loses_at_most_one_turn(shop_doc, tmp_path):
         def complete(self, conversation):
             self.calls += 1
             if self.calls >= self.fail_at:
-                raise LlmTransport("connection lost")
+                raise LlmError("connection lost")
             return self.inner.complete(conversation)
 
     store = TranscriptStore(tmp_path)
     client = CrashingClient(MockChatClient.from_file(fixture_path("mock_scripts.json")), fail_at=3)
-    with pytest.raises(LlmTransport):
+    with pytest.raises(LlmError, match="^connection lost$"):
         derive_mrs(shop_doc, client, store)
     (path,) = list(Path(tmp_path).iterdir())
     messages = load_transcript(path)["messages"]
@@ -541,8 +540,20 @@ def test_live_client_retries_then_raises():
     client = LiveChatClient(config, max_retries=2, backoff=0.01)
     conv = Conversation("derive", "x")
     conv.append("user", "ping", 1)
-    with pytest.raises(LlmTransport):
+    with pytest.raises(LlmError, match="^chat request failed after 2 attempts: "):
         client.complete(conv)
+
+
+def test_live_client_sleeps_only_between_attempts(monkeypatch):
+    from emrkit.pipeline import LiveChatClient, LlmConfig, client
+
+    sleeps = []
+    monkeypatch.setattr(client.time, "sleep", sleeps.append)
+    conv = Conversation("derive", "x")
+    conv.append("user", "ping", 1)
+    with pytest.raises(LlmError, match="^chat request failed after 3 attempts: "):
+        LiveChatClient(LlmConfig(endpoint="http://127.0.0.1:1/chat", model="m")).complete(conv)
+    assert sleeps == [0.5, 1.0]
 
 
 @pytest.mark.parametrize("field, value, kind", [

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emrkit.dsl import DslError, IllegalCharacter, parse_emr, reconstruct, repair, tokenize
+from emrkit.dsl import DslError, IllegalCharacter, parse_emr, reconstruct, tokenize
+from emrkit.dsl.repair import repair
 from emrkit.dsl.tokens import KEYWORDS
 from emrkit.pipeline import chunk_document
 from emrkit.runtime import Action

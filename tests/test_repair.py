@@ -1,14 +1,20 @@
-import importlib
 import random
 import time
+import types
 
 import pytest
 
-from emrkit.dsl import WLC_AMP, parse_emr, repair, validate
+import emrkit.dsl.repair as repair_module
+from emrkit.dsl import WLC_AMP, parse_emr
+from emrkit.dsl.repair import repair
+from emrkit.dsl.validate import validate
 from frontend_corpus import amp_cases, bundled_sources
 
-# The package binds the name ``repair`` to the function.
-repair_module = importlib.import_module("emrkit.dsl.repair")
+
+def test_the_repair_and_validate_submodules_are_not_shadowed():
+    import emrkit.dsl.validate as validate_module
+
+    assert isinstance(repair_module, types.ModuleType) and isinstance(validate_module, types.ModuleType)
 
 
 def test_spec_example_splits_at_the_ampersand():

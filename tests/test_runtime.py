@@ -11,11 +11,9 @@ from emrkit.runtime import (
     ActionSequence,
     EvalError,
     InsertAction,
-    MissingStub,
     PositionOutOfRange,
     RemoveAction,
     SetParameter,
-    TypeMismatch,
     VerdictValue,
     create_followup,
     eval_bool,
@@ -68,7 +66,7 @@ def test_short_circuit_skips_right_side():
 
 
 def test_type_mismatch_on_non_boolean_operand():
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(EvalError, match="^NOT operand evaluated to non-boolean 3$"):
         eval_bool(expr_of("NOT(n)"), {"n": 3})
 
 
@@ -86,7 +84,7 @@ def test_type_mismatch_on_non_boolean_operand():
     ],
 )
 def test_type_mismatch_names_the_operand(snippet, context):
-    with pytest.raises(TypeMismatch) as info:
+    with pytest.raises(EvalError) as info:
         eval_bool(expr_of(snippet), {"n": 3, "t": True, "f": False})
     assert str(info.value) == f"{context} evaluated to non-boolean 3"
 
@@ -320,7 +318,7 @@ def test_run_time_errors_raise_only_when_reached(statement, message):
 
 def test_missing_stub_raises_only_when_reached():
     assert eval_bool(expr_of("OR(true, nope())")) is True
-    with pytest.raises(MissingStub) as info:
+    with pytest.raises(EvalError) as info:
         eval_bool(expr_of("OR(false, nope())"))
     assert str(info.value) == "no binding for stub function 'nope'"
 

@@ -33,15 +33,16 @@ def suite_asts():
 def test_fault_verdict_matrix(suite_asts, shop_inputs):
     for fault in [None, "ignore-filter", "off-by-one-pagination", "stale-results"]:
         report = run_suite(suite_asts, shop_inputs, MockShopSut(fault), STUBS, input_names=INPUT_NAMES)
+        per_emr = report.tally()[0]
         for ast in suite_asts:
-            assert report.counts_for(ast.id) == EXPECTED_MATRIX[(ast.id, fault)], (ast.id, fault)
+            assert per_emr[ast.id] == EXPECTED_MATRIX[(ast.id, fault)], (ast.id, fault)
 
 
 def test_each_fault_is_caught_by_exactly_one_bundled_emr(suite_asts, shop_inputs):
     catchers = {}
     for fault in ["ignore-filter", "off-by-one-pagination", "stale-results"]:
         report = run_suite(suite_asts, shop_inputs, MockShopSut(fault), STUBS, input_names=INPUT_NAMES)
-        catchers[fault] = [emr for emr in report.emr_ids if "Fail" in report.counts_for(emr)]
+        catchers[fault] = [emr for emr, counts in report.tally()[0].items() if "Fail" in counts]
     assert catchers == {
         "ignore-filter": ["search_filter"],
         "off-by-one-pagination": ["pagination"],
@@ -51,7 +52,7 @@ def test_each_fault_is_caught_by_exactly_one_bundled_emr(suite_asts, shop_inputs
 
 def test_empty_suite_is_empty_report():
     report = run_suite([], [], MockShopSut(), STUBS)
-    assert report.entries == [] and report.emr_ids == []
+    assert report.entries == [] and report.tally() == ({}, [])
     assert not report.has_failures
 
 
@@ -77,9 +78,10 @@ def test_each_emr_is_validated_once_per_run(suite_asts, shop_inputs, monkeypatch
     emrs = [*suite_asts, unbound, invalid]
     report = run_suite(emrs, shop_inputs, MockShopSut(), STUBS)
     assert calls == [ast.id for ast in emrs]
-    assert report.counts_for("unbound") == {"NotExecutable": len(shop_inputs)}
+    per_emr = report.tally()[0]
+    assert per_emr["unbound"] == {"NotExecutable": len(shop_inputs)}
     assert all(e.verdict.stubs == ["mystery"] for e in report.entries if e.emr_id == "unbound")
-    assert report.counts_for("invalid") == {"Error": len(shop_inputs)}
+    assert per_emr["invalid"] == {"Error": len(shop_inputs)}
     assert {e.error for e in report.entries if e.emr_id == "invalid"} == {
         "EMR 'invalid' has validation errors: NOT expects 1 argument (line 1)"}
 
@@ -122,7 +124,7 @@ def test_counts_one_pass_one_inapplicable(shop_inputs):
     ast = parse_emr(read_fixture("search_filter.smrl"), "search_filter")
     inputs = [shop_inputs[0], shop_inputs[4]]  # search_chair, login_only
     report = run_suite([ast], inputs, MockShopSut(), STUBS)
-    assert report.counts_for("search_filter") == {"Pass": 1, "Inapplicable": 1}
+    assert report.tally()[0]["search_filter"] == {"Pass": 1, "Inapplicable": 1}
 
 
 def test_adapter_failure_recorded_per_pair_without_aborting(suite_asts):

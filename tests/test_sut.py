@@ -13,12 +13,8 @@ from emrkit.sut import (
     ITEMS,
     AdapterConfig,
     Cassette,
-    CassetteExhausted,
-    FingerprintMismatch,
     LiveHttpSut,
     MockShopSut,
-    SchemaError,
-    TransportError,
     fingerprint,
     load_api_catalog,
     matches_filters,
@@ -266,16 +262,17 @@ def test_duplicate_name_is_schema_error(tmp_path):
     path = tmp_path / "cat.json"
     entry = {"name": "f", "parameters": [], "returns": "int", "doc": "d"}
     path.write_text(json.dumps([entry, entry]))
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValueError, match="^duplicate catalog entry name 'f'$"):
         load_api_catalog(path)
 
 
 def test_missing_doc_is_schema_error(tmp_path):
     path = tmp_path / "cat.json"
     path.write_text(json.dumps([{"name": "f", "parameters": [], "returns": "int", "doc": " "}]))
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(ValueError) as exc:
         load_api_catalog(path)
-    assert "doc" in str(exc.value)
+    excerpt = '{"doc": " ", "name": "f", "parameters": [], "returns": "int"}'
+    assert str(exc.value) == f"catalog entry needs a non-empty 'doc': {excerpt}"
 
 
 # --- record / replay -----------------------------------------------------------
@@ -309,9 +306,12 @@ def test_replay_with_mutated_parameter_mismatches(tmp_path):
     factory = record_replay("replay", cassette)
     session = factory()
     session.execute(SCRIPT[0])
-    with pytest.raises(FingerprintMismatch) as exc:
-        session.execute(Action(1, "search", {"query": "table"}))
-    assert "chair" in str(exc.value) and "table" in str(exc.value)
+    requested = Action(1, "search", {"query": "table"})
+    with pytest.raises(AdapterFailure) as exc:
+        session.execute(requested)
+    assert str(exc.value) == (
+        f"cassette fingerprint mismatch: recorded {fingerprint(SCRIPT[1])}, requested {fingerprint(requested)}"
+    )
 
 
 def test_replay_exhaustion_is_loud(tmp_path):
@@ -320,7 +320,7 @@ def test_replay_exhaustion_is_loud(tmp_path):
     factory = record_replay("replay", cassette)
     session = factory()
     session.execute(SCRIPT[0])
-    with pytest.raises(CassetteExhausted):
+    with pytest.raises(AdapterFailure, match="^cassette exhausted after 1 interactions$"):
         session.execute(SCRIPT[1])
 
 
@@ -365,7 +365,7 @@ def test_replay_drops_a_torn_final_line(tmp_path):
     with open(cassette, "ab") as f:
         f.write(b'{"fingerprint":"{\\"kind\\":\\"search\\"')
     assert run_script(record_replay("replay", cassette), SCRIPT[:2]) == recorded
-    with pytest.raises(CassetteExhausted):
+    with pytest.raises(AdapterFailure, match="^cassette exhausted after 2 interactions$"):
         run_script(record_replay("replay", cassette), SCRIPT)
 
 
@@ -422,7 +422,7 @@ def test_live_adapter_unknown_kind(live_server):
 
 def test_live_adapter_transport_error():
     config = AdapterConfig("http://127.0.0.1:1", {"search": {"path": "/s", "method": "GET"}})
-    with pytest.raises(TransportError):
+    with pytest.raises(AdapterFailure, match=r"^GET http://127\.0\.0\.1:1/s\?query=x failed: "):
         LiveHttpSut(config, timeout=0.3).execute(search(query="x"))
 
 

@@ -1,5 +1,6 @@
 from astgen import ProgramGen
-from emrkit.dsl import has_errors, parse_emr, stub_names, validate
+from emrkit.dsl import has_errors, parse_emr, stub_names
+from emrkit.dsl.validate import validate
 from emrkit.sut import ApiCatalog, ApiEntry, load_api_catalog
 from emrkit.resources import fixture_path
 

@@ -108,7 +108,8 @@ def load_emrkit(src: str) -> Modules:
     sys.path.insert(0, src)
     try:
         importlib.invalidate_caches()
-        names = ("cli", "jsonl", "resources", "dsl", "dsl.tokens", "dsl.printer", "runtime", "shopstubs", "sut")
+        names = ("cli", "jsonl", "resources", "dsl", "dsl.tokens", "dsl.printer", "dsl.repair", "dsl.validate",
+                 "runtime", "shopstubs", "sut")
         return {name: importlib.import_module(f"emrkit.{name}") for name in names}
     finally:
         sys.path.remove(src)
@@ -186,8 +187,8 @@ FRONTEND: dict[str, tuple[Callable[[Modules], Callable[[Any], Any]], Callable[[M
     "parse_emr": (lambda m: m["dsl"].parse_emr, lambda m, source: source),
     "layout": (lambda m: m["dsl.printer"].layout, lambda m, source: m["dsl"].parse_emr(source)),
     "canonical_units": (lambda m: m["dsl"].canonical_units, lambda m, source: m["dsl"].parse_emr(source)),
-    "validate": (lambda m: m["dsl"].validate, lambda m, source: m["dsl"].parse_emr(source)),
-    "repair": (lambda m: m["dsl"].repair, lambda m, source: inject_amp_defect(source) or source),
+    "validate": (lambda m: m["dsl.validate"].validate, lambda m, source: m["dsl"].parse_emr(source)),
+    "repair": (lambda m: m["dsl.repair"].repair, lambda m, source: inject_amp_defect(source) or source),
 }
 
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from typing import Iterable
 
+from emrkit import jsonl
 from emrkit.dsl import canonical_units, statement_classes_by_line
-from emrkit.grading import StatementAnnotation, check_annotation, save_annotations
+from emrkit.grading import StatementAnnotation, check_annotation
 from emrkit.resources import fixture_path, load_emr_suite
 
 # (emr id, ordinal among its Complex statements) -> labels
@@ -54,6 +56,11 @@ SIMPLE_WLC: dict[str, set[int]] = {
     "emr09": {3},
     "emr10": {5},
 }
+
+
+def save_annotations(annotations: Iterable[StatementAnnotation], path: str | Path) -> None:
+    lines = [json.dumps(a.to_json(), sort_keys=True, ensure_ascii=False) for a in annotations]
+    jsonl.rewrite(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def make_annotations() -> None:
