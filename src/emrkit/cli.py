@@ -127,26 +127,15 @@ class ToolConfig:
         return {"model": self.llm.model if not self.mock else "mock", "temperature": self.llm.temperature}
 
 
-# The JSON values a config field takes, by the type of its default (None
-# stands for ``str | None``); a JSON boolean is never a number.
-_CONFIG_VALUES: dict[type, tuple[str, tuple[type, ...]]] = {
-    bool: ("a boolean", (bool,)),
-    int: ("an integer", (int,)),
-    float: ("a number", (int, float)),
-    str: ("a string", (str,)),
-    type(None): ("a string or null", (str, type(None))),
-}
+# The JSON kind of a config field, by the type of its default (None stands for ``str | None``).
+_CONFIG_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+                 type(None): "a string or null"}
 
 
 def _read_config(path: str) -> ToolConfig:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ValueError("the config must be a JSON object")
-    llm_raw = raw.get("llm", {})
-    if not isinstance(llm_raw, dict):
-        raise ValueError("'llm' in config must be a JSON object")
+    raw = jsonl.check(json.loads(Path(path).read_text(encoding="utf-8")), "a JSON object", "the config")
     config = ToolConfig()
-    _overlay(config.llm, llm_raw, "llm.")
+    _overlay(config.llm, jsonl.check(raw.get("llm", {}), "a JSON object", "'llm' in config"), "llm.")
     _overlay(config, raw, "")
     if config.turn_budget < 1:
         raise ValueError(f"'turn_budget' in config must be at least 1, not {config.turn_budget}")
@@ -155,16 +144,13 @@ def _read_config(path: str) -> ToolConfig:
 
 def _overlay(target: Any, raw: dict[str, Any], prefix: str) -> None:
     """Set each field of the dataclass ``target`` that ``raw`` names to a
-    value of the field's type (an int for a float field becomes a float).
-    Nested dataclasses are left to the caller."""
+    value of the field's JSON kind (an int for a float field becomes a
+    float). Nested dataclasses are left to the caller."""
     for f in fields(target):
         default = getattr(target, f.name)
         if f.name not in raw or is_dataclass(default):
             continue
-        value = raw[f.name]
-        kind, allowed = _CONFIG_VALUES[type(default)]
-        if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, allowed):
-            raise ValueError(f"'{prefix}{f.name}' in config must be {kind}, not {json.dumps(value)}")
+        value = jsonl.check(raw[f.name], _CONFIG_KINDS[type(default)], f"'{prefix}{f.name}' in config")
         setattr(target, f.name, float(value) if isinstance(default, float) else value)
 
 

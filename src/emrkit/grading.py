@@ -21,6 +21,7 @@ from typing import Any, Iterable, Iterator, Mapping
 from .dsl.ast import EmrAst
 from .dsl.classify import StatementClass, statement_classes_by_line
 from .dsl.printer import canonical_units
+from .jsonl import check
 
 # Column order of the distribution table.
 LABELS = ("C", "CLC", "AI", "WS", "WI", "IE", "INE", "ITE", "ES", "ENO", "WAU", "WLC", "MISS")
@@ -82,22 +83,15 @@ def load_annotations(
         if not raw_line.strip():
             continue
         data = json.loads(raw_line)
-        if not isinstance(data["emr"], str):
-            raise ValueError(f"emr must be a string, not {json.dumps(data['emr'])}")
-        if type(data["line"]) is not int:  # a JSON integer: not a number with a fraction, nor a boolean
-            raise ValueError(f"{data['emr']}: line must be an integer, not {json.dumps(data['line'])}")
-        if not isinstance(data.get("note"), (str, type(None))):
-            raise ValueError(
-                f"{data['emr']} line {data['line']}: note must be a string or null, not {json.dumps(data['note'])}"
-            )
+        emr_id = check(data["emr"], "a string", "emr")
+        line = check(data["line"], "an integer", f"{emr_id}: line")
+        where = f"{emr_id} line {line}"
         annotation = StatementAnnotation(
-            emr_id=data["emr"],
-            line=data["line"],
-            labels=data["labels"],
-            note=data.get("note"),
+            emr_id=emr_id,
+            line=line,
+            note=check(data.get("note"), "a string or null", f"{where}: note"),
+            labels=check(data["labels"], "a list of strings", f"{where}: labels"),
         )
-        if not isinstance(annotation.labels, list) or not all(isinstance(x, str) for x in annotation.labels):
-            raise ValueError(f"{annotation.emr_id} line {annotation.line}: labels must be a list of strings")
         key = (annotation.emr_id, annotation.line)
         if key in seen:
             raise ValueError(f"duplicate annotation for {key[0]} line {key[1]}")

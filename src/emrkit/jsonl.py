@@ -1,4 +1,5 @@
-"""How emrkit writes files: append-only JSON Lines, and whole-file rewrites.
+"""How emrkit reads and writes JSON: append-only JSON Lines, whole-file
+rewrites, and the check every loader makes of a field's JSON type.
 
 Every append writes complete lines at the end of the file, calling
 ``write`` again for whatever a short write left over, so an interrupted run
@@ -9,6 +10,10 @@ complete one whose file merely lacks the final newline.
 A whole-file output (a report, an EMR, a catalog) is rewritten in place by
 ``rewrite``: opening an existing file with ``O_TRUNC`` frees its blocks and
 costs far more than overwriting them and cutting the file to length.
+
+A loader passes each typed field of a file it reads through ``check``, so
+every wrong-type value is refused with the same ``<field> must be <kind>,
+not <value>`` message.
 """
 
 from __future__ import annotations
@@ -77,3 +82,23 @@ def read(path: Path) -> list[Any]:
         except json.JSONDecodeError:
             pass
     return records
+
+
+# The Python types ``json`` decodes each kind of value to: a JSON boolean is never a number.
+_KINDS: dict[str, tuple[type, ...]] = {
+    "a string": (str,),
+    "a string or null": (str, type(None)),
+    "an integer": (int,),
+    "a number": (int, float),
+    "a boolean": (bool,),
+    "a JSON object": (dict,),
+    "a list of strings": (list,),
+}
+
+
+def check(value: Any, kind: str, what: str) -> Any:
+    """``value`` when it is a JSON value of ``kind`` (a key of ``_KINDS``);
+    otherwise ``ValueError("<what> must be <kind>, not <value as JSON>")``."""
+    if type(value) in _KINDS[kind] and (kind != "a list of strings" or all(type(x) is str for x in value)):
+        return value
+    raise ValueError(f"{what} must be {kind}, not {json.dumps(value)}")

@@ -15,8 +15,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import Any, Protocol
 
+from ..jsonl import check
 from .conversation import Conversation
 
 
@@ -49,19 +50,14 @@ class MockChatClient:
 
     @classmethod
     def from_scripts(cls, scripts: list[dict]) -> "MockChatClient":
+        def field_of(entry: dict, name: str, kind: str, default: Any = None) -> Any:
+            return check(entry.get(name, default), kind, f"mock script field '{name}'")
+
         client = cls()
         for entry in scripts:
-            pipeline, phase, digest = entry["pipeline"], entry["phase"], entry.get("content_hash", "*")
-            response = entry["response"]
-            for name, value, ok, kind in (
-                ("pipeline", pipeline, isinstance(pipeline, str), "a string"),
-                ("phase", phase, isinstance(phase, int) and not isinstance(phase, bool), "an integer"),
-                ("content_hash", digest, isinstance(digest, str), "a string"),
-                ("response", response, isinstance(response, str), "a string"),
-            ):
-                if not ok:
-                    raise ValueError(f"mock script field '{name}' must be {kind}, not {json.dumps(value)}")
-            client.queues.setdefault((pipeline, phase, digest), []).append(response)
+            key = (field_of(entry, "pipeline", "a string"), field_of(entry, "phase", "an integer"),
+                   field_of(entry, "content_hash", "a string", "*"))
+            client.queues.setdefault(key, []).append(field_of(entry, "response", "a string"))
         return client
 
     @classmethod

@@ -43,25 +43,16 @@ class MetamorphicRelation:
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "MetamorphicRelation":
         """The MR ``data`` describes; a field of the wrong JSON type raises ValueError."""
-        mr = cls(
-            id=data["id"],
-            text=data["text"],
-            document_id=data.get("document_id", ""),
-            requirement_ref=data.get("requirement_ref"),
-            source_sentences=data.get("source_sentences", []),
+        def field_of(name: str, kind: str, default: Any = None) -> Any:
+            return jsonl.check(data.get(name, default), kind, f"MR field '{name}'")
+
+        return cls(
+            id=field_of("id", "a string"),
+            text=field_of("text", "a string"),
+            document_id=field_of("document_id", "a string", ""),
+            requirement_ref=field_of("requirement_ref", "a string or null"),
+            source_sentences=field_of("source_sentences", "a list of strings", []),
         )
-        sentences = mr.source_sentences
-        for name, ok, kind in (
-            ("id", isinstance(mr.id, str), "a string"),
-            ("text", isinstance(mr.text, str), "a string"),
-            ("document_id", isinstance(mr.document_id, str), "a string"),
-            ("requirement_ref", mr.requirement_ref is None or isinstance(mr.requirement_ref, str), "a string or null"),
-            ("source_sentences", isinstance(sentences, list) and all(isinstance(x, str) for x in sentences),
-             "a list of strings"),
-        ):
-            if not ok:
-                raise ValueError(f"MR field '{name}' must be {kind}, not {json.dumps(getattr(mr, name))}")
-        return mr
 
 
 @dataclass

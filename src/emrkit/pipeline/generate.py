@@ -23,6 +23,7 @@ from ..dsl.parser import parse_emr
 from ..dsl.printer import canonical_units
 from ..dsl.repair import RepairLog, repair
 from ..dsl.validate import has_errors, stub_names, validate
+from ..jsonl import check
 from ..sut.catalog import ApiCatalog
 from .client import ChatClient
 from .conversation import Conversation, TranscriptStore, run_turn
@@ -40,16 +41,16 @@ class FewShotExample:
 
 def load_fewshot(path: str | Path) -> list[FewShotExample]:
     """Load MR/EMR pairs; every EMR must parse without error diagnostics."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    examples = [FewShotExample(item["mr"], item["emr"]) for item in raw]
-    if not examples:
-        raise ValueError("the file holds no examples; generation needs at least one")
-    for i, example in enumerate(examples):
-        ast = parse_emr(example.emr, f"fewshot{i + 1}")
-        diags = validate(ast)
+    examples = []
+    for i, item in enumerate(json.loads(Path(path).read_text(encoding="utf-8")), 1):
+        mr, emr = (check(item[key], "a string", f"few-shot example {i} field '{key}'") for key in ("mr", "emr"))
+        diags = validate(parse_emr(emr, f"fewshot{i}"))
         if has_errors(diags):
             bad = next(d for d in diags if d.severity == "error")
-            raise ValueError(f"few-shot example {i + 1} is invalid: {bad.message} (line {bad.line})")
+            raise ValueError(f"few-shot example {i} is invalid: {bad.message} (line {bad.line})")
+        examples.append(FewShotExample(mr, emr))
+    if not examples:
+        raise ValueError("the file holds no examples; generation needs at least one")
     return examples
 
 

@@ -7,6 +7,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
+from ..jsonl import check
+
 
 class PositionOutOfRange(Exception):
     def __init__(self, position: int, length: int):
@@ -65,10 +67,11 @@ class ActionSequence:
 
     @classmethod
     def from_json(cls, data: Sequence[Mapping[str, Any]], index: int = 1) -> "ActionSequence":
-        actions = [
-            Action(pos, item["kind"], dict(item.get("parameters", {})))
-            for pos, item in enumerate(data)
-        ]
+        actions = []
+        for pos, item in enumerate(data):
+            what = f"action at position {pos} field"
+            actions.append(Action(pos, check(item["kind"], "a string", f"{what} 'kind'"),
+                                  dict(check(item.get("parameters", {}), "a JSON object", f"{what} 'parameters'"))))
         return cls(index, actions)
 
 
@@ -82,8 +85,9 @@ class Output:
         return {"status": self.status, "payload": self.payload, "summary_size": self.summary_size}
 
     @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "Output":
-        return cls(data["status"], data.get("payload"), int(data.get("summary_size", 0)))
+    def from_json(cls, data: Mapping[str, Any], what: str = "output") -> "Output":
+        return cls(check(data["status"], "a string", f"{what} field 'status'"), data.get("payload"),
+                   check(data.get("summary_size", 0), "an integer", f"{what} field 'summary_size'"))
 
 
 @dataclass

@@ -42,7 +42,7 @@ class Cassette:
         for number, entry in enumerate(jsonl.read(self.path), 1):
             if not isinstance(entry, dict) or not isinstance(entry.get("fingerprint"), str) or "output" not in entry:
                 raise ValueError(f"line {number} is not an object with a string 'fingerprint' and an 'output'")
-            entries.append((entry["fingerprint"], Output.from_json(entry["output"])))
+            entries.append((entry["fingerprint"], Output.from_json(entry["output"], f"line {number} output")))
         return entries
 
     def append(self, fp: str, output: Output) -> None:

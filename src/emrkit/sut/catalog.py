@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from ..jsonl import check
+
 
 def _entry_error(message: str, entry: Any) -> ValueError:
     """A catalog error that quotes the start of the entry it is about."""
@@ -57,7 +59,9 @@ def _parse_entry(raw: Mapping[str, Any]) -> ApiEntry:
     for p in params_raw:
         if not isinstance(p, Mapping) or "name" not in p or "type" not in p:
             raise _entry_error("parameter needs 'name' and 'type'", dict(raw))
-        parameters.append((str(p["name"]), str(p["type"])))
+        what = f"catalog entry '{raw['name']}' parameter field"
+        parameters.append((check(p["name"], "a string", f"{what} 'name'"),
+                           check(p["type"], "a string", f"{what} 'type'")))
     return ApiEntry(raw["name"], parameters, raw["returns"], raw["doc"])
 
 

@@ -23,6 +23,7 @@ import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..jsonl import check
 from ..runtime.errors import AdapterFailure
 from ..runtime.values import Action, Output
 
@@ -34,17 +35,14 @@ class AdapterConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "AdapterConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict) or "base_url" not in raw or "actions" not in raw:
-            raise ValueError("adapter config must be a JSON object with 'base_url' and 'actions'")
-        if not isinstance(raw["base_url"], str) or not isinstance(raw["actions"], dict):
-            raise ValueError("adapter config needs a string 'base_url' and an object 'actions'")
-        for kind, mapping in raw["actions"].items():
-            if not isinstance(mapping, dict) or not isinstance(mapping.get("path"), str):
-                raise ValueError(f"action '{kind}' must be an object with a string 'path'")
-            if not isinstance(mapping.get("method", "GET"), str):
-                raise ValueError(f"action '{kind}' has a 'method' that is not a string")
-        return cls(raw["base_url"].rstrip("/"), raw["actions"])
+        raw = check(json.loads(Path(path).read_text(encoding="utf-8")), "a JSON object", "the adapter config")
+        base_url = check(raw.get("base_url"), "a string", "adapter config field 'base_url'")
+        actions = check(raw.get("actions"), "a JSON object", "adapter config field 'actions'")
+        for kind, mapping in actions.items():
+            check(mapping, "a JSON object", f"action '{kind}'")
+            check(mapping.get("path"), "a string", f"action '{kind}' field 'path'")
+            check(mapping.get("method", "GET"), "a string", f"action '{kind}' field 'method'")
+        return cls(base_url.rstrip("/"), actions)
 
 
 def _to_output(status_code: int, body: bytes) -> Output:

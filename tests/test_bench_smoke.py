@@ -94,3 +94,11 @@ def test_bench_layers_writes_the_run_suite_rows(layer_rows, config):
 
 def test_bench_layers_writes_the_pipeline_row(layer_rows):
     check_cpu_ms_row(layer_rows["pipeline"], "pipeline --mock")
+
+
+def test_bench_layers_writes_the_load_annotations_row(layer_rows):
+    check_cpu_ms_row(layer_rows["load_annotations"], "grading.load_annotations")
+
+
+def test_bench_layers_writes_the_cassette_load_row(layer_rows):
+    check_cpu_ms_row(layer_rows["cassette_load"], "Cassette.load")

@@ -717,7 +717,9 @@ def test_config_values_keep_their_types(tmp_path, capsys):
 
 # Each case writes one malformed input file (``relpath`` under tmp_path) and
 # runs a command that reads it, directly or through the --config key named.
-# Every one of them used to end in a traceback or name the file twice.
+# Every one of them used to end in a traceback, name the file twice, or load
+# a value of the wrong JSON type.
+FEWSHOT_EMR = json.loads(fixture_path("fewshot.json").read_text(encoding="utf-8"))[0]["emr"]
 MALFORMED_INPUTS = {
     "mr-catalog-entry-not-object": ("mrs.json", b"[5]", None, ["generate", "{path}"]),
     "mr-catalog-text-not-string": ("mrs.json", b'[{"id": "m1", "text": 5}]', None, ["generate", "{path}"]),
@@ -744,6 +746,22 @@ MALFORMED_INPUTS = {
     "template-unfilled-placeholder": (
         "templates/derive_phase4_mrs.txt", b"List the MRs for {{nope}}.", "templates_dir", ["derive", DOC]),
     "document-not-utf8": ("bad.md", b"\xff\xfe", None, ["derive", "{path}"]),
+    "fewshot-mr-not-string": (
+        "fewshot.json", json.dumps([{"mr": {"k": 1}, "emr": FEWSHOT_EMR}]).encode(), "fewshot",
+        ["generate", "{empty}"]),
+    "api-catalog-parameter-type-not-string": (
+        "catalog.json",
+        b'[{"name": "isSearchAction", "parameters": [{"name": "action", "type": [null]}], "returns": "boolean",'
+        b' "doc": "d"}]',
+        None, ["check", FIG4, "--catalog", "{path}"]),
+    "cassette-output-of-wrong-types": (
+        "cassette.jsonl", b'{"fingerprint":"a","output":{"status":5,"summary_size":true}}\n',
+        None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"]),
+    "input-action-kind-not-string": (
+        "input.json", b'[{"kind": ["search"]}]', None, ["run", FIG4, "--inputs", "{path}"]),
+    "input-action-parameters-not-object": (
+        "input.json", b'[{"kind": "search", "parameters": [["query", "chair"]]}]', None,
+        ["run", FIG4, "--inputs", "{path}"]),
 }
 
 

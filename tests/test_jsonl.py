@@ -59,3 +59,27 @@ def test_append_finishes_a_short_write(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert jsonl.read(path) == records[3:5]
     assert path.read_bytes().count(b"\n") == 2
+
+
+@pytest.mark.parametrize("value, kind", [
+    ("", "a string"), (None, "a string or null"), ("x", "a string or null"), (-1, "an integer"),
+    (0, "a number"), (2.5, "a number"), (False, "a boolean"), ({}, "a JSON object"), (["a", ""], "a list of strings"),
+])
+def test_check_returns_a_value_of_its_kind_without_encoding_it(monkeypatch, value, kind):
+    monkeypatch.setattr(jsonl.json, "dumps", None)  # the message is built only on failure
+    assert jsonl.check(value, kind, "v") is value
+
+
+@pytest.mark.parametrize("value, kind, message", [
+    (True, "an integer", "v must be an integer, not true"),
+    (False, "a number", "v must be a number, not false"),
+    (1, "a boolean", "v must be a boolean, not 1"),
+    (1.0, "an integer", "v must be an integer, not 1.0"),
+    ("é", "a JSON object", 'v must be a JSON object, not "\\u00e9"'),
+    (["a", None], "a list of strings", 'v must be a list of strings, not ["a", null]'),
+    ("ab", "a list of strings", 'v must be a list of strings, not "ab"'),
+])
+def test_check_refuses_another_kind_naming_the_value_as_json(value, kind, message):
+    with pytest.raises(ValueError) as excinfo:
+        jsonl.check(value, kind, "v")
+    assert str(excinfo.value) == message

@@ -45,6 +45,17 @@ the same workload drawn with n MRs a round, 30 % of the replies with the
 WLC-AMP defect (milliseconds per call). Each round writes into the same
 ``--out``, as a rerun does.
 
+The ``load_annotations`` row times ``grading.load_annotations`` with the
+EMRs given, as ``emrkit grade --emrs`` calls it: ``bundled`` on the bundled
+annotations and the 10 bundled suite EMRs, ``by_n`` on n annotation lines,
+the bundled lines repeated over renamed copies of those EMRs (every copy an
+annotated line names is given). The ``cassette_load`` row times
+``Cassette.load``: ``bundled`` on the cassette that the first round of the
+benchmark's ``record-replay`` workload (seed 1) records, ``by_n`` on a
+cassette of n interactions recorded from the mock shop, one per action of
+the ``suite-run`` inputs seeded 1. Both are thread-CPU ms per call; the
+files are written before the first round.
+
 Every row records, per n, the median with the quartiles of each clock, and
 the log-log slope of the median over n (1.0 is linear, 2.0 quadratic).
 
@@ -75,7 +86,7 @@ import statistics
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import ModuleType
 from typing import Any, Callable, NamedTuple
@@ -86,12 +97,14 @@ from workloads import (  # noqa: E402
     AUTHOR_EXIT,
     AUTHOR_ROUNDS,
     CHUNKS,
+    RUN_EXIT,
     SIZES,
     SUT_CONFIGS,
     build,
     emr_sources,
     inject_amp_defect,
     make_inputs,
+    suite_ids,
 )
 
 MAX_SLOPE = 1.3
@@ -109,7 +122,7 @@ def load_emrkit(src: str) -> Modules:
     try:
         importlib.invalidate_caches()
         names = ("cli", "jsonl", "resources", "dsl", "dsl.tokens", "dsl.printer", "dsl.repair", "dsl.validate",
-                 "runtime", "shopstubs", "sut")
+                 "grading", "runtime", "shopstubs", "sut")
         return {name: importlib.import_module(f"emrkit.{name}") for name in names}
     finally:
         sys.path.remove(src)
@@ -220,14 +233,56 @@ def pipeline_sampler(modules: Modules, mrs: int, directory: Path) -> Sampler:
     into the same ``--out`` every time."""
     plan = build("author", SEED, mrs * AUTHOR_ROUNDS, directory, modules["resources"])
     main = modules["cli"].main
+    return timed(lambda argv: run_cli(main, argv, AUTHOR_EXIT), [plan.step("pipeline-1").argv], "cpu_ms")
 
-    def run(argv: list[str]) -> None:
-        with redirect_stdout(io.StringIO()):
-            code = main(argv)
-        if code != AUTHOR_EXIT:
-            raise RuntimeError(f"emrkit {' '.join(argv)} exited {code}")
 
-    return timed(run, [plan.step("pipeline-1").argv], "cpu_ms")
+def run_cli(main: Callable[[list[str]], int], argv: list[str], expected: int) -> None:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if code != expected:
+        raise RuntimeError(f"emrkit {' '.join(argv)} exited {code}")
+
+
+def annotations_sampler(modules: Modules, count: int | None, directory: Path) -> Sampler:
+    """One call loads ``count`` annotation lines of one checkout with their
+    EMRs given (None: the bundled file and suite)."""
+    resources, parse_emr = modules["resources"], modules["dsl"].parse_emr
+    sources = emr_sources(resources)
+    asts = {emr_id: parse_emr(sources[emr_id], emr_id) for emr_id in suite_ids(resources)}
+    path = resources.fixture_path("suite_annotations.jsonl")
+    emrs = asts
+    if count is not None:
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+        records, emrs = [], {}
+        for i in range(count):
+            line = lines[i % len(lines)]
+            copy = f"{line['emr']}-{i // len(lines)}"  # the line's EMR in copy number i // len(lines)
+            records.append({**line, "emr": copy})
+            emrs[copy] = asts[line["emr"]]
+        path = directory / "annotations.jsonl"
+        directory.mkdir(parents=True, exist_ok=True)
+        path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    load_annotations = modules["grading"].load_annotations
+    return timed(lambda item: load_annotations(*item), [(path, emrs)], "cpu_ms")
+
+
+def cassette_sampler(modules: Modules, count: int | None, directory: Path) -> Sampler:
+    """One call loads a cassette of one checkout: ``count`` interactions
+    recorded from the mock shop (None: one ``record-replay`` round's)."""
+    sut = modules["sut"]
+    if count is None:
+        plan = build("record-replay", SEED, SIZES["record-replay"], directory, modules["resources"])
+        run_cli(modules["cli"].main, plan.step("record-1").argv, RUN_EXIT)
+        path = Path(plan.step("record-1").argv[-1])
+    else:
+        path = directory / "cassette.jsonl"
+        directory.mkdir(parents=True, exist_ok=True)
+        session = sut.record_replay("record", path, sut.MockShopSut())()
+        actions = [action for actions in make_inputs(random.Random(SEED), count)
+                   for action in modules["runtime"].ActionSequence.from_json(actions).actions]
+        for action in actions[:count]:
+            session.execute(action)
+    return timed(lambda cassette: cassette.load(), [sut.Cassette(path)], "cpu_ms")
 
 
 class Row(NamedTuple):
@@ -261,6 +316,13 @@ ROWS: dict[str, Row] = {
                     "per round) and on an n-MR script drawn the same way (thread-CPU ms per call)",
                     pipeline_sampler,
                     lambda m, directory: pipeline_sampler(m, SIZES["author"] // AUTHOR_ROUNDS, directory)),
+    "load_annotations": Row("grading.load_annotations with the EMRs given: the bundled annotations and suite "
+                            "(thread-CPU ms per call) and n annotation lines over copies of the suite (thread-CPU "
+                            "ms per call)",
+                            annotations_sampler, lambda m, directory: annotations_sampler(m, None, directory)),
+    "cassette_load": Row(f"Cassette.load on one record-replay round's cassette (seed {SEED}; thread-CPU ms per call) "
+                         "and on n interactions recorded from the mock shop (thread-CPU ms per call)",
+                         cassette_sampler, lambda m, directory: cassette_sampler(m, None, directory)),
 }
 
 
