@@ -284,7 +284,7 @@ def _read_input(path: Path) -> ActionSequence:
 
 def _collect(paths: Sequence[str], pattern: str, noun: str) -> list[Path]:
     """The files named by ``paths``, each directory contributing its files
-    that match ``pattern`` in sorted order."""
+    that match ``pattern`` in sorted order; no two may share a stem, their id."""
     files: list[Path] = []
     for raw in paths:
         path = Path(raw)
@@ -296,6 +296,11 @@ def _collect(paths: Sequence[str], pattern: str, noun: str) -> list[Path]:
             raise CliError(f"no such {noun} file or directory: {path}")
     if not files:
         raise CliError(f"no {noun} files found in {', '.join(paths)}")
+    by_stem: dict[str, Path] = {}
+    for file in files:
+        first = by_stem.setdefault(file.stem, file)
+        if first is not file:
+            raise CliError(f"two {noun} files named {file.stem}: {first} and {file}")
     return files
 
 

@@ -1,4 +1,4 @@
-"""Lexer, parser, validator, printer, classifier, and repairer for the EMR DSL.
+"""Lexer, parser, validator, printer, and repairer for the EMR DSL.
 
 ``repair`` and ``validate`` name submodules here: import those functions
 from ``emrkit.dsl.repair`` and ``emrkit.dsl.validate``.
@@ -24,7 +24,6 @@ from .ast import (
     VarDecl,
     structurally_equal,
 )
-from .classify import StatementClass, classify_statements, statement_classes_by_line
 from .errors import DslError, IllegalCharacter, ParseError
 from .parser import parse_emr
 from .printer import Unit, canonical_units, format_expr, pretty_print
@@ -53,7 +52,6 @@ __all__ = [
     "ParseError",
     "RepairEntry",
     "RepairLog",
-    "StatementClass",
     "Stmt",
     "StringLit",
     "Token",
@@ -61,13 +59,11 @@ __all__ = [
     "VarDecl",
     "WLC_AMP",
     "canonical_units",
-    "classify_statements",
     "format_expr",
     "has_errors",
     "parse_emr",
     "pretty_print",
     "reconstruct",
-    "statement_classes_by_line",
     "structurally_equal",
     "stub_names",
     "tokenize",

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-CONSTRUCTS = frozenset({"Input", "Output", "CREATE", "IMPLIES", "NOT", "OR", "AND"})
-
 # Construct name -> accepted argument counts.
 CONSTRUCT_ARITY: dict[str, tuple[int, ...]] = {
     "Input": (1,),
@@ -23,6 +21,7 @@ CONSTRUCT_ARITY: dict[str, tuple[int, ...]] = {
     "OR": (2,),
     "AND": (2,),
 }
+CONSTRUCTS = frozenset(CONSTRUCT_ARITY)
 
 
 @dataclass

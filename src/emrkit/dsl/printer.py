@@ -77,6 +77,8 @@ class Unit:
 
     @property
     def is_complex(self) -> bool:
+        """Complex: the line calls a function or method that is not a
+        construct; Simple: constructs, literals and identifiers only."""
         return bool(called_non_construct_names(self.exprs))
 
 

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 from .dsl.ast import EmrAst
-from .dsl.classify import StatementClass, statement_classes_by_line
 from .dsl.printer import canonical_units
 from .jsonl import check
 
@@ -48,26 +47,27 @@ class StatementAnnotation:
 
 
 def check_annotation(
-    annotation: StatementAnnotation, classes: Mapping[str, Mapping[int, StatementClass]] | None = None
+    annotation: StatementAnnotation, complex_lines: Mapping[str, Mapping[int, bool]] | None = None
 ) -> None:
-    """Check the labels and, when ``classes`` maps each EMR id to its
-    ``statement_classes_by_line``, line existence and applicability."""
+    """Check the labels and, when ``complex_lines`` maps each EMR id to
+    ``{unit.line: unit.is_complex}`` over its canonical units, line
+    existence and applicability."""
     if not annotation.labels:
         raise ValueError(f"{annotation.emr_id} line {annotation.line}: empty label set")
     for label in annotation.labels:
         if label not in LABELS:
             raise ValueError(f"unknown annotation label '{label}' (known: {', '.join(LABELS)})")
-    if classes is None:
+    if complex_lines is None:
         return
-    cls = classes.get(annotation.emr_id, {}).get(annotation.line)
-    if cls is None:
+    is_complex = complex_lines.get(annotation.emr_id, {}).get(annotation.line)
+    if is_complex is None:
         raise ValueError(f"line {annotation.line} is not a statement line of EMR '{annotation.emr_id}'")
     for label in annotation.labels:
-        expected = StatementClass.SIMPLE if label in SIMPLE_LABELS else StatementClass.COMPLEX
-        if cls is not expected:
+        if (label in SIMPLE_LABELS) == is_complex:
+            wanted, actual = ("Simple", "Complex") if is_complex else ("Complex", "Simple")
             raise ValueError(
-                f"label {label} applies to {expected.value} statements, "
-                f"but {annotation.emr_id} line {annotation.line} is {cls.value}"
+                f"label {label} applies to {wanted} statements, "
+                f"but {annotation.emr_id} line {annotation.line} is {actual}"
             )
 
 
@@ -76,7 +76,9 @@ def load_annotations(
 ) -> list[StatementAnnotation]:
     """Load line-oriented JSON annotations, validating labels (and, when the
     EMRs are supplied, line existence and Simple/Complex applicability)."""
-    classes = None if emrs is None else {i: statement_classes_by_line(ast) for i, ast in emrs.items()}
+    complex_lines = None if emrs is None else {
+        emr_id: {u.line: u.is_complex for u in canonical_units(ast)} for emr_id, ast in emrs.items()
+    }
     annotations: list[StatementAnnotation] = []
     seen: set[tuple[str, int]] = set()
     for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
@@ -96,7 +98,7 @@ def load_annotations(
         if key in seen:
             raise ValueError(f"duplicate annotation for {key[0]} line {key[1]}")
         seen.add(key)
-        check_annotation(annotation, classes)
+        check_annotation(annotation, complex_lines)
         annotations.append(annotation)
     return annotations
 

@@ -12,8 +12,9 @@ The per-SUT adapter config is a JSON file:
 
 GET requests carry parameters in the query string, POST requests as a JSON
 body. A JSON response shaped like {"status", "payload", "summary_size"} is
-taken as-is; any other JSON document becomes the payload (lists report
-their length as summary size).
+an ``Output`` (a field of the wrong type is an ``AdapterFailure``); any
+other JSON document becomes the payload. A list payload without a summary
+size reports its length.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ def _to_output(status_code: int, body: bytes) -> Output:
     except (ValueError, UnicodeDecodeError):
         return Output(status, body.decode("utf-8", "replace"), 0)
     if isinstance(data, dict) and "status" in data and "payload" in data:
-        return Output(
-            str(data["status"]),
-            data["payload"],
-            int(data.get("summary_size", len(data["payload"]) if isinstance(data["payload"], list) else 0)),
-        )
+        payload = data["payload"]
+        data.setdefault("summary_size", len(payload) if isinstance(payload, list) else 0)
+        try:
+            return Output.from_json(data, "live response")
+        except ValueError as exc:
+            raise AdapterFailure(str(exc)) from exc
     return Output(status, data, len(data) if isinstance(data, list) else 0)
 
 

@@ -9,7 +9,7 @@ error's class, line, column, message, expected set and repair hint.
 A second digest covers ``repair`` and the canonical units, over the corpus
 and seeded WLC-AMP injections (a comma of a base source replaced by a lone
 ``&``): the repaired source and its log, and, where the repaired source
-parses, every ``canonical_units`` row and ``classify_statements``.
+parses, every ``canonical_units`` row and each unit's Simple/Complex class.
 
 A third digest covers ``validate``: for every corpus source that parses, the
 diagnostics in order (severity, message, line, symbol), once without a
@@ -32,7 +32,7 @@ import random
 import sys
 
 from astgen import ProgramGen, messy_render, scatter_comments
-from emrkit.dsl import DslError, classify_statements, canonical_units, parse_emr, pretty_print
+from emrkit.dsl import DslError, canonical_units, parse_emr, pretty_print
 from emrkit.dsl.repair import repair
 from emrkit.dsl.validate import validate
 from emrkit.resources import fixture_path
@@ -159,8 +159,9 @@ def repair_outcome(source: str) -> str:
         ast = parse_emr(fixed, "case")
     except DslError:
         return text
-    rows = [(u.index, u.line, u.kind, u.text, u.explanation, u.is_complex) for u in canonical_units(ast)]
-    classes = [(index, cls.value) for index, cls in classify_statements(ast)]
+    units = canonical_units(ast)
+    rows = [(u.index, u.line, u.kind, u.text, u.explanation, u.is_complex) for u in units]
+    classes = [(u.index, "Complex" if u.is_complex else "Simple") for u in units]
     return repr((text, rows, classes))
 
 

@@ -1,59 +1,49 @@
 from astgen import ProgramGen
-from emrkit.dsl import (
-    StatementClass,
-    canonical_units,
-    classify_statements,
-    parse_emr,
-    statement_classes_by_line,
-)
+from emrkit.dsl import canonical_units, parse_emr
 
 
 def classes(source):
-    return [cls for _, cls in classify_statements(parse_emr(source))]
+    return [u.is_complex for u in canonical_units(parse_emr(source))]
 
 
 def test_single_construct_statement_is_simple():
-    assert classes("MR {{ NOT(x); }}") == [StatementClass.SIMPLE]
+    assert classes("MR {{ NOT(x); }}") == [False]
 
 
 def test_method_invocation_makes_complex():
-    assert classes("MR {{ if (!isSearchAction(searchAction)) continue; }}") == [StatementClass.COMPLEX]
+    assert classes("MR {{ if (!isSearchAction(searchAction)) continue; }}") == [True]
 
 
 def test_construct_only_tower_is_simple():
     source = "MR {{ IMPLIES(NOT(false), OR(true, ready)); }}"
     got = classes(source)
-    assert got and all(c is StatementClass.SIMPLE for c in got)
+    assert got and not any(got)
 
 
 def test_loop_header_classified_by_its_iterable():
-    assert classes("MR {{ for (var x : items) { continue; } }}")[0] is StatementClass.SIMPLE
-    assert classes("MR {{ for (var x : getAll()) { continue; } }}")[0] is StatementClass.COMPLEX
+    assert classes("MR {{ for (var x : items) { continue; } }}")[0] is False
+    assert classes("MR {{ for (var x : getAll()) { continue; } }}")[0] is True
 
 
 def test_search_filter_classification_counts(filter_emr_ast):
-    result = classify_statements(filter_emr_ast)
+    result = [u.is_complex for u in canonical_units(filter_emr_ast)]
     assert len(result) == 11
-    complex_count = sum(1 for _, c in result if c is StatementClass.COMPLEX)
+    complex_count = sum(result)
     assert complex_count == 8
     assert complex_count >= 8  # spec floor
 
 
 def test_search_filter_simple_statements_are_the_construct_lines(filter_emr_ast):
-    by_line = statement_classes_by_line(filter_emr_ast)
-    units = {u.line: u for u in canonical_units(filter_emr_ast)}
-    simple_texts = sorted(units[line].text for line, cls in by_line.items() if cls is StatementClass.SIMPLE)
+    simple_texts = sorted(u.text for u in canonical_units(filter_emr_ast) if not u.is_complex)
     assert simple_texts == ["CREATE(Input(2), filteredInput) &&", "IMPLIES(", "OR("]
 
 
 def test_totality_every_statement_gets_exactly_one_class():
     for seed in range(40):
-        ast = ProgramGen(seed).program()
-        result = classify_statements(ast)
-        units = canonical_units(ast)
-        assert len(result) == len(units)
-        indexes = [i for i, _ in result]
-        assert indexes == list(range(1, len(units) + 1))
+        units = canonical_units(ProgramGen(seed).program())
+        assert [u.index for u in units] == list(range(1, len(units) + 1))
+        assert all(type(u.is_complex) is bool for u in units)
+        assert len({u.line for u in units}) == len(units)  # one class per annotation key
 
 
 def test_simple_statements_have_no_non_construct_calls():

@@ -456,6 +456,72 @@ def test_stubs_module_that_raises_on_import_exits_two(tmp_path, capsys, monkeypa
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+def test_stubs_module_without_a_stubs_dict_exits_two(tmp_path, capsys, monkeypatch):
+    (tmp_path / "listed_stubs.py").write_text("STUBS = ['isSearchAction']\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "listed_stubs", raising=False)
+    argv = ["--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS, "--stubs", "listed_stubs"]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == "error: stubs module 'listed_stubs' does not define a STUBS dict\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("live:", "--sut live:<adapter-config.json> needs a config path"),
+    ("replay:", "--sut replay:<cassette.jsonl> needs a cassette path"),
+    ("http://shop", "unknown SUT spec 'http://shop' (use mock[:fault], live:<config>, replay:<cassette.jsonl>)"),
+], ids=["live-without-path", "replay-without-path", "unknown"])
+def test_a_sut_spec_that_names_no_sut_exits_two(tmp_path, capsys, spec, message):
+    assert run("--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS, "--sut", spec) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def same_stem_dirs(tmp_path: Path, name: str, content: str) -> tuple[Path, Path]:
+    first, second = tmp_path / "a" / name, tmp_path / "b" / name
+    for path in (first, second):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(content)
+    return first, second
+
+
+# Every command takes a file's stem as its id: two files with one stem would
+# overwrite each other's output or report entry.
+@pytest.mark.parametrize("command", ["check", "repair", "grade", "run-emrs", "run-inputs"])
+def test_two_input_files_with_one_stem_exit_two(tmp_path, capsys, command):
+    if command == "run-inputs":
+        first, second = same_stem_dirs(tmp_path, "s.json", (Path(INPUTS) / "search_chair.json").read_text())
+        argv = ["run", FIG4, "--inputs", first.parent, second.parent]
+        noun = "input-sequence"
+    else:
+        first, second = same_stem_dirs(tmp_path, "y.smrl", Path(FIG4).read_text())
+        argv = {
+            "check": ["check", first.parent, second.parent],
+            "repair": ["repair", first, second],
+            "grade": ["grade", ANNOTATIONS, "--emrs", first.parent, second.parent],
+            "run-emrs": ["run", first.parent, second.parent, "--inputs", INPUTS],
+        }[command]
+        noun = ".smrl"
+    assert run("--out", tmp_path / "out", *argv) == 2
+    assert capsys.readouterr().err == f"error: two {noun} files named {first.stem}: {first} and {second}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_missing_emr_path_exits_two(tmp_path, capsys):
+    missing = tmp_path / "nope.smrl"
+    assert run("--out", tmp_path / "out", "check", FIG4, missing) == 2
+    assert capsys.readouterr().err == f"error: no such .smrl file or directory: {missing}\n"
+
+
+def test_a_directory_without_matching_files_exits_two(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("not an EMR")
+    assert run("--out", tmp_path / "out", "run", FIG4, "--inputs", empty) == 2
+    assert capsys.readouterr().err == f"error: no input-sequence files found in {empty}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_record_then_replay(tmp_path):
     cassette = tmp_path / "cassette.json"
     assert run("--out", tmp_path / "a", "run", FIG4, "--inputs", INPUTS,

@@ -1,11 +1,13 @@
+import importlib.util
 import json
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from emrkit.dsl import canonical_units, parse_emr, statement_classes_by_line
+from emrkit.dsl import canonical_units, parse_emr
 from emrkit.grading import (
     CORRECT_LABELS,
     LABELS,
@@ -48,7 +50,7 @@ def test_empty_file_is_empty_list(tmp_path):
 
 @pytest.fixture
 def filter_classes(filter_emr_ast):
-    return {"search_filter": statement_classes_by_line(filter_emr_ast)}
+    return {"search_filter": {u.line: u.is_complex for u in canonical_units(filter_emr_ast)}}
 
 
 def test_ine_accepted_on_search_filter_guard_line(filter_classes):
@@ -143,19 +145,32 @@ def test_fixture_annotations_validate_against_the_suite(emr_suite):
 
 
 def test_load_annotations_renders_each_emr_once(emr_suite, monkeypatch):
-    import emrkit.dsl.classify as classify
+    import emrkit.grading as grading
 
     rendered = []
-    original = classify.canonical_units
+    original = grading.canonical_units
 
     def counting_units(ast):
         rendered.append(ast.id)
         return original(ast)
 
-    monkeypatch.setattr(classify, "canonical_units", counting_units)
+    monkeypatch.setattr(grading, "canonical_units", counting_units)
     annotations = load_annotations(fixture_path("suite_annotations.jsonl"), emr_suite)
     assert Counter(a.emr_id for a in annotations)["emr01"] > 1
     assert sorted(rendered) == sorted(emr_suite)
+
+
+def test_make_fixtures_reproduces_the_bundled_annotations_and_survey(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).parent.parent / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "fixture_path", lambda name: tmp_path / name)
+    tool.make_annotations()
+    tool.make_survey()
+    for name in ("suite_annotations.jsonl", "survey_responses.csv"):
+        assert (tmp_path / name).read_bytes() == fixture_path(name).read_bytes(), name
+    assert capsys.readouterr().out == "wrote 136 annotations\nwrote 192 survey rows\n"
 
 
 # --- distribution report ------------------------------------------------------

@@ -137,6 +137,15 @@ def test_position_out_of_range():
         create_followup(seq("search"), [SetParameter(3, "x", 1)])
     with pytest.raises(PositionOutOfRange):
         create_followup(seq("search"), [RemoveAction(1)])
+    with pytest.raises(PositionOutOfRange) as info:
+        create_followup(seq("search"), [InsertAction(2, "login")])
+    assert str(info.value) == "position 2 out of range for sequence of length 1"
+
+
+def test_an_unknown_edit_raises():
+    with pytest.raises(TypeError) as info:
+        create_followup(seq("search"), ["login"])
+    assert str(info.value) == "unknown edit: 'login'"
 
 
 def test_insert_and_remove_redensify_positions():
@@ -267,6 +276,20 @@ def test_output_position_out_of_range():
         run_src("MR {{ var x = Output(Input(1), 7); NOT(false); }}")
 
 
+def test_one_argument_output_is_the_output_sequence_of_that_input():
+    source = "MR {{ IMPLIES(true, outputs(Output(1), 2)); }}"
+    stubs = {"outputs": lambda sequence, n: [o.status for o in sequence.outputs] == ["ok"] * n}
+    assert run_src(source, input_seq=seq("search", "search"), stubs=stubs).value is VerdictValue.PASS
+    assert run_src(source, input_seq=seq("search"), stubs=stubs).value is VerdictValue.FAIL
+
+
+def test_a_loop_over_an_input_binds_its_actions():
+    source = "MR {{ for (var a : Input(1)) { IMPLIES(true, isSearch(a)); } }}"
+    verdict = run_src(source, input_seq=seq("search", "login"), stubs={"isSearch": lambda a: a.kind == "search"})
+    assert verdict.value is VerdictValue.FAIL
+    assert [(f.line, f.bindings) for f in verdict.failing_bindings] == [(1, {"a": "login@1"})]
+
+
 def test_unregistered_input_errors():
     with pytest.raises(EvalError):
         run_src("MR {{ var x = Input(3); }}")
@@ -305,8 +328,17 @@ def test_determinism_same_inputs_same_verdict(filter_emr_ast, shop_inputs):
         ("CREATE(Input(n), Input(1));", "CREATE target must be Input(k) with a literal index"),
         ("var k = Input(1).foo();", "method 'foo' is not defined on Input(1)"),
         ("for (var x : 5) { NOT(false); }", "cannot iterate over 5"),
+        ("var o = Output(3);", "no recorded outputs for Input(3)"),
+        ('var k = "a"; var i = Input(k);', "Input index must be an integer"),
+        ('var k = "a"; var o = Output(k);', "Output index must be an integer"),
+        ('var k = "a"; var o = Output(Input(1), k);', "Output position must be an integer"),
+        ("var t = true; var o = Output(Input(1), t);", "Output position must be an integer"),
+        ("var k = 1; var o = Output(k, 0);", "two-argument Output takes an input sequence first"),
+        ("CREATE(Input(2), 5);", "CREATE source must be an input sequence"),
     ],
-    ids=["create-target", "unknown-method", "not-iterable"],
+    ids=["create-target", "unknown-method", "not-iterable", "unregistered-output", "input-index-string",
+         "output-index-string", "output-position-string", "output-position-bool", "output-of-non-sequence",
+         "create-source"],
 )
 def test_run_time_errors_raise_only_when_reached(statement, message):
     unreached = run_src(f"MR {{{{ if (false) {{ {statement} }} IMPLIES(true, true); }}}}")

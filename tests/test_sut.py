@@ -1,13 +1,15 @@
 import http.server
 import json
 import threading
+import urllib.parse
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emrkit.runtime import Action, AdapterFailure, Output
+from emrkit.dsl import parse_emr
+from emrkit.runtime import Action, ActionSequence, AdapterFailure, Output, run_suite
 from emrkit.sut import (
     FAULTS,
     ITEMS,
@@ -21,6 +23,7 @@ from emrkit.sut import (
     record_replay,
 )
 from emrkit.resources import fixture_path
+from emrkit.sut.live import _to_output
 
 
 def search(**params):
@@ -381,7 +384,12 @@ class _ShopHandler(http.server.BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def do_GET(self):
-        if self.path.startswith("/search"):
+        if self.path.startswith("/echo?"):  # the response body is the query's ``body``
+            body = urllib.parse.parse_qs(self.path.partition("?")[2])["body"][0].encode()
+            self.send_response(200)
+            self.end_headers()
+            self.wfile.write(body)
+        elif self.path.startswith("/search"):
             self._respond(200, {"status": "ok", "payload": [{"id": 1}], "summary_size": 1})
         else:
             self._respond(404, {"error": "no such path"})
@@ -433,3 +441,38 @@ def test_live_recorded_then_replayed(live_server, tmp_path):
     recorded = run_script(record_replay("record", cassette, LiveHttpSut(config)), script)
     replayed = run_script(record_replay("replay", cassette), script)
     assert replayed == recorded
+
+
+# A response in the {status, payload, summary_size} envelope is decoded as an
+# Output, the way a cassette's outputs are: no field is coerced.
+@pytest.mark.parametrize("body, message", [
+    (b'{"status": 5, "payload": [], "summary_size": 1}', "live response field 'status' must be a string, not 5"),
+    (b'{"status": "ok", "payload": [], "summary_size": true}',
+     "live response field 'summary_size' must be an integer, not true"),
+    (b'{"status": "ok", "payload": [], "summary_size": "7"}',
+     "live response field 'summary_size' must be an integer, not \"7\""),
+    (b'{"status": "ok", "payload": [], "summary_size": 1e400}',
+     "live response field 'summary_size' must be an integer, not Infinity"),
+], ids=["status-int", "size-bool", "size-string", "size-overflow"])
+def test_live_response_of_the_wrong_type_is_an_adapter_failure(body, message):
+    with pytest.raises(AdapterFailure) as info:
+        _to_output(200, body)
+    assert str(info.value) == message
+
+
+def test_live_response_without_a_summary_size_reports_the_payload_length():
+    assert _to_output(200, b'{"status": "ok", "payload": [1, 2]}') == Output("ok", [1, 2], 2)
+    assert _to_output(200, b'{"status": "ok", "payload": {"a": 1}}') == Output("ok", {"a": 1}, 0)
+    assert _to_output(500, b'{"status": "busy", "payload": "x", "summary_size": 4}') == Output("busy", "x", 4)
+
+
+@pytest.mark.parametrize("body, error", [
+    ('{"status": "ok", "payload": [], "summary_size": "x"}',
+     "live response field 'summary_size' must be an integer, not \"x\""),
+    ('{"status": 5, "payload": [], "summary_size": true}', "live response field 'status' must be a string, not 5"),
+], ids=["size-string", "status-int"])
+def test_run_suite_reports_a_live_response_of_the_wrong_type_as_an_adapter_failure(live_server, body, error):
+    config = AdapterConfig(live_server, {"search": {"path": "/echo", "method": "GET"}})
+    source = ActionSequence(1, [Action(0, "search", {"body": body})])
+    report = run_suite([parse_emr("MR {{ IMPLIES(true, true); }}")], [source], LiveHttpSut(config))
+    assert [entry.error for entry in report.entries] == [error]

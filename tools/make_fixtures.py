@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from emrkit import jsonl
-from emrkit.dsl import canonical_units, statement_classes_by_line
+from emrkit.dsl import canonical_units
 from emrkit.grading import StatementAnnotation, check_annotation
 from emrkit.resources import fixture_path, load_emr_suite
 
@@ -65,11 +65,12 @@ def save_annotations(annotations: Iterable[StatementAnnotation], path: str | Pat
 
 def make_annotations() -> None:
     suite = load_emr_suite()
-    classes = {emr_id: statement_classes_by_line(ast) for emr_id, ast in suite.items()}
     annotations: list[StatementAnnotation] = []
     for emr_id, ast in suite.items():
+        units = canonical_units(ast)
+        complex_lines = {emr_id: {unit.line: unit.is_complex for unit in units}}
         simple_ordinal = complex_ordinal = 0
-        for unit in canonical_units(ast):
+        for unit in units:
             if unit.is_complex:
                 complex_ordinal += 1
                 labels = COMPLEX_SPECIALS.get((emr_id, complex_ordinal), ["C"])
@@ -77,7 +78,7 @@ def make_annotations() -> None:
                 simple_ordinal += 1
                 labels = ["WLC"] if simple_ordinal in SIMPLE_WLC.get(emr_id, set()) else ["CLC"]
             annotation = StatementAnnotation(emr_id, unit.line, list(labels))
-            check_annotation(annotation, classes)
+            check_annotation(annotation, complex_lines)
             annotations.append(annotation)
     save_annotations(annotations, fixture_path("suite_annotations.jsonl"))
     print(f"wrote {len(annotations)} annotations")
