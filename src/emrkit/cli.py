@@ -116,7 +116,8 @@ class ToolConfig:
     sut: str = "mock"
     stubs_module: str = "emrkit.shopstubs"
 
-    def chat_client(self):
+    @functools.cached_property
+    def chat_client(self):  # one per configuration: ``pipeline`` reads the mock scripts once
         if self.mock:
             return _load("mock scripts", self.mock_scripts, MockChatClient.from_file)
         if not self.llm.endpoint:
@@ -202,7 +203,7 @@ def cmd_derive(args: argparse.Namespace, config: ToolConfig, write: Write) -> in
     out = Path(config.out_dir)
     store = TranscriptStore(out / "transcripts")
     templates = _load("templates", config.templates_dir, DeriveTemplates.load)
-    client = config.chat_client()
+    client = config.chat_client
     all_mrs = []
     for doc_path in args.documents:
         document = _load("document", doc_path, ingest_document)
@@ -240,7 +241,7 @@ def cmd_generate(args: argparse.Namespace, config: ToolConfig, write: Write) -> 
     if not mrs:
         print("notice: MR catalog is empty; nothing to generate")
         return EXIT_OK
-    client = config.chat_client()
+    client = config.chat_client
     store = TranscriptStore(out / "transcripts")
     templates = _load("templates", config.templates_dir, GenerateTemplates.load)
     with _conversation("generation failed", store):

@@ -17,9 +17,13 @@ expression), and evaluates to true.
 ``run_suite`` compiles each EMR once per call and runs it on every input.
 Node types, construct names and stub bindings are resolved when compiling;
 each closure takes the ``Evaluator``, the state of one (EMR, input) pair.
-Compiling never raises what running would: a malformed ``CREATE`` target,
-an unknown method, a non-iterable loop or a missing stub becomes a closure
-that raises its error only when it is reached.
+Each entry point validates before compiling, so construct arity and the
+shape of a ``CREATE`` target are not checked again here. Each index (``i``
+in ``Input(i)`` and ``Output(i)``, ``pos`` in ``Output(Input(i), pos)``,
+``k`` in ``CREATE(Input(k), x)``) is an expression evaluated left to right
+whose value must be an integer, not a boolean. Compiling never raises what
+running would: a non-integer index, an unknown method, a non-iterable loop
+or a missing stub becomes a closure that raises its error only when reached.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Protocol
 
 from ..dsl.ast import (
-    CONSTRUCT_ARITY,
     BoolChain,
     BoolLit,
     Call,
@@ -74,6 +77,12 @@ Compiled = Callable[["Evaluator"], Any]
 def _require_bool(value: Any, context: str) -> bool:
     if not isinstance(value, bool):
         raise EvalError(f"{context} evaluated to non-boolean {render_value(value)}")
+    return value
+
+
+def _require_int(value: Any, context: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise EvalError(f"{context} must be an integer")
     return value
 
 
@@ -196,7 +205,7 @@ def _check(st: ExprStmt, stubs: StubBindings) -> Compiled:
     bare boolean asserts itself (its antecedent is trivially true); an
     IMPLIES statement checks its consequent only when its antecedent held."""
     expr, line = st.expr, st.pos.line
-    if isinstance(expr, Call) and expr.name == "IMPLIES" and len(expr.args) == 2:
+    if isinstance(expr, Call) and expr.name == "IMPLIES":
         antecedent, consequent = (_expr(a, stubs) for a in expr.args)
 
         def check(ev: Evaluator) -> None:
@@ -287,9 +296,9 @@ _METHODS: dict[str, tuple[type, Callable[[Any, tuple[Any, ...]], Any]]] = {
 
 def _method(e: MethodCall, stubs: StubBindings) -> Compiled:
     name = e.name
-    kind, get = _METHODS.get(name, ((), None))
     if name == "getParameter" and len(e.args) != 1:
-        kind = ()  # isinstance(x, ()) is always false
+        return _raising(f"method 'getParameter' takes 1 argument, not {len(e.args)}")
+    kind, get = _METHODS.get(name, ((), None))
 
     def method(target: Any, *args: Any) -> Any:
         if isinstance(target, kind):
@@ -301,8 +310,6 @@ def _method(e: MethodCall, stubs: StubBindings) -> Compiled:
 
 def _call(e: Call, stubs: StubBindings) -> Compiled:
     name, args = e.name, e.args
-    if name in CONSTRUCT_ARITY and len(args) not in CONSTRUCT_ARITY[name]:
-        return _raising(f"{name} cannot take {len(args)} argument(s)")
     if name == "Input":
         return _by_index(_expr(args[0], stubs), "Input", Evaluator.input_sequence)
     if name == "Output" and len(args) == 1:
@@ -310,7 +317,7 @@ def _call(e: Call, stubs: StubBindings) -> Compiled:
     if name == "Output":
         return _output_at(_expr(args[0], stubs), _expr(args[1], stubs))
     if name == "CREATE":
-        return _create(args, stubs)
+        return _create(_expr(args[0].args[0], stubs), _expr(args[1], stubs))
     if name in ("NOT", "AND", "OR", "IMPLIES"):
         return _logic(name, args, name, stubs)
     if name in stubs:
@@ -319,13 +326,8 @@ def _call(e: Call, stubs: StubBindings) -> Compiled:
 
 
 def _by_index(index: Compiled, construct: str, get: Callable[[Evaluator, int], Any]) -> Compiled:
-    def indexed(ev: Evaluator) -> Any:
-        value = index(ev)
-        if not isinstance(value, int):
-            raise EvalError(f"{construct} index must be an integer")
-        return get(ev, value)
-
-    return indexed
+    context = f"{construct} index"
+    return lambda ev: get(ev, _require_int(index(ev), context))
 
 
 def _output_at(sequence: Compiled, position: Compiled) -> Compiled:
@@ -333,26 +335,19 @@ def _output_at(sequence: Compiled, position: Compiled) -> Compiled:
         inputs = sequence(ev)
         if not isinstance(inputs, ActionSequence):
             raise EvalError("two-argument Output takes an input sequence first")
-        at = position(ev)
-        if not isinstance(at, int) or isinstance(at, bool):
-            raise EvalError("Output position must be an integer")
+        at = _require_int(position(ev), "Output position")
         return ev.output_sequence(inputs.index).at(at)
 
     return output_at
 
 
-def _create(args: tuple[Expr, ...], stubs: StubBindings) -> Compiled:
-    target = args[0]
-    if not (isinstance(target, Call) and target.name == "Input" and target.args
-            and isinstance(target.args[0], IntLit)):
-        return _raising("CREATE target must be Input(k) with a literal index")
-    index, source = target.args[0].value, _expr(args[1], stubs)
-
+def _create(index: Compiled, source: Compiled) -> Compiled:
     def create(ev: Evaluator) -> bool:
+        k = _require_int(index(ev), "CREATE index")
         value = source(ev)
         if not isinstance(value, ActionSequence):
             raise EvalError("CREATE source must be an input sequence")
-        ev.register_and_execute(index, value)
+        ev.register_and_execute(k, value)
         return True
 
     return create
@@ -362,7 +357,9 @@ def _create(args: tuple[Expr, ...], stubs: StubBindings) -> Compiled:
 
 
 def eval_bool(expr: Expr, env: Mapping[str, Any] | None = None, stubs: StubBindings | None = None) -> bool:
-    """Evaluate a boolean construct expression under ``env`` without a SUT."""
+    """Evaluate a boolean construct expression under ``env`` without a SUT;
+    an unbound stub raises only when it is reached."""
+    unbound_stubs(EmrAst("expression", (ExprStmt(expr),)), {})
     evaluator = Evaluator(session_factory=None)
     if env:
         evaluator.scopes[0].update(env)

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from astgen import NESTINGS, nested_emr
 import emrkit
@@ -128,6 +130,38 @@ def test_pipeline_mock_runs_are_byte_identical(tmp_path):
     assert run("--mock", "--out", out1, "pipeline", DOC) == 0
     assert run("--mock", "--out", out2, "pipeline", DOC) == 0
     assert tree_bytes(out1) == tree_bytes(out2)
+
+
+def test_a_pipeline_run_reads_the_mock_scripts_once(tmp_path, monkeypatch):
+    from emrkit.pipeline.client import MockChatClient
+
+    reads = []
+    from_file = MockChatClient.from_file
+    monkeypatch.setattr(MockChatClient, "from_file", lambda path: reads.append(path) or from_file(path))
+    assert run("--mock", "--out", tmp_path / "out", "pipeline", DOC) == 0
+    assert len(reads) == 1
+
+
+# Every bundled EMR and input file, in the order ``run`` reads their directories.
+BUNDLED_EMRS = [*sorted(fixture_path("suite").glob("*.smrl")), *sorted(fixture_path().glob("*.smrl"))]
+INPUT_FILES = sorted(fixture_path("inputs").glob("*.json"))
+
+
+def run_report(out: Path, emrs, inputs, sut: str) -> dict:
+    run("--out", out, "run", *emrs, "--inputs", *inputs, "--sut", sut)
+    return json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.permutations(BUNDLED_EMRS), st.permutations(INPUT_FILES),
+       st.sampled_from(["mock", "mock:ignore-filter", "mock:off-by-one-pagination", "mock:stale-results"]))
+def test_permuting_the_run_files_permutes_the_results_and_keeps_per_emr(tmp_path, emrs, inputs, sut):
+    base = run_report(tmp_path / "sorted", BUNDLED_EMRS, INPUT_FILES, sut)
+    permuted = run_report(tmp_path / "permuted", emrs, inputs, sut)
+    by_pair = {(r["emr"], r["input"]): r for r in base["results"]}
+    expected = [by_pair[(e.stem, i.stem)] for e in emrs for i in inputs]
+    assert [dict(r, input_index=None) for r in permuted["results"]] == [dict(r, input_index=None) for r in expected]
+    assert permuted["per_emr"] == base["per_emr"]
 
 
 def write_every_output(out: Path, work: Path) -> None:

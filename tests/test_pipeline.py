@@ -523,7 +523,8 @@ def test_live_client_against_local_chat_endpoint():
             pass
 
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
     try:
         config = LlmConfig(endpoint=f"http://127.0.0.1:{server.server_address[1]}", model="m", temperature=0.0)
         conv = Conversation("derive", "x")
@@ -531,6 +532,9 @@ def test_live_client_against_local_chat_endpoint():
         assert LiveChatClient(config).complete(conv) == "echo:ping:t=0.0"
     finally:
         server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_live_client_retries_then_raises():

@@ -325,7 +325,7 @@ def test_determinism_same_inputs_same_verdict(filter_emr_ast, shop_inputs):
 @pytest.mark.parametrize(
     "statement, message",
     [
-        ("CREATE(Input(n), Input(1));", "CREATE target must be Input(k) with a literal index"),
+        ("var t = true; CREATE(Input(t), Input(1));", "CREATE index must be an integer"),
         ("var k = Input(1).foo();", "method 'foo' is not defined on Input(1)"),
         ("for (var x : 5) { NOT(false); }", "cannot iterate over 5"),
         ("var o = Output(3);", "no recorded outputs for Input(3)"),
@@ -335,10 +335,11 @@ def test_determinism_same_inputs_same_verdict(filter_emr_ast, shop_inputs):
         ("var t = true; var o = Output(Input(1), t);", "Output position must be an integer"),
         ("var k = 1; var o = Output(k, 0);", "two-argument Output takes an input sequence first"),
         ("CREATE(Input(2), 5);", "CREATE source must be an input sequence"),
+        ("for (var a : Input(1)) { var p = a.getParameter(); }", "method 'getParameter' takes 1 argument, not 0"),
     ],
-    ids=["create-target", "unknown-method", "not-iterable", "unregistered-output", "input-index-string",
+    ids=["create-index-bool", "unknown-method", "not-iterable", "unregistered-output", "input-index-string",
          "output-index-string", "output-position-string", "output-position-bool", "output-of-non-sequence",
-         "create-source"],
+         "create-source", "getparameter-arity"],
 )
 def test_run_time_errors_raise_only_when_reached(statement, message):
     unreached = run_src(f"MR {{{{ if (false) {{ {statement} }} IMPLIES(true, true); }}}}")
@@ -346,6 +347,12 @@ def test_run_time_errors_raise_only_when_reached(statement, message):
     with pytest.raises(EvalError) as info:
         run_src(f"MR {{{{ if (true) {{ {statement} }} IMPLIES(true, true); }}}}")
     assert type(info.value) is EvalError and str(info.value) == message
+
+
+def test_eval_bool_validates_before_it_compiles():
+    with pytest.raises(EvalError) as info:
+        eval_bool(expr_of("OR(true, NOT(true, false))"))
+    assert str(info.value) == "EMR 'expression' has validation errors: NOT expects 1 argument (line 1)"
 
 
 def test_missing_stub_raises_only_when_reached():

@@ -1,16 +1,26 @@
 import copy
+import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from astgen import ProgramGen
 from conftest import INPUT_NAMES
 from emrkit.dsl import parse_emr
+from emrkit.dsl.ast import Call, EmrAst, IntLit, Name, Node, VarDecl
+from emrkit.dsl.validate import has_errors, validate
 from emrkit.runtime import ActionSequence, VerdictValue, evaluate_emr, run_suite
 from emrkit.shopstubs import STUBS
 from emrkit.sut import MockShopSut, record_replay
-from emrkit.resources import read_fixture
+from emrkit.resources import fixture_path, read_fixture
 
 SUITE_EMRS = ["search_filter", "pagination", "order_independence", "filter_subset"]
+FAULTS = [None, "ignore-filter", "off-by-one-pagination", "stale-results"]
+# Every bundled EMR: the nine of the annotated suite's directory and the four above.
+BUNDLED_EMRS = [*sorted(fixture_path("suite").glob("*.smrl")), *(fixture_path(f"{n}.smrl") for n in SUITE_EMRS)]
 
 # Hand-derived from the mock shop's semantics: each seeded fault breaks
 # exactly one property, on every input that contains a search action.
@@ -171,3 +181,78 @@ def test_report_json_shape(suite_asts, shop_inputs):
     assert data["per_emr"] == {"search_filter": {"Pass": 1}}
     (entry,) = data["results"]
     assert entry["outcome"] == "Pass" and entry["emr"] == "search_filter"
+
+
+# --- metamorphic relations of emrkit itself --------------------------------------
+
+
+def name_the_indices(ast: EmrAst) -> EmrAst:
+    """``ast`` with each literal ``Input(k)``, k >= 2, replaced by ``Input(in_k)``
+    and ``var in_k = k;`` declared first. Positions are kept, so the lines that
+    failing bindings name do not move."""
+    named: set[int] = set()
+
+    def walk(node: Node) -> Node:
+        if isinstance(node, Call) and node.name == "Input" and isinstance(node.args[0], IntLit):
+            k = node.args[0].value
+            if k >= 2:
+                named.add(k)
+                return dataclasses.replace(node, args=(Name(f"in_{k}"),))
+        changes = {}
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
+            if isinstance(value, Node):
+                changes[f.name] = walk(value)
+            elif isinstance(value, tuple):
+                changes[f.name] = tuple(walk(v) if isinstance(v, Node) else v for v in value)
+        return dataclasses.replace(node, **changes)
+
+    statements = tuple(map(walk, ast.statements))
+    declarations = tuple(VarDecl(f"in_{k}", IntLit(k)) for k in sorted(named))
+    return EmrAst(ast.id, declarations + statements)
+
+
+def test_naming_an_index_keeps_every_verdict(shop_inputs):
+    emrs = [parse_emr(path.read_text(encoding="utf-8"), path.stem) for path in BUNDLED_EMRS]
+    renamed = list(map(name_the_indices, emrs))
+    assert all(a != b for a, b in zip(emrs, renamed))  # each bundled EMR uses an Input(k), k >= 2
+    assert not any(has_errors(validate(ast)) for ast in renamed)
+    changed_rows = set()  # (EMR, fault) rows where some input's entry differs
+    for fault in FAULTS:
+        before = run_suite(emrs, shop_inputs, MockShopSut(fault), STUBS).entries
+        after = run_suite(renamed, shop_inputs, MockShopSut(fault), STUBS).entries
+        changed_rows |= {(a.emr_id, fault) for a, b in zip(before, after) if a.to_json() != b.to_json()}
+    assert len(emrs) * len(FAULTS) == 52 and changed_rows == set()
+
+
+@pytest.mark.parametrize("use, rule", [
+    ("var i = Input(t);", "Input index must be an integer"),
+    ("var o = Output(t);", "Output index must be an integer"),
+    ("var o = Output(Input(1), t);", "Output position must be an integer"),
+    ("CREATE(Input(t), Input(1));", "CREATE index must be an integer"),
+], ids=["input", "output", "output-position", "create"])
+def test_a_boolean_index_is_an_error_entry_naming_the_integer_rule(use, rule, shop_inputs):
+    ast = parse_emr(f"MR {{{{ var t = true; {use} IMPLIES(true, true); }}}}", "boolean_index")
+    assert validate(ast) == []  # check calls it clean; run refuses it when reached
+    report = run_suite([ast], shop_inputs, MockShopSut(), STUBS)
+    assert [(e.outcome, e.error) for e in report.entries] == [("Error", rule)] * len(shop_inputs)
+
+
+def seeded_input(rng: random.Random) -> ActionSequence:
+    """Up to four actions, of the kinds the mock shop supports and one it does not."""
+    kinds = ("search", "login", "logout", "purchase")
+    params = ({"query": "chair"}, {"query": ""}, {"query": "desk", "category": "office"},
+              {"query": "lamp", "page": 0, "page_size": 2}, {"user": "tester"}, {})
+    return ActionSequence.from_json([{"kind": rng.choice(kinds), "parameters": dict(rng.choice(params))}
+                                     for _ in range(rng.randint(0, 4))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3), st.sampled_from(FAULTS))
+def test_run_suite_gives_one_entry_per_pair_and_never_raises(seed, emr_count, input_count, fault):
+    rng = random.Random(seed)
+    emrs = [dataclasses.replace(ProgramGen(rng.randrange(2**32)).program(), id=f"g{i}") for i in range(emr_count)]
+    inputs = [seeded_input(rng) for _ in range(input_count)]
+    report = run_suite(emrs, inputs, MockShopSut(fault), STUBS)
+    assert [(e.emr_id, e.input_index) for e in report.entries] == [
+        (ast.id, i) for ast in emrs for i in range(input_count)]

@@ -410,6 +410,9 @@ def live_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_live_adapter_maps_actions_to_endpoints(live_server):
