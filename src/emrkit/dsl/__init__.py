@@ -8,10 +8,7 @@ from .ast import (
     BoolChain,
     BoolLit,
     Call,
-    CONSTRUCTS,
     Continue,
-    EmrAst,
-    Expr,
     ExprStmt,
     ForEach,
     If,
@@ -19,28 +16,23 @@ from .ast import (
     MethodCall,
     Name,
     Not,
-    Stmt,
     StringLit,
     VarDecl,
     structurally_equal,
 )
 from .errors import DslError, IllegalCharacter, ParseError
 from .parser import parse_emr
-from .printer import Unit, canonical_units, format_expr, pretty_print
-from .repair import WLC_AMP, RepairEntry, RepairLog
-from .tokens import Token, reconstruct, tokenize
-from .validate import Diagnostic, has_errors, stub_names
+from .printer import canonical_units, pretty_print
+from .repair import WLC_AMP
+from .tokens import reconstruct, tokenize
+from .validate import has_errors, stub_names
 
 __all__ = [
     "BoolChain",
     "BoolLit",
     "Call",
-    "CONSTRUCTS",
     "Continue",
-    "Diagnostic",
     "DslError",
-    "EmrAst",
-    "Expr",
     "ExprStmt",
     "ForEach",
     "If",
@@ -50,16 +42,10 @@ __all__ = [
     "Name",
     "Not",
     "ParseError",
-    "RepairEntry",
-    "RepairLog",
-    "Stmt",
     "StringLit",
-    "Token",
-    "Unit",
     "VarDecl",
     "WLC_AMP",
     "canonical_units",
-    "format_expr",
     "has_errors",
     "parse_emr",
     "pretty_print",

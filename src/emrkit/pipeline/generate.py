@@ -10,7 +10,6 @@ pipeline moves on to the next MR.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from ..dsl.repair import RepairLog, repair
 from ..dsl.validate import has_errors, stub_names, validate
 from ..jsonl import check
 from ..sut.catalog import ApiCatalog
-from .client import ChatClient
+from .client import ChatClient, content_hash
 from .conversation import Conversation, TranscriptStore, run_turn
 from .derive import MetamorphicRelation, conversation_config
 from .templates import GenerateTemplates
@@ -86,11 +85,6 @@ def extract_emr_source(response: str) -> str:
     return text.strip("\n")
 
 
-def _batch_ref(mrs: list[MetamorphicRelation]) -> str:
-    digest = hashlib.sha256("\n".join(mr.id for mr in mrs).encode("utf-8")).hexdigest()[:12]
-    return digest
-
-
 def generate_emrs(
     mrs: list[MetamorphicRelation],
     catalog: ApiCatalog,
@@ -104,7 +98,8 @@ def generate_emrs(
     if not fewshot:
         raise ValueError("generation needs at least one few-shot example")
     t = templates or GenerateTemplates.load()
-    conversation = Conversation("generate", _batch_ref(mrs), config=conversation_config(config))
+    batch = content_hash("\n".join(mr.id for mr in mrs))
+    conversation = Conversation("generate", batch, config=conversation_config(config))
 
     run_turn(conversation, client, store, t.context, t.context.render())
     run_turn(conversation, client, store, t.constructs, t.constructs.render(constructs=t.constructs_text))

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+
+from .client import content_hash
 
 TEXT_SUFFIXES = {".txt", ".md", ".markdown", ".rst", ""}
 
@@ -29,8 +30,7 @@ def ingest_document(path: str | Path) -> Document:
     except UnicodeDecodeError as exc:
         raise ValueError(f"not valid UTF-8: {exc}") from exc
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    doc_id = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-    return Document(doc_id, path.stem, text)
+    return Document(content_hash(text), path.stem, text)
 
 
 def _split_blocks(text: str, marker: str) -> list[str]:

@@ -285,24 +285,26 @@ def _applied(fn: Callable[..., Any], args: list[Compiled]) -> Compiled:
     return lambda ev: fn(*[a(ev) for a in args])
 
 
-# Runtime method -> (receiver type, result from the receiver and the arguments).
-_METHODS: dict[str, tuple[type, Callable[[Any, tuple[Any, ...]], Any]]] = {
-    "actions": (ActionSequence, lambda receiver, args: receiver.actions),
-    "getPosition": (Action, lambda receiver, args: receiver.position),
-    "getKind": (Action, lambda receiver, args: receiver.kind),
-    "getParameter": (Action, lambda receiver, args: receiver.parameters.get(args[0])),
+# Runtime method -> (receiver type, argument count, result from the receiver
+# and the arguments).
+_METHODS: dict[str, tuple[type, int, Callable[..., Any]]] = {
+    "actions": (ActionSequence, 0, lambda receiver: receiver.actions),
+    "getPosition": (Action, 0, lambda receiver: receiver.position),
+    "getKind": (Action, 0, lambda receiver: receiver.kind),
+    "getParameter": (Action, 1, lambda receiver, name: receiver.parameters.get(name)),
 }
 
 
 def _method(e: MethodCall, stubs: StubBindings) -> Compiled:
     name = e.name
-    if name == "getParameter" and len(e.args) != 1:
-        return _raising(f"method 'getParameter' takes 1 argument, not {len(e.args)}")
-    kind, get = _METHODS.get(name, ((), None))
+    kind, arity, get = _METHODS.get(name, ((), len(e.args), None))
+    if len(e.args) != arity:
+        plural = "" if arity == 1 else "s"
+        return _raising(f"method '{name}' takes {arity} argument{plural}, not {len(e.args)}")
 
     def method(target: Any, *args: Any) -> Any:
         if isinstance(target, kind):
-            return get(target, args)
+            return get(target, *args)
         raise EvalError(f"method '{name}' is not defined on {render_value(target)}")
 
     return _applied(method, [_expr(a, stubs) for a in (e.receiver, *e.args)])

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Any
 
 from .runtime.values import Action, ActionSequence, InsertAction, Output, SetParameter, create_followup
+from .sut.mockshop import matches_filters
 
 # Filter type -> (search parameter, the value the filter applies).
 FILTER_SETTINGS: dict[str, tuple[str, Any]] = {
@@ -43,23 +44,11 @@ def fewer_results(new: Output, original: Output) -> bool:
     return new.summary_size < original.summary_size
 
 
-def _satisfies(item: dict[str, Any], filter_type: str) -> bool:
-    param, value = FILTER_SETTINGS[filter_type]
-    if param == "max_price":
-        return item["price"] <= value
-    if param == "min_rating":
-        return item["rating"] >= value
-    if param == "category":
-        return item["category"] == value
-    if param == "brand":
-        return item["brand"] == value
-    return item["in_stock"] == value
-
-
 def more_relevant_results(new: Output, original: Output, filter_type: str) -> bool:
     """Every returned item satisfies the applied filter's predicate."""
+    filters = dict([FILTER_SETTINGS[filter_type]])
     items = new.payload if isinstance(new.payload, list) else []
-    return all(_satisfies(item, filter_type) for item in items)
+    return all(matches_filters(item, filters) for item in items)
 
 
 def _ids(output: Output) -> list[int]:

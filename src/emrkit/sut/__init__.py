@@ -3,7 +3,7 @@
 from .cassette import Cassette, fingerprint, record_replay
 from .catalog import EMPTY_CATALOG, ApiCatalog, ApiEntry, load_api_catalog
 from .live import AdapterConfig, LiveHttpSut
-from .mockshop import FAULTS, ITEMS, MockShopSession, MockShopSut, matches_filters
+from .mockshop import FAULTS, ITEMS, MockShopSut, matches_filters
 
 __all__ = [
     "AdapterConfig",
@@ -14,7 +14,6 @@ __all__ = [
     "FAULTS",
     "ITEMS",
     "LiveHttpSut",
-    "MockShopSession",
     "MockShopSut",
     "fingerprint",
     "load_api_catalog",

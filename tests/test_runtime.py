@@ -336,10 +336,12 @@ def test_determinism_same_inputs_same_verdict(filter_emr_ast, shop_inputs):
         ("var k = 1; var o = Output(k, 0);", "two-argument Output takes an input sequence first"),
         ("CREATE(Input(2), 5);", "CREATE source must be an input sequence"),
         ("for (var a : Input(1)) { var p = a.getParameter(); }", "method 'getParameter' takes 1 argument, not 0"),
+        ("for (var a : Input(1).actions(7)) { NOT(false); }", "method 'actions' takes 0 arguments, not 1"),
+        ("for (var a : Input(1).actions()) { var k = a.getKind(1, 2); }", "method 'getKind' takes 0 arguments, not 2"),
     ],
     ids=["create-index-bool", "unknown-method", "not-iterable", "unregistered-output", "input-index-string",
          "output-index-string", "output-position-string", "output-position-bool", "output-of-non-sequence",
-         "create-source", "getparameter-arity"],
+         "create-source", "getparameter-arity", "actions-arity", "getkind-arity"],
 )
 def test_run_time_errors_raise_only_when_reached(statement, message):
     unreached = run_src(f"MR {{{{ if (false) {{ {statement} }} IMPLIES(true, true); }}}}")
