@@ -332,7 +332,10 @@ def cmd_repair(args: argparse.Namespace, config: ToolConfig, write: Write) -> in
         fixed, log = repair(_read_smrl(path))
         for entry in log.entries:
             print(json.dumps({"file": str(path), **entry.to_json()}, sort_keys=True))
-        write(path if args.in_place else out / path.name, fixed)
+        if args.in_place:
+            write(path, functools.partial(jsonl.replace, data=fixed.encode("utf-8")))
+        else:
+            write(out / path.name, fixed)
     return EXIT_OK
 
 

@@ -9,7 +9,10 @@ complete one whose file merely lacks the final newline.
 
 A whole-file output (a report, an EMR, a catalog) is rewritten in place by
 ``rewrite``: opening an existing file with ``O_TRUNC`` frees its blocks and
-costs far more than overwriting them and cutting the file to length.
+costs far more than overwriting them and cutting the file to length. A file
+that emrkit cannot rebuild, such as the user's own ``.smrl`` that ``repair
+--in-place`` fixes, is written by ``replace`` instead, which an
+interruption leaves holding its old bytes.
 
 A loader passes each typed field of a file it reads through ``check``, so
 every wrong-type value is refused with the same ``<field> must be <kind>,
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -63,6 +67,24 @@ def rewrite(path: str | Path, data: bytes) -> None:
         os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
+
+
+def replace(path: str | Path, data: bytes) -> None:
+    """Make ``path`` hold exactly ``data``, or its old bytes if the write is
+    interrupted: ``rewrite`` a temporary file beside the file ``path``
+    names (through any symlink, which stays) with its mode, then rename it
+    over that file. The temporary file never outlives the call, and an
+    error names ``path``."""
+    target = Path(os.path.realpath(path))
+    temporary = target.with_name(f".{target.name}.tmp")
+    try:
+        rewrite(temporary, data)
+        shutil.copymode(target, temporary)
+        os.replace(temporary, target)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def read(path: Path) -> list[Any]:

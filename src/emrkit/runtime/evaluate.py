@@ -24,10 +24,23 @@ in ``Input(i)`` and ``Output(i)``, ``pos`` in ``Output(Input(i), pos)``,
 whose value must be an integer, not a boolean. Compiling never raises what
 running would: a non-integer index, an unknown method, a non-iterable loop
 or a missing stub becomes a closure that raises its error only when reached.
+
+A few common shapes compile to a cheaper closure that computes exactly what
+the generic one does, and every other shape takes the generic one:
+
+- an integer literal index of ``Input``, ``Output`` or ``CREATE`` (and the
+  ``Input(k)`` that ``Output(Input(k), pos)`` reads) is used as it is, with
+  no closure to evaluate it and no integer check;
+- the boolean closures (``if``, ``!``, ``&&``, ``||`` and the constructs)
+  test for ``True`` and ``False`` themselves, which is the whole of
+  ``isinstance(value, bool)`` because bool has no subclass, and call
+  ``_require_bool`` only to raise its message;
+- a method call without arguments is one closure.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Mapping, Protocol
 
 from ..dsl.ast import (
@@ -51,6 +64,7 @@ from ..dsl.ast import (
 from ..dsl.validate import stub_names, validate
 from .errors import EvalError
 from .values import (
+    _new,
     Action,
     ActionSequence,
     FailingBinding,
@@ -114,11 +128,12 @@ class Evaluator:
     def register_and_execute(self, index: int, sequence: ActionSequence) -> None:
         if self.session_factory is None:
             raise EvalError("no SUT session factory; cannot execute inputs")
-        registered = sequence.copy(index=index)
+        registered = sequence.copy(index)
         session = self.session_factory()
-        outputs = list(map(session.execute, registered.actions))
+        outputs = _new(OutputSequence)
+        outputs.outputs = list(map(session.execute, registered.actions))
         self.inputs[index] = registered
-        self.outputs[index] = OutputSequence(outputs)
+        self.outputs[index] = outputs
 
     def input_sequence(self, index: int) -> ActionSequence:
         if index not in self.inputs:
@@ -165,7 +180,16 @@ def _stmt(st: Stmt, stubs: StubBindings) -> Compiled:
         return _for_each(st, stubs)
     if isinstance(st, If):
         cond, body = _expr(st.cond, stubs), _block(st.body, stubs)
-        return lambda ev: _require_bool(cond(ev), "if condition") and body(ev)
+
+        def if_(ev: Evaluator) -> Any:
+            value = cond(ev)
+            if value is True:
+                return body(ev)
+            if value is not False:
+                _require_bool(value, "if condition")
+            return False
+
+        return if_
     if isinstance(st, Continue):
         return lambda ev: True
     if isinstance(st, VarDecl):
@@ -209,8 +233,15 @@ def _check(st: ExprStmt, stubs: StubBindings) -> Compiled:
         antecedent, consequent = (_expr(a, stubs) for a in expr.args)
 
         def check(ev: Evaluator) -> None:
-            if _require_bool(antecedent(ev), "IMPLIES antecedent"):
-                ev.record(line, _require_bool(consequent(ev), "IMPLIES consequent"))
+            held = antecedent(ev)
+            if held is not True:
+                if held is not False:
+                    _require_bool(held, "IMPLIES antecedent")
+                return
+            value = consequent(ev)
+            if value is not True and value is not False:
+                _require_bool(value, "IMPLIES consequent")
+            ev.record(line, value)
     else:
         value = _expr(expr, stubs)
 
@@ -253,17 +284,40 @@ def _logic(op: str, operands: tuple[Expr, ...], label: str, stubs: StubBindings)
     parts = [(_expr(o, stubs), c) for o, c in zip(operands, contexts)]
     if op == "NOT":
         [(operand, context)] = parts
-        return lambda ev: not _require_bool(operand(ev), context)
+
+        def negation(ev: Evaluator) -> bool:
+            value = operand(ev)
+            if value is not True and value is not False:
+                _require_bool(value, context)
+            return not value
+
+        return negation
     if op == "IMPLIES":
         (a, a_context), (c, c_context) = parts
-        return lambda ev: not _require_bool(a(ev), a_context) or _require_bool(c(ev), c_context)
+
+        def implication(ev: Evaluator) -> bool:
+            held = a(ev)
+            if held is False:
+                return True
+            if held is not True:
+                _require_bool(held, a_context)
+            value = c(ev)
+            if value is not True and value is not False:
+                _require_bool(value, c_context)
+            return value
+
+        return implication
     decisive = op == "OR"  # the operand value that ends the chain
+    other = not decisive
 
     def chain(ev: Evaluator) -> bool:
         for operand, context in parts:
-            if _require_bool(operand(ev), context) is decisive:
+            value = operand(ev)
+            if value is decisive:
                 return decisive
-        return not decisive
+            if value is not other:
+                _require_bool(value, context)
+        return other
 
     return chain
 
@@ -288,9 +342,9 @@ def _applied(fn: Callable[..., Any], args: list[Compiled]) -> Compiled:
 # Runtime method -> (receiver type, argument count, result from the receiver
 # and the arguments).
 _METHODS: dict[str, tuple[type, int, Callable[..., Any]]] = {
-    "actions": (ActionSequence, 0, lambda receiver: receiver.actions),
-    "getPosition": (Action, 0, lambda receiver: receiver.position),
-    "getKind": (Action, 0, lambda receiver: receiver.kind),
+    "actions": (ActionSequence, 0, attrgetter("actions")),
+    "getPosition": (Action, 0, attrgetter("position")),
+    "getKind": (Action, 0, attrgetter("kind")),
     "getParameter": (Action, 1, lambda receiver, name: receiver.parameters.get(name)),
 }
 
@@ -307,19 +361,27 @@ def _method(e: MethodCall, stubs: StubBindings) -> Compiled:
             return get(target, *args)
         raise EvalError(f"method '{name}' is not defined on {render_value(target)}")
 
-    return _applied(method, [_expr(a, stubs) for a in (e.receiver, *e.args)])
+    receiver = _expr(e.receiver, stubs)
+    if e.args:
+        return _applied(method, [receiver, *(_expr(a, stubs) for a in e.args)])
+
+    def method_of(ev: Evaluator) -> Any:
+        target = receiver(ev)
+        return get(target) if isinstance(target, kind) else method(target)
+
+    return method_of
 
 
 def _call(e: Call, stubs: StubBindings) -> Compiled:
     name, args = e.name, e.args
     if name == "Input":
-        return _by_index(_expr(args[0], stubs), "Input", Evaluator.input_sequence)
+        return _by_index(args[0], "Input", Evaluator.input_sequence, stubs)
     if name == "Output" and len(args) == 1:
-        return _by_index(_expr(args[0], stubs), "Output", Evaluator.output_sequence)
+        return _by_index(args[0], "Output", Evaluator.output_sequence, stubs)
     if name == "Output":
-        return _output_at(_expr(args[0], stubs), _expr(args[1], stubs))
+        return _output_at(args[0], args[1], stubs)
     if name == "CREATE":
-        return _create(_expr(args[0].args[0], stubs), _expr(args[1], stubs))
+        return _create(args[0].args[0], args[1], stubs)
     if name in ("NOT", "AND", "OR", "IMPLIES"):
         return _logic(name, args, name, stubs)
     if name in stubs:
@@ -327,29 +389,50 @@ def _call(e: Call, stubs: StubBindings) -> Compiled:
     return _raising(f"no binding for stub function '{name}'")
 
 
-def _by_index(index: Compiled, construct: str, get: Callable[[Evaluator, int], Any]) -> Compiled:
-    context = f"{construct} index"
+def _literal_index(e: Expr) -> int | None:
+    """The value of an integer literal, an index that needs no check when it runs."""
+    return e.value if type(e) is IntLit and type(e.value) is int else None
+
+
+def _by_index(e: Expr, construct: str, get: Callable[[Evaluator, int], Any], stubs: StubBindings) -> Compiled:
+    k = _literal_index(e)
+    if k is not None:
+        return lambda ev: get(ev, k)
+    index, context = _expr(e, stubs), f"{construct} index"
     return lambda ev: get(ev, _require_int(index(ev), context))
 
 
-def _output_at(sequence: Compiled, position: Compiled) -> Compiled:
+def _output_at(sequence_expr: Expr, position_expr: Expr, stubs: StubBindings) -> Compiled:
+    is_input = type(sequence_expr) is Call and sequence_expr.name == "Input"
+    k = _literal_index(sequence_expr.args[0]) if is_input else None
+    sequence = None if k is not None else _expr(sequence_expr, stubs)
+    position = _expr(position_expr, stubs)
+
     def output_at(ev: Evaluator) -> Output:
-        inputs = sequence(ev)
-        if not isinstance(inputs, ActionSequence):
-            raise EvalError("two-argument Output takes an input sequence first")
-        at = _require_int(position(ev), "Output position")
+        if sequence is None:
+            inputs = ev.input_sequence(k)
+        else:
+            inputs = sequence(ev)
+            if not isinstance(inputs, ActionSequence):
+                raise EvalError("two-argument Output takes an input sequence first")
+        at = position(ev)
+        if type(at) is not int:
+            _require_int(at, "Output position")
         return ev.output_sequence(inputs.index).at(at)
 
     return output_at
 
 
-def _create(index: Compiled, source: Compiled) -> Compiled:
+def _create(index_expr: Expr, source_expr: Expr, stubs: StubBindings) -> Compiled:
+    k, source = _literal_index(index_expr), _expr(source_expr, stubs)
+    index = None if k is not None else _expr(index_expr, stubs)
+
     def create(ev: Evaluator) -> bool:
-        k = _require_int(index(ev), "CREATE index")
+        key = k if index is None else _require_int(index(ev), "CREATE index")
         value = source(ev)
         if not isinstance(value, ActionSequence):
             raise EvalError("CREATE source must be an input sequence")
-        ev.register_and_execute(k, value)
+        ev.register_and_execute(key, value)
         return True
 
     return create

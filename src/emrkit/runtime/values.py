@@ -27,12 +27,25 @@ def _copy_value(value: Any) -> Any:
 
 def _copy_parameters(parameters: Mapping[str, Any]) -> dict[str, Any]:
     """Parameters come from user JSON and may nest: the copy shares
-    immutable scalars and deep-copies nested values."""
+    immutable scalars and deep-copies nested values. Most hold scalars only,
+    which one scan of the value types shows before any item is walked."""
     copied = dict(parameters)
+    for value in copied.values():
+        if type(value) not in _SCALARS:
+            break
+    else:
+        return copied
     for name, value in copied.items():
         if type(value) not in _SCALARS:
             copied[name] = copy.deepcopy(value)
     return copied
+
+
+# Runtime values built once per action or output are built without a class
+# call, which passes the arguments through the dataclass ``__init__``.
+# Attributes are set in the order that ``__init__`` sets them, so instances
+# share one key table.
+_new = object.__new__
 
 
 @dataclass
@@ -56,13 +69,15 @@ class ActionSequence:
 
     def copy(self, index: int | None = None) -> "ActionSequence":
         """One pass over the actions: each copy takes its position from its
-        place in the sequence."""
-        result = ActionSequence.__new__(ActionSequence)  # dense already: no __post_init__ walk
-        result.index = self.index if index is None else index
-        result.actions = [
-            Action(position, action.kind, _copy_parameters(action.parameters))
-            for position, action in enumerate(self.actions)
-        ]
+        place in the sequence, so the result is dense without a
+        ``__post_init__`` walk."""
+        actions = []
+        for position, action in enumerate(self.actions):
+            copied = _new(Action)
+            copied.position, copied.kind, copied.parameters = position, action.kind, _copy_parameters(action.parameters)
+            actions.append(copied)
+        result = _new(ActionSequence)
+        result.index, result.actions = self.index if index is None else index, actions
         return result
 
     @classmethod

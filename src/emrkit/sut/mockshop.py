@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..runtime.errors import AdapterFailure
-from ..runtime.values import Action, Output
+from ..runtime.values import _new, Action, Output
 
 FAULTS = ("ignore-filter", "off-by-one-pagination", "stale-results")
 
@@ -100,7 +100,8 @@ class MockShopSession:
                 start += 1
             results = results[start : start + size]
         payload = list(map(dict, results))
-        output = Output("ok", payload, len(payload))
+        output = _new(Output)  # no class call: see ``runtime.values``
+        output.status, output.payload, output.summary_size = "ok", payload, len(payload)
         if self._first_search is None:
             self._first_search = output
         return output

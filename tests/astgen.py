@@ -31,10 +31,29 @@ STRINGS = ("", "chair", "a b", 'quo"te', "back\\slash", "category")
 EXPLANATIONS = ("(1)", "iterate the inputs", "guard clause", "compare outputs")
 
 
+# The kinds of value a typed program's expressions have; a loop binds an action.
+KINDS = ("boolean", "boolean", "integer", "sequence", "output", "string")
+
+
 class ProgramGen:
-    def __init__(self, seed: int, explanations: bool = True):
+    """Random EMR programs.
+
+    The untyped mode draws any expression anywhere, so about half of its
+    programs fail ``validate``; its output for a seed is pinned by the
+    front-end digests, so it must not change. The typed mode puts a boolean
+    expression in every boolean position, an integer in every index, an
+    input sequence where ``CREATE``, ``Output`` and a loop take one, and
+    calls each runtime method with its arity. It reads a name only where a
+    declaration or a loop in scope bound it to a value of the kind wanted,
+    and calls an unbound function rarely, so its programs pass ``validate``
+    and most of their pairs run.
+    """
+
+    def __init__(self, seed: int, explanations: bool = True, typed: bool = False):
         self.rng = random.Random(seed)
         self.explanations = explanations
+        self.typed = typed
+        self.bound: dict[str, str] = {}  # typed mode: name in scope -> the kind of its value
 
     def maybe_explain(self, node) -> None:
         if self.explanations and self.rng.random() < 0.3:
@@ -93,6 +112,8 @@ class ProgramGen:
         return e
 
     def stmt(self, depth: int, in_loop: bool) -> Stmt:
+        if self.typed:
+            return self.typed_stmt(depth, in_loop)
         choices = ["var", "expr"]
         if depth > 0:
             choices += ["for", "if"]
@@ -118,6 +139,110 @@ class ProgramGen:
             node = Continue()
         self.maybe_explain(node)
         return node
+
+    # -- the typed mode ----------------------------------------------------
+
+    def typed_stmt(self, depth: int, in_loop: bool) -> Stmt:
+        choices = ["var", "check", "check"] + ["for", "if"] * (depth > 0) + ["continue"] * in_loop
+        kind = self.rng.choice(choices)
+        node: Stmt
+        if kind == "var":
+            value_kind = self.rng.choice(KINDS)
+            init, name = self.of_kind(value_kind, depth), self.rng.choice(NAMES)
+            self.bound[name] = value_kind
+            node = VarDecl(name, init)
+        elif kind == "check":
+            node = ExprStmt(self.check(depth))
+        elif kind == "for":
+            iterable, var, outer = self.iterable(), self.rng.choice(NAMES), dict(self.bound)
+            self.bound[var] = "action"
+            body = tuple(self.typed_stmt(depth - 1, True) for _ in range(self.rng.randint(1, 3)))
+            self.bound = outer
+            node = ForEach(self.rng.choice(("var", "Action")), var, iterable, body)
+        elif kind == "if":
+            cond, outer = self.boolean(depth - 1), dict(self.bound)
+            if in_loop and self.rng.random() < 0.4:
+                body: tuple[Stmt, ...] = (Continue(),)
+            else:
+                body = tuple(self.typed_stmt(depth - 1, in_loop) for _ in range(self.rng.randint(1, 2)))
+            self.bound = outer  # a declaration in the body holds only if the body ran
+            node = If(cond, body)
+        else:
+            node = Continue()
+        self.maybe_explain(node)
+        return node
+
+    def check(self, depth: int) -> Expr:
+        """A statement's expression: mostly an IMPLIES check, as EMRs state them."""
+        if self.rng.random() < 0.6:
+            return Call("IMPLIES", (self.boolean(depth), self.boolean(depth)))
+        return self.of_kind(self.rng.choice(KINDS), depth)
+
+    def of_kind(self, kind: str, depth: int) -> Expr:
+        if kind == "boolean":
+            return self.boolean(depth)
+        if kind == "integer":
+            return self.integer()
+        if kind == "sequence":
+            return self.sequence()
+        if kind == "output":
+            return self.output()
+        return StringLit(self.rng.choice(STRINGS))
+
+    def named(self, kind: str) -> Name | None:
+        """A name bound to a value of ``kind``, when one is in scope and drawn."""
+        names = [name for name, bound in self.bound.items() if bound == kind]
+        if names and self.rng.random() < 0.7:
+            return Name(self.rng.choice(names))
+        return None
+
+    def boolean(self, depth: int, chain: bool = True) -> Expr:
+        choices = ["literal", "name"]
+        if depth > 0:
+            choices += ["not", "construct", "construct", "create"] + ["chain"] * chain
+            choices += ["call"] * (self.rng.random() < 0.1)
+        kind = self.rng.choice(choices)
+        if kind == "name":
+            name = self.named("boolean")
+            if name is not None:
+                return name
+        if kind in ("literal", "name"):
+            return BoolLit(self.rng.random() < 0.7)
+        if kind == "not":
+            return Not(self.boolean(depth - 1, chain=False))
+        if kind == "construct":
+            which = self.rng.choice(("IMPLIES", "NOT", "OR", "AND"))
+            return Call(which, tuple(self.boolean(depth - 1) for _ in range(1 if which == "NOT" else 2)))
+        if kind == "create":
+            return Call("CREATE", (Call("Input", (IntLit(self.rng.randint(2, 3)),)), self.sequence()))
+        if kind == "call":
+            args = tuple(self.of_kind(self.rng.choice(KINDS), depth - 1) for _ in range(self.rng.randint(0, 2)))
+            return Call(self.rng.choice(FUNCS), args)
+        operands = tuple(self.boolean(depth - 1, chain=False) for _ in range(self.rng.randint(2, 3)))
+        return BoolChain(self.rng.choice(("&&", "||")), operands)
+
+    def integer(self) -> Expr:
+        kind = self.rng.choice(("literal", "literal", "name", "position"))
+        name = self.named("integer" if kind == "name" else "action") if kind != "literal" else None
+        if name is None:
+            return IntLit(self.rng.randint(0, 3))
+        return name if kind == "name" else MethodCall(name, "getPosition", ())
+
+    def sequence(self) -> Expr:
+        kind = self.rng.choice(("first", "first", "index", "name"))
+        name = self.named("sequence") if kind == "name" else None
+        if name is not None:
+            return name
+        return Call("Input", (IntLit(1) if kind != "index" else self.integer(),))
+
+    def output(self) -> Expr:
+        if self.rng.random() < 0.3:
+            return Call("Output", (self.integer(),))
+        return Call("Output", (self.sequence(), self.integer()))
+
+    def iterable(self) -> Expr:
+        sequence = self.sequence()
+        return MethodCall(sequence, "actions", ()) if self.rng.random() < 0.7 else sequence
 
     def program(self) -> EmrAst:
         stmts = tuple(self.stmt(2, False) for _ in range(self.rng.randint(0, 5)))

@@ -698,6 +698,60 @@ def test_repair_in_place_that_cannot_write_exits_two(tmp_path, capsys, monkeypat
     assert f"cannot write {broken}" in err and "Traceback" not in err
 
 
+def amp_broken_emr01(tmp_path: Path) -> Path:
+    """The bundled emr01 with the comma of its first IMPLIES made `` &`` (WLC-AMP)."""
+    source = (fixture_path("suite") / "emr01.smrl").read_text(encoding="utf-8")
+    broken = tmp_path / "emr01.smrl"
+    broken.write_text(source.replace("true,", "true &", 1), encoding="utf-8")
+    assert broken.read_text(encoding="utf-8") != source
+    return broken
+
+
+@pytest.mark.parametrize("budget", [0, 1, 100, 366, 569])
+def test_an_interrupted_repair_in_place_keeps_the_old_bytes(tmp_path, capsys, monkeypatch, budget):
+    """``os.write`` fails once ``budget`` bytes are written, as on a full
+    disk; the repaired text is 570 bytes long."""
+    broken = amp_broken_emr01(tmp_path)
+    before = broken.read_bytes()
+    write, left = os.write, budget
+
+    def failing_write(fd, data):
+        nonlocal left
+        if not left:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        written = write(fd, bytes(data[:left]))
+        left -= written
+        return written
+
+    monkeypatch.setattr(os, "write", failing_write)
+    assert run("repair", broken, "--in-place") == 2
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: cannot write {broken}: No space left on device"
+    assert "Traceback" not in err
+    assert broken.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [broken]
+
+
+def test_repair_in_place_keeps_the_file_mode_and_leaves_no_temporary_file(tmp_path, capsys):
+    broken = amp_broken_emr01(tmp_path)
+    broken.chmod(0o640)
+    assert run("repair", broken, "--in-place") == 0
+    assert len(broken.read_bytes()) == 570 and (broken.stat().st_mode & 0o777) == 0o640
+    assert list(tmp_path.iterdir()) == [broken]
+    capsys.readouterr()
+    assert run("check", broken) == 0
+
+
+def test_repair_in_place_writes_through_a_symlink(tmp_path):
+    real = amp_broken_emr01(tmp_path)
+    link = tmp_path / "link.smrl"
+    link.symlink_to(real)
+    assert run("repair", link, "--in-place") == 0
+    assert link.is_symlink() and len(real.read_bytes()) == 570
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emr01.smrl", "link.smrl"]
+
+
 def test_grade_matches_reference_table(tmp_path, capsys):
     code = run("--out", tmp_path / "out", "grade", ANNOTATIONS, "--statements", "136")
     assert code == 0

@@ -1,8 +1,11 @@
 import copy
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from emrkit.dsl import parse_emr
 from emrkit.dsl.parser import parse_emr as parse
@@ -11,6 +14,7 @@ from emrkit.runtime import (
     ActionSequence,
     EvalError,
     InsertAction,
+    Output,
     PositionOutOfRange,
     RemoveAction,
     SetParameter,
@@ -178,6 +182,56 @@ def test_random_edit_property_non_edited_positions_unchanged():
                 assert action == source.actions[i]
             else:
                 assert "extra" in action.parameters
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+ACTIONS = st.lists(st.tuples(st.integers(-2, 9), st.sampled_from(["search", "login"]),
+                             st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4)), max_size=5)
+
+
+def mutable_ids(value) -> set[int]:
+    """The ids of every mutable object reachable from a runtime value."""
+    if isinstance(value, ActionSequence):
+        return {id(value), id(value.actions)}.union(*map(mutable_ids, value.actions))
+    if isinstance(value, Action):
+        return {id(value)} | mutable_ids(value.parameters)
+    if isinstance(value, dict):
+        return {id(value)}.union(*map(mutable_ids, value.values()))
+    if isinstance(value, list):
+        return {id(value)}.union(*map(mutable_ids, value))
+    return set()
+
+
+@given(ACTIONS, st.integers(1, 4), st.none() | st.integers(1, 4))
+def test_a_copy_is_a_dense_deep_copy_that_shares_no_mutable_object(actions, index, new_index):
+    source = ActionSequence(index, [Action(0, kind, parameters) for _, kind, parameters in actions])
+    for action, (position, _, _) in zip(source.actions, actions):
+        action.position = position  # positions the copy must make dense again
+    copied = source.copy(new_index)
+    assert copied == dataclasses.replace(copy.deepcopy(source), index=index if new_index is None else new_index)
+    assert [a.position for a in copied.actions] == list(range(len(actions)))
+    assert all(list(vars(a)) == ["position", "kind", "parameters"] for a in copied.actions)
+    assert list(vars(copied)) == ["index", "actions"]
+    assert not mutable_ids(copied) & mutable_ids(source)
+
+
+def test_the_outputs_a_run_builds_equal_the_ones_a_class_call_builds():
+    from emrkit.runtime.evaluate import Evaluator
+    from emrkit.runtime.values import OutputSequence
+
+    session = MockShopSut().session()
+    for parameters in ({"query": "chair"}, {"query": "", "page": 1, "page_size": 4}):
+        output = session.execute(Action(0, "search", parameters))
+        reference = Output(output.status, output.payload, output.summary_size)
+        assert output == reference and list(vars(output)) == list(vars(reference))
+    evaluator = Evaluator(MockShopSut())
+    evaluator.register_and_execute(2, seq("search", "login"))
+    outputs = evaluator.outputs[2]
+    reference = OutputSequence(list(outputs.outputs))
+    assert outputs == reference and list(vars(outputs)) == list(vars(reference))
 
 
 # --- whole-EMR evaluation -------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import json
@@ -250,9 +251,82 @@ def seeded_input(rng: random.Random) -> ActionSequence:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3), st.sampled_from(FAULTS))
 def test_run_suite_gives_one_entry_per_pair_and_never_raises(seed, emr_count, input_count, fault):
+    """Half the programs are typed, so they pass validation and run; the
+    others mostly test the Error entries of invalid EMRs."""
     rng = random.Random(seed)
-    emrs = [dataclasses.replace(ProgramGen(rng.randrange(2**32)).program(), id=f"g{i}") for i in range(emr_count)]
+    emrs = [dataclasses.replace(ProgramGen(rng.randrange(2**32), typed=rng.random() < 0.5).program(), id=f"g{i}")
+            for i in range(emr_count)]
     inputs = [seeded_input(rng) for _ in range(input_count)]
     report = run_suite(emrs, inputs, MockShopSut(fault), STUBS)
     assert [(e.emr_id, e.input_index) for e in report.entries] == [
         (ast.id, i) for ast in emrs for i in range(input_count)]
+
+
+def test_typed_programs_reach_verdicts():
+    """Typed programs run: on four seeded inputs each, 100 programs give a
+    hundred or more verdicts, and each kind of verdict occurs."""
+    counts: collections.Counter[str] = collections.Counter()
+    for seed in range(100):
+        rng = random.Random(seed)
+        ast = ProgramGen(seed, typed=True).program()
+        report = run_suite([ast], [seeded_input(rng) for _ in range(4)], MockShopSut(), STUBS)
+        counts.update(entry.outcome for entry in report.entries)
+    assert counts["Pass"] and counts["Fail"] and counts["Inapplicable"]
+    assert counts["Pass"] + counts["Fail"] + counts["Inapplicable"] >= 100
+
+
+# Statement-level runtime errors: ``eval_bool`` compiles expressions only, so
+# these closures run only in a whole EMR. Each index appears as a literal and
+# as a variable, which compile to different closures.
+@pytest.mark.parametrize("statements, error", [
+    ("var n = 3; if (n) { NOT(false); }", "if condition evaluated to non-boolean 3"),
+    ("var n = 3; IMPLIES(n, true);", "IMPLIES antecedent evaluated to non-boolean 3"),
+    ("var n = 3; IMPLIES(true, n);", "IMPLIES consequent evaluated to non-boolean 3"),
+    ('var n = "a"; !n;', "'!' operand evaluated to non-boolean 'a'"),
+    ("var n = 3; true && n;", "'&&' operand evaluated to non-boolean 3"),
+    ("var n = 3; false || n;", "'||' operand evaluated to non-boolean 3"),
+    ("var s = Input(3);", "Input(3) is not registered; CREATE it first"),
+    ("var k = 3; var s = Input(k);", "Input(3) is not registered; CREATE it first"),
+    ("var o = Output(3);", "no recorded outputs for Input(3)"),
+    ("var k = 3; var o = Output(k);", "no recorded outputs for Input(3)"),
+    ("var o = Output(Input(3), 0);", "Input(3) is not registered; CREATE it first"),
+    ("CREATE(Input(2), Input(1)); var o = Output(Input(2), 9);", "position 9 out of range for sequence of length 2"),
+    ("var k = 2; var p = 9; CREATE(Input(k), Input(1)); var o = Output(Input(k), p);",
+     "position 9 out of range for sequence of length 2"),
+    ("CREATE(Input(2), 5);", "CREATE source must be an input sequence"),
+], ids=["if", "implies-antecedent", "implies-consequent", "bang", "and", "or", "input", "input-var", "output",
+        "output-var", "output-at-unregistered", "output-at-range", "output-at-range-var", "create-source"])
+def test_statement_level_run_time_errors_are_error_entries(statements, error):
+    ast = parse_emr(f"MR {{{{ {statements} IMPLIES(true, true); }}}}", "statement_error")
+    assert not has_errors(validate(ast))
+    source = ActionSequence.from_json([{"kind": "search", "parameters": {"query": "chair"}},
+                                       {"kind": "search", "parameters": {"query": "desk"}}])
+    report = run_suite([ast], [source], MockShopSut(), STUBS)
+    assert [(e.outcome, e.error) for e in report.entries] == [("Error", error)]
+
+
+def test_every_registration_goes_through_register_and_execute(shop_inputs, monkeypatch):
+    """The benchmark counts a pair's SUT sessions by wrapping
+    ``Evaluator.register_and_execute``, so every session a run opens must be
+    opened there."""
+    from emrkit.runtime.evaluate import Evaluator
+
+    registrations, sessions = [], []
+    register, open_session = Evaluator.register_and_execute, MockShopSut.session
+
+    def counting_register(self, index, sequence):
+        registrations.append(index)
+        return register(self, index, sequence)
+
+    def counting_session(self):
+        sessions.append(self.fault)
+        return open_session(self)
+
+    monkeypatch.setattr(Evaluator, "register_and_execute", counting_register)
+    monkeypatch.setattr(MockShopSut, "session", counting_session)
+    emrs = [parse_emr(path.read_text(encoding="utf-8"), path.stem) for path in BUNDLED_EMRS]
+    for fault in FAULTS:
+        run_suite(emrs, shop_inputs, MockShopSut(fault), STUBS)
+    executed = registrations.count(1)  # the source input of each executed pair
+    assert executed > 0 and len(registrations) > executed
+    assert len(registrations) == len(sessions)

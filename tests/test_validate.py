@@ -103,6 +103,16 @@ def test_monotonicity_adding_catalog_entries_never_adds_stubs():
         assert len(after) < len(base)
 
 
+def test_typed_astgen_programs_are_valid_and_the_untyped_mode_is_unchanged():
+    """The typed mode exists so that properties over generated programs run
+    them; the untyped mode keeps testing the ``invalid-emr`` path."""
+    typed = [ProgramGen(seed, typed=True).program() for seed in range(500)]
+    untyped = [ProgramGen(seed).program() for seed in range(500)]
+    assert sum(not has_errors(validate(ast)) for ast in typed) >= 475
+    assert sum(has_errors(validate(ast)) for ast in untyped) == 276
+    assert typed != untyped
+
+
 def test_lines_reference_symbol_bearing_source_lines(filter_emr_ast, filter_emr_source):
     lines = filter_emr_source.split("\n")
     for diag in validate(filter_emr_ast):
