@@ -21,9 +21,14 @@ Each entry point validates before compiling, so construct arity and the
 shape of a ``CREATE`` target are not checked again here. Each index (``i``
 in ``Input(i)`` and ``Output(i)``, ``pos`` in ``Output(Input(i), pos)``,
 ``k`` in ``CREATE(Input(k), x)``) is an expression evaluated left to right
-whose value must be an integer, not a boolean. Compiling never raises what
-running would: a non-integer index, an unknown method, a non-iterable loop
-or a missing stub becomes a closure that raises its error only when reached.
+whose value must be an integer, not a boolean. Each boolean position (the
+``if`` condition, the operands of ``!``, ``&&``, ``||``, ``NOT``, ``AND``
+and ``OR``, and ``IMPLIES``'s antecedent and consequent) compiles through
+``_boolean``, the one check that a value is ``True`` or ``False``; a bare
+statement is a check only when its value is a boolean. Compiling never
+raises what running would: a non-integer index, an unknown method, a
+non-iterable loop or a missing stub becomes a closure that raises its error
+only when reached.
 
 A few common shapes compile to a cheaper closure that computes exactly what
 the generic one does, and every other shape takes the generic one:
@@ -31,10 +36,6 @@ the generic one does, and every other shape takes the generic one:
 - an integer literal index of ``Input``, ``Output`` or ``CREATE`` (and the
   ``Input(k)`` that ``Output(Input(k), pos)`` reads) is used as it is, with
   no closure to evaluate it and no integer check;
-- the boolean closures (``if``, ``!``, ``&&``, ``||`` and the constructs)
-  test for ``True`` and ``False`` themselves, which is the whole of
-  ``isinstance(value, bool)`` because bool has no subclass, and call
-  ``_require_bool`` only to raise its message;
 - a method call without arguments is one closure.
 """
 
@@ -86,12 +87,6 @@ SessionFactory = Callable[[], SutSessionLike]
 # A compiled node: takes the pair's state and returns the node's value. A
 # compiled statement returns True when it reached a ``continue``.
 Compiled = Callable[["Evaluator"], Any]
-
-
-def _require_bool(value: Any, context: str) -> bool:
-    if not isinstance(value, bool):
-        raise EvalError(f"{context} evaluated to non-boolean {render_value(value)}")
-    return value
 
 
 def _require_int(value: Any, context: str) -> int:
@@ -179,17 +174,8 @@ def _stmt(st: Stmt, stubs: StubBindings) -> Compiled:
     if isinstance(st, ForEach):
         return _for_each(st, stubs)
     if isinstance(st, If):
-        cond, body = _expr(st.cond, stubs), _block(st.body, stubs)
-
-        def if_(ev: Evaluator) -> Any:
-            value = cond(ev)
-            if value is True:
-                return body(ev)
-            if value is not False:
-                _require_bool(value, "if condition")
-            return False
-
-        return if_
+        cond, body = _boolean(st.cond, "if condition", stubs), _block(st.body, stubs)
+        return lambda ev: cond(ev) and body(ev)
     if isinstance(st, Continue):
         return lambda ev: True
     if isinstance(st, VarDecl):
@@ -230,18 +216,11 @@ def _check(st: ExprStmt, stubs: StubBindings) -> Compiled:
     IMPLIES statement checks its consequent only when its antecedent held."""
     expr, line = st.expr, st.pos.line
     if isinstance(expr, Call) and expr.name == "IMPLIES":
-        antecedent, consequent = (_expr(a, stubs) for a in expr.args)
+        antecedent, consequent = _implication(expr.args, stubs)
 
         def check(ev: Evaluator) -> None:
-            held = antecedent(ev)
-            if held is not True:
-                if held is not False:
-                    _require_bool(held, "IMPLIES antecedent")
-                return
-            value = consequent(ev)
-            if value is not True and value is not False:
-                _require_bool(value, "IMPLIES consequent")
-            ev.record(line, value)
+            if antecedent(ev):
+                ev.record(line, consequent(ev))
     else:
         value = _expr(expr, stubs)
 
@@ -264,9 +243,9 @@ def _expr(e: Expr, stubs: StubBindings) -> Compiled:
         name = e.ident
         return lambda ev: ev.lookup(name)
     if isinstance(e, Not):
-        return _logic("NOT", (e.operand,), "'!'", stubs)
+        return _not(e.operand, "'!' operand", stubs)
     if isinstance(e, BoolChain):
-        return _logic("AND" if e.op == "&&" else "OR", e.operands, f"'{e.op}'", stubs)
+        return _chain(e.operands, f"'{e.op}' operand", e.op == "||", stubs)
     if isinstance(e, MethodCall):
         return _method(e, stubs)
     if isinstance(e, Call):
@@ -274,52 +253,48 @@ def _expr(e: Expr, stubs: StubBindings) -> Compiled:
     return _raising(f"unknown expression node {e!r}")
 
 
-def _logic(op: str, operands: tuple[Expr, ...], label: str, stubs: StubBindings) -> Compiled:
-    """Short-circuit NOT/AND/OR/IMPLIES, left to right; ``label`` names the
-    operands in type errors (IMPLIES: its antecedent and consequent)."""
-    if op == "IMPLIES":
-        contexts = ["IMPLIES antecedent", "IMPLIES consequent"]
-    else:
-        contexts = [f"{label} operand"] * len(operands)
-    parts = [(_expr(o, stubs), c) for o, c in zip(operands, contexts)]
-    if op == "NOT":
-        [(operand, context)] = parts
+# Constructs whose closures return a bool or raise.
+_BOOLEAN_CONSTRUCTS = frozenset({"NOT", "AND", "OR", "IMPLIES", "CREATE"})
 
-        def negation(ev: Evaluator) -> bool:
-            value = operand(ev)
-            if value is not True and value is not False:
-                _require_bool(value, context)
-            return not value
 
-        return negation
-    if op == "IMPLIES":
-        (a, a_context), (c, c_context) = parts
+def _boolean(e: Expr, context: str, stubs: StubBindings) -> Compiled:
+    """``e`` compiled for a boolean position: a value other than ``True`` or
+    ``False`` raises, naming ``context``. A node that evaluates to a bool by
+    construction needs no check."""
+    compiled = _expr(e, stubs)
+    if isinstance(e, (Not, BoolChain, BoolLit)) or (isinstance(e, Call) and e.name in _BOOLEAN_CONSTRUCTS):
+        return compiled
 
-        def implication(ev: Evaluator) -> bool:
-            held = a(ev)
-            if held is False:
-                return True
-            if held is not True:
-                _require_bool(held, a_context)
-            value = c(ev)
-            if value is not True and value is not False:
-                _require_bool(value, c_context)
+    def checked(ev: Evaluator) -> bool:
+        value = compiled(ev)
+        if value is True or value is False:
             return value
+        raise EvalError(f"{context} evaluated to non-boolean {render_value(value)}")
 
-        return implication
-    decisive = op == "OR"  # the operand value that ends the chain
-    other = not decisive
+    return checked
+
+
+def _not(operand: Expr, context: str, stubs: StubBindings) -> Compiled:
+    value = _boolean(operand, context, stubs)
+    return lambda ev: not value(ev)
+
+
+def _chain(operands: tuple[Expr, ...], context: str, decisive: bool, stubs: StubBindings) -> Compiled:
+    """Short-circuit AND (``decisive`` False) or OR (True), left to right."""
+    parts = [_boolean(o, context, stubs) for o in operands]
 
     def chain(ev: Evaluator) -> bool:
-        for operand, context in parts:
-            value = operand(ev)
-            if value is decisive:
+        for operand in parts:
+            if operand(ev) is decisive:
                 return decisive
-            if value is not other:
-                _require_bool(value, context)
-        return other
+        return not decisive
 
     return chain
+
+
+def _implication(args: tuple[Expr, ...], stubs: StubBindings) -> tuple[Compiled, Compiled]:
+    """IMPLIES's antecedent and consequent, each compiled for a boolean position."""
+    return _boolean(args[0], "IMPLIES antecedent", stubs), _boolean(args[1], "IMPLIES consequent", stubs)
 
 
 def _applied(fn: Callable[..., Any], args: list[Compiled]) -> Compiled:
@@ -382,8 +357,13 @@ def _call(e: Call, stubs: StubBindings) -> Compiled:
         return _output_at(args[0], args[1], stubs)
     if name == "CREATE":
         return _create(args[0].args[0], args[1], stubs)
-    if name in ("NOT", "AND", "OR", "IMPLIES"):
-        return _logic(name, args, name, stubs)
+    if name == "NOT":
+        return _not(args[0], "NOT operand", stubs)
+    if name in ("AND", "OR"):
+        return _chain(args, f"{name} operand", name == "OR", stubs)
+    if name == "IMPLIES":
+        antecedent, consequent = _implication(args, stubs)
+        return lambda ev: not antecedent(ev) or consequent(ev)
     if name in stubs:
         return _applied(stubs[name], [_expr(a, stubs) for a in args])
     return _raising(f"no binding for stub function '{name}'")
@@ -448,7 +428,7 @@ def eval_bool(expr: Expr, env: Mapping[str, Any] | None = None, stubs: StubBindi
     evaluator = Evaluator(session_factory=None)
     if env:
         evaluator.scopes[0].update(env)
-    return _require_bool(_expr(expr, stubs or {})(evaluator), "expression")
+    return _boolean(expr, "expression", stubs or {})(evaluator)
 
 
 def unbound_stubs(ast: EmrAst, stubs: StubBindings) -> list[str]:

@@ -60,22 +60,26 @@ class _RecordingSession:
         return output
 
 
-class _ReplaySession:
-    """All replay sessions share one cursor: entries are consumed in the
-    exact order they were recorded across the whole run."""
+class _Replay:
+    """The replay session factory and its only session: every session of a
+    run is this object, so its one cursor serves entries in the exact order
+    they were recorded across the whole run."""
 
-    def __init__(self, state: dict[str, Any]):
-        self.state = state
+    def __init__(self, entries: list[tuple[str, Output]]):
+        self.entries = entries
+        self.cursor = 0
+
+    def __call__(self) -> "_Replay":
+        return self
 
     def execute(self, action: Action) -> Output:
-        cursor = self.state["cursor"]
-        if cursor >= len(self.state["entries"]):
-            raise AdapterFailure(f"cassette exhausted after {cursor} interactions")
-        recorded, output = self.state["entries"][cursor]
+        if self.cursor >= len(self.entries):
+            raise AdapterFailure(f"cassette exhausted after {self.cursor} interactions")
+        recorded, output = self.entries[self.cursor]
         got = fingerprint(action)
         if recorded != got:
             raise AdapterFailure(f"cassette fingerprint mismatch: recorded {recorded}, requested {got}")
-        self.state["cursor"] = cursor + 1
+        self.cursor += 1
         return output
 
 
@@ -98,6 +102,5 @@ def record_replay(
         cassette = Cassette(cassette_path).create()
         return lambda: _RecordingSession(inner_factory(), cassette)
     if mode == "replay":
-        state = {"entries": Cassette(cassette_path).load(), "cursor": 0}
-        return lambda: _ReplaySession(state)
+        return _Replay(Cassette(cassette_path).load())
     raise ValueError(f"mode must be 'record' or 'replay', not {mode!r}")

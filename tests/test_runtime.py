@@ -85,6 +85,8 @@ def test_type_mismatch_on_non_boolean_operand():
         ("OR(n, t)", "OR operand"),
         ("IMPLIES(n, t)", "IMPLIES antecedent"),
         ("IMPLIES(t, n)", "IMPLIES consequent"),
+        ("t && IMPLIES(n, t)", "IMPLIES antecedent"),
+        ("n", "expression"),
     ],
 )
 def test_type_mismatch_names_the_operand(snippet, context):

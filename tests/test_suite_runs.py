@@ -240,11 +240,12 @@ def test_a_boolean_index_is_an_error_entry_naming_the_integer_rule(use, rule, sh
 
 
 def seeded_input(rng: random.Random) -> ActionSequence:
-    """Up to four actions, of the kinds the mock shop supports and one it does not."""
-    kinds = ("search", "login", "logout", "purchase")
+    """Up to four actions, of the kinds the mock shop supports and, rarely,
+    ``purchase``, which it refuses with an adapter Error before any closure runs."""
+    kinds, weights = ("search", "login", "logout", "purchase"), (10, 10, 10, 1)
     params = ({"query": "chair"}, {"query": ""}, {"query": "desk", "category": "office"},
               {"query": "lamp", "page": 0, "page_size": 2}, {"user": "tester"}, {})
-    return ActionSequence.from_json([{"kind": rng.choice(kinds), "parameters": dict(rng.choice(params))}
+    return ActionSequence.from_json([{"kind": rng.choices(kinds, weights)[0], "parameters": dict(rng.choice(params))}
                                      for _ in range(rng.randint(0, 4))])
 
 
@@ -263,16 +264,18 @@ def test_run_suite_gives_one_entry_per_pair_and_never_raises(seed, emr_count, in
 
 
 def test_typed_programs_reach_verdicts():
-    """Typed programs run: on four seeded inputs each, 100 programs give a
-    hundred or more verdicts, and each kind of verdict occurs."""
+    """Typed programs run: on four seeded inputs each, 100 programs give 250
+    or more verdicts of the 400 entries, each kind of verdict occurs, and the
+    rare ``purchase`` still reaches the adapter Error."""
     counts: collections.Counter[str] = collections.Counter()
     for seed in range(100):
         rng = random.Random(seed)
         ast = ProgramGen(seed, typed=True).program()
         report = run_suite([ast], [seeded_input(rng) for _ in range(4)], MockShopSut(), STUBS)
-        counts.update(entry.outcome for entry in report.entries)
+        counts.update(entry.error or entry.outcome for entry in report.entries)
     assert counts["Pass"] and counts["Fail"] and counts["Inapplicable"]
-    assert counts["Pass"] + counts["Fail"] + counts["Inapplicable"] >= 100
+    assert counts["Pass"] + counts["Fail"] + counts["Inapplicable"] >= 250
+    assert counts["mock shop does not support action kind 'purchase'"]
 
 
 # Statement-level runtime errors: ``eval_bool`` compiles expressions only, so
@@ -303,6 +306,27 @@ def test_statement_level_run_time_errors_are_error_entries(statements, error):
                                        {"kind": "search", "parameters": {"query": "desk"}}])
     report = run_suite([ast], [source], MockShopSut(), STUBS)
     assert [(e.outcome, e.error) for e in report.entries] == [("Error", error)]
+
+
+# A bare statement is a check only when its value is a boolean, and a
+# ``continue`` in a multi-statement ``if`` body ends only that iteration: the
+# loop's check fails once, on the second action.
+@pytest.mark.parametrize("statements, verdict, failing", [
+    ("Input(1);", "Inapplicable", []),
+    ("three();", "Inapplicable", []),
+    ("CREATE(Input(2), Input(1));", "Pass", []),
+    ("for (var a : Input(1)) { if (isSearch(a)) { var k = 1; continue; IMPLIES(true, false); } IMPLIES(true, false); }",
+     "Fail", [{"a": "login@1"}]),
+], ids=["bare-input", "bare-number", "bare-create", "continue-in-if-body"])
+def test_statement_level_verdicts(statements, verdict, failing):
+    ast = parse_emr(f"MR {{{{ {statements} }}}}", "statement_verdict")
+    assert not has_errors(validate(ast))
+    source = ActionSequence.from_json([{"kind": "search", "parameters": {"query": "chair"}},
+                                       {"kind": "login", "parameters": {"user": "tester"}}])
+    stubs = {"three": lambda: 3, "isSearch": lambda action: action.kind == "search"}
+    [entry] = run_suite([ast], [source], MockShopSut(), stubs).entries
+    assert (entry.outcome, entry.error) == (verdict, None)
+    assert [f.bindings for f in entry.verdict.failing_bindings] == failing
 
 
 def test_every_registration_goes_through_register_and_execute(shop_inputs, monkeypatch):
