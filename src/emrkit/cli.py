@@ -367,6 +367,8 @@ def _session_factory(spec: str, record_cassette: str | None):
     elif kind == "replay":
         if not detail:
             raise CliError("--sut replay:<cassette.jsonl> needs a cassette path")
+        if record_cassette:
+            raise CliError("--record cannot be combined with --sut replay: a replay never reaches the SUT")
         return _load("cassette", detail, functools.partial(record_replay, "replay"))
     else:
         raise CliError(f"unknown SUT spec '{spec}' (use mock[:fault], live:<config>, replay:<cassette.jsonl>)")

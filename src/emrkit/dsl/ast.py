@@ -23,6 +23,10 @@ CONSTRUCT_ARITY: dict[str, tuple[int, ...]] = {
 }
 CONSTRUCTS = frozenset(CONSTRUCT_ARITY)
 
+# Runtime method -> argument count: the methods the evaluator resolves
+# natively on runtime values.
+METHOD_ARITY: dict[str, int] = {"actions": 0, "getPosition": 0, "getKind": 0, "getParameter": 1}
+
 
 @dataclass
 class Position:

@@ -124,10 +124,7 @@ class _Parser:
         """Open one more level of nesting at lexeme ``i``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.too_deep(i)
-
-    def too_deep(self, i: int) -> ParseError:
-        return ParseError(f"nesting deeper than {MAX_NESTING} levels", *self.where(i))
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", *self.where(i))
 
     def expect(self, lexeme: str) -> int:
         """Index of the punctuation or keyword ``lexeme``, which must come next."""
@@ -348,27 +345,16 @@ class _Parser:
 
     def args(self) -> tuple[Expr, ...]:
         """The arguments after '(', and the move past the ')'."""
-        lexemes = self.lexemes
-        i = self.i
-        if lexemes[i] == ")":
-            self.i = i + 1
-            return ()
-        self.depth += 1  # ``nest``, inlined: most calls have arguments
-        if self.depth > MAX_NESTING:
-            raise self.too_deep(i - 1)
-        args = []
-        while True:  # ``expression``, inlined: most arguments are one unary
-            arg = self.unary()
-            op = lexemes[self.i]
-            args.append(self.chain(arg) if op == "&&" or op == "||" else arg)
-            if lexemes[self.i] != ",":
-                break
+        if self.lexemes[self.i] == ")":
             self.i += 1
+            return ()
+        self.nest(self.i - 1)
+        args = [self.expression()]
+        while self.lexemes[self.i] == ",":
+            self.i += 1
+            args.append(self.expression())
         self.depth -= 1
-        i = self.i
-        if lexemes[i] != ")":
-            raise self.error({"')'"})
-        self.i = i + 1  # ``expect``, inlined
+        self.expect(")")
         return tuple(args)
 
 

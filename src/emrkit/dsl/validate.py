@@ -3,8 +3,8 @@
 Construct misuse (arity, obviously non-boolean operands) is an error.
 Calls to functions known neither as constructs nor in the catalog are
 *stubs*, not errors: the EMR is still well-formed, it just needs those
-functions bound before it can run. Method names outside the small set the
-runtime understands are warnings.
+functions bound before it can run. Method names outside the runtime's
+methods (``ast.METHOD_ARITY``) are warnings.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .ast import (
     ForEach,
     If,
     IntLit,
+    METHOD_ARITY,
     MethodCall,
     Not,
     Stmt,
@@ -34,9 +35,6 @@ from .ast import (
 
 if TYPE_CHECKING:
     from ..sut.catalog import ApiCatalog
-
-# Methods the evaluator resolves natively on runtime values.
-RUNTIME_METHODS = frozenset({"actions", "getPosition", "getKind", "getParameter"})
 
 
 @dataclass
@@ -58,7 +56,6 @@ def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnosti
 
     No diagnostics means the EMR can run without binding any stubs.
     """
-    known = set() if catalog is None else set(catalog.names())
     arities = {} if catalog is None else {e.name: len(e.parameters) for e in catalog.entries}
     diags: list[Diagnostic] = []
     seen_stubs: set[str] = set()
@@ -112,8 +109,8 @@ def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnosti
                 name = e.name
                 if name in CONSTRUCTS:
                     check_construct(e)
-                elif name in known:
-                    if name in arities and len(e.args) != arities[name]:
+                elif name in arities:
+                    if len(e.args) != arities[name]:
                         message = f"{name} expects {arities[name]} argument(s), got {len(e.args)}"
                         diags.append(Diagnostic("error", message, e.pos.line, name))
                 elif name not in seen_stubs:
@@ -122,7 +119,7 @@ def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnosti
                     diags.append(Diagnostic("stub", message, e.pos.line, name))
                 push(reversed(e.args))
             elif kind is MethodCall:
-                if e.name not in RUNTIME_METHODS:
+                if e.name not in METHOD_ARITY:
                     message = f"method '{e.name}' is not provided by the runtime"
                     diags.append(Diagnostic("warning", message, e.pos.line, e.name))
                 push(reversed(e.args))

@@ -39,13 +39,22 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
+def _open(path: str | Path, flags: int) -> int:
+    """``os.open`` of ``path``, creating its missing parent directories."""
+    try:
+        return os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return os.open(path, flags, 0o666)
+
+
 def append(path: Path, records: Iterable[Any], truncate: bool = False) -> None:
-    """Write ``records`` at the end of ``path`` (created if missing, emptied
-    first with ``truncate``)."""
+    """Write ``records`` at the end of ``path`` (created with its missing
+    parent directories, emptied first with ``truncate``)."""
     data = "".join(
         json.dumps(r, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n" for r in records
     )
-    fd = os.open(path, _APPEND_FLAGS | (os.O_TRUNC if truncate else 0), 0o666)
+    fd = _open(path, _APPEND_FLAGS | (os.O_TRUNC if truncate else 0))
     try:
         _write_all(fd, data.encode("utf-8"))
     finally:
@@ -57,11 +66,7 @@ def rewrite(path: str | Path, data: bytes) -> None:
     it to ``len(data)``. Missing parent directories are created. An
     interrupted rewrite leaves the new bytes followed by the old file's
     tail, so this is only for files read whole, never for JSON Lines."""
-    try:
-        fd = os.open(path, _REWRITE_FLAGS, 0o666)
-    except FileNotFoundError:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(path, _REWRITE_FLAGS, 0o666)
+    fd = _open(path, _REWRITE_FLAGS)
     try:
         _write_all(fd, data)
         os.ftruncate(fd, len(data))

@@ -78,7 +78,8 @@ class MockChatClient:
 
 @dataclass
 class LiveChatClient:
-    """Chat-completions style HTTP client with bounded retries."""
+    """Chat-completions style HTTP client with bounded retries. A reply
+    without a string ``choices[0].message.content`` is a failed attempt."""
 
     config: LlmConfig
     max_retries: int = 3
@@ -107,8 +108,8 @@ class LiveChatClient:
             try:
                 with urllib.request.urlopen(request, timeout=60) as response:
                     data = json.loads(response.read().decode("utf-8"))
-                return data["choices"][0]["message"]["content"]
-            except (urllib.error.URLError, OSError, KeyError, ValueError) as exc:
+                return check(data["choices"][0]["message"]["content"], "a string", "reply content")
+            except (urllib.error.URLError, OSError, LookupError, TypeError, ValueError) as exc:
                 last_error = exc
                 if attempt + 1 < self.max_retries:
                     time.sleep(self.backoff * (2**attempt))

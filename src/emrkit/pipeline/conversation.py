@@ -76,7 +76,6 @@ class TranscriptStore:
             jsonl.append(path, [m.to_json() for m in conversation.messages[written:]])
         else:
             records = [conversation.header(), *(m.to_json() for m in conversation.messages)]
-            self.directory.mkdir(parents=True, exist_ok=True)
             # Truncate, not jsonl.rewrite: an interrupted in-place rewrite would
             # leave whole stale lines after the new ones, and they would decode.
             jsonl.append(path, records, truncate=True)

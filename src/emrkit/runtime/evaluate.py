@@ -55,6 +55,7 @@ from ..dsl.ast import (
     ForEach,
     If,
     IntLit,
+    METHOD_ARITY,
     MethodCall,
     Name,
     Not,
@@ -98,7 +99,7 @@ def _require_int(value: Any, context: str) -> int:
 class Evaluator:
     """The state of one (EMR, input) pair, which compiled closures read and update."""
 
-    def __init__(self, session_factory: SessionFactory | None):
+    def __init__(self, session_factory: SessionFactory):
         self.session_factory = session_factory
         self.inputs: dict[int, ActionSequence] = {}
         self.outputs: dict[int, OutputSequence] = {}
@@ -118,11 +119,9 @@ class Evaluator:
         self.antecedent_held = True
         if not held:
             bindings = {name: render_value(self.lookup(name)) for name in self.loop_vars}
-            self.failures.append(FailingBinding(line, bindings, True, False))
+            self.failures.append(FailingBinding(line, bindings))
 
     def register_and_execute(self, index: int, sequence: ActionSequence) -> None:
-        if self.session_factory is None:
-            raise EvalError("no SUT session factory; cannot execute inputs")
         registered = sequence.copy(index)
         session = self.session_factory()
         outputs = _new(OutputSequence)
@@ -314,19 +313,20 @@ def _applied(fn: Callable[..., Any], args: list[Compiled]) -> Compiled:
     return lambda ev: fn(*[a(ev) for a in args])
 
 
-# Runtime method -> (receiver type, argument count, result from the receiver
-# and the arguments).
-_METHODS: dict[str, tuple[type, int, Callable[..., Any]]] = {
-    "actions": (ActionSequence, 0, attrgetter("actions")),
-    "getPosition": (Action, 0, attrgetter("position")),
-    "getKind": (Action, 0, attrgetter("kind")),
-    "getParameter": (Action, 1, lambda receiver, name: receiver.parameters.get(name)),
+# Runtime method -> (receiver type, result from the receiver and the
+# arguments); ``METHOD_ARITY`` gives each one's argument count.
+_METHODS: dict[str, tuple[type, Callable[..., Any]]] = {
+    "actions": (ActionSequence, attrgetter("actions")),
+    "getPosition": (Action, attrgetter("position")),
+    "getKind": (Action, attrgetter("kind")),
+    "getParameter": (Action, lambda receiver, name: receiver.parameters.get(name)),
 }
 
 
 def _method(e: MethodCall, stubs: StubBindings) -> Compiled:
     name = e.name
-    kind, arity, get = _METHODS.get(name, ((), len(e.args), None))
+    kind, get = _METHODS.get(name, ((), None))
+    arity = METHOD_ARITY.get(name, len(e.args))
     if len(e.args) != arity:
         plural = "" if arity == 1 else "s"
         return _raising(f"method '{name}' takes {arity} argument{plural}, not {len(e.args)}")
@@ -421,11 +421,15 @@ def _create(index_expr: Expr, source_expr: Expr, stubs: StubBindings) -> Compile
 # -- entry points -----------------------------------------------------------
 
 
+def _no_session() -> SutSessionLike:
+    raise EvalError("no SUT session factory; cannot execute inputs")
+
+
 def eval_bool(expr: Expr, env: Mapping[str, Any] | None = None, stubs: StubBindings | None = None) -> bool:
     """Evaluate a boolean construct expression under ``env`` without a SUT;
     an unbound stub raises only when it is reached."""
     unbound_stubs(EmrAst("expression", (ExprStmt(expr),)), {})
-    evaluator = Evaluator(session_factory=None)
+    evaluator = Evaluator(_no_session)
     if env:
         evaluator.scopes[0].update(env)
     return _boolean(expr, "expression", stubs or {})(evaluator)

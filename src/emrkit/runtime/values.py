@@ -126,16 +126,10 @@ class VerdictValue(enum.Enum):
 class FailingBinding:
     line: int
     bindings: dict[str, str]
-    antecedent: bool
-    consequent: bool
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "line": self.line,
-            "bindings": self.bindings,
-            "antecedent": self.antecedent,
-            "consequent": self.consequent,
-        }
+        # A binding fails only where the antecedent held and the consequent did not.
+        return {"line": self.line, "bindings": self.bindings, "antecedent": True, "consequent": False}
 
 
 @dataclass

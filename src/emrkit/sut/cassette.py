@@ -32,8 +32,7 @@ class Cassette:
 
     def create(self) -> "Cassette":
         """Create the file empty, or empty an existing one."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_bytes(b"")
+        jsonl.append(self.path, (), truncate=True)
         return self
 
     def load(self) -> list[tuple[str, Output]]:

@@ -68,7 +68,6 @@ def matches_filters(item: dict[str, Any], params: dict[str, Any]) -> bool:
 class MockShopSession:
     fault: str | None = None
     _first_search: Output | None = None
-    _logged_in: str | None = None
     # (query, filters) key -> the catalog items it matches; shared with the
     # other sessions of the same ``MockShopSut``.
     _matches: dict[tuple, tuple[dict[str, Any], ...]] = field(default_factory=dict, repr=False, compare=False)
@@ -77,10 +76,8 @@ class MockShopSession:
         if action.kind == "search":
             output = self._search(action.parameters)
         elif action.kind == "login":
-            self._logged_in = str(action.parameters.get("user", "anonymous"))
-            output = Output("ok", {"user": self._logged_in}, 0)
+            output = Output("ok", {"user": str(action.parameters.get("user", "anonymous"))}, 0)
         elif action.kind == "logout":
-            self._logged_in = None
             output = Output("ok", {}, 0)
         else:
             raise AdapterFailure(f"mock shop does not support action kind '{action.kind}'")

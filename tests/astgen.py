@@ -23,6 +23,7 @@ from emrkit.dsl.ast import (
     StringLit,
     VarDecl,
 )
+from emrkit.shopstubs import FILTER_SETTINGS
 
 NAMES = ("alpha", "beta", "gamma", "delta", "results", "probe", "flagged", "item")
 FUNCS = ("checkState", "applyFilter", "fewerResults", "lookupUser", "countItems")
@@ -33,6 +34,11 @@ EXPLANATIONS = ("(1)", "iterate the inputs", "guard clause", "compare outputs")
 
 # The kinds of value a typed program's expressions have; a loop binds an action.
 KINDS = ("boolean", "boolean", "integer", "sequence", "output", "string")
+# The functions the typed mode calls in a boolean position, and the argument
+# kinds of the one the shop's stubs bind. ``applyFilter`` returns a sequence,
+# so the typed mode calls it only as a ``CREATE`` source (``filtered``).
+BOOLEAN_FUNCS = ("checkState", "fewerResults", "lookupUser", "countItems")
+STUB_ARGS = {"fewerResults": ("output", "output")}
 
 
 class ProgramGen:
@@ -45,8 +51,11 @@ class ProgramGen:
     input sequence where ``CREATE``, ``Output`` and a loop take one, and
     calls each runtime method with its arity. It reads a name only where a
     declaration or a loop in scope bound it to a value of the kind wanted,
-    and calls an unbound function rarely, so its programs pass ``validate``
-    and most of their pairs run.
+    reads a literal ``Input(k)`` or ``Output(k)`` only for ``k`` = 1 or a
+    ``k`` that an earlier statement in scope ``CREATE``s, gives the bound
+    shop stubs arguments of the kinds they take, and calls an unbound
+    function rarely, so its programs pass ``validate`` and most of their
+    pairs run.
     """
 
     def __init__(self, seed: int, explanations: bool = True, typed: bool = False):
@@ -54,6 +63,8 @@ class ProgramGen:
         self.explanations = explanations
         self.typed = typed
         self.bound: dict[str, str] = {}  # typed mode: name in scope -> the kind of its value
+        self.created = {1}  # typed mode: the indices earlier statements in scope CREATE
+        self.creating: set[int] = set()  # typed mode: those the current statement CREATEs
 
     def maybe_explain(self, node) -> None:
         if self.explanations and self.rng.random() < 0.3:
@@ -154,21 +165,24 @@ class ProgramGen:
         elif kind == "check":
             node = ExprStmt(self.check(depth))
         elif kind == "for":
-            iterable, var, outer = self.iterable(), self.rng.choice(NAMES), dict(self.bound)
+            iterable, var, outer = self.iterable(), self.rng.choice(NAMES), (dict(self.bound), set(self.created))
             self.bound[var] = "action"
             body = tuple(self.typed_stmt(depth - 1, True) for _ in range(self.rng.randint(1, 3)))
-            self.bound = outer
+            self.bound, self.created = outer
             node = ForEach(self.rng.choice(("var", "Action")), var, iterable, body)
         elif kind == "if":
-            cond, outer = self.boolean(depth - 1), dict(self.bound)
+            cond, outer = self.boolean(depth - 1), (dict(self.bound), set(self.created))
             if in_loop and self.rng.random() < 0.4:
                 body: tuple[Stmt, ...] = (Continue(),)
             else:
                 body = tuple(self.typed_stmt(depth - 1, in_loop) for _ in range(self.rng.randint(1, 2)))
-            self.bound = outer  # a declaration in the body holds only if the body ran
+            # A declaration or CREATE in the body holds only if the body ran.
+            self.bound, self.created = outer
             node = If(cond, body)
         else:
             node = Continue()
+        self.created |= self.creating
+        self.creating = set()
         self.maybe_explain(node)
         return node
 
@@ -214,10 +228,14 @@ class ProgramGen:
             which = self.rng.choice(("IMPLIES", "NOT", "OR", "AND"))
             return Call(which, tuple(self.boolean(depth - 1) for _ in range(1 if which == "NOT" else 2)))
         if kind == "create":
-            return Call("CREATE", (Call("Input", (IntLit(self.rng.randint(2, 3)),)), self.sequence()))
+            k = self.rng.randint(2, 3)
+            self.creating.add(k)
+            source = self.sequence() if self.rng.random() < 0.7 else self.filtered()
+            return Call("CREATE", (Call("Input", (IntLit(k),)), source))
         if kind == "call":
-            args = tuple(self.of_kind(self.rng.choice(KINDS), depth - 1) for _ in range(self.rng.randint(0, 2)))
-            return Call(self.rng.choice(FUNCS), args)
+            name = self.rng.choice(BOOLEAN_FUNCS)
+            kinds = STUB_ARGS.get(name) or [self.rng.choice(KINDS) for _ in range(self.rng.randint(0, 2))]
+            return Call(name, tuple(self.of_kind(kind, depth - 1) for kind in kinds))
         operands = tuple(self.boolean(depth - 1, chain=False) for _ in range(self.rng.randint(2, 3)))
         return BoolChain(self.rng.choice(("&&", "||")), operands)
 
@@ -228,16 +246,26 @@ class ProgramGen:
             return IntLit(self.rng.randint(0, 3))
         return name if kind == "name" else MethodCall(name, "getPosition", ())
 
+    def index(self) -> Expr:
+        """An ``Input`` or ``Output`` index; a literal one is 1 or an index an earlier statement ``CREATE``s."""
+        index = self.integer()
+        return IntLit(self.rng.choice(sorted(self.created))) if isinstance(index, IntLit) else index
+
     def sequence(self) -> Expr:
         kind = self.rng.choice(("first", "first", "index", "name"))
         name = self.named("sequence") if kind == "name" else None
         if name is not None:
             return name
-        return Call("Input", (IntLit(1) if kind != "index" else self.integer(),))
+        return Call("Input", (IntLit(1) if kind != "index" else self.index(),))
+
+    def filtered(self) -> Expr:
+        """The bound ``applyFilter`` stub: a sequence, a position and a filter type."""
+        filter_type = StringLit(self.rng.choice(list(FILTER_SETTINGS)))
+        return Call("applyFilter", (self.sequence(), self.integer(), filter_type))
 
     def output(self) -> Expr:
         if self.rng.random() < 0.3:
-            return Call("Output", (self.integer(),))
+            return Call("Output", (self.index(),))
         return Call("Output", (self.sequence(), self.integer()))
 
     def iterable(self) -> Expr:

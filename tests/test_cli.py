@@ -22,6 +22,7 @@ from emrkit.resources import fixture_path
 from emrkit.runtime import ActionSequence, run_suite
 from emrkit.shopstubs import STUBS
 from emrkit.sut import MockShopSut
+from emrkit.sut.cassette import Cassette
 
 DOC = str(fixture_path("requirements_shop.md"))
 FIG4 = str(fixture_path("search_filter.smrl"))
@@ -242,6 +243,30 @@ def test_importing_the_cli_loads_no_http_modules():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert result.stdout.strip() == "[]"
+
+
+# The commands a user runs end to end, each with its documented exit code,
+# in order: ``check`` reads what ``pipeline`` wrote, and the replay reads the
+# cassette that the run before it recorded.
+CLEAN_COMMANDS = [
+    (["--mock", "--out", "out", "pipeline", DOC], 0),
+    (["check", "out/emrs"], 0),
+    (["--out", "out", "run", FIG4, "--inputs", INPUTS, "--record", "cassette.jsonl"], 0),
+    (["--out", "out", "run", FIG4, "--inputs", INPUTS, "--sut", "replay:cassette.jsonl"], 0),
+    (["--out", "out", "grade", ANNOTATIONS], 0),
+    (["--out", "out", "survey", SURVEY], 0),
+]
+
+
+def test_the_commands_run_clean_under_python_dev_mode(tmp_path):
+    """Under ``-X dev`` every unclosed file is a ResourceWarning, made an
+    error here, and any other warning is printed: no command may print one."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv, code in CLEAN_COMMANDS:
+        result = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "emrkit.cli",
+                                 *argv], cwd=tmp_path, capture_output=True, text=True, env=env)
+        assert result.returncode == code, (argv, result.stderr)
+        assert "Warning" not in result.stderr, (argv, result.stderr)
 
 
 def test_run_faulty_sut_exits_five_with_binding(tmp_path, capsys):
@@ -500,15 +525,19 @@ def test_stubs_module_without_a_stubs_dict_exits_two(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+# The replay's cassette need not exist: the combination is refused before it is read.
 @pytest.mark.parametrize("spec, message", [
-    ("live:", "--sut live:<adapter-config.json> needs a config path"),
-    ("replay:", "--sut replay:<cassette.jsonl> needs a cassette path"),
-    ("http://shop", "unknown SUT spec 'http://shop' (use mock[:fault], live:<config>, replay:<cassette.jsonl>)"),
-], ids=["live-without-path", "replay-without-path", "unknown"])
+    (["live:"], "--sut live:<adapter-config.json> needs a config path"),
+    (["replay:"], "--sut replay:<cassette.jsonl> needs a cassette path"),
+    (["http://shop"], "unknown SUT spec 'http://shop' (use mock[:fault], live:<config>, replay:<cassette.jsonl>)"),
+    (["replay:{tmp}/c.jsonl", "--record", "{tmp}/r.jsonl"],
+     "--record cannot be combined with --sut replay: a replay never reaches the SUT"),
+], ids=["live-without-path", "replay-without-path", "unknown", "replay-with-record"])
 def test_a_sut_spec_that_names_no_sut_exits_two(tmp_path, capsys, spec, message):
-    assert run("--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS, "--sut", spec) == 2
+    spec = [arg.format(tmp=tmp_path) for arg in spec]
+    assert run("--out", tmp_path / "out", "run", FIG4, "--inputs", INPUTS, "--sut", *spec) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def same_stem_dirs(tmp_path: Path, name: str, content: str) -> tuple[Path, Path]:
@@ -707,12 +736,8 @@ def amp_broken_emr01(tmp_path: Path) -> Path:
     return broken
 
 
-@pytest.mark.parametrize("budget", [0, 1, 100, 366, 569])
-def test_an_interrupted_repair_in_place_keeps_the_old_bytes(tmp_path, capsys, monkeypatch, budget):
-    """``os.write`` fails once ``budget`` bytes are written, as on a full
-    disk; the repaired text is 570 bytes long."""
-    broken = amp_broken_emr01(tmp_path)
-    before = broken.read_bytes()
+def fail_writes_after(monkeypatch, budget: int) -> None:
+    """Make ``os.write`` fail once ``budget`` bytes are written, as on a full disk."""
     write, left = os.write, budget
 
     def failing_write(fd, data):
@@ -724,6 +749,14 @@ def test_an_interrupted_repair_in_place_keeps_the_old_bytes(tmp_path, capsys, mo
         return written
 
     monkeypatch.setattr(os, "write", failing_write)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 100, 366, 569])
+def test_an_interrupted_repair_in_place_keeps_the_old_bytes(tmp_path, capsys, monkeypatch, budget):
+    """The repaired text is 570 bytes long."""
+    broken = amp_broken_emr01(tmp_path)
+    before = broken.read_bytes()
+    fail_writes_after(monkeypatch, budget)
     assert run("repair", broken, "--in-place") == 2
     monkeypatch.undo()
     err = capsys.readouterr().err
@@ -731,6 +764,29 @@ def test_an_interrupted_repair_in_place_keeps_the_old_bytes(tmp_path, capsys, mo
     assert "Traceback" not in err
     assert broken.read_bytes() == before
     assert list(tmp_path.iterdir()) == [broken]
+
+
+# A clean ``run --record`` of FIG4 on INPUTS writes a cassette of 14,494
+# bytes, then report.json (710 bytes) and report.txt.
+@pytest.mark.parametrize("budget", [0, 1, 150, 7000, 14493, 14494, 15000, 15300])
+def test_an_interrupted_run_record_keeps_a_prefix_of_the_cassette(tmp_path, capsys, monkeypatch, budget):
+    clean = tmp_path / "clean.jsonl"
+    assert run("--out", tmp_path / "a", "run", FIG4, "--inputs", INPUTS, "--record", clean) == 0
+    assert clean.stat().st_size == 14494
+    recorded = Cassette(clean).load()
+    cassette, out = tmp_path / "cassette.jsonl", tmp_path / "b"
+    capsys.readouterr()
+    fail_writes_after(monkeypatch, budget)
+    code = run("--out", out, "run", FIG4, "--inputs", INPUTS, "--record", cassette)
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    report = "report.json" if budget < 14494 + 710 else "report.txt"
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: cannot write {out / report}: No space left on device"
+    assert "Traceback" not in err
+    loaded = Cassette(cassette).load()
+    assert loaded == recorded[:len(loaded)]
+    assert len(loaded) == len(recorded) or budget < 14494
 
 
 def test_repair_in_place_keeps_the_file_mode_and_leaves_no_temporary_file(tmp_path, capsys):

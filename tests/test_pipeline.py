@@ -560,6 +560,56 @@ def test_live_client_sleeps_only_between_attempts(monkeypatch):
     assert sleeps == [0.5, 1.0]
 
 
+@pytest.mark.parametrize("reply, reason", [
+    ({"choices": [{"message": {"content": None}}]}, "reply content must be a string, not null"),
+    ({"choices": [{"message": {"content": 5}}]}, "reply content must be a string, not 5"),
+    ({"choices": []}, "list index out of range"),
+    ({"choices": "x"}, "string indices must be integers, not 'str'"),
+    ([1], "list indices must be integers or slices, not str"),
+], ids=["null", "number", "no-choices", "string-choices", "list"])
+def test_a_live_reply_without_string_content_is_a_failed_attempt_and_exit_three(
+        tmp_path, capsys, monkeypatch, reply, reason):
+    import http.server
+    import threading
+
+    from emrkit.cli import main
+    from emrkit.pipeline import client
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            body = json.dumps(reply).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    sleeps = []
+    monkeypatch.setattr(client.time, "sleep", sleeps.append)
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        config = tmp_path / "config.json"
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}"
+        config.write_text(json.dumps({"llm": {"endpoint": endpoint, "model": "m"}}))
+        document = tmp_path / "doc.md"
+        document.write_text("The shop returns fewer results when a filter is applied.\n")
+        code = main(["--config", str(config), "--out", str(tmp_path / "out"), "derive", str(document)])
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert err == f"error: derivation failed for {document}: chat request failed after 3 attempts: {reason}\n"
+    assert sleeps == [0.5, 1.0]
+
+
 @pytest.mark.parametrize("field, value, kind", [
     ("pipeline", 5, "a string"),
     ("phase", True, "an integer"),

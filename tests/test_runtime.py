@@ -95,6 +95,14 @@ def test_type_mismatch_names_the_operand(snippet, context):
     assert str(info.value) == f"{context} evaluated to non-boolean 3"
 
 
+def test_eval_bool_has_no_sut_to_execute_a_create_on():
+    source = ActionSequence.from_json([{"kind": "search", "parameters": {"query": "chair"}}])
+    assert eval_bool(expr_of("f && CREATE(Input(2), s)"), {"s": source, "f": False}) is False
+    with pytest.raises(EvalError) as info:
+        eval_bool(expr_of("CREATE(Input(2), s)"), {"s": source})
+    assert str(info.value) == "no SUT session factory; cannot execute inputs"
+
+
 def test_infix_chains_short_circuit_left_to_right():
     calls = []
 
@@ -421,7 +429,7 @@ def test_missing_stub_raises_only_when_reached():
 
 
 def test_the_runtime_methods_are_the_ones_validate_accepts():
-    from emrkit.dsl.validate import RUNTIME_METHODS
+    from emrkit.dsl.ast import METHOD_ARITY
     from emrkit.runtime.evaluate import _METHODS
 
-    assert set(_METHODS) == RUNTIME_METHODS
+    assert set(_METHODS) == set(METHOD_ARITY)

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -264,9 +265,10 @@ def test_run_suite_gives_one_entry_per_pair_and_never_raises(seed, emr_count, in
 
 
 def test_typed_programs_reach_verdicts():
-    """Typed programs run: on four seeded inputs each, 100 programs give 250
-    or more verdicts of the 400 entries, each kind of verdict occurs, and the
-    rare ``purchase`` still reaches the adapter Error."""
+    """Typed programs run: on four seeded inputs each, 100 programs give 323
+    or more verdicts of the 400 entries, each kind of verdict occurs, the
+    rare ``purchase`` still reaches the adapter Error, and no stub raises a
+    bare Python exception."""
     counts: collections.Counter[str] = collections.Counter()
     for seed in range(100):
         rng = random.Random(seed)
@@ -274,8 +276,9 @@ def test_typed_programs_reach_verdicts():
         report = run_suite([ast], [seeded_input(rng) for _ in range(4)], MockShopSut(), STUBS)
         counts.update(entry.error or entry.outcome for entry in report.entries)
     assert counts["Pass"] and counts["Fail"] and counts["Inapplicable"]
-    assert counts["Pass"] + counts["Fail"] + counts["Inapplicable"] >= 250
+    assert counts["Pass"] + counts["Fail"] + counts["Inapplicable"] >= 323
     assert counts["mock shop does not support action kind 'purchase'"]
+    assert not [outcome for outcome in counts if re.match(r"\w+: ", outcome)]
 
 
 # Statement-level runtime errors: ``eval_bool`` compiles expressions only, so
