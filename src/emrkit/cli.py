@@ -57,6 +57,7 @@ from .resources import fixture_path
 from .runtime import ActionSequence, run_suite
 from .sut import (
     EMPTY_CATALOG,
+    Cassette,
     LiveHttpSut,
     MockShopSut,
     load_api_catalog,
@@ -182,13 +183,15 @@ Write = Callable[[Path, "str | Callable[[Path], Any] | None"], None]  # ``_write
 
 @contextlib.contextmanager
 def _conversation(failure: str, store: TranscriptStore):
-    """A failed conversation is exit 3; a transcript that cannot be written, exit 2."""
+    """A failed conversation is exit 3; a transcript that cannot be written, exit 2. Either way, closed."""
     try:
         yield
     except LlmError as exc:
         raise CliError(f"{failure}: {exc}", EXIT_LLM)
     except OSError as exc:
         raise _cannot_write(store.directory, exc)
+    finally:
+        store.close()
 
 
 def _dump_json(data: Any) -> str:
@@ -353,7 +356,8 @@ def _load_stubs(module_name: str):
     return stubs
 
 
-def _session_factory(spec: str, record_cassette: str | None):
+def _session_factory(spec: str, record_cassette: str | None, on_end: Callable[..., Any]):
+    """The session factory of ``spec``; ``on_end`` gets the close of a cassette it records to."""
     kind, _, detail = spec.partition(":")
     if kind == "mock":
         try:
@@ -373,10 +377,9 @@ def _session_factory(spec: str, record_cassette: str | None):
     else:
         raise CliError(f"unknown SUT spec '{spec}' (use mock[:fault], live:<config>, replay:<cassette.jsonl>)")
     if record_cassette:
-        try:
-            return record_replay("record", record_cassette, factory)
-        except OSError as exc:
-            raise CliError(f"cannot write cassette {record_cassette}: {exc.strerror or exc}")
+        cassette = Cassette(record_cassette).create()
+        on_end(cassette.close)
+        return record_replay("record", cassette, factory)
     return factory
 
 
@@ -385,8 +388,12 @@ def cmd_run(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
     input_files = _collect(args.inputs, "*.json", "input-sequence")
     inputs = [_load("input sequence", path, _read_input) for path in input_files]
     stubs = _load_stubs(args.stubs if args.stubs is not None else config.stubs_module)
-    factory = _session_factory(args.sut or config.sut, args.record)
-    report = run_suite(emrs, inputs, factory, stubs, input_names=[p.stem for p in input_files])
+    with contextlib.ExitStack() as run:
+        try:
+            factory = _session_factory(args.sut or config.sut, args.record, run.callback)
+            report = run_suite(emrs, inputs, factory, stubs, input_names=[p.stem for p in input_files])
+        except OSError as exc:  # the cassette cannot be created, or a line of it written (RunAborted)
+            raise CliError(f"cannot write cassette {args.record}: {exc.strerror or exc}")
     out = Path(config.out_dir)
     write(out / "report.json", _dump_json(report.to_json()))
     text = report.to_text()

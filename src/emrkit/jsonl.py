@@ -1,11 +1,11 @@
 """How emrkit reads and writes JSON: append-only JSON Lines, whole-file
 rewrites, and the check every loader makes of a field's JSON type.
 
-Every append writes complete lines at the end of the file, calling
-``write`` again for whatever a short write left over, so an interrupted run
-leaves at most a torn final line. No proper prefix of a JSON object is
-itself valid JSON, which is how the reader tells a torn line from a
-complete one whose file merely lacks the final newline.
+A JSON Lines file is held open by an ``Appender`` while it is written. Each
+write puts complete lines at its end, calling ``os.write`` again for what a
+short write left over, so an interrupted run leaves at most a torn final
+line. No proper prefix of a JSON object is itself valid JSON, which is how
+the reader tells a torn line from a complete one lacking its newline.
 
 A whole-file output (a report, an EMR, a catalog) is rewritten in place by
 ``rewrite``: opening an existing file with ``O_TRUNC`` frees its blocks and
@@ -24,11 +24,12 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import weakref
 from pathlib import Path
 from typing import Any, Iterable
 
-_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 _REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT
+_encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -48,17 +49,16 @@ def _open(path: str | Path, flags: int) -> int:
         return os.open(path, flags, 0o666)
 
 
-def append(path: Path, records: Iterable[Any], truncate: bool = False) -> None:
-    """Write ``records`` at the end of ``path`` (created with its missing
-    parent directories, emptied first with ``truncate``)."""
-    data = "".join(
-        json.dumps(r, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n" for r in records
-    )
-    fd = _open(path, _APPEND_FLAGS | (os.O_TRUNC if truncate else 0))
-    try:
-        _write_all(fd, data.encode("utf-8"))
-    finally:
-        os.close(fd)
+class Appender:
+    """``path`` emptied, or created with its missing parent directories. ``write`` puts one
+    line per record in it, unbuffered, until ``close`` (or garbage collection) ends it."""
+
+    def __init__(self, path: str | Path):
+        self.fd = _open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_TRUNC)
+        self.close = weakref.finalize(self, os.close, self.fd)  # closes once, however often it is called
+
+    def write(self, records: Iterable[Any]) -> None:
+        _write_all(self.fd, "".join(_encode(r) + "\n" for r in records).encode("utf-8"))
 
 
 def rewrite(path: str | Path, data: bytes) -> None:

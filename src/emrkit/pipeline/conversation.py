@@ -2,9 +2,9 @@
 
 A transcript is a JSON Lines file (see ``emrkit.jsonl``),
 ``<pipeline>-<ref>.jsonl``: a header line with the conversation's
-``pipeline``, ``ref`` and ``config``, then one line per message. Messages
-are appended as they are sent and received, so an interrupted run loses at
-most the turn in flight.
+``pipeline``, ``ref`` and ``config``, then one line per message. It is held
+open while written, and each message reaches it as it is sent or received,
+so an interrupted run loses at most the turn in flight.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class Conversation:
                 return message
         raise ValueError("conversation has no user message")
 
-    def phases(self) -> list[int]:
-        return [m.phase for m in self.messages]
-
     def header(self) -> dict[str, Any]:
         return {"pipeline": self.pipeline, "ref": self.ref, "config": self.config}
 
@@ -59,28 +56,39 @@ class Conversation:
 class TranscriptStore:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        # path -> (the conversation that owns the file, messages written)
-        self._written: dict[Path, tuple[Conversation, int]] = {}
+        # (pipeline, ref) -> (the conversation that owns the file, messages written, its path and handle)
+        self._files: dict[tuple[str, str], tuple[Conversation | None, int, Path, jsonl.Appender]] = {}
 
     def path_for(self, conversation: Conversation) -> Path:
         return self.directory / f"{conversation.pipeline}-{conversation.ref}.jsonl"
 
     def write(self, conversation: Conversation) -> Path:
         """Append the messages of ``conversation`` not yet written. Its first
-        write creates the file, or empties one left by another conversation
-        with the same name, and starts it with the header line. A failed
-        write raises its ``OSError``."""
-        path = self.path_for(conversation)
-        owner, written = self._written.get(path, (None, 0))
+        write opens the file empty, closing the handle of another
+        conversation with the same name, and starts it with the header line.
+        A failed write raises its ``OSError``."""
+        key = (conversation.pipeline, conversation.ref)
+        owner, written, path, handle = self._files.get(key, (None, 0, None, None))
         if owner is conversation:
-            jsonl.append(path, [m.to_json() for m in conversation.messages[written:]])
+            records = [m.to_json() for m in conversation.messages[written:]]
         else:
-            records = [conversation.header(), *(m.to_json() for m in conversation.messages)]
-            # Truncate, not jsonl.rewrite: an interrupted in-place rewrite would
+            if handle is not None:
+                handle.close()
+            # Emptied, not jsonl.rewrite: an interrupted in-place rewrite would
             # leave whole stale lines after the new ones, and they would decode.
-            jsonl.append(path, records, truncate=True)
-        self._written[path] = (conversation, len(conversation.messages))
+            path = self.path_for(conversation)
+            handle = jsonl.Appender(path)
+            self._files[key] = (None, 0, path, handle)  # owned once the header is written
+            records = [conversation.header(), *(m.to_json() for m in conversation.messages)]
+        handle.write(records)
+        self._files[key] = (conversation, len(conversation.messages), path, handle)
         return path
+
+    def close(self) -> None:
+        """Close every transcript file; a later write starts its file anew."""
+        for *_, handle in self._files.values():
+            handle.close()
+        self._files.clear()
 
 
 _HEADER_KEYS = ("pipeline", "ref", "config")

@@ -10,3 +10,7 @@ class EvalError(Exception):
 
 class AdapterFailure(Exception):
     """The SUT session failed to execute an action."""
+
+
+class RunAborted(OSError):
+    """A recorded run's cassette line could not be written: it ends the run, not one pair."""

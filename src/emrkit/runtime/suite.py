@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..dsl.ast import EmrAst
-from .errors import AdapterFailure, EvalError
+from .errors import AdapterFailure, EvalError, RunAborted
 from .evaluate import SessionFactory, compile_emr
 from .values import ActionSequence, PositionOutOfRange, StubBindings, Verdict, VerdictValue
 
@@ -117,8 +117,8 @@ def run_suite(
     """Evaluate every (EMR, input) pair sequentially and in order.
 
     Each EMR is validated and compiled once per call, not once per pair.
-    Nothing a pair raises aborts the suite: it becomes that pair's Error
-    entry, and an EMR that fails validation gives one per input.
+    Nothing a pair raises but ``RunAborted`` aborts the suite: it becomes
+    that pair's Error entry, and an EMR that fails validation one per input.
     """
     names = list(input_names) if input_names else [f"input{i + 1}" for i in range(len(inputs))]
     report = SuiteReport()
@@ -135,6 +135,8 @@ def run_suite(
         for i, source in enumerate(inputs):
             try:
                 entry = SuiteEntry(ast.id, i, names[i], program(source, session_factory))
+            except RunAborted:
+                raise
             except Exception as exc:
                 entry = SuiteEntry(ast.id, i, names[i], None, error=_error_message(exc))
             report.entries.append(entry)

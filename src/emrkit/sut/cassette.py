@@ -1,9 +1,9 @@
 """Record/replay of SUT interactions.
 
 A cassette is a JSON Lines file (see ``emrkit.jsonl``) with one
-``{"fingerprint", "output"}`` line per SUT interaction, appended as the
-interaction happens. Replay serves entries strictly in order; a fingerprint
-mismatch is an error, never a silent fallthrough.
+``{"fingerprint", "output"}`` line per SUT interaction, written as it
+happens; a line that cannot be written ends the run (``RunAborted``). Replay
+serves entries strictly in order; a fingerprint mismatch is an error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .. import jsonl
-from ..runtime.errors import AdapterFailure
+from ..runtime.errors import AdapterFailure, RunAborted
 from ..runtime.values import Action, Output
 
 
@@ -31,8 +31,9 @@ class Cassette:
         self.path = Path(path)
 
     def create(self) -> "Cassette":
-        """Create the file empty, or empty an existing one."""
-        jsonl.append(self.path, (), truncate=True)
+        """Create the file empty, or empty an existing one, open until ``close``."""
+        self._file = jsonl.Appender(self.path)
+        self.close = self._file.close
         return self
 
     def load(self) -> list[tuple[str, Output]]:
@@ -45,7 +46,10 @@ class Cassette:
         return entries
 
     def append(self, fp: str, output: Output) -> None:
-        jsonl.append(self.path, [{"fingerprint": fp, "output": output.to_json()}])
+        try:
+            self._file.write([{"fingerprint": fp, "output": output.to_json()}])
+        except OSError as exc:
+            raise RunAborted(exc.errno, exc.strerror, exc.filename) from exc
 
 
 class _RecordingSession:
@@ -84,21 +88,21 @@ class _Replay:
 
 def record_replay(
     mode: str,
-    cassette_path: str | Path,
+    cassette_path: str | Path | Cassette,
     inner_factory: Callable[[], Any] | None = None,
 ) -> Callable[[], Any]:
     """Session factory that records to or replays from ``cassette_path``.
 
     ``record`` wraps ``inner_factory``, empties the cassette here (so an
     unwritable path fails before any interaction) and appends every
-    interaction as it happens. ``replay`` needs no inner factory and never
-    touches the real SUT. It decodes every entry up front, so a malformed
-    cassette fails here.
+    interaction as it happens (or takes a created ``Cassette``, which its
+    caller closes). ``replay`` needs no inner factory and never touches the
+    real SUT. It decodes every entry up front, so a bad cassette fails here.
     """
     if mode == "record":
         if inner_factory is None:
             raise ValueError("record mode needs an inner session factory")
-        cassette = Cassette(cassette_path).create()
+        cassette = cassette_path if isinstance(cassette_path, Cassette) else Cassette(cassette_path).create()
         return lambda: _RecordingSession(inner_factory(), cassette)
     if mode == "replay":
         return _Replay(Cassette(cassette_path).load())

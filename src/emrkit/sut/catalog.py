@@ -33,12 +33,6 @@ class ApiEntry:
 class ApiCatalog:
     entries: list[ApiEntry]
 
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def render_for_prompt(self) -> str:
         if not self.entries:
             return "(no API documentation is available for this system)"

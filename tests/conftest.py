@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -11,6 +12,11 @@ from emrkit.resources import fixture_path, load_emr_suite, read_fixture
 from emrkit.runtime import ActionSequence
 
 INPUT_NAMES = ["search_chair", "search_table", "search_all", "login_search_desk", "login_only"]
+
+
+def open_fds() -> list[str]:
+    """The file descriptors this process holds open (Linux /proc)."""
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 @pytest.fixture(scope="session")

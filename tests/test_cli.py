@@ -13,11 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from astgen import NESTINGS, nested_emr
+from conftest import open_fds
 import emrkit
 from emrkit import cli, jsonl
 from emrkit.cli import main
 from emrkit.dsl import DslError, parse_emr
 from emrkit.dsl.parser import MAX_NESTING
+from emrkit.pipeline import load_transcript
 from emrkit.resources import fixture_path
 from emrkit.runtime import ActionSequence, run_suite
 from emrkit.shopstubs import STUBS
@@ -41,7 +43,8 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 # Errors are told apart by what handles them: the CLI maps a ValueError from
 # reading an input to exit 2 and an LlmError during a conversation to exit 3,
-# and run_suite reads EvalError, AdapterFailure and PositionOutOfRange. A new
+# run_suite reads EvalError, AdapterFailure and PositionOutOfRange, and a
+# RunAborted (a cassette line that cannot be written) ends its run. A new
 # kind of failure is a new message on one of these, not a new class, unless a
 # handler or a caller needs to tell it apart.
 def test_emrkit_defines_exactly_the_exception_classes_its_handlers_tell_apart():
@@ -53,9 +56,10 @@ def test_emrkit_defines_exactly_the_exception_classes_its_handlers_tell_apart():
                 defined[value.__name__] = value
     assert sorted(defined) == [
         "AdapterFailure", "CliError", "DslError", "EvalError", "IllegalCharacter", "LlmError", "ParseError",
-        "PositionOutOfRange",
+        "PositionOutOfRange", "RunAborted",
     ]
     assert issubclass(defined["DslError"], ValueError)
+    assert issubclass(defined["RunAborted"], OSError)
 
 
 def test_derive_writes_catalog_and_transcript(tmp_path, capsys):
@@ -165,14 +169,21 @@ def test_permuting_the_run_files_permutes_the_results_and_keeps_per_emr(tmp_path
     assert permuted["per_emr"] == base["per_emr"]
 
 
-def write_every_output(out: Path, work: Path) -> None:
-    """Every command that writes whole-file outputs, run into ``out``; its
-    inputs are made under ``work`` on first use."""
-    suite, broken = work / "suite", work / "broken.smrl"
+def bundled_suite(work: Path) -> Path:
+    """``work/suite``, holding the annotated EMR suite's .smrl files (made on first use)."""
+    suite = work / "suite"
     if not suite.exists():
         suite.mkdir(parents=True)
         for entry in json.loads(fixture_path("emr_suite.json").read_text()):
             (suite / f"{entry['id']}.smrl").write_text(fixture_path(*entry["file"].split("/")).read_text())
+    return suite
+
+
+def write_every_output(out: Path, work: Path) -> None:
+    """Every command that writes whole-file outputs, run into ``out``; its
+    inputs are made under ``work`` on first use."""
+    suite, broken = bundled_suite(work), work / "broken.smrl"
+    if not broken.exists():
         broken.write_text("MR {{ IMPLIES(a() & b()); }}")
     assert run("--mock", "--out", out, "pipeline", DOC) == 0
     assert run("--out", out, "run", FIG4, "--inputs", INPUTS, "--sut", "mock") == 0
@@ -468,16 +479,21 @@ def test_output_that_cannot_be_written_exits_two(tmp_path, capsys, monkeypatch, 
     path = out / blocked
     if kind == "full-disk":
         # The disk fills up after the first write of a `blocked` transcript:
-        # its first plain append fails, and the OS names no file.
+        # its handle's second write fails, and the OS names no file.
         path = out / "transcripts"
-        append = jsonl.append
 
-        def append_until_full(target, records, truncate=False):
-            if not truncate and target.name.startswith(f"{blocked}-"):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            append(target, records, truncate)
+        class FillingAppender(jsonl.Appender):
+            def __init__(self, target):
+                super().__init__(target)
+                self.fills, self.written = Path(target).name.startswith(f"{blocked}-"), False
 
-        monkeypatch.setattr(jsonl, "append", append_until_full)
+            def write(self, records):
+                if self.fills and self.written:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                super().write(records)
+                self.written = True
+
+        monkeypatch.setattr(jsonl, "Appender", FillingAppender)
     else:
         path.mkdir() if kind == "directory" else path.write_text("")
     assert run("--out", out, *command) == 2
@@ -780,13 +796,140 @@ def test_an_interrupted_run_record_keeps_a_prefix_of_the_cassette(tmp_path, caps
     code = run("--out", out, "run", FIG4, "--inputs", INPUTS, "--record", cassette)
     monkeypatch.undo()
     err = capsys.readouterr().err
-    report = "report.json" if budget < 14494 + 710 else "report.txt"
+    failed = f"cassette {cassette}" if budget < 14494 else out / ("report.json" if budget < 14494 + 710 else "report.txt")
     assert code == 2
-    assert err.splitlines()[-1] == f"error: cannot write {out / report}: No space left on device"
+    assert err.splitlines()[-1] == f"error: cannot write {failed}: No space left on device"
     assert "Traceback" not in err
     loaded = Cassette(cassette).load()
     assert loaded == recorded[:len(loaded)]
     assert len(loaded) == len(recorded) or budget < 14494
+
+
+def test_a_failed_cassette_write_ends_the_run_and_appends_nothing_after_it(tmp_path, capsys, monkeypatch):
+    """The 5th and 6th writes fail, as on a disk that fills up and is freed
+    again: the run ends at the 5th, and the cassette keeps the first four lines."""
+    clean = tmp_path / "clean.jsonl"
+    assert run("--out", tmp_path / "a", "run", FIG4, "--inputs", INPUTS, "--record", clean) == 0
+    recorded = Cassette(clean).load()
+    write, calls = os.write, 0
+
+    def flaky_write(fd, data):
+        nonlocal calls
+        calls += 1
+        if calls in (5, 6):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(fd, data)
+
+    cassette, out = tmp_path / "cassette.jsonl", tmp_path / "b"
+    capsys.readouterr()
+    monkeypatch.setattr(os, "write", flaky_write)
+    code = run("--out", out, "run", FIG4, "--inputs", INPUTS, "--record", cassette)
+    monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (2, f"error: cannot write cassette {cassette}: No space left on device\n")
+    assert Cassette(cassette).load() == recorded[:4]
+    assert cassette.read_bytes().count(b"\n") == 4 and not out.exists()
+
+
+def assert_whole_or_refused(path: Path, clean: bytes, tmp_path: Path) -> None:
+    """``path``, written by an interrupted run into a fresh directory, holds
+    a prefix of ``clean``: the whole data (perhaps less its final newline),
+    or bytes that the command reading them refuses with exit 2. No command
+    reads the other JSON outputs, so those must not decode."""
+    data = path.read_bytes()
+    assert clean.startswith(data), path
+    if data.rstrip(b"\n") == clean.rstrip(b"\n"):
+        return
+    if path.name == "mrs.json":
+        assert run("--mock", "--out", tmp_path / "reread", "generate", path) == 2
+    elif path.suffix == ".smrl":
+        assert run("check", path) == 2
+    else:
+        with pytest.raises(ValueError):
+            json.loads(data)
+
+
+# A clean ``pipeline --mock`` of DOC writes 11,421 bytes: the derive
+# transcript (3,221), mrs.json (552), the generate transcript (5,593), then
+# the EMR (685) and its stubs (115), repairs (3) and explanations (1,252)
+# sidecars. A clean ``grade`` of the bundled suite writes grade.json (599)
+# and sizes.json (63). Each budget stops a write in or at the end of a file.
+@pytest.mark.parametrize("command, total, budget", [
+    *(pytest.param(["--mock", "pipeline", DOC], 11421, budget, id=f"pipeline-{budget}") for budget in
+      [0, 1, 2000, 3221, 3500, 3773, 6000, 9366, 9700, 10100, 10167, 11000, 11420, 11421, 12000]),
+    *(pytest.param(["grade", ANNOTATIONS, "--emrs", "{suite}"], 662, budget, id=f"grade-{budget}") for budget in
+      [0, 1, 300, 599, 630, 661, 662, 700]),
+])
+def test_an_interrupted_pipeline_or_grade_leaves_prefixes_or_refused_files(tmp_path, capsys, monkeypatch,
+                                                                           command, total, budget):
+    argv = [str(bundled_suite(tmp_path)) if a == "{suite}" else a for a in command]
+    clean_out, out = tmp_path / "clean", tmp_path / "out"
+    assert run("--out", clean_out, *argv) == 0
+    clean = tree_bytes(clean_out)
+    assert sum(map(len, clean.values())) == total
+    capsys.readouterr()
+    fail_writes_after(monkeypatch, budget)
+    code = run("--out", out, *argv)
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if budget >= total:
+        assert code == 0 and tree_bytes(out) == clean
+        return
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 2 and len(errors) == 1 and err.endswith(errors[0] + "\n")
+    named = re.fullmatch(r"error: cannot write (.+): No space left on device", errors[0]).group(1)
+    assert named == str(out / "transcripts") or str(Path(named).relative_to(out)) in clean
+    for name in tree_bytes(out):
+        path = out / name
+        if name.startswith("transcripts/"):
+            try:
+                transcript = load_transcript(path)
+            except ValueError:  # a torn header line, or none written
+                continue
+            whole = load_transcript(clean_out / name)
+            assert transcript["messages"] == whole["messages"][:len(transcript["messages"])]
+            assert {**transcript, "messages": []} == {**whole, "messages": []}
+        else:
+            assert_whole_or_refused(path, clean[name], tmp_path)
+
+
+def derive_twice_scripts(tmp_path: Path) -> Path:
+    """A config whose mock scripts answer two derive conversations."""
+    scripts = json.loads(fixture_path("mock_scripts.json").read_text())
+    (tmp_path / "scripts.json").write_text(json.dumps(scripts + [s for s in scripts if s["pipeline"] == "derive"]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mock": True, "mock_scripts": str(tmp_path / "scripts.json")}))
+    return config
+
+
+@pytest.mark.parametrize("case", ["pipeline", "derive-same-content", "derive-llm-error", "transcript-enospc",
+                                  "run-record", "run-replay"])
+def test_no_file_descriptor_stays_open(tmp_path, capsys, monkeypatch, case):
+    copy = tmp_path / "copy.md"
+    copy.write_text(Path(DOC).read_text())
+    cassette = tmp_path / "cassette.jsonl"
+    argv, expected = {
+        "pipeline": (["--mock", "pipeline", DOC], 0),
+        "derive-same-content": (["--config", derive_twice_scripts(tmp_path), "derive", DOC, copy], 0),
+        "derive-llm-error": (["--mock", "derive", DOC, copy], 3),  # the mock scripts answer one derive
+        "transcript-enospc": (["--mock", "derive", DOC], 2),
+        "run-record": (["run", FIG4, "--inputs", INPUTS, "--record", cassette], 0),
+        "run-replay": (["run", FIG4, "--inputs", INPUTS, "--sut", f"replay:{cassette}"], 0),
+    }[case]
+    if case == "run-replay":
+        assert run("--out", tmp_path / "recorded", "run", FIG4, "--inputs", INPUTS, "--record", cassette) == 0
+    if case == "transcript-enospc":
+        fail_writes_after(monkeypatch, 2000)  # in the derive transcript
+    before = open_fds()
+    assert run("--out", tmp_path / "out", *argv) == expected
+    assert open_fds() == before
+    monkeypatch.undo()
+    transcripts = sorted((tmp_path / "out" / "transcripts").glob("*.jsonl"))
+    if case.startswith("derive-"):
+        # One transcript name for both documents: the second conversation emptied the file.
+        (transcript,) = transcripts
+        messages = load_transcript(transcript)["messages"]
+        assert len(messages) == (1 if case == "derive-llm-error" else 8)
 
 
 def test_repair_in_place_keeps_the_file_mode_and_leaves_no_temporary_file(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """The writers: appends that finish a short write, and in-place rewrites
 that leave exactly the new bytes."""
 
+import gc
 import os
 from pathlib import Path
 
 import pytest
 
+from conftest import open_fds
 from emrkit import jsonl
 
 
@@ -42,7 +44,8 @@ def test_rewrite_creates_missing_parents_only_when_the_open_fails(tmp_path, monk
 def test_append_finishes_a_short_write(tmp_path, monkeypatch):
     path = tmp_path / "log.jsonl"
     records = [{"n": n, "text": "café → " * n} for n in range(20)]
-    jsonl.append(path, records[:1])
+    appender = jsonl.Appender(path)
+    appender.write(records[:1])
     calls = []
     write = os.write
 
@@ -51,14 +54,33 @@ def test_append_finishes_a_short_write(tmp_path, monkeypatch):
         return write(fd, bytes(data[:7]))
 
     monkeypatch.setattr(os, "write", short_write)
-    jsonl.append(path, records[1:10])
-    jsonl.append(path, records[10:])
+    appender.write(records[1:10])
+    appender.write(records[10:])
     assert len(calls) > 100
-    assert jsonl.read(path) == records
-    jsonl.append(path, records[3:5], truncate=True)
+    assert jsonl.read(path) == records  # on disk before close: nothing is buffered
+    appender.close()
+    jsonl.Appender(path).write(records[3:5])
     monkeypatch.undo()
     assert jsonl.read(path) == records[3:5]
     assert path.read_bytes().count(b"\n") == 2
+
+
+def test_appender_writes_compact_sorted_lines_and_creates_missing_parents(tmp_path):
+    path = tmp_path / "a" / "b" / "log.jsonl"
+    jsonl.Appender(path).write([{"b": "é", "a": [1, None]}, {}])
+    assert path.read_bytes() == '{"a":[1,null],"b":"é"}\n{}\n'.encode("utf-8")
+
+
+def test_appender_closes_its_file_once_on_close_or_when_collected(tmp_path):
+    before = open_fds()
+    appender = jsonl.Appender(tmp_path / "closed.jsonl")
+    assert len(open_fds()) == len(before) + 1
+    appender.close()
+    appender.close()
+    assert open_fds() == before
+    jsonl.Appender(tmp_path / "dropped.jsonl").write([{}])
+    gc.collect()
+    assert open_fds() == before
 
 
 @pytest.mark.parametrize("value, kind", [

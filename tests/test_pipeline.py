@@ -155,7 +155,8 @@ def test_derive_phase_order_and_transcript(shop_doc, mock_client, tmp_path):
     store = TranscriptStore(tmp_path)
     result = derive_mrs(shop_doc, mock_client, store)
     conv = result.conversation
-    assert conv.phases() == sorted(conv.phases())
+    phases = [m.phase for m in conv.messages]
+    assert phases == sorted(phases)
     assert conv.messages[0].phase == 1 and conv.messages[0].role == "user"
     path = store.path_for(conv)
     assert path.exists()
@@ -172,7 +173,7 @@ def test_empty_sentence_response_yields_zero_mrs(shop_doc):
     ])
     result = derive_mrs(shop_doc, client)
     assert result.mrs == []
-    assert max(result.conversation.phases()) == 3
+    assert max(m.phase for m in result.conversation.messages) == 3
 
 
 def test_unparseable_mr_list_raises_format_error(shop_doc):
@@ -279,7 +280,7 @@ def test_generate_with_full_catalog_has_no_stubs(shop_doc, mock_client, fewshot)
 def test_generate_zero_mrs_stops_after_phase5(mock_client, fewshot):
     result = generate_emrs([], EMPTY_CATALOG, fewshot, mock_client)
     assert result.items == []
-    assert max(result.conversation.phases()) == 5
+    assert max(m.phase for m in result.conversation.messages) == 5
 
 
 def test_generate_repairs_ampersand_defect(shop_doc, fewshot, filter_emr_ast):

@@ -1,7 +1,9 @@
 import collections
 import copy
 import dataclasses
+import errno
 import json
+import os
 import random
 import re
 
@@ -15,6 +17,7 @@ from emrkit.dsl import parse_emr
 from emrkit.dsl.ast import Call, EmrAst, IntLit, Name, Node, VarDecl
 from emrkit.dsl.validate import has_errors, validate
 from emrkit.runtime import ActionSequence, VerdictValue, evaluate_emr, run_suite
+from emrkit.runtime.errors import RunAborted
 from emrkit.shopstubs import STUBS
 from emrkit.sut import MockShopSut, record_replay
 from emrkit.resources import fixture_path, read_fixture
@@ -167,6 +170,24 @@ def test_replayed_suite_report_equals_live_report(suite_asts, shop_inputs, tmp_p
         suite_asts, shop_inputs, record_replay("replay", cassette), STUBS, input_names=INPUT_NAMES
     )
     assert json.dumps(replayed.to_json(), sort_keys=True) == json.dumps(live.to_json(), sort_keys=True)
+
+
+def test_a_stubs_oserror_is_an_error_entry_but_a_failed_cassette_line_ends_the_run(
+        suite_asts, shop_inputs, tmp_path, monkeypatch):
+    def full_disk(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    stubs = {**STUBS, "isSearchAction": full_disk}
+    report = run_suite(suite_asts, shop_inputs, MockShopSut(), stubs, input_names=INPUT_NAMES)
+    assert "OSError: [Errno 28] No space left on device" in {e.error for e in report.entries}
+    cassette = tmp_path / "suite.cassette.jsonl"
+    factory = record_replay("record", cassette, MockShopSut())
+    monkeypatch.setattr(os, "write", full_disk)
+    with pytest.raises(RunAborted) as excinfo:
+        run_suite(suite_asts, shop_inputs, factory, STUBS, input_names=INPUT_NAMES)
+    assert excinfo.value.errno == errno.ENOSPC and excinfo.value.strerror == os.strerror(errno.ENOSPC)
+    monkeypatch.undo()
+    assert cassette.read_bytes() == b""
 
 
 def test_report_text_table_lists_every_emr(suite_asts, shop_inputs):

@@ -243,8 +243,8 @@ def test_sessions_of_one_sut_share_the_memo_and_suts_do_not():
 
 def test_load_search_filter_catalog_preserves_order():
     catalog = load_api_catalog(fixture_path("api_catalog_search_filter.json"))
-    assert len(catalog) == 6
-    assert catalog.names() == [
+    assert len(catalog.entries) == 6
+    assert [e.name for e in catalog.entries] == [
         "isSearchAction",
         "getFilterTypes",
         "applyFilter",
@@ -258,7 +258,7 @@ def test_load_search_filter_catalog_preserves_order():
 def test_empty_catalog_file(tmp_path):
     path = tmp_path / "cat.json"
     path.write_text("[]")
-    assert len(load_api_catalog(path)) == 0
+    assert load_api_catalog(path).entries == []
 
 
 def test_duplicate_name_is_schema_error(tmp_path):

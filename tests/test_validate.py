@@ -27,7 +27,7 @@ def test_search_filter_stubs_with_empty_catalog(filter_emr_ast):
 
 def test_search_filter_clean_with_full_catalog(filter_emr_ast):
     catalog = load_api_catalog(fixture_path("api_catalog_search_filter.json"))
-    assert catalog.names() == FIG4_STUBS
+    assert [e.name for e in catalog.entries] == FIG4_STUBS
     assert validate(filter_emr_ast, catalog) == []
 
 
