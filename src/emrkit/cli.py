@@ -208,8 +208,15 @@ def cmd_derive(args: argparse.Namespace, config: ToolConfig, write: Write) -> in
     templates = _load("templates", config.templates_dir, DeriveTemplates.load)
     client = config.chat_client
     all_mrs = []
+    derived: dict[str, str] = {}  # doc id -> the path derived with it
     for doc_path in args.documents:
         document = _load("document", doc_path, ingest_document)
+        # Equal content shares a doc id, and so a transcript name: derive it once.
+        if document.doc_id in derived:
+            print(f"warning: {doc_path} has the content of {derived[document.doc_id]}; derived once",
+                  file=sys.stderr)
+            continue
+        derived[document.doc_id] = doc_path
         with _conversation(f"derivation failed for {doc_path}", store):
             result = derive_mrs(
                 document,
@@ -278,8 +285,10 @@ def _read_smrl(path: Path) -> str:
     return _load("", path, Path.read_text, "utf-8")
 
 
+# ``run``, ``check`` and ``grade`` parse without the ``//`` explanations: none
+# of their outputs holds one.
 def _parse_smrl(path: Path):
-    return parse_emr(path.read_text(encoding="utf-8"), path.stem)
+    return parse_emr(path.read_text(encoding="utf-8"), path.stem, explanations=False)
 
 
 def _read_input(path: Path) -> ActionSequence:
@@ -313,7 +322,7 @@ def cmd_check(args: argparse.Namespace, config: ToolConfig, write: Write) -> int
     worst = EXIT_OK
     for path in _collect(args.emrs, "*.smrl", ".smrl"):
         try:
-            ast = parse_emr(_read_smrl(path), path.stem)
+            ast = parse_emr(_read_smrl(path), path.stem, explanations=False)
         except DslError as exc:
             print(json.dumps({"file": str(path), "severity": "error", "message": str(exc)}))
             worst = EXIT_INPUT

@@ -143,7 +143,7 @@ class _Parser:
 
     # -- grammar --------------------------------------------------------
 
-    def parse_emr(self, emr_id: str) -> EmrAst:
+    def parse_emr(self, emr_id: str, explanations: bool) -> EmrAst:
         start = self.expect("MR")
         self.expect("{{")
         stmts: list[Stmt] = []
@@ -156,6 +156,8 @@ class _Parser:
         if self.lexemes[self.i]:
             raise self.error({"end of input"})
         ast = EmrAst(emr_id, tuple(stmts), (self.where(start)[0], self.where(end)[0]))
+        if not explanations:
+            return ast
         by_line = {}
         for at, text in comments(self.source, self.lexemes, self.starts):
             line = bisect_right(self.lines, at)
@@ -384,6 +386,12 @@ def _attach_comments(ast: EmrAst, by_line: dict[int, tuple[int, str]]) -> None:
             node.explanation = by_line[line][1][2:].strip()
 
 
-def parse_emr(source: str, emr_id: str = "emr") -> EmrAst:
-    """Parse one MR block into an AST; raises ParseError/IllegalCharacter."""
-    return _Parser(source).parse_emr(emr_id)
+def parse_emr(source: str, emr_id: str = "emr", *, explanations: bool = True) -> EmrAst:
+    """Parse one MR block into an AST; raises ParseError/IllegalCharacter.
+
+    With ``explanations=False`` the ``//`` comments are not attached: the AST
+    is the same, positions included, with every ``explanation`` None. That
+    skips finding the comments and walking the canonical layout, for
+    callers whose outputs hold no explanation.
+    """
+    return _Parser(source).parse_emr(emr_id, explanations)

@@ -43,7 +43,7 @@ def load_fewshot(path: str | Path) -> list[FewShotExample]:
     examples = []
     for i, item in enumerate(json.loads(Path(path).read_text(encoding="utf-8")), 1):
         mr, emr = (check(item[key], "a string", f"few-shot example {i} field '{key}'") for key in ("mr", "emr"))
-        diags = validate(parse_emr(emr, f"fewshot{i}"))
+        diags = validate(parse_emr(emr, f"fewshot{i}", explanations=False))
         if has_errors(diags):
             bad = next(d for d in diags if d.severity == "error")
             raise ValueError(f"few-shot example {i} is invalid: {bad.message} (line {bad.line})")

@@ -96,6 +96,10 @@ def test_bench_layers_writes_the_pipeline_row(layer_rows):
     check_cpu_ms_row(layer_rows["pipeline"], "pipeline --mock")
 
 
+def test_bench_layers_writes_the_check_row(layer_rows):
+    check_cpu_ms_row(layer_rows["check"], "emrkit check")
+
+
 def test_bench_layers_writes_the_load_annotations_row(layer_rows):
     check_cpu_ms_row(layer_rows["load_annotations"], "grading.load_annotations")
 

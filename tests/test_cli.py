@@ -19,12 +19,14 @@ from emrkit import cli, jsonl
 from emrkit.cli import main
 from emrkit.dsl import DslError, parse_emr
 from emrkit.dsl.parser import MAX_NESTING
-from emrkit.pipeline import load_transcript
+from emrkit.dsl.tokens import comments, scan
+from emrkit.pipeline import ingest_document, load_transcript
 from emrkit.resources import fixture_path
 from emrkit.runtime import ActionSequence, run_suite
 from emrkit.shopstubs import STUBS
 from emrkit.sut import MockShopSut
 from emrkit.sut.cassette import Cassette
+from emrkit.sut.mockshop import FAULTS
 
 DOC = str(fixture_path("requirements_shop.md"))
 FIG4 = str(fixture_path("search_filter.smrl"))
@@ -167,6 +169,54 @@ def test_permuting_the_run_files_permutes_the_results_and_keeps_per_emr(tmp_path
     expected = [by_pair[(e.stem, i.stem)] for e in emrs for i in inputs]
     assert [dict(r, input_index=None) for r in permuted["results"]] == [dict(r, input_index=None) for r in expected]
     assert permuted["per_emr"] == base["per_emr"]
+
+
+def strip_comments(source: str) -> str:
+    """``source`` without its trailing ``//`` comments; every line stays."""
+    for at, text in reversed(comments(source, *scan(source))):
+        source = source[:at].rstrip(" \t") + source[at + len(text):]
+    return source
+
+
+def reading_outputs(capsys, out: Path, emrs: Path, suite: Path) -> dict[str, object]:
+    """The exit codes, stdout, stderr and output files of ``check`` and of
+    ``run`` on the mock and each fault over the EMRs in ``emrs``, and of
+    ``grade --emrs`` over the annotated ``suite``, with the three paths in
+    them replaced by placeholders."""
+    commands = {
+        "check": ["check", emrs],
+        "grade": ["grade", ANNOTATIONS, "--emrs", suite],
+        **{f"run-{sut}": ["run", emrs, "--inputs", INPUTS, "--sut", sut, "--stubs", "emrkit.shopstubs"]
+           for sut in ["mock", *(f"mock:{fault}" for fault in FAULTS)]},
+    }
+    seen = {}
+    for name, argv in commands.items():
+        code = run("--out", out / name, *argv)
+        captured = capsys.readouterr()
+        seen[name] = (code, captured.out, captured.err, tree_bytes(out / name))
+    text = json.dumps(seen, default=bytes.decode)
+    for path, placeholder in ((emrs, "<emrs>"), (suite, "<suite>"), (out, "<out>")):
+        text = text.replace(str(path), placeholder)
+    return json.loads(text)
+
+
+def test_check_run_and_grade_read_no_explanation(tmp_path, capsys):
+    suite_files = {entry["id"]: fixture_path(*entry["file"].split("/"))
+                   for entry in json.loads(fixture_path("emr_suite.json").read_text())}
+    seen = []
+    for transform in (lambda source: source, strip_comments):
+        emrs, suite = tmp_path / f"emrs{len(seen)}", tmp_path / f"suite{len(seen)}"
+        for directory, files in ((emrs, {p.stem: p for p in BUNDLED_EMRS}), (suite, suite_files)):
+            directory.mkdir()
+            for emr_id, path in files.items():
+                (directory / f"{emr_id}.smrl").write_text(transform(path.read_text(encoding="utf-8")))
+        seen.append(reading_outputs(capsys, tmp_path / f"out{len(seen)}", emrs, suite))
+    sources = [path.read_text(encoding="utf-8") for path in BUNDLED_EMRS]
+    assert [source.count("\n") for source in sources] == [strip_comments(s).count("\n") for s in sources]
+    assert sum(source != strip_comments(source) for source in sources) == 12
+    assert all("//" not in strip_comments(source) for source in sources)
+    assert [code for code, *_ in seen[0].values()] == [0, 0, 7, 7, 7, 7]
+    assert seen[1] == seen[0]
 
 
 def bundled_suite(work: Path) -> Path:
@@ -893,25 +943,18 @@ def test_an_interrupted_pipeline_or_grade_leaves_prefixes_or_refused_files(tmp_p
             assert_whole_or_refused(path, clean[name], tmp_path)
 
 
-def derive_twice_scripts(tmp_path: Path) -> Path:
-    """A config whose mock scripts answer two derive conversations."""
-    scripts = json.loads(fixture_path("mock_scripts.json").read_text())
-    (tmp_path / "scripts.json").write_text(json.dumps(scripts + [s for s in scripts if s["pipeline"] == "derive"]))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"mock": True, "mock_scripts": str(tmp_path / "scripts.json")}))
-    return config
-
-
 @pytest.mark.parametrize("case", ["pipeline", "derive-same-content", "derive-llm-error", "transcript-enospc",
                                   "run-record", "run-replay"])
 def test_no_file_descriptor_stays_open(tmp_path, capsys, monkeypatch, case):
     copy = tmp_path / "copy.md"
     copy.write_text(Path(DOC).read_text())
+    other = tmp_path / "other.md"
+    other.write_text("# Another shop\n\nR1. A search returns the items that match its query.\n")
     cassette = tmp_path / "cassette.jsonl"
     argv, expected = {
         "pipeline": (["--mock", "pipeline", DOC], 0),
-        "derive-same-content": (["--config", derive_twice_scripts(tmp_path), "derive", DOC, copy], 0),
-        "derive-llm-error": (["--mock", "derive", DOC, copy], 3),  # the mock scripts answer one derive
+        "derive-same-content": (["--mock", "derive", DOC, copy], 0),  # the copy is not derived again
+        "derive-llm-error": (["--mock", "derive", DOC, other], 3),  # the mock scripts answer one derive
         "transcript-enospc": (["--mock", "derive", DOC], 2),
         "run-record": (["run", FIG4, "--inputs", INPUTS, "--record", cassette], 0),
         "run-replay": (["run", FIG4, "--inputs", INPUTS, "--sut", f"replay:{cassette}"], 0),
@@ -924,12 +967,28 @@ def test_no_file_descriptor_stays_open(tmp_path, capsys, monkeypatch, case):
     assert run("--out", tmp_path / "out", *argv) == expected
     assert open_fds() == before
     monkeypatch.undo()
-    transcripts = sorted((tmp_path / "out" / "transcripts").glob("*.jsonl"))
-    if case.startswith("derive-"):
-        # One transcript name for both documents: the second conversation emptied the file.
-        (transcript,) = transcripts
-        messages = load_transcript(transcript)["messages"]
-        assert len(messages) == (1 if case == "derive-llm-error" else 8)
+    transcripts = tmp_path / "out" / "transcripts"
+    if case == "derive-same-content":
+        (transcript,) = transcripts.glob("*.jsonl")
+        assert len(load_transcript(transcript)["messages"]) == 8
+    if case == "derive-llm-error":
+        assert len(list(transcripts.glob("*.jsonl"))) == 2
+        transcript = transcripts / f"derive-{ingest_document(other).doc_id}.jsonl"
+        assert len(load_transcript(transcript)["messages"]) == 1
+
+
+def test_derive_skips_a_document_with_the_content_of_an_earlier_one(tmp_path, capsys):
+    copy = tmp_path / "copy.md"
+    copy.write_bytes(Path(DOC).read_bytes())
+    assert run("--mock", "--out", tmp_path / "alone", "derive", DOC) == 0
+    alone = capsys.readouterr()
+    assert run("--mock", "--out", tmp_path / "out", "derive", DOC, copy) == 0
+    both = capsys.readouterr()
+    assert both.out == alone.out
+    assert both.err == alone.err + f"warning: {copy} has the content of {DOC}; derived once\n"
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "alone")
+    (transcript,) = (tmp_path / "out" / "transcripts").glob("*.jsonl")
+    assert len(transcript.read_text().splitlines()) == 9
 
 
 def test_repair_in_place_keeps_the_file_mode_and_leaves_no_temporary_file(tmp_path, capsys):

@@ -4,12 +4,15 @@ same errors (class, line, column, message, expected set, repair hint). On the
 corpus and seeded WLC-AMP injections, ``repair`` and the canonical units give
 exactly the results pinned in ``repair_units_digests.json``. On every corpus
 source that parses, ``validate`` gives exactly the diagnostics pinned in
-``validate_digests.json``, without a catalog and with one."""
+``validate_digests.json``, without a catalog and with one. Parsing without
+explanations gives the same results with every explanation left out."""
 
+import dataclasses
 import json
 from pathlib import Path
 
-from emrkit.dsl import parse_emr
+from emrkit.dsl import DslError, parse_emr
+from emrkit.dsl.ast import Node
 from emrkit.dsl.repair import repair
 from emrkit.dsl.validate import validate
 from emrkit.resources import fixture_path
@@ -84,3 +87,43 @@ def test_pinned_diagnostics_cover_every_severity_and_the_catalog():
     severities = {d.severity for ast in asts for d in validate(ast)}
     assert severities == {"error", "warning", "stub"}
     assert sum(1 for ast in asts if validate(ast) != validate(ast, catalog)) > 50
+
+
+def without_explanations(value):
+    """``value`` (an AST or a part of one) with every explanation set to None, in place."""
+    if isinstance(value, tuple):
+        for item in value:
+            without_explanations(item)
+    elif dataclasses.is_dataclass(value):
+        if isinstance(value, Node):
+            value.explanation = None
+        for f in dataclasses.fields(value):
+            without_explanations(getattr(value, f.name))
+    return value
+
+
+def parse_result(source: str, **options) -> str:
+    """The AST dump, every position included, or the error's class, message, line and column."""
+    try:
+        return repr(parse_emr(source, "case", **options))
+    except DslError as exc:
+        return repr((type(exc).__name__, str(exc), exc.line, exc.column))
+
+
+def test_parsing_without_explanations_is_the_parse_with_none_attached():
+    differing = []
+    explained = 0
+    for name, source in CASES:
+        bare = parse_result(source, explanations=False)
+        try:
+            full = parse_emr(source, "case")
+        except DslError:
+            expected = parse_result(source)
+        else:
+            dump = repr(full)
+            expected = repr(without_explanations(full))
+            explained += dump != expected
+        if bare != expected:
+            differing.append(name)
+    assert differing == []
+    assert explained > 300

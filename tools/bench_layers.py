@@ -43,7 +43,10 @@ the benchmark's ``author`` workload runs it: ``bundled`` is one 32-MR round
 of that workload with seed 1 (milliseconds per round), ``by_n`` one round of
 the same workload drawn with n MRs a round, 30 % of the replies with the
 WLC-AMP defect (milliseconds per call). Each round writes into the same
-``--out``, as a rerun does.
+``--out``, as a rerun does. The ``check`` row times ``emrkit.cli.main``
+running ``check`` in-process, as that workload's check step does, on the
+EMRs of the same round, which ``pipeline --mock`` generates once before
+the first timed round.
 
 The ``load_annotations`` row times ``grading.load_annotations`` with the
 EMRs given, as ``emrkit grade --emrs`` calls it: ``bundled`` on the bundled
@@ -227,13 +230,16 @@ def run_suite_sampler(modules: Modules, config: str, count: int, chunks: int) ->
     return timed(run, [parts], "cpu_ms")
 
 
-def pipeline_sampler(modules: Modules, mrs: int, directory: Path) -> Sampler:
-    """One round runs ``emrkit pipeline --mock`` of one checkout in-process on
-    the first round of an ``author`` workspace with ``mrs`` MRs a round,
-    into the same ``--out`` every time."""
+def author_sampler(modules: Modules, mrs: int, directory: Path, command: str) -> Sampler:
+    """One round runs ``emrkit COMMAND`` of one checkout in-process on the
+    first round of an ``author`` workspace with ``mrs`` MRs a round:
+    ``pipeline --mock`` into the same ``--out`` every time, or ``check`` on
+    the EMRs that pipeline generated (untimed, once)."""
     plan = build("author", SEED, mrs * AUTHOR_ROUNDS, directory, modules["resources"])
     main = modules["cli"].main
-    return timed(lambda argv: run_cli(main, argv, AUTHOR_EXIT), [plan.step("pipeline-1").argv], "cpu_ms")
+    if command == "check":
+        run_cli(main, plan.step("pipeline-1").argv, AUTHOR_EXIT)
+    return timed(lambda argv: run_cli(main, argv, AUTHOR_EXIT), [plan.step(f"{command}-1").argv], "cpu_ms")
 
 
 def run_cli(main: Callable[[list[str]], int], argv: list[str], expected: int) -> None:
@@ -307,15 +313,21 @@ def run_suite_row(config: str) -> Row:
                lambda m, _: run_suite_sampler(m, config, count, CHUNKS))
 
 
+def author_row(what: str, command: str) -> Row:
+    per_round = SIZES["author"] // AUTHOR_ROUNDS
+    return Row(f"{what} (seed {SEED}, {per_round} MRs a round, 30% with the WLC-AMP defect; thread-CPU ms per "
+               "round) and on an n-MR script drawn the same way (thread-CPU ms per call)",
+               lambda m, n, directory: author_sampler(m, n, directory, command),
+               lambda m, directory: author_sampler(m, per_round, directory, command))
+
+
 ROWS: dict[str, Row] = {
     "write": Row("rewrite n existing output files through emrkit.jsonl.rewrite; ms per round", write_sampler),
     **{layer: frontend_row(layer) for layer in FRONTEND},
     **{f"run_suite:{config}": run_suite_row(config) for config in SUT_CONFIGS},
-    "pipeline": Row(f"emrkit pipeline --mock in-process on the author workload's mock script (seed {SEED}, "
-                    f"{SIZES['author'] // AUTHOR_ROUNDS} MRs a round, 30% with the WLC-AMP defect; thread-CPU ms "
-                    "per round) and on an n-MR script drawn the same way (thread-CPU ms per call)",
-                    pipeline_sampler,
-                    lambda m, directory: pipeline_sampler(m, SIZES["author"] // AUTHOR_ROUNDS, directory)),
+    "pipeline": author_row("emrkit pipeline --mock in-process on the author workload's mock script", "pipeline"),
+    "check": author_row("emrkit check in-process on the EMRs that pipeline --mock generates from the author "
+                        "workload's mock script", "check"),
     "load_annotations": Row("grading.load_annotations with the EMRs given: the bundled annotations and suite "
                             "(thread-CPU ms per call) and n annotation lines over copies of the suite (thread-CPU "
                             "ms per call)",
