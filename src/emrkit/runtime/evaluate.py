@@ -30,6 +30,18 @@ raises what running would: a non-integer index, an unknown method, a
 non-iterable loop or a missing stub becomes a closure that raises its error
 only when reached.
 
+Names are resolved when compiling as well. The scopes are the EMR body (or
+``eval_bool``'s env) and each loop body; an ``if`` body belongs to the scope
+around it. Each name a scope binds, its loop variable or a ``var``, gets a
+fixed slot in ``Evaluator.frame``, one list per pair. A name read reads its
+slot in the innermost scope that binds the name and, while that slot holds
+no value yet, the slot of the next such scope outward; it raises ``unbound
+identifier`` when it is reached and no slot holds a value. An iteration
+writes its variable's slot and clears the other slots of its body, so a
+``var`` holds for one iteration; a ``var`` writes its own slot. Each check
+gets the reads of its enclosing loop variables, which its failing bindings
+name, when it is compiled.
+
 A few common shapes compile to a cheaper closure that computes exactly what
 the generic one does, and every other shape takes the generic one:
 
@@ -42,7 +54,7 @@ the generic one does, and every other shape takes the generic one:
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
 
 from ..dsl.ast import (
     BoolChain,
@@ -96,30 +108,28 @@ def _require_int(value: Any, context: str) -> int:
     return value
 
 
-class Evaluator:
-    """The state of one (EMR, input) pair, which compiled closures read and update."""
+# A frame slot whose name holds no value yet.
+_UNBOUND = object()
 
-    def __init__(self, session_factory: SessionFactory):
+
+class Evaluator:
+    """The state of one (EMR, input) pair, which compiled closures read and
+    update; ``frame`` holds the value of each slot that compiling gave a name."""
+
+    def __init__(self, session_factory: SessionFactory, slots: int = 0):
         self.session_factory = session_factory
         self.inputs: dict[int, ActionSequence] = {}
         self.outputs: dict[int, OutputSequence] = {}
-        self.scopes: list[dict[str, Any]] = [{}]
-        self.loop_vars: list[str] = []
+        self.frame: list[Any] = [_UNBOUND] * slots
         self.antecedent_held = False
         self.failures: list[FailingBinding] = []
 
-    def lookup(self, name: str) -> Any:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        raise EvalError(f"unbound identifier '{name}'")
-
-    def record(self, line: int, held: bool) -> None:
-        """A check on ``line`` applied; a false one fails with the loop bindings."""
+    def record(self, line: int, held: bool, bindings: Compiled) -> None:
+        """A check on ``line`` applied; a false one fails with the loop
+        bindings that ``bindings`` reads."""
         self.antecedent_held = True
         if not held:
-            bindings = {name: render_value(self.lookup(name)) for name in self.loop_vars}
-            self.failures.append(FailingBinding(line, bindings))
+            self.failures.append(FailingBinding(line, bindings(self)))
 
     def register_and_execute(self, index: int, sequence: ActionSequence) -> None:
         registered = sequence.copy(index)
@@ -154,11 +164,72 @@ def _raising(message: str) -> Compiled:
     return fail
 
 
+# -- names -------------------------------------------------------------------
+
+
+class _Scope:
+    """A scope as compiling sees it: the EMR body (or ``eval_bool``'s env),
+    or one loop body. Each name the scope binds, its loop variable and every
+    ``var`` in it outside a nested loop, has a fixed slot in the pair's
+    frame; the slots of one scope are consecutive, the loop variable's first."""
+
+    size: int  # set on the outermost scope: the slots of every scope inside it
+
+    def __init__(self, stubs: StubBindings, names: Iterable[str], outer: _Scope | None = None,
+                 loop_var: str | None = None):
+        self.stubs, self.outer, self.loop_var = stubs, outer, loop_var
+        # The enclosing loops' variables, outermost first.
+        self.loop_vars: tuple[str, ...] = (*outer.loop_vars, loop_var) if outer else ()
+        self.top: _Scope = outer.top if outer else self
+        first = outer.top.size if outer else 0
+        self.slots = {name: first + i for i, name in enumerate(dict.fromkeys(names))}
+        self.top.size = first + len(self.slots)
+
+
+def _declared(stmts: tuple[Stmt, ...]) -> Iterator[str]:
+    """The names that ``var`` statements in ``stmts`` declare, ``if`` bodies
+    included and loop bodies not: an ``if`` body is in its enclosing scope."""
+    for st in stmts:
+        if isinstance(st, VarDecl):
+            yield st.name
+        elif isinstance(st, If):
+            yield from _declared(st.body)
+
+
+def _read(name: str, scope: _Scope | None) -> Compiled:
+    """A read of ``name`` in ``scope``: the slot of the innermost scope that
+    binds ``name`` and, while that slot is unbound (before its ``var`` runs,
+    or when the ``if`` body holding the ``var`` was not taken), the next one
+    outward. A read that finds no bound slot raises when it is reached."""
+    while scope is not None and name not in scope.slots:
+        scope = scope.outer
+    if scope is None:
+        return _raising(f"unbound identifier '{name}'")
+    k = scope.slots[name]
+    if name == scope.loop_var:
+        # Each iteration binds its loop variable before its body runs.
+        return lambda ev: ev.frame[k]
+    outer = _read(name, scope.outer)
+
+    def read(ev: Evaluator) -> Any:
+        value = ev.frame[k]
+        return outer(ev) if value is _UNBOUND else value
+
+    return read
+
+
+def _bindings(scope: _Scope) -> Compiled:
+    """What a failing check in ``scope`` reports: each enclosing loop's
+    variable once, outermost first, with the value a read of it gives there."""
+    readers = [(name, _read(name, scope)) for name in dict.fromkeys(scope.loop_vars)]
+    return lambda ev: {name: render_value(read(ev)) for name, read in readers}
+
+
 # -- statements ------------------------------------------------------------
 
 
-def _block(stmts: tuple[Stmt, ...], stubs: StubBindings) -> Compiled:
-    compiled = [_stmt(st, stubs) for st in stmts]
+def _block(stmts: tuple[Stmt, ...], scope: _Scope) -> Compiled:
+    compiled = [_stmt(st, scope) for st in stmts]
 
     def block(ev: Evaluator) -> bool:
         for st in compiled:
@@ -169,28 +240,35 @@ def _block(stmts: tuple[Stmt, ...], stubs: StubBindings) -> Compiled:
     return block
 
 
-def _stmt(st: Stmt, stubs: StubBindings) -> Compiled:
+def _stmt(st: Stmt, scope: _Scope) -> Compiled:
     if isinstance(st, ForEach):
-        return _for_each(st, stubs)
+        return _for_each(st, scope)
     if isinstance(st, If):
-        cond, body = _boolean(st.cond, "if condition", stubs), _block(st.body, stubs)
+        cond, body = _boolean(st.cond, "if condition", scope), _block(st.body, scope)
         return lambda ev: cond(ev) and body(ev)
     if isinstance(st, Continue):
         return lambda ev: True
     if isinstance(st, VarDecl):
-        name, init = st.name, _expr(st.init, stubs)
+        k, init = scope.slots[st.name], _expr(st.init, scope)
 
         def declare(ev: Evaluator) -> None:
-            ev.scopes[-1][name] = init(ev)
+            ev.frame[k] = init(ev)
 
         return declare
     if isinstance(st, ExprStmt):
-        return _check(st, stubs)
+        return _check(st, scope)
     return _raising(f"unknown statement node {st!r}")
 
 
-def _for_each(st: ForEach, stubs: StubBindings) -> Compiled:
-    var, iterable, body = st.var, _expr(st.iterable, stubs), _block(st.body, stubs)
+def _for_each(st: ForEach, scope: _Scope) -> Compiled:
+    iterable = _expr(st.iterable, scope)
+    inner = _Scope(scope.stubs, [st.var, *_declared(st.body)], scope, st.var)
+    body = _block(st.body, inner)
+    # The loop variable's slot, then the slots of the body's other names,
+    # which each iteration unbinds: a ``var`` holds for one iteration.
+    k = inner.slots[st.var]
+    first, end = k + 1, k + len(inner.slots)
+    unbound = [_UNBOUND] * (end - first)
 
     def loop(ev: Evaluator) -> None:
         items = iterable(ev)
@@ -198,35 +276,34 @@ def _for_each(st: ForEach, stubs: StubBindings) -> Compiled:
             items = items.actions
         if not isinstance(items, (list, tuple)):
             raise EvalError(f"cannot iterate over {render_value(items)}")
-        # An error ends the pair, so nothing below needs unwinding on one.
-        ev.loop_vars.append(var)
+        frame = ev.frame
         for item in items:
-            ev.scopes.append({var: item})
+            frame[k] = item
+            if unbound:
+                frame[first:end] = unbound
             body(ev)
-            ev.scopes.pop()
-        ev.loop_vars.pop()
 
     return loop
 
 
-def _check(st: ExprStmt, stubs: StubBindings) -> Compiled:
+def _check(st: ExprStmt, scope: _Scope) -> Compiled:
     """Top-level boolean statements are the checks an EMR quantifies over. A
     bare boolean asserts itself (its antecedent is trivially true); an
     IMPLIES statement checks its consequent only when its antecedent held."""
-    expr, line = st.expr, st.pos.line
+    expr, line, bindings = st.expr, st.pos.line, _bindings(scope)
     if isinstance(expr, Call) and expr.name == "IMPLIES":
-        antecedent, consequent = _implication(expr.args, stubs)
+        antecedent, consequent = _implication(expr.args, scope)
 
         def check(ev: Evaluator) -> None:
             if antecedent(ev):
-                ev.record(line, consequent(ev))
+                ev.record(line, consequent(ev), bindings)
     else:
-        value = _expr(expr, stubs)
+        value = _expr(expr, scope)
 
         def check(ev: Evaluator) -> None:
             result = value(ev)
             if isinstance(result, bool):
-                ev.record(line, result)
+                ev.record(line, result, bindings)
 
     return check
 
@@ -234,21 +311,20 @@ def _check(st: ExprStmt, stubs: StubBindings) -> Compiled:
 # -- expressions -----------------------------------------------------------
 
 
-def _expr(e: Expr, stubs: StubBindings) -> Compiled:
+def _expr(e: Expr, scope: _Scope) -> Compiled:
     if isinstance(e, (IntLit, StringLit, BoolLit)):
         value = e.value
         return lambda ev: value
     if isinstance(e, Name):
-        name = e.ident
-        return lambda ev: ev.lookup(name)
+        return _read(e.ident, scope)
     if isinstance(e, Not):
-        return _not(e.operand, "'!' operand", stubs)
+        return _not(e.operand, "'!' operand", scope)
     if isinstance(e, BoolChain):
-        return _chain(e.operands, f"'{e.op}' operand", e.op == "||", stubs)
+        return _chain(e.operands, f"'{e.op}' operand", e.op == "||", scope)
     if isinstance(e, MethodCall):
-        return _method(e, stubs)
+        return _method(e, scope)
     if isinstance(e, Call):
-        return _call(e, stubs)
+        return _call(e, scope)
     return _raising(f"unknown expression node {e!r}")
 
 
@@ -256,11 +332,11 @@ def _expr(e: Expr, stubs: StubBindings) -> Compiled:
 _BOOLEAN_CONSTRUCTS = frozenset({"NOT", "AND", "OR", "IMPLIES", "CREATE"})
 
 
-def _boolean(e: Expr, context: str, stubs: StubBindings) -> Compiled:
+def _boolean(e: Expr, context: str, scope: _Scope) -> Compiled:
     """``e`` compiled for a boolean position: a value other than ``True`` or
     ``False`` raises, naming ``context``. A node that evaluates to a bool by
     construction needs no check."""
-    compiled = _expr(e, stubs)
+    compiled = _expr(e, scope)
     if isinstance(e, (Not, BoolChain, BoolLit)) or (isinstance(e, Call) and e.name in _BOOLEAN_CONSTRUCTS):
         return compiled
 
@@ -273,14 +349,14 @@ def _boolean(e: Expr, context: str, stubs: StubBindings) -> Compiled:
     return checked
 
 
-def _not(operand: Expr, context: str, stubs: StubBindings) -> Compiled:
-    value = _boolean(operand, context, stubs)
+def _not(operand: Expr, context: str, scope: _Scope) -> Compiled:
+    value = _boolean(operand, context, scope)
     return lambda ev: not value(ev)
 
 
-def _chain(operands: tuple[Expr, ...], context: str, decisive: bool, stubs: StubBindings) -> Compiled:
+def _chain(operands: tuple[Expr, ...], context: str, decisive: bool, scope: _Scope) -> Compiled:
     """Short-circuit AND (``decisive`` False) or OR (True), left to right."""
-    parts = [_boolean(o, context, stubs) for o in operands]
+    parts = [_boolean(o, context, scope) for o in operands]
 
     def chain(ev: Evaluator) -> bool:
         for operand in parts:
@@ -291,9 +367,9 @@ def _chain(operands: tuple[Expr, ...], context: str, decisive: bool, stubs: Stub
     return chain
 
 
-def _implication(args: tuple[Expr, ...], stubs: StubBindings) -> tuple[Compiled, Compiled]:
+def _implication(args: tuple[Expr, ...], scope: _Scope) -> tuple[Compiled, Compiled]:
     """IMPLIES's antecedent and consequent, each compiled for a boolean position."""
-    return _boolean(args[0], "IMPLIES antecedent", stubs), _boolean(args[1], "IMPLIES consequent", stubs)
+    return _boolean(args[0], "IMPLIES antecedent", scope), _boolean(args[1], "IMPLIES consequent", scope)
 
 
 def _applied(fn: Callable[..., Any], args: list[Compiled]) -> Compiled:
@@ -323,7 +399,7 @@ _METHODS: dict[str, tuple[type, Callable[..., Any]]] = {
 }
 
 
-def _method(e: MethodCall, stubs: StubBindings) -> Compiled:
+def _method(e: MethodCall, scope: _Scope) -> Compiled:
     name = e.name
     kind, get = _METHODS.get(name, ((), None))
     arity = METHOD_ARITY.get(name, len(e.args))
@@ -336,9 +412,9 @@ def _method(e: MethodCall, stubs: StubBindings) -> Compiled:
             return get(target, *args)
         raise EvalError(f"method '{name}' is not defined on {render_value(target)}")
 
-    receiver = _expr(e.receiver, stubs)
+    receiver = _expr(e.receiver, scope)
     if e.args:
-        return _applied(method, [receiver, *(_expr(a, stubs) for a in e.args)])
+        return _applied(method, [receiver, *(_expr(a, scope) for a in e.args)])
 
     def method_of(ev: Evaluator) -> Any:
         target = receiver(ev)
@@ -347,25 +423,25 @@ def _method(e: MethodCall, stubs: StubBindings) -> Compiled:
     return method_of
 
 
-def _call(e: Call, stubs: StubBindings) -> Compiled:
+def _call(e: Call, scope: _Scope) -> Compiled:
     name, args = e.name, e.args
     if name == "Input":
-        return _by_index(args[0], "Input", Evaluator.input_sequence, stubs)
+        return _by_index(args[0], "Input", Evaluator.input_sequence, scope)
     if name == "Output" and len(args) == 1:
-        return _by_index(args[0], "Output", Evaluator.output_sequence, stubs)
+        return _by_index(args[0], "Output", Evaluator.output_sequence, scope)
     if name == "Output":
-        return _output_at(args[0], args[1], stubs)
+        return _output_at(args[0], args[1], scope)
     if name == "CREATE":
-        return _create(args[0].args[0], args[1], stubs)
+        return _create(args[0].args[0], args[1], scope)
     if name == "NOT":
-        return _not(args[0], "NOT operand", stubs)
+        return _not(args[0], "NOT operand", scope)
     if name in ("AND", "OR"):
-        return _chain(args, f"{name} operand", name == "OR", stubs)
+        return _chain(args, f"{name} operand", name == "OR", scope)
     if name == "IMPLIES":
-        antecedent, consequent = _implication(args, stubs)
+        antecedent, consequent = _implication(args, scope)
         return lambda ev: not antecedent(ev) or consequent(ev)
-    if name in stubs:
-        return _applied(stubs[name], [_expr(a, stubs) for a in args])
+    if name in scope.stubs:
+        return _applied(scope.stubs[name], [_expr(a, scope) for a in args])
     return _raising(f"no binding for stub function '{name}'")
 
 
@@ -374,19 +450,19 @@ def _literal_index(e: Expr) -> int | None:
     return e.value if type(e) is IntLit and type(e.value) is int else None
 
 
-def _by_index(e: Expr, construct: str, get: Callable[[Evaluator, int], Any], stubs: StubBindings) -> Compiled:
+def _by_index(e: Expr, construct: str, get: Callable[[Evaluator, int], Any], scope: _Scope) -> Compiled:
     k = _literal_index(e)
     if k is not None:
         return lambda ev: get(ev, k)
-    index, context = _expr(e, stubs), f"{construct} index"
+    index, context = _expr(e, scope), f"{construct} index"
     return lambda ev: get(ev, _require_int(index(ev), context))
 
 
-def _output_at(sequence_expr: Expr, position_expr: Expr, stubs: StubBindings) -> Compiled:
+def _output_at(sequence_expr: Expr, position_expr: Expr, scope: _Scope) -> Compiled:
     is_input = type(sequence_expr) is Call and sequence_expr.name == "Input"
     k = _literal_index(sequence_expr.args[0]) if is_input else None
-    sequence = None if k is not None else _expr(sequence_expr, stubs)
-    position = _expr(position_expr, stubs)
+    sequence = None if k is not None else _expr(sequence_expr, scope)
+    position = _expr(position_expr, scope)
 
     def output_at(ev: Evaluator) -> Output:
         if sequence is None:
@@ -403,9 +479,9 @@ def _output_at(sequence_expr: Expr, position_expr: Expr, stubs: StubBindings) ->
     return output_at
 
 
-def _create(index_expr: Expr, source_expr: Expr, stubs: StubBindings) -> Compiled:
-    k, source = _literal_index(index_expr), _expr(source_expr, stubs)
-    index = None if k is not None else _expr(index_expr, stubs)
+def _create(index_expr: Expr, source_expr: Expr, scope: _Scope) -> Compiled:
+    k, source = _literal_index(index_expr), _expr(source_expr, scope)
+    index = None if k is not None else _expr(index_expr, scope)
 
     def create(ev: Evaluator) -> bool:
         key = k if index is None else _require_int(index(ev), "CREATE index")
@@ -429,10 +505,11 @@ def eval_bool(expr: Expr, env: Mapping[str, Any] | None = None, stubs: StubBindi
     """Evaluate a boolean construct expression under ``env`` without a SUT;
     an unbound stub raises only when it is reached."""
     unbound_stubs(EmrAst("expression", (ExprStmt(expr),)), {})
+    env = env or {}
+    compiled = _boolean(expr, "expression", _Scope(stubs or {}, env))
     evaluator = Evaluator(_no_session)
-    if env:
-        evaluator.scopes[0].update(env)
-    return _boolean(expr, "expression", stubs or {})(evaluator)
+    evaluator.frame = list(env.values())
+    return compiled(evaluator)
 
 
 def unbound_stubs(ast: EmrAst, stubs: StubBindings) -> list[str]:
@@ -457,10 +534,12 @@ def compile_emr(ast: EmrAst, stubs: StubBindings) -> Callable[[ActionSequence, S
     missing = unbound_stubs(ast, stubs)
     if missing:
         return lambda source_input, session_factory: Verdict(VerdictValue.NOT_EXECUTABLE, stubs=missing)
-    body = _block(ast.statements, stubs)
+    top = _Scope(stubs, _declared(ast.statements))
+    body = _block(ast.statements, top)
+    slots = top.size  # the loop bodies' slots included
 
     def program(source_input: ActionSequence, session_factory: SessionFactory) -> Verdict:
-        evaluator = Evaluator(session_factory)
+        evaluator = Evaluator(session_factory, slots)
         evaluator.register_and_execute(1, source_input)
         body(evaluator)
         return evaluator.verdict()

@@ -11,19 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astgen import ProgramGen
+from astgen import NAMES, ProgramGen
 from conftest import INPUT_NAMES
-from emrkit.dsl import parse_emr
-from emrkit.dsl.ast import Call, EmrAst, IntLit, Name, Node, VarDecl
+from emrkit.dsl import parse_emr, pretty_print
+from emrkit.dsl.ast import Call, EmrAst, ForEach, IntLit, Name, Node, VarDecl
 from emrkit.dsl.validate import has_errors, validate
-from emrkit.runtime import ActionSequence, VerdictValue, evaluate_emr, run_suite
+from emrkit.runtime import ActionSequence, EvalError, VerdictValue, eval_bool, evaluate_emr, run_suite
 from emrkit.runtime.errors import RunAborted
 from emrkit.shopstubs import STUBS
 from emrkit.sut import MockShopSut, record_replay
 from emrkit.resources import fixture_path, read_fixture
+from run_corpus import EXTRA_STUBS, FAULTS, MODES, SCOPED_NAMES, program, seeded_input
 
 SUITE_EMRS = ["search_filter", "pagination", "order_independence", "filter_subset"]
-FAULTS = [None, "ignore-filter", "off-by-one-pagination", "stale-results"]
 # Every bundled EMR: the nine of the annotated suite's directory and the four above.
 BUNDLED_EMRS = [*sorted(fixture_path("suite").glob("*.smrl")), *(fixture_path(f"{n}.smrl") for n in SUITE_EMRS)]
 
@@ -248,6 +248,60 @@ def test_naming_an_index_keeps_every_verdict(shop_inputs):
     assert len(emrs) * len(FAULTS) == 52 and changed_rows == set()
 
 
+# Where each kind of node keeps the variable it names.
+VARIABLE_FIELDS = {Name: "ident", VarDecl: "name", ForEach: "var"}
+
+
+def renamed(node: Node, names: dict[str, str]) -> Node:
+    """``node`` with every variable it reads, declares or loops over renamed
+    through ``names``; positions are kept."""
+    changes = {}
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, Node):
+            changes[f.name] = renamed(value, names)
+        elif isinstance(value, tuple):
+            changes[f.name] = tuple(renamed(v, names) for v in value)
+    if type(node) in VARIABLE_FIELDS:
+        field = VARIABLE_FIELDS[type(node)]
+        changes[field] = names[getattr(node, field)]
+    return dataclasses.replace(node, **changes)
+
+
+def entry_renamed(entry: dict, names: dict[str, str]) -> dict:
+    """A ``SuiteEntry.to_json`` with the variables it names renamed through ``names``."""
+    entry = dict(entry)
+    if "failing_bindings" in entry:
+        entry["failing_bindings"] = [{**b, "bindings": {names[k]: v for k, v in b["bindings"].items()}}
+                                     for b in entry["failing_bindings"]]
+    if "error" in entry:
+        entry["error"] = re.sub(r"^unbound identifier '(\w+)'$", lambda m: f"unbound identifier '{names[m[1]]}'",
+                                entry["error"])
+    return entry
+
+
+# The names the programs use, and the names a renaming may give them: the
+# same ones, so that two can swap, and others.
+VARIABLES = (*NAMES, *SCOPED_NAMES)
+RENAME_POOL = (*VARIABLES, "x", "y2", "_v", "isSearchAction", "Input")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(MODES), st.permutations(RENAME_POOL), st.sampled_from(FAULTS))
+def test_renaming_the_variables_renames_only_what_the_entries_name(seed, mode, pool, fault):
+    """Renaming every variable of a program through one bijection leaves every
+    verdict, failing-binding line and Error entry as it was, up to the names."""
+    rng = random.Random(seed)
+    ast = parse_emr(pretty_print(program(mode, rng.randrange(2**32))), "g")
+    names = dict(zip(VARIABLES, pool))
+    other = EmrAst(ast.id, tuple(renamed(stmt, names) for stmt in ast.statements))
+    inputs = [seeded_input(rng) for _ in range(2)]
+    stubs = {**STUBS, **EXTRA_STUBS}
+    before = run_suite([ast], inputs, MockShopSut(fault), stubs).entries
+    after = run_suite([other], inputs, MockShopSut(fault), stubs).entries
+    assert json.dumps([entry_renamed(e.to_json(), names) for e in before]) == json.dumps([e.to_json() for e in after])
+
+
 @pytest.mark.parametrize("use, rule", [
     ("var i = Input(t);", "Input index must be an integer"),
     ("var o = Output(t);", "Output index must be an integer"),
@@ -259,16 +313,6 @@ def test_a_boolean_index_is_an_error_entry_naming_the_integer_rule(use, rule, sh
     assert validate(ast) == []  # check calls it clean; run refuses it when reached
     report = run_suite([ast], shop_inputs, MockShopSut(), STUBS)
     assert [(e.outcome, e.error) for e in report.entries] == [("Error", rule)] * len(shop_inputs)
-
-
-def seeded_input(rng: random.Random) -> ActionSequence:
-    """Up to four actions, of the kinds the mock shop supports and, rarely,
-    ``purchase``, which it refuses with an adapter Error before any closure runs."""
-    kinds, weights = ("search", "login", "logout", "purchase"), (10, 10, 10, 1)
-    params = ({"query": "chair"}, {"query": ""}, {"query": "desk", "category": "office"},
-              {"query": "lamp", "page": 0, "page_size": 2}, {"user": "tester"}, {})
-    return ActionSequence.from_json([{"kind": rng.choices(kinds, weights)[0], "parameters": dict(rng.choice(params))}
-                                     for _ in range(rng.randint(0, 4))])
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,6 +395,50 @@ def test_statement_level_verdicts(statements, verdict, failing):
     [entry] = run_suite([ast], [source], MockShopSut(), stubs).entries
     assert (entry.outcome, entry.error) == (verdict, None)
     assert [f.bindings for f in entry.verdict.failing_bindings] == failing
+
+
+# Every name has one rule: a ``var`` binds in the innermost loop body or, outside
+# any loop, in the EMR body (an ``if`` body is part of the enclosing one), and
+# holds for one iteration; a read falls outward while a scope holds no value
+# for the name; a failing check names each enclosing loop's variable once. The
+# source is a search then a login; ``pq`` returns two strings.
+@pytest.mark.parametrize("statements, outcome, error, failing", [
+    ("var x = 1; for (var a : Input(1).actions()) { if (false) { var x = 2; } IMPLIES(true, x); }",
+     "Error", "IMPLIES consequent evaluated to non-boolean 1", []),
+    ("var x = 1; for (var a : Input(1).actions()) { if (true) { var x = 2; } IMPLIES(true, x); }",
+     "Error", "IMPLIES consequent evaluated to non-boolean 2", []),
+    ("for (var a : Input(1).actions()) { if (isSearch(a)) { var z = true; } IMPLIES(true, z); }",
+     "Error", "unbound identifier 'z'", []),
+    ("for (var a : Input(1).actions()) { IMPLIES(true, y); var y = true; }", "Error", "unbound identifier 'y'", []),
+    ("var y = false; for (var a : Input(1).actions()) { IMPLIES(true, y); var y = true; }", "Fail", None,
+     [{"a": "search@0"}, {"a": "login@1"}]),
+    ("for (var a : Input(1).actions()) { var w = true; } IMPLIES(true, w);", "Error", "unbound identifier 'w'", []),
+    ("for (var a : Input(1).actions()) { IMPLIES(true, t); } var t = true;", "Error", "unbound identifier 't'", []),
+    ("for (var a : Input(1).actions()) { var a = 5; IMPLIES(true, false); }", "Fail", None, [{"a": "5"}] * 2),
+    ("for (var a : Input(1).actions()) { for (var a : pq()) { IMPLIES(true, false); } }", "Fail", None,
+     [{"a": "'p'"}, {"a": "'q'"}] * 2),
+    ("for (var a : Input(1).actions()) { for (var b : pq()) { IMPLIES(isSearch(a), false); } }", "Fail", None,
+     [{"a": "search@0", "b": "'p'"}, {"a": "search@0", "b": "'q'"}]),
+], ids=["var-in-if-not-taken", "var-in-if-taken", "var-per-iteration", "read-before-var", "read-before-var-outer",
+        "loop-var-not-after-loop", "var-after-loop", "var-redeclares-loop-var", "nested-loops-one-name",
+        "nested-loops-two-names"])
+def test_every_name_has_one_rule(statements, outcome, error, failing):
+    ast = parse_emr(f"MR {{{{ {statements} }}}}", "scoping")
+    assert not has_errors(validate(ast))
+    source = ActionSequence.from_json([{"kind": "search", "parameters": {"query": "chair"}},
+                                       {"kind": "login", "parameters": {"user": "tester"}}])
+    stubs = {"isSearch": lambda action: action.kind == "search", "pq": lambda: ["p", "q"]}
+    [entry] = run_suite([ast], [source], MockShopSut(), stubs).entries
+    bindings = [f.bindings for f in entry.verdict.failing_bindings] if entry.verdict else []
+    assert (entry.outcome, entry.error, bindings) == (outcome, error, failing)
+
+
+def test_eval_bool_reads_its_env_and_names_a_missing_name():
+    expr = parse_emr("MR {{ var e = x && y; }}").statements[0].init
+    assert eval_bool(expr, {"x": False}) is False
+    assert eval_bool(expr, {"x": True, "y": True}) is True
+    with pytest.raises(EvalError, match=r"^unbound identifier 'y'$"):
+        eval_bool(expr, {"x": True})
 
 
 def test_every_registration_goes_through_register_and_execute(shop_inputs, monkeypatch):
