@@ -64,6 +64,10 @@ from .sut import (
     record_replay,
 )
 
+# The stdout record of ``check`` and ``repair``: json.dumps(record,
+# sort_keys=True) without a new encoder per call.
+_record_json = json.JSONEncoder(sort_keys=True).encode
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_LLM = 3
@@ -330,7 +334,7 @@ def cmd_check(args: argparse.Namespace, config: ToolConfig, write: Write) -> int
         diags = validate(ast, catalog)
         for diag in diags:
             record = {"file": str(path), **diag.to_json()}
-            print(json.dumps(record, sort_keys=True))
+            print(_record_json(record))
             if diag.severity == "error":
                 worst = EXIT_INPUT
         if not diags:
@@ -343,7 +347,7 @@ def cmd_repair(args: argparse.Namespace, config: ToolConfig, write: Write) -> in
     for path in _collect(args.emrs, "*.smrl", ".smrl"):
         fixed, log = repair(_read_smrl(path))
         for entry in log.entries:
-            print(json.dumps({"file": str(path), **entry.to_json()}, sort_keys=True))
+            print(_record_json({"file": str(path), **entry.to_json()}))
         if args.in_place:
             write(path, functools.partial(jsonl.replace, data=fixed.encode("utf-8")))
         else:

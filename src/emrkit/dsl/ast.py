@@ -1,15 +1,21 @@
 """AST for the EMR DSL.
 
-Position fields never take part in equality, so two parses of the same
-program compare equal even when the layout differs. Explanations (trailing
-``//`` comments) do compare: the canonical printer re-emits them, which is
-what makes the parse/print round trip lossless for annotated programs.
+A node's ``Position`` holds two source offsets and the source's table of
+line starts; its line and column numbers are resolved from the table when
+read. Positions never take part in node equality, so two parses of the
+same program compare equal even when the layout differs. Explanations
+(trailing ``//`` comments) do compare: the canonical printer re-emits them,
+which is what makes the parse/print round trip lossless for annotated
+programs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
+
+from .tokens import position
 
 # Construct name -> accepted argument counts.
 CONSTRUCT_ARITY: dict[str, tuple[int, ...]] = {
@@ -28,12 +34,50 @@ CONSTRUCTS = frozenset(CONSTRUCT_ARITY)
 METHOD_ARITY: dict[str, int] = {"actions": 0, "getPosition": 0, "getKind": 0, "getParameter": 1}
 
 
-@dataclass
 class Position:
-    line: int = 0
-    column: int = 0
-    end_line: int = 0
-    end_column: int = 0
+    """A source span: ``start`` and ``end`` offsets into a source whose
+    ``line_starts`` are ``lines``. The 1-based ``line``, ``column``,
+    ``end_line`` and ``end_column`` are looked up in ``lines`` when read,
+    since most nodes' positions never are. A position without a table
+    reads 0 in every field.
+    """
+
+    __slots__ = ("lines", "start", "end")
+
+    def __init__(self, lines: Sequence[int] = (), start: int = 0, end: int = 0):
+        self.lines, self.start, self.end = lines, start, end
+
+    # A line is the number of line starts at or before the offset, as in
+    # ``tokens.position``: one bisect, 0 without a table. ``line`` is the
+    # field that diagnostics and compiled checks read.
+    @property
+    def line(self) -> int:
+        return bisect_right(self.lines, self.start)
+
+    @property
+    def column(self) -> int:
+        return self._column(self.start)
+
+    @property
+    def end_line(self) -> int:
+        return bisect_right(self.lines, self.end)
+
+    @property
+    def end_column(self) -> int:
+        return self._column(self.end)
+
+    def _column(self, offset: int) -> int:
+        return position(self.lines, offset)[1] if self.lines else 0
+
+    def _fields(self) -> tuple[int, int, int, int]:
+        return self.line, self.column, self.end_line, self.end_column
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if isinstance(other, Position) else NotImplemented
+
+    def __repr__(self) -> str:
+        line, column, end_line, end_column = self._fields()
+        return f"Position(line={line}, column={column}, end_line={end_line}, end_column={end_column})"
 
 
 def _pos() -> Position:

@@ -14,6 +14,12 @@ Grammar (one MR block per source):
     unary    := '!' unary | primary ('.' IDENT '(' args ')')*
     primary  := 'true' | 'false' | INT | STRING | IDENT ['(' args ')'] | '(' expr ')'
 
+Each node's ``Position`` is built from the offsets of its first and last
+lexemes and the source's line starts, and resolves its line and column
+from them when read. The parser works out lines and columns itself only
+for a ``ParseError``, the AST's ``source_span`` and the comments it
+attaches.
+
 A trailing ``//`` comment becomes the explanation of a node only when the
 canonical layout (``printer``) prints that node's explanation on a line of
 its own, and the node's canonical line breaks on the comment's source line
@@ -23,8 +29,6 @@ node ends before is dropped.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 from .ast import (
     BoolChain,
@@ -68,7 +72,7 @@ def _chain(op: str, operands: list[Expr]) -> Expr:
         return operands[0]
     first, last = operands[0].pos, operands[-1].pos
     pos = _new(Position)
-    pos.line, pos.column, pos.end_line, pos.end_column = first.line, first.column, last.end_line, last.end_column
+    pos.lines, pos.start, pos.end = first.lines, first.start, last.end
     node = _new(BoolChain)
     node.pos, node.explanation, node.op, node.operands = pos, None, op, tuple(operands)
     return node
@@ -80,8 +84,7 @@ class _Parser:
     Without comments a punctuation or keyword lexeme names its own kind (no
     identifier, literal or ``eof`` spells ``||``, ``(`` or ``for``), and the
     other kinds differ in their first character, so the grammar tests
-    ``lexemes[i]`` directly. Token positions are the start offsets; a line
-    and column are looked up only for a node's ``Position`` or an error.
+    ``lexemes[i]`` directly. Token positions are the start offsets.
     ``depth`` counts the nesting open at the current lexeme.
     """
 
@@ -99,16 +102,9 @@ class _Parser:
         return position(self.lines, self.starts[i])
 
     def span(self, first: int, last: int) -> Position:
-        """From the start of lexeme ``first`` to the end of lexeme ``last``
-        (``position`` twice, inlined: every node asks for one)."""
-        lines = self.lines
-        start = self.starts[first]
-        end = self.starts[last] + len(self.lexemes[last])
-        line = bisect_right(lines, start)
-        end_line = bisect_right(lines, end)
+        """From the start of lexeme ``first`` to the end of lexeme ``last``."""
         pos = _new(Position)
-        pos.line, pos.column = line, start - lines[line - 1] + 1
-        pos.end_line, pos.end_column = end_line, end - lines[end_line - 1] + 1
+        pos.lines, pos.start, pos.end = self.lines, self.starts[first], self.starts[last] + len(self.lexemes[last])
         return pos
 
     # -- lexeme helpers -------------------------------------------------
@@ -160,8 +156,8 @@ class _Parser:
             return ast
         by_line = {}
         for at, text in comments(self.source, self.lexemes, self.starts):
-            line = bisect_right(self.lines, at)
-            by_line[line] = (at - self.lines[line - 1] + 1, text)
+            line, column = position(self.lines, at)
+            by_line[line] = (column, text)
         if by_line:
             _attach_comments(ast, by_line)
         return ast
@@ -281,21 +277,16 @@ class _Parser:
         i = self.i
         lexeme = lexemes[i]
         start = self.starts[i]
-        line = bisect_right(lines, start)
-        column = start - lines[line - 1] + 1
-        # The span of the lexeme alone, which never crosses a line; a call and
-        # a '!' move its end.
+        # The span of the lexeme alone; a call and a '!' move its end.
         pos = _new(Position)
-        pos.line, pos.column, pos.end_line, pos.end_column = line, column, line, column + len(lexeme)
+        pos.lines, pos.start, pos.end = lines, start, start + len(lexeme)
         self.i = i + 1
         head = lexeme[:1]
         if (head.isalpha() or head == "_") and lexeme not in KEYWORDS:
             if lexemes[i + 1] == "(":
                 self.i = i + 2
                 args = self.args()
-                end = self.starts[self.i - 1] + 1
-                end_line = bisect_right(lines, end)
-                pos.end_line, pos.end_column = end_line, end - lines[end_line - 1] + 1
+                pos.end = self.starts[self.i - 1] + 1
                 expr = _new(Call)
                 expr.pos, expr.explanation, expr.name, expr.args = pos, None, lexeme, args
             else:
@@ -305,7 +296,7 @@ class _Parser:
             try:
                 value = int(lexeme)
             except ValueError:  # more digits than int() converts
-                raise ParseError(f"integer literal of {len(lexeme)} digits is too long", line, column)
+                raise ParseError(f"integer literal of {len(lexeme)} digits is too long", *self.where(i))
             expr = _new(IntLit)
             expr.pos, expr.explanation, expr.value = pos, None, value
         elif head == '"':
@@ -323,7 +314,7 @@ class _Parser:
             self.nest(i)
             operand = self.unary()
             self.depth -= 1
-            pos.end_line, pos.end_column = operand.pos.end_line, operand.pos.end_column
+            pos.end = operand.pos.end
             node = _new(Not)
             node.pos, node.explanation, node.operand = pos, None, operand
             return node
@@ -335,11 +326,8 @@ class _Parser:
             name = self.expect_identifier()
             self.expect("(")
             args = self.args()
-            end = self.starts[self.i - 1] + 1
-            end_line = bisect_right(lines, end)
             pos = _new(Position)
-            pos.line, pos.column = expr.pos.line, expr.pos.column
-            pos.end_line, pos.end_column = end_line, end - lines[end_line - 1] + 1
+            pos.lines, pos.start, pos.end = lines, expr.pos.start, self.starts[self.i - 1] + 1
             call = _new(MethodCall)
             call.pos, call.explanation, call.receiver, call.name, call.args = pos, None, expr, name, args
             expr = call

@@ -18,13 +18,3 @@ def asset_path(*parts: str) -> Path:
 
 def read_fixture(*parts: str) -> str:
     return fixture_path(*parts).read_text(encoding="utf-8")
-
-
-def load_emr_suite(manifest: str = "emr_suite.json") -> dict[str, "EmrAst"]:
-    """Parse the bundled EMR suite named by a manifest file, in file order."""
-    import json
-
-    from .dsl.parser import parse_emr
-
-    entries = json.loads(read_fixture(manifest))
-    return {e["id"]: parse_emr(read_fixture(*e["file"].split("/")), e["id"]) for e in entries}

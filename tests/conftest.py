@@ -8,7 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from emrkit.dsl import parse_emr
-from emrkit.resources import fixture_path, load_emr_suite, read_fixture
+from emrkit.resources import fixture_path, read_fixture
+from frontend_corpus import load_emr_suite
 from emrkit.runtime import ActionSequence
 
 INPUT_NAMES = ["search_chair", "search_table", "search_all", "login_search_desk", "login_only"]

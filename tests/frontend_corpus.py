@@ -15,6 +15,9 @@ A third digest covers ``validate``: for every corpus source that parses, the
 diagnostics in order (severity, message, line, symbol), once without a
 catalog and once with ``api_catalog_search_filter.json``.
 
+``load_emr_suite`` parses the bundled ten-EMR suite, for the tests and
+``tools/make_fixtures.py``.
+
 ``tests/frontend_digests.json``, ``tests/repair_units_digests.json`` and
 ``tests/validate_digests.json`` pin the digests; ``test_frontend_differential``
 compares against them. To record them again from the code on ``PYTHONPATH``:
@@ -33,9 +36,10 @@ import sys
 
 from astgen import ProgramGen, messy_render, scatter_comments
 from emrkit.dsl import DslError, canonical_units, parse_emr, pretty_print
+from emrkit.dsl.ast import EmrAst
 from emrkit.dsl.repair import repair
 from emrkit.dsl.validate import validate
-from emrkit.resources import fixture_path
+from emrkit.resources import fixture_path, read_fixture
 from emrkit.sut.catalog import load_api_catalog
 
 GENERATED = 160  # astgen seeds, each rendered messily and with scattered comments
@@ -54,6 +58,12 @@ NESTED = (
     "MR {{ IMPLIES(f(IMPLIES(a(), b())), IMPLIES(c(), d())); }}",
     "MR {{\n    IMPLIES(\n        IMPLIES(p(x), q(x)), // why\n        OR(r(), IMPLIES(s(), t()))\n    );\n}}",
 )
+
+
+def load_emr_suite() -> dict[str, EmrAst]:
+    """The ten-EMR suite that ``emr_suite.json`` names, parsed, in file order."""
+    entries = json.loads(read_fixture("emr_suite.json"))
+    return {e["id"]: parse_emr(read_fixture(*e["file"].split("/")), e["id"]) for e in entries}
 
 
 def bundled_sources() -> list[tuple[str, str]]:

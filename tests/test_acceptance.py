@@ -29,7 +29,7 @@ from emrkit.grading import (
     summarize_annotations,
     summarize_survey,
 )
-from emrkit.resources import fixture_path, load_emr_suite, read_fixture
+from emrkit.resources import fixture_path
 from emrkit.runtime import (
     Action,
     ActionSequence,

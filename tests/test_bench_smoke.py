@@ -61,7 +61,7 @@ def test_bench_layers_writes_the_write_row(layer_rows):
         assert set(row["paired_against_over_this"][n]["wall_ms"]) == QUARTILES
 
 
-@pytest.mark.parametrize("name", ["scan", "parse_emr", "layout", "canonical_units", "validate", "repair"])
+@pytest.mark.parametrize("name", ["scan", "parse_emr", "parse_bare", "layout", "canonical_units", "validate", "repair"])
 def test_bench_layers_writes_the_front_end_rows(layer_rows, name):
     row = layer_rows[name]
     assert row["n"] == [2, 4] and row["rounds"] == 3 and set(row["commits"]) == {"this", "against"}

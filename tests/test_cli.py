@@ -669,6 +669,22 @@ def test_check_clean_and_stub_output(tmp_path, capsys):
     assert json.loads(out.strip().split("\n")[-1])["severity"] == "none"
 
 
+def test_check_and_repair_records_are_the_bytes_of_json_dumps_with_sorted_keys(tmp_path, capsys):
+    unbound = tmp_path / "prüfe.smrl"
+    unbound.write_text("MR {{\n    IMPLIES(prüfe(Input(1)), true);\n}}\n", encoding="utf-8")
+    defective = tmp_path / "größe.smrl"
+    defective.write_text("MR {{\n    IMPLIES(prüfe(Input(1)) & true);\n}}\n", encoding="utf-8")
+    assert run("check", unbound) == 0
+    assert run("--out", tmp_path / "out", "repair", defective) == 0
+    stub, fix = capsys.readouterr().out.splitlines()
+    assert stub == json.dumps({"file": str(unbound), "line": 2, "severity": "stub", "symbol": "prüfe",
+                               "message": "unresolved function 'prüfe'; bind it or add it to the API catalog"},
+                              sort_keys=True)
+    assert fix == json.dumps({"file": str(defective), "line": 2, "rule": "WLC-AMP", "before": " &", "after": ",",
+                              "message": "replaced ' &' with ','"}, sort_keys=True)
+    assert "\\u00fc" in stub and "\\u00f6" in fix
+
+
 # Sources that used to end in a RecursionError traceback.
 TOO_DEEP = {"paren": 2000, "bang": 3000, "not": 1500, "if": 1500}
 

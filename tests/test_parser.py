@@ -1,6 +1,8 @@
 from dataclasses import fields, is_dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from astgen import NESTINGS, ProgramGen, long_emr, messy_render, nested_emr, scatter_comments
 from emrkit.dsl import (
@@ -23,8 +25,10 @@ from emrkit.dsl import (
     pretty_print,
     structurally_equal,
 )
+from emrkit.dsl.ast import Position
 from emrkit.dsl.parser import MAX_NESTING
 from emrkit.dsl.printer import layout
+from emrkit.dsl.tokens import string_value
 from emrkit.dsl.validate import validate
 from emrkit.runtime import run_suite
 from emrkit.shopstubs import STUBS
@@ -169,6 +173,53 @@ def test_round_trip_property_over_messy_layouts():
         assert structurally_equal(first, second), f"seed {seed}"
 
 
+def _children(node):
+    for f in fields(node):
+        if f.name not in ("pos", "explanation"):
+            value = getattr(node, f.name)
+            yield from (v for v in (value if isinstance(value, tuple) else (value,)) if is_dataclass(v))
+
+
+def _is_lexeme(node, text: str) -> bool:
+    if isinstance(node, Name):
+        return text == node.ident
+    if isinstance(node, IntLit):
+        return text.isdecimal() and int(text) == node.value
+    if isinstance(node, BoolLit):
+        return text == ("true" if node.value else "false")
+    return text[:1] == text[-1:] == '"' and len(text) > 1 and string_value(text) == node.value
+
+
+@given(seed=st.integers(0, 10**6), typed=st.booleans(), render=st.sampled_from([messy_render, scatter_comments]),
+       crlf=st.booleans(), explanations=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_positions_span_each_lexeme_and_nest_inside_their_parents(seed, typed, render, crlf, explanations):
+    source = render(pretty_print(ProgramGen(seed, typed=typed).program()), seed)
+    if crlf:
+        source = source.replace("\n", "\r\n")
+    starts = [0] + [at + 1 for at, char in enumerate(source) if char == "\n"]
+
+    def text(pos: Position) -> str:
+        return source[starts[pos.line - 1] + pos.column - 1 : starts[pos.end_line - 1] + pos.end_column - 1]
+
+    stack = [(None, stmt) for stmt in parse_emr(source, explanations=explanations).statements]
+    while stack:
+        parent, node = stack.pop()
+        pos = node.pos
+        if isinstance(node, (Name, IntLit, StringLit, BoolLit)):
+            assert _is_lexeme(node, text(pos)), (node, text(pos))
+        if parent is not None:
+            outer = parent.pos
+            assert (outer.line, outer.column) <= (pos.line, pos.column), (parent, node)
+            assert (pos.end_line, pos.end_column) <= (outer.end_line, outer.end_column), (parent, node)
+        stack += [(node, child) for child in _children(node)]
+
+
+def test_a_node_built_without_a_position_reads_zero():
+    assert repr(Name(ident="x").pos) == "Position(line=0, column=0, end_line=0, end_column=0)"
+    assert Name(ident="x").line == 0
+
+
 def test_long_commented_emr_keeps_every_explanation():
     def explanations(ast):
         return [line.explanation for line in layout(ast) if line.explanation is not None]
@@ -222,9 +273,8 @@ def test_nodes_built_without_their_class_match_constructed_ones():
     while stack:
         node = stack.pop()
         seen.add(type(node))
-        for obj in (node, node.pos):
-            # The attributes ``__init__`` would set, in its order.
-            assert list(vars(obj)) == [f.name for f in fields(obj)]
+        # The attributes ``__init__`` would set, in its order.
+        assert list(vars(node)) == [f.name for f in fields(node)]
         values = [getattr(node, f.name) for f in fields(node) if f.name not in ("pos", "explanation")]
         assert type(node)(*values, pos=node.pos) == node
         for value in values:

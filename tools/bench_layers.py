@@ -15,6 +15,8 @@ machine gives to other processes. The front-end rows time one DSL layer each:
 
 - ``scan``: ``dsl.tokens.scan`` on the source;
 - ``parse_emr``: the whole parse, comment attachment included;
+- ``parse_bare``: ``parse_emr(..., explanations=False)``, the parse that
+  ``run``, ``check`` and ``grade`` make;
 - ``layout``: the printer's canonical lines with their owners, before any
   text is read;
 - ``canonical_units``: the logic-bearing canonical lines;
@@ -90,6 +92,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 from types import ModuleType
 from typing import Any, Callable, NamedTuple
@@ -201,6 +204,7 @@ def write_sampler(modules: Modules, n: int, directory: Path) -> Sampler:
 FRONTEND: dict[str, tuple[Callable[[Modules], Callable[[Any], Any]], Callable[[Modules, str], Any]]] = {
     "scan": (lambda m: m["dsl.tokens"].scan, lambda m, source: source),
     "parse_emr": (lambda m: m["dsl"].parse_emr, lambda m, source: source),
+    "parse_bare": (lambda m: partial(m["dsl"].parse_emr, explanations=False), lambda m, source: source),
     "layout": (lambda m: m["dsl.printer"].layout, lambda m, source: m["dsl"].parse_emr(source)),
     "canonical_units": (lambda m: m["dsl"].canonical_units, lambda m, source: m["dsl"].parse_emr(source)),
     "validate": (lambda m: m["dsl.validate"].validate, lambda m, source: m["dsl"].parse_emr(source)),

@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
 from typing import Iterable
 
 from emrkit import jsonl
 from emrkit.dsl import canonical_units
 from emrkit.grading import StatementAnnotation, check_annotation
-from emrkit.resources import fixture_path, load_emr_suite
+from emrkit.resources import fixture_path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from frontend_corpus import load_emr_suite  # noqa: E402
 
 # (emr id, ordinal among its Complex statements) -> labels
 COMPLEX_SPECIALS: dict[tuple[str, int], list[str]] = {
