@@ -21,9 +21,9 @@ for a ``ParseError``, the AST's ``source_span`` and the comments it
 attaches.
 
 A trailing ``//`` comment becomes the explanation of a node only when the
-canonical layout (``printer``) prints that node's explanation on a line of
-its own, and the node's canonical line breaks on the comment's source line
-at or before the comment. Of several such nodes the one whose line breaks
+canonical layout (``printer.layout``, which attachment reads) prints that
+node's explanation on a line of its own, and the node's canonical line
+breaks on the comment's source line at or before the comment. Of several such nodes the one whose line breaks
 last wins, and of those the one that starts first. A comment that no such
 node ends before is dropped.
 """
@@ -51,7 +51,7 @@ from .ast import (
     VarDecl,
 )
 from .errors import ParseError
-from .printer import owner_lines
+from .printer import layout
 from .tokens import KEYWORDS, comments, kind_of, line_starts, position, scan, string_value
 
 # How deep parentheses, '!' operands, call arguments and loop or guard
@@ -356,8 +356,11 @@ def _attach_comments(ast: EmrAst, by_line: dict[int, tuple[int, str]]) -> None:
     the source position where the owner's canonical line breaks.
     """
     best: dict[int, tuple[tuple[int, int, int], Node]] = {}
-    for kind, node in owner_lines(ast):
-        if kind == "opener":
+    for unit in layout(ast):
+        node = unit.owner
+        if node is None:
+            continue
+        if unit.kind == "opener":
             line, column = node.pos.line, node.pos.column + len(node.name) + 1
         else:
             end = node.iterable.pos if isinstance(node, ForEach) else node.cond.pos if isinstance(node, If) else node.pos

@@ -10,7 +10,8 @@ gets classified Simple/Complex, annotated, and counted in size statistics.
 Each canonical line has at most one *owner*, the node whose explanation it
 prints as a trailing ``//`` comment. This module is the one place that
 decides the layout: the parser attaches a source comment only to the owner
-of a canonical line, so parse -> print -> parse keeps every explanation.
+of a line of ``layout``, which it reads as the printer does, so parse ->
+print -> parse keeps every explanation.
 """
 
 from __future__ import annotations
@@ -189,20 +190,6 @@ class _Layout:
                     self.emit(d, "", op, tail, "operand", op)
         else:
             self.emit(d, "", arg, suffix, "arg", arg)
-
-
-class _Owners(_Layout):
-    """The same walk, keeping of each line only its kind and owner, and only
-    when it has an owner: what comment attachment reads."""
-
-    def emit(self, indent, head, expr=None, tail="", kind=None, owner=None) -> None:  # type: ignore[override]
-        if owner is not None:
-            self.lines.append((kind, owner))
-
-
-def owner_lines(ast: EmrAst) -> list[tuple[str | None, Node]]:
-    """(kind, owner) of each canonical line of ``ast`` that has an owner, in order."""
-    return _Owners().walk(ast)
 
 
 def layout(ast: EmrAst) -> list[Unit]:

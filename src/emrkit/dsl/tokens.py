@@ -83,13 +83,12 @@ def scan(source: str) -> tuple[list[str], list[int]]:
 
 def comments(source: str, lexemes: list[str], starts: list[int]) -> list[tuple[int, str]]:
     """The (offset, lexeme) of each comment of ``source``, given its scan: a
-    ``//`` that no lexeme (a string literal, if ``source`` has one) holds
-    runs to the end of its line."""
+    ``//`` that the lexeme starting at or before it (which can hold one only
+    if it is a string literal) does not hold runs to the end of its line."""
     found = []
-    strings = '"' in source
     at = source.find("//")
     while at >= 0:
-        i = bisect_right(starts, at) - 1 if strings else -1
+        i = bisect_right(starts, at) - 1
         if i >= 0 and at < starts[i] + len(lexemes[i]):
             at = source.find("//", starts[i] + len(lexemes[i]))
             continue
