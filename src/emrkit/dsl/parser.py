@@ -30,6 +30,8 @@ node ends before is dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .ast import (
     BoolChain,
     BoolLit,
@@ -159,7 +161,7 @@ class _Parser:
             line, column = position(self.lines, at)
             by_line[line] = (column, text)
         if by_line:
-            _attach_comments(ast, by_line)
+            _attach_comments(ast, by_line, self.starts, self.lines)
         return ast
 
     def statement(self) -> Stmt:
@@ -348,28 +350,30 @@ class _Parser:
         return tuple(args)
 
 
-def _attach_comments(ast: EmrAst, by_line: dict[int, tuple[int, str]]) -> None:
+def _attach_comments(ast: EmrAst, by_line: dict[int, tuple[int, str]], starts: list[int], lines: list[int]) -> None:
     """Give each comment, given as line -> (column, lexeme), to the node it explains.
 
     A comment runs to the end of its line, so a line holds at most one, and
     each owner line is matched against the comment on its anchor's line only:
-    the source position where the owner's canonical line breaks.
+    the source position where the owner's canonical line breaks. ``starts``
+    are the offsets of the source's lexemes and ``lines`` its line starts.
     """
-    best: dict[int, tuple[tuple[int, int, int], Node]] = {}
+    best: dict[int, tuple[tuple[int, int], Node]] = {}
     for unit in layout(ast):
         node = unit.owner
         if node is None:
             continue
         if unit.kind == "opener":
-            line, column = node.pos.line, node.pos.column + len(node.name) + 1
+            # The line breaks after the '(' lexeme that follows the call's name.
+            end = starts[bisect_left(starts, node.pos.start) + 1] + 1
         else:
-            end = node.iterable.pos if isinstance(node, ForEach) else node.cond.pos if isinstance(node, If) else node.pos
-            line, column = end.end_line, end.end_column
+            end = (node.iterable if isinstance(node, ForEach) else node.cond if isinstance(node, If) else node).pos.end
+        line, column = position(lines, end)
         comment = by_line.get(line)
         if comment is None or column > comment[0]:
             continue
         # The line that breaks last wins; then the node that starts first.
-        key = (column, -node.pos.line, -node.pos.column)
+        key = (column, -node.pos.start)
         if line not in best or key > best[line][0]:
             best[line] = (key, node)
     for line, (_, node) in best.items():

@@ -100,6 +100,15 @@ def test_search_filter_explanations(filter_emr_ast):
     assert consequent.args[1].explanation == "(9)"
 
 
+def test_an_opener_breaks_after_its_parenthesis_on_whichever_line_that_stands():
+    before = parse_emr("MR {{\n    IMPLIES // c\n    (a(), b());\n}}")
+    assert [unit.explanation for unit in layout(before)] == [None] * 6
+    assert "//" not in pretty_print(before)
+    after = parse_emr("MR {{\n    IMPLIES\n    ( // c\n    a(), b());\n}}")
+    assert after.statements[0].expr.explanation == "c"
+    assert pretty_print(after).split("\n")[1] == "    IMPLIES( //c"
+
+
 def test_parse_error_location_and_expectations():
     with pytest.raises(ParseError) as exc:
         parse_emr("MR {{ var = 3; }}")
