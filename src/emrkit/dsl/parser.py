@@ -23,9 +23,9 @@ attaches.
 A trailing ``//`` comment becomes the explanation of a node only when the
 canonical layout (``printer.layout``, which attachment reads) prints that
 node's explanation on a line of its own, and the node's canonical line
-breaks on the comment's source line at or before the comment. Of several such nodes the one whose line breaks
-last wins, and of those the one that starts first. A comment that no such
-node ends before is dropped.
+breaks on the comment's source line at or before the comment. Of several
+such nodes the one whose line breaks last wins, and of those the one that
+starts first. A comment that no such node ends before is dropped.
 """
 
 from __future__ import annotations

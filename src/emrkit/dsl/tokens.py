@@ -83,8 +83,8 @@ def scan(source: str) -> tuple[list[str], list[int]]:
 
 def comments(source: str, lexemes: list[str], starts: list[int]) -> list[tuple[int, str]]:
     """The (offset, lexeme) of each comment of ``source``, given its scan: a
-    ``//`` that the lexeme starting at or before it (which can hold one only
-    if it is a string literal) does not hold runs to the end of its line."""
+    ``//`` runs to the end of its line unless the lexeme that starts at or
+    before it holds it, as only a string literal can."""
     found = []
     at = source.find("//")
     while at >= 0:

@@ -307,6 +307,22 @@ def scatter_comments(source: str, seed: int) -> str:
     return "\n".join(lines)
 
 
+def split_calls(source: str, seed: int) -> str:
+    """Re-render a program with some call names apart from their ``(``.
+
+    Comments are kept. Between about half of the names followed by ``(``
+    and that ``(`` comes a line break, sometimes after a comment of its own.
+    """
+    rng = random.Random(seed)
+    tokens = tokenize(source)
+    pieces = []
+    for token, following in zip(tokens, tokens[1:]):
+        pieces += [token.leading_trivia, token.lexeme]
+        if token.kind == "identifier" and following.lexeme == "(" and rng.random() < 0.5:
+            pieces.append(rng.choice(["\n", "\n    ", " // split\n", "  // split\n\t"]))
+    return "".join(pieces) + tokens[-1].leading_trivia
+
+
 def long_emr(n: int, comments: bool = True) -> str:
     """An EMR of ``n`` one-line statements, each with a distinct trailing
     comment when ``comments`` is set: declarations, calls, expanded IMPLIES

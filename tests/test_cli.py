@@ -3,21 +3,25 @@ import importlib
 import json
 import os
 import pkgutil
+import random
 import re
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from astgen import NESTINGS, nested_emr
+from astgen import NESTINGS, ProgramGen, nested_emr
 from conftest import open_fds
+from run_corpus import seeded_input
 import emrkit
 from emrkit import cli, jsonl
 from emrkit.cli import main
-from emrkit.dsl import DslError, parse_emr
+from emrkit.dsl import DslError, parse_emr, pretty_print
 from emrkit.dsl.parser import MAX_NESTING
 from emrkit.dsl.tokens import comments, scan
 from emrkit.pipeline import ingest_document, load_transcript
@@ -169,6 +173,85 @@ def test_permuting_the_run_files_permutes_the_results_and_keeps_per_emr(tmp_path
     expected = [by_pair[(e.stem, i.stem)] for e in emrs for i in inputs]
     assert [dict(r, input_index=None) for r in permuted["results"]] == [dict(r, input_index=None) for r in expected]
     assert permuted["per_emr"] == base["per_emr"]
+
+
+SUTS = ["mock", *(f"mock:{fault}" for fault in FAULTS)]
+
+
+def write_run_case(root: Path, seed: int) -> tuple[list[Path], list[Path]]:
+    """The bundled EMRs and three typed ``astgen`` programs, and four seeded
+    input files, the new ones written under ``root``."""
+    rng = random.Random(seed)
+    (root / "emrs").mkdir(parents=True)
+    (root / "inputs").mkdir()
+    emrs = list(BUNDLED_EMRS)
+    for k in range(3):
+        emrs.append(root / "emrs" / f"typed{k}.smrl")
+        emrs[-1].write_text(pretty_print(ProgramGen(seed + k, typed=True).program()), encoding="utf-8")
+    inputs = []
+    for k in range(4):
+        actions = [{"kind": a.kind, "parameters": a.parameters} for a in seeded_input(rng).actions]
+        inputs.append(root / "inputs" / f"in{k}.json")
+        inputs[-1].write_text(json.dumps(actions), encoding="utf-8")
+    return emrs, inputs
+
+
+def without_input(result: dict) -> dict:
+    return dict(result, input=None, input_index=None)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 10**6), st.sampled_from(SUTS), st.data())
+def test_a_copied_input_adds_entries_equal_to_the_originals(tmp_path, seed, sut, data):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+        root = Path(scratch)
+        emrs, inputs = write_run_case(root, seed)
+        original = data.draw(st.sampled_from(inputs))
+        copy = root / "copies" / f"{original.stem}-copy.json"
+        copy.parent.mkdir()
+        copy.write_bytes(original.read_bytes())
+        at = data.draw(st.integers(0, len(inputs)))
+        base = run_report(root / "base", emrs, inputs, sut)["results"]
+        more = run_report(root / "more", emrs, [*inputs[:at], copy, *inputs[at:]], sut)["results"]
+    copied = [without_input(r) for r in more if r["input"] == copy.stem]
+    assert copied == [without_input(r) for r in base if r["input"] == original.stem]
+    rest = [dict(r, input_index=None) for r in more if r["input"] != copy.stem]
+    assert rest == [dict(r, input_index=None) for r in base]
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 10**6), st.sampled_from(SUTS), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_inputs_split_across_two_runs_merge_into_one_run(tmp_path, seed, sut, first):
+    assume(0 < sum(first) < len(first))
+    with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+        root = Path(scratch)
+        emrs, inputs = write_run_case(root, seed)
+        whole = run_report(root / "whole", emrs, inputs, sut)
+        parts = [run_report(root / f"part{side}", emrs, [i for i, f in zip(inputs, first) if f == side], sut)
+                 for side in (True, False)]
+    order = {(emr.stem, i.stem): n for n, (emr, i) in enumerate((e, i) for e in emrs for i in inputs)}
+    merged = sorted((r for part in parts for r in part["results"]), key=lambda r: order[(r["emr"], r["input"])])
+    assert [dict(r, input_index=None) for r in merged] == [dict(r, input_index=None) for r in whole["results"]]
+    for emr, counts in whole["per_emr"].items():
+        assert Counter(counts) == sum((Counter(part["per_emr"].get(emr, {})) for part in parts), Counter())
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.randoms(use_true_random=False))
+def test_shuffling_the_annotation_lines_changes_no_grade_output(tmp_path, capsys, rnd):
+    lines = Path(ANNOTATIONS).read_text(encoding="utf-8").splitlines()
+    rnd.shuffle(lines)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+        root = Path(scratch)
+        shuffled = root / "annotations.jsonl"
+        shuffled.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        seen = []
+        for name, annotations in (("given", ANNOTATIONS), ("shuffled", shuffled)):
+            code = run("--out", root / name, "grade", annotations, "--emrs", bundled_suite(tmp_path))
+            seen.append((code, capsys.readouterr().out, tree_bytes(root / name)))
+    assert seen[0][0] == 0
+    assert seen[0] == seen[1]
+    assert sorted(seen[0][2]) == ["grade.json", "sizes.json"]
 
 
 def strip_comments(source: str) -> str:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astgen import NESTINGS, ProgramGen, long_emr, messy_render, nested_emr, scatter_comments
+from astgen import NESTINGS, ProgramGen, long_emr, messy_render, nested_emr, scatter_comments, split_calls
 from emrkit.dsl import (
     BoolChain,
     BoolLit,
@@ -28,7 +28,7 @@ from emrkit.dsl import (
 from emrkit.dsl.ast import Position
 from emrkit.dsl.parser import MAX_NESTING
 from emrkit.dsl.printer import layout
-from emrkit.dsl.tokens import string_value
+from emrkit.dsl.tokens import string_value, tokenize
 from emrkit.dsl.validate import validate
 from emrkit.runtime import run_suite
 from emrkit.shopstubs import STUBS
@@ -222,6 +222,37 @@ def test_positions_span_each_lexeme_and_nest_inside_their_parents(seed, typed, r
             assert (outer.line, outer.column) <= (pos.line, pos.column), (parent, node)
             assert (pos.end_line, pos.end_column) <= (outer.end_line, outer.end_column), (parent, node)
         stack += [(node, child) for child in _children(node)]
+
+
+def _line_break(unit, tokens) -> tuple[int, int]:
+    """Where ``unit``'s canonical line breaks in the source ``tokens`` came
+    from: after an opener's '(', an ``if`` condition or a ``for`` iterable,
+    and otherwise after the node."""
+    node = unit.owner
+    if unit.kind == "opener":
+        at = next(n for n, t in enumerate(tokens) if (t.line, t.column) == (node.pos.line, node.pos.column))
+        paren = next(t for t in tokens[at + 1 :] if t.kind != "comment")
+        assert paren.lexeme == "("
+        return paren.line, paren.column + 1
+    end = node.iterable.pos if isinstance(node, ForEach) else node.cond.pos if isinstance(node, If) else node.pos
+    return end.end_line, end.end_column
+
+
+@given(seed=st.integers(0, 10**6), typed=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_each_explanation_comes_from_the_line_where_its_canonical_line_breaks(seed, typed):
+    canonical = pretty_print(ProgramGen(seed, typed=typed).program())
+    source = split_calls(canonical, seed)
+    tokens = tokenize(source)
+    comments = {t.line: t for t in tokens if t.kind == "comment"}
+    ast = parse_emr(source)
+    for unit in layout(ast):
+        if unit.explanation is not None:
+            line, column = _line_break(unit, tokens)
+            comment = comments.get(line)
+            assert comment is not None and column <= comment.column, (unit, source)
+            assert comment.lexeme[2:].strip() == unit.explanation, (unit, source)
+    assert pretty_print(ast) == canonical, source
 
 
 def test_a_node_built_without_a_position_reads_zero():
