@@ -1,9 +1,9 @@
 """AST for the EMR DSL.
 
 A node's ``Position`` holds two source offsets and the source's table of
-line starts; its line and column numbers are resolved from the table when
-read. Positions never take part in node equality, so two parses of the
-same program compare equal even when the layout differs. Explanations
+line starts; its line number is resolved from the table when read.
+Positions never take part in node equality, so two parses of the same
+program compare equal even when the layout differs. Explanations
 (trailing ``//`` comments) do compare: the canonical printer re-emits them,
 which is what makes the parse/print round trip lossless for annotated
 programs.
@@ -14,8 +14,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence, Union
-
-from .tokens import position
 
 # Construct name -> accepted argument counts.
 CONSTRUCT_ARITY: dict[str, tuple[int, ...]] = {
@@ -36,10 +34,9 @@ METHOD_ARITY: dict[str, int] = {"actions": 0, "getPosition": 0, "getKind": 0, "g
 
 class Position:
     """A source span: ``start`` and ``end`` offsets into a source whose
-    ``line_starts`` are ``lines``. The 1-based ``line``, ``column``,
-    ``end_line`` and ``end_column`` are looked up in ``lines`` when read,
-    since most nodes' positions never are. A position without a table
-    reads 0 in every field.
+    ``line_starts`` are ``lines``. The 1-based ``line`` of ``start`` is
+    looked up in ``lines`` when read, since most nodes' positions never
+    are; it reads 0 without a table.
     """
 
     __slots__ = ("lines", "start", "end")
@@ -54,30 +51,8 @@ class Position:
     def line(self) -> int:
         return bisect_right(self.lines, self.start)
 
-    @property
-    def column(self) -> int:
-        return self._column(self.start)
-
-    @property
-    def end_line(self) -> int:
-        return bisect_right(self.lines, self.end)
-
-    @property
-    def end_column(self) -> int:
-        return self._column(self.end)
-
-    def _column(self, offset: int) -> int:
-        return position(self.lines, offset)[1] if self.lines else 0
-
-    def _fields(self) -> tuple[int, int, int, int]:
-        return self.line, self.column, self.end_line, self.end_column
-
-    def __eq__(self, other: object) -> bool:
-        return self._fields() == other._fields() if isinstance(other, Position) else NotImplemented
-
     def __repr__(self) -> str:
-        line, column, end_line, end_column = self._fields()
-        return f"Position(line={line}, column={column}, end_line={end_line}, end_column={end_column})"
+        return f"Position(start={self.start}, end={self.end})"
 
 
 def _pos() -> Position:
@@ -88,10 +63,6 @@ def _pos() -> Position:
 class Node:
     pos: Position = field(default_factory=_pos, compare=False, kw_only=True)
     explanation: str | None = field(default=None, kw_only=True)
-
-    @property
-    def line(self) -> int:
-        return self.pos.line
 
 
 # --- expressions ------------------------------------------------------------
@@ -188,7 +159,6 @@ Stmt = Union[ForEach, If, Continue, VarDecl, ExprStmt]
 class EmrAst:
     id: str
     statements: tuple[Stmt, ...]
-    source_span: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 def structurally_equal(a: EmrAst, b: EmrAst) -> bool:

@@ -15,10 +15,9 @@ Grammar (one MR block per source):
     primary  := 'true' | 'false' | INT | STRING | IDENT ['(' args ')'] | '(' expr ')'
 
 Each node's ``Position`` is built from the offsets of its first and last
-lexemes and the source's line starts, and resolves its line and column
-from them when read. The parser works out lines and columns itself only
-for a ``ParseError``, the AST's ``source_span`` and the comments it
-attaches.
+lexemes and the source's line starts, and resolves its line from them
+when read. The parser works out a line and column itself only for a
+``ParseError``; comments are matched to nodes by line and offset.
 
 A trailing ``//`` comment becomes the explanation of a node only when the
 canonical layout (``printer.layout``, which attachment reads) prints that
@@ -30,7 +29,7 @@ starts first. A comment that no such node ends before is dropped.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from .ast import (
     BoolChain,
@@ -142,24 +141,21 @@ class _Parser:
     # -- grammar --------------------------------------------------------
 
     def parse_emr(self, emr_id: str, explanations: bool) -> EmrAst:
-        start = self.expect("MR")
+        self.expect("MR")
         self.expect("{{")
         stmts: list[Stmt] = []
         while self.lexemes[self.i] != "}}":
             if not self.lexemes[self.i]:
                 raise self.error({"'}}'", "statement"})
             stmts.append(self.statement())
-        end = self.i
         self.i += 1
         if self.lexemes[self.i]:
             raise self.error({"end of input"})
-        ast = EmrAst(emr_id, tuple(stmts), (self.where(start)[0], self.where(end)[0]))
+        ast = EmrAst(emr_id, tuple(stmts))
         if not explanations:
             return ast
-        by_line = {}
-        for at, text in comments(self.source, self.lexemes, self.starts):
-            line, column = position(self.lines, at)
-            by_line[line] = (column, text)
+        found = comments(self.source, self.lexemes, self.starts)
+        by_line = {bisect_right(self.lines, at): (at, text) for at, text in found}
         if by_line:
             _attach_comments(ast, by_line, self.starts, self.lines)
         return ast
@@ -351,12 +347,13 @@ class _Parser:
 
 
 def _attach_comments(ast: EmrAst, by_line: dict[int, tuple[int, str]], starts: list[int], lines: list[int]) -> None:
-    """Give each comment, given as line -> (column, lexeme), to the node it explains.
+    """Give each comment, given as line -> (offset, lexeme), to the node it explains.
 
     A comment runs to the end of its line, so a line holds at most one, and
     each owner line is matched against the comment on its anchor's line only:
-    the source position where the owner's canonical line breaks. ``starts``
+    the source offset where the owner's canonical line breaks. ``starts``
     are the offsets of the source's lexemes and ``lines`` its line starts.
+    On one line, offsets order as columns do.
     """
     best: dict[int, tuple[tuple[int, int], Node]] = {}
     for unit in layout(ast):
@@ -368,12 +365,12 @@ def _attach_comments(ast: EmrAst, by_line: dict[int, tuple[int, str]], starts: l
             end = starts[bisect_left(starts, node.pos.start) + 1] + 1
         else:
             end = (node.iterable if isinstance(node, ForEach) else node.cond if isinstance(node, If) else node).pos.end
-        line, column = position(lines, end)
+        line = bisect_right(lines, end)
         comment = by_line.get(line)
-        if comment is None or column > comment[0]:
+        if comment is None or end > comment[0]:
             continue
         # The line that breaks last wins; then the node that starts first.
-        key = (column, -node.pos.start)
+        key = (end, -node.pos.start)
         if line not in best or key > best[line][0]:
             best[line] = (key, node)
     for line, (_, node) in best.items():

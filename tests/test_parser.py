@@ -25,7 +25,6 @@ from emrkit.dsl import (
     pretty_print,
     structurally_equal,
 )
-from emrkit.dsl.ast import Position
 from emrkit.dsl.parser import MAX_NESTING
 from emrkit.dsl.printer import layout
 from emrkit.dsl.tokens import string_value, tokenize
@@ -206,36 +205,42 @@ def test_positions_span_each_lexeme_and_nest_inside_their_parents(seed, typed, r
     source = render(pretty_print(ProgramGen(seed, typed=typed).program()), seed)
     if crlf:
         source = source.replace("\n", "\r\n")
-    starts = [0] + [at + 1 for at, char in enumerate(source) if char == "\n"]
-
-    def text(pos: Position) -> str:
-        return source[starts[pos.line - 1] + pos.column - 1 : starts[pos.end_line - 1] + pos.end_column - 1]
-
     stack = [(None, stmt) for stmt in parse_emr(source, explanations=explanations).statements]
     while stack:
         parent, node = stack.pop()
         pos = node.pos
+        text = source[pos.start : pos.end]
         if isinstance(node, (Name, IntLit, StringLit, BoolLit)):
-            assert _is_lexeme(node, text(pos)), (node, text(pos))
+            assert _is_lexeme(node, text), (node, text)
+        assert pos.line == source.count("\n", 0, pos.start) + 1, (node, pos)
         if parent is not None:
             outer = parent.pos
-            assert (outer.line, outer.column) <= (pos.line, pos.column), (parent, node)
-            assert (pos.end_line, pos.end_column) <= (outer.end_line, outer.end_column), (parent, node)
+            assert outer.start <= pos.start <= pos.end <= outer.end, (parent, node)
         stack += [(node, child) for child in _children(node)]
 
 
-def _line_break(unit, tokens) -> tuple[int, int]:
-    """Where ``unit``'s canonical line breaks in the source ``tokens`` came
-    from: after an opener's '(', an ``if`` condition or a ``for`` iterable,
-    and otherwise after the node."""
+def _token_offsets(tokens) -> list[int]:
+    """The start offset of each token, from the lexemes and trivia alone."""
+    offsets, at = [], 0
+    for token in tokens:
+        at += len(token.leading_trivia)
+        offsets.append(at)
+        at += len(token.lexeme)
+    return offsets
+
+
+def _line_break(unit, tokens, offsets) -> int:
+    """The offset where ``unit``'s canonical line breaks in the source
+    ``tokens`` came from: after an opener's '(', an ``if`` condition or a
+    ``for`` iterable, and otherwise after the node."""
     node = unit.owner
     if unit.kind == "opener":
-        at = next(n for n, t in enumerate(tokens) if (t.line, t.column) == (node.pos.line, node.pos.column))
-        paren = next(t for t in tokens[at + 1 :] if t.kind != "comment")
-        assert paren.lexeme == "("
-        return paren.line, paren.column + 1
+        at = offsets.index(node.pos.start)
+        paren = next(n for n in range(at + 1, len(tokens)) if tokens[n].kind != "comment")
+        assert tokens[paren].lexeme == "("
+        return offsets[paren] + 1
     end = node.iterable.pos if isinstance(node, ForEach) else node.cond.pos if isinstance(node, If) else node.pos
-    return end.end_line, end.end_column
+    return end.end
 
 
 @given(seed=st.integers(0, 10**6), typed=st.booleans())
@@ -244,20 +249,22 @@ def test_each_explanation_comes_from_the_line_where_its_canonical_line_breaks(se
     canonical = pretty_print(ProgramGen(seed, typed=typed).program())
     source = split_calls(canonical, seed)
     tokens = tokenize(source)
-    comments = {t.line: t for t in tokens if t.kind == "comment"}
+    offsets = _token_offsets(tokens)
+    comments = {t.line: (at, t) for t, at in zip(tokens, offsets) if t.kind == "comment"}
     ast = parse_emr(source)
     for unit in layout(ast):
         if unit.explanation is not None:
-            line, column = _line_break(unit, tokens)
-            comment = comments.get(line)
-            assert comment is not None and column <= comment.column, (unit, source)
+            end = _line_break(unit, tokens, offsets)
+            at, comment = comments.get(source.count("\n", 0, end) + 1, (-1, None))
+            assert comment is not None and end <= at, (unit, source)
             assert comment.lexeme[2:].strip() == unit.explanation, (unit, source)
     assert pretty_print(ast) == canonical, source
 
 
 def test_a_node_built_without_a_position_reads_zero():
-    assert repr(Name(ident="x").pos) == "Position(line=0, column=0, end_line=0, end_column=0)"
-    assert Name(ident="x").line == 0
+    pos = Name(ident="x").pos
+    assert repr(pos) == "Position(start=0, end=0)"
+    assert pos.line == 0
 
 
 def test_long_commented_emr_keeps_every_explanation():
