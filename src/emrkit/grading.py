@@ -152,9 +152,8 @@ def summarize_annotations(
     counts = {label: 0 for label in LABELS}
     correct = 0
     for annotation in annotations:
+        check_annotation(annotation)
         for label in annotation.labels:
-            if label not in counts:
-                raise ValueError(f"unknown annotation label '{label}' (known: {', '.join(LABELS)})")
             counts[label] += 1
         if annotation.is_correct:
             correct += 1

@@ -86,6 +86,21 @@ def test_line_not_in_emr(filter_classes):
         check_annotation(StatementAnnotation("search_filter", 13, ["C"]), filter_classes)
 
 
+def test_empty_label_set_rejected_when_loading_and_summarizing(tmp_path):
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps({"emr": "e", "line": 1, "labels": []}) + "\n")
+    with pytest.raises(ValueError, match="^e line 1: empty label set$"):
+        load_annotations(path)
+    with pytest.raises(ValueError, match="^e line 1: empty label set$"):
+        summarize_annotations([StatementAnnotation("e", 1, [])], 1)
+
+
+def test_summarizing_an_unknown_label_gives_the_loading_message():
+    message = "unknown annotation label 'NOPE' (known: C, CLC, AI, WS, WI, IE, INE, ITE, ES, ENO, WAU, WLC, MISS)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        summarize_annotations([StatementAnnotation("e", 1, ["C", "NOPE"])], 1)
+
+
 def test_duplicate_annotation_rejected(tmp_path):
     path = tmp_path / "ann.jsonl"
     row = json.dumps({"emr": "x", "line": 3, "labels": ["C"]})

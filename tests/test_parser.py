@@ -108,6 +108,17 @@ def test_an_opener_breaks_after_its_parenthesis_on_whichever_line_that_stands():
     assert pretty_print(after).split("\n")[1] == "    IMPLIES( //c"
 
 
+def test_a_double_slash_inside_a_string_literal_is_no_comment():
+    source = 'MR {{\n    IMPLIES(q("a//b"), r());%s\n}}'
+    explained = parse_emr(source % " // why")
+    assert explained.statements[0].expr.args[0].args[0].value == "a//b"
+    assert [unit.explanation for unit in layout(explained) if unit.explanation] == ["why"]
+    assert explained.statements[0].explanation == "why"
+    bare = parse_emr(source % "")
+    assert bare.statements[0].expr.args[0].args[0].value == "a//b"
+    assert [unit.explanation for unit in layout(bare) if unit.explanation] == []
+
+
 def test_parse_error_location_and_expectations():
     with pytest.raises(ParseError) as exc:
         parse_emr("MR {{ var = 3; }}")

@@ -45,3 +45,11 @@ def test_nested_same_operator_chain_round_trips():
     source = "MR {{ IMPLIES(alpha && (beta && gamma), ok()); }}"
     first = parse_emr(source)
     assert structurally_equal(parse_emr(pretty_print(first)), first)
+
+
+def test_single_line_expressions_keep_the_parentheses_their_nesting_needs():
+    for statement in ("var x = (a() || b()) && (c() || d());", "var y = (a() && b()).m();", "var z = (!a()).m();"):
+        first = parse_emr("MR {{ %s }}" % statement)
+        printed = pretty_print(first)
+        assert printed == "MR {{\n    %s\n}}" % statement
+        assert structurally_equal(parse_emr(printed), first)

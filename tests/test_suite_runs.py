@@ -152,6 +152,19 @@ def test_adapter_failure_recorded_per_pair_without_aborting(suite_asts):
     assert report.has_errors
 
 
+def test_get_parameter_reads_an_actions_parameter_and_is_an_error_on_an_input():
+    reads = parse_emr(
+        'MR {{ for (var a : Input(1).actions()) { IMPLIES(true, isChair(a.getParameter("query"))); } }}', "reads"
+    )
+    misuses = parse_emr('MR {{ var q = Input(1).getParameter("q"); IMPLIES(true, true); }}', "misuses")
+    inputs = [ActionSequence.from_json([{"kind": "search", "parameters": {"query": "chair"}}])]
+    report = run_suite([reads, misuses], inputs, MockShopSut(), {"isChair": lambda query: query == "chair"})
+    assert [(e.emr_id, e.outcome, e.error) for e in report.entries] == [
+        ("reads", "Pass", None),
+        ("misuses", "Error", "method 'getParameter' is not defined on Input(1)"),
+    ]
+
+
 def test_failing_binding_names_the_filter_type(shop_inputs):
     ast = parse_emr(read_fixture("search_filter.smrl"), "search_filter")
     verdict = evaluate_emr(ast, shop_inputs[0], MockShopSut("ignore-filter"), STUBS)

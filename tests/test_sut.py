@@ -391,6 +391,8 @@ class _ShopHandler(http.server.BaseHTTPRequestHandler):
             self.wfile.write(body)
         elif self.path.startswith("/search"):
             self._respond(200, {"status": "ok", "payload": [{"id": 1}], "summary_size": 1})
+        elif self.path.startswith("/down"):
+            self._respond(500, {"error": "down"})
         else:
             self._respond(404, {"error": "no such path"})
 
@@ -467,6 +469,14 @@ def test_live_response_without_a_summary_size_reports_the_payload_length():
     assert _to_output(200, b'{"status": "ok", "payload": [1, 2]}') == Output("ok", [1, 2], 2)
     assert _to_output(200, b'{"status": "ok", "payload": {"a": 1}}') == Output("ok", {"a": 1}, 0)
     assert _to_output(500, b'{"status": "busy", "payload": "x", "summary_size": 4}') == Output("busy", "x", 4)
+
+
+def test_live_response_outside_the_envelope_is_its_own_payload(live_server):
+    assert _to_output(200, b"plain text") == Output("ok", "plain text", 0)
+    assert _to_output(200, b"\xffx") == Output("ok", "\ufffdx", 0)
+    assert _to_output(200, b"[1, 2, 3]") == Output("ok", [1, 2, 3], 3)
+    config = AdapterConfig(live_server, {"search": {"path": "/down", "method": "GET"}})
+    assert LiveHttpSut(config).execute(search(query="x")) == Output("error", {"error": "down"}, 0)
 
 
 @pytest.mark.parametrize("body, error", [

@@ -56,6 +56,14 @@ def test_create_target_must_be_input():
     assert any(d.severity == "error" and d.symbol == "CREATE" for d in diags)
 
 
+def test_two_argument_output_takes_an_input_sequence_first():
+    diags = validate(parse_emr("MR {{\n    var o = Output(3, 0);\n}}"))
+    assert [(d.severity, d.message, d.line, d.symbol) for d in diags] == [
+        ("error", "two-argument Output takes an input sequence first", 2, "Output")
+    ]
+    assert validate(parse_emr("MR {{ var o = Output(Input(3), 0); }}")) == []
+
+
 def test_boolean_position_literal_errors():
     diags = validate(parse_emr('MR {{ IMPLIES(1, "no"); }}'))
     errors = [d for d in diags if d.severity == "error"]
