@@ -155,7 +155,7 @@ class _Parser:
         if not explanations:
             return ast
         found = comments(self.source, self.lexemes, self.starts)
-        by_line = {bisect_right(self.lines, at): (at, text) for at, text in found}
+        by_line = {bisect_right(self.lines, at): text for at, text in found}
         if by_line:
             _attach_comments(ast, by_line, self.starts, self.lines)
         return ast
@@ -346,14 +346,15 @@ class _Parser:
         return tuple(args)
 
 
-def _attach_comments(ast: EmrAst, by_line: dict[int, tuple[int, str]], starts: list[int], lines: list[int]) -> None:
-    """Give each comment, given as line -> (offset, lexeme), to the node it explains.
+def _attach_comments(ast: EmrAst, by_line: dict[int, str], starts: list[int], lines: list[int]) -> None:
+    """Give each comment, given as line -> lexeme, to the node it explains.
 
     A comment runs to the end of its line, so a line holds at most one, and
-    each owner line is matched against the comment on its anchor's line only:
-    the source offset where the owner's canonical line breaks. ``starts``
-    are the offsets of the source's lexemes and ``lines`` its line starts.
-    On one line, offsets order as columns do.
+    no lexeme on that line ends after it. Each owner line is matched against
+    the comment on its anchor's line only: the source offset where the
+    owner's canonical line breaks, the end of a lexeme, and so at or before
+    the comment. ``starts`` are the offsets of the source's lexemes and
+    ``lines`` its line starts.
     """
     best: dict[int, tuple[tuple[int, int], Node]] = {}
     for unit in layout(ast):
@@ -366,8 +367,7 @@ def _attach_comments(ast: EmrAst, by_line: dict[int, tuple[int, str]], starts: l
         else:
             end = (node.iterable if isinstance(node, ForEach) else node.cond if isinstance(node, If) else node).pos.end
         line = bisect_right(lines, end)
-        comment = by_line.get(line)
-        if comment is None or end > comment[0]:
+        if line not in by_line:
             continue
         # The line that breaks last wins; then the node that starts first.
         key = (end, -node.pos.start)
@@ -375,7 +375,7 @@ def _attach_comments(ast: EmrAst, by_line: dict[int, tuple[int, str]], starts: l
             best[line] = (key, node)
     for line, (_, node) in best.items():
         if node.explanation is None:
-            node.explanation = by_line[line][1][2:].strip()
+            node.explanation = by_line[line][2:].strip()
 
 
 def parse_emr(source: str, emr_id: str = "emr", *, explanations: bool = True) -> EmrAst:
