@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import jsonl
-from .dsl import DslError, parse_emr
+from .dsl import DslError, canonical_units, parse_emr
 from .dsl.repair import repair
 from .dsl.validate import validate
 from .grading import (
@@ -42,6 +42,7 @@ from .pipeline import (
     LiveChatClient,
     LlmConfig,
     LlmError,
+    MetamorphicRelation,
     MockChatClient,
     TranscriptStore,
     dedupe_mrs,
@@ -64,9 +65,10 @@ from .sut import (
     record_replay,
 )
 
-# The stdout record of ``check`` and ``repair``: json.dumps(record,
-# sort_keys=True) without a new encoder per call.
+# The stdout record of ``check`` and ``repair``, and the compact output files
+# (the C encoder): json.dumps without a new encoder per call.
 _record_json = json.JSONEncoder(sort_keys=True).encode
+_file_json = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -199,14 +201,19 @@ def _conversation(failure: str, store: TranscriptStore):
 
 
 def _dump_json(data: Any) -> str:
-    # Compact: without ``indent``, json.dumps runs its C encoder.
-    return json.dumps(data, sort_keys=True, ensure_ascii=False) + "\n"
+    return _file_json(data) + "\n"
 
 
 # --- subcommands --------------------------------------------------------------
 
 
 def cmd_derive(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
+    _derive(args, config, write)
+    return EXIT_OK
+
+
+def _derive(args: argparse.Namespace, config: ToolConfig, write: Write) -> list[MetamorphicRelation]:
+    """Derive, deduplicate and write ``mrs.json``; the MRs it holds."""
     out = Path(config.out_dir)
     store = TranscriptStore(out / "transcripts")
     templates = _load("templates", config.templates_dir, DeriveTemplates.load)
@@ -240,7 +247,7 @@ def cmd_derive(args: argparse.Namespace, config: ToolConfig, write: Write) -> in
     if dropped:
         print(f"merged {dropped} duplicate MR(s)")
     write(out / "mrs.json", functools.partial(save_mr_catalog, all_mrs))
-    return EXIT_OK
+    return all_mrs
 
 
 def _load_catalog(path: str | None):
@@ -248,9 +255,12 @@ def _load_catalog(path: str | None):
 
 
 def cmd_generate(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
+    return _generate(_load("MR catalog", args.mrs, load_mr_catalog), args.catalog, config, write)
+
+
+def _generate(mrs: list[MetamorphicRelation], catalog_path: str | None, config: ToolConfig, write: Write) -> int:
     out = Path(config.out_dir)
-    mrs = _load("MR catalog", args.mrs, load_mr_catalog)
-    catalog = _load_catalog(args.catalog)
+    catalog = _load_catalog(catalog_path)
     fewshot = _load("few-shot examples", config.fewshot, load_fewshot)
     if not mrs:
         print("notice: MR catalog is empty; nothing to generate")
@@ -424,11 +434,12 @@ def cmd_run(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
 
 
 def cmd_grade(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
-    emrs = stats = None
+    units = stats = None
     if args.emrs:
-        emrs = {path.stem: _load("", path, _parse_smrl) for path in _collect(args.emrs, "*.smrl", ".smrl")}
-        stats = emr_size_stats(emrs.values())
-    annotations = _load("annotations", args.annotations, load_annotations, emrs)
+        units = {path.stem: canonical_units(_load("", path, _parse_smrl))
+                 for path in _collect(args.emrs, "*.smrl", ".smrl")}
+        stats = emr_size_stats(units.values())
+    annotations = _load("annotations", args.annotations, load_annotations, units)
     statement_count = args.statements
     if statement_count is None:
         statement_count = stats.total if stats is not None else len(annotations)
@@ -455,9 +466,8 @@ def cmd_survey(args: argparse.Namespace, config: ToolConfig, write: Write) -> in
 
 
 def cmd_pipeline(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
-    cmd_derive(args, config, write)  # returns EXIT_OK or raises
-    generate_args = argparse.Namespace(mrs=str(Path(config.out_dir) / "mrs.json"), catalog=args.catalog)
-    return cmd_generate(generate_args, config, write)
+    # Generates from the MRs that derive wrote to mrs.json, without reading it back.
+    return _generate(_derive(args, config, write), args.catalog, config, write)
 
 
 def cmd_show_config(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:

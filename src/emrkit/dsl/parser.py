@@ -23,8 +23,8 @@ A trailing ``//`` comment becomes the explanation of a node only when the
 canonical layout (``printer.layout``, which attachment reads) prints that
 node's explanation on a line of its own, and the node's canonical line
 breaks on the comment's source line at or before the comment. Of several
-such nodes the one whose line breaks last wins, and of those the one that
-starts first. A comment that no such node ends before is dropped.
+such nodes the one whose line breaks last wins: owned lines break in layout
+order, no two at one offset. A comment that no such node ends before is dropped.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .ast import (
     VarDecl,
 )
 from .errors import ParseError
-from .printer import layout
+from .printer import Unit, layout
 from .tokens import KEYWORDS, comments, kind_of, line_starts, position, scan, string_value
 
 # How deep parentheses, '!' operands, call arguments and loop or guard
@@ -152,13 +152,42 @@ class _Parser:
         if self.lexemes[self.i]:
             raise self.error({"end of input"})
         ast = EmrAst(emr_id, tuple(stmts))
-        if not explanations:
-            return ast
-        found = comments(self.source, self.lexemes, self.starts)
-        by_line = {bisect_right(self.lines, at): text for at, text in found}
-        if by_line:
-            _attach_comments(ast, by_line, self.starts, self.lines)
+        if explanations:
+            self.attach_comments(ast)
         return ast
+
+    def attach_comments(self, ast: EmrAst, units: list[Unit] | None = None) -> None:
+        """Give each comment to the node it explains, reading ``units``, the
+        canonical layout of ``ast``, or walking it when there is a comment.
+
+        A comment runs to the end of its line, so a line holds at most one, and
+        no lexeme on that line ends after it. Each owner line is matched against
+        the comment on its anchor's line only: the source offset where the
+        owner's canonical line breaks, the end of a lexeme, and so at or before
+        the comment.
+        """
+        found = comments(self.source, self.lexemes, self.starts)
+        if not found:
+            return
+        starts, lines = self.starts, self.lines
+        by_line = {bisect_right(lines, at): text for at, text in found}
+        best: dict[int, Node] = {}
+        for unit in layout(ast) if units is None else units:
+            node = unit.owner
+            if node is None:
+                continue
+            if unit.kind == "opener":
+                # The line breaks after the '(' lexeme that follows the call's name.
+                end = starts[bisect_left(starts, node.pos.start) + 1] + 1
+            else:
+                last = node.iterable if isinstance(node, ForEach) else node.cond if isinstance(node, If) else node
+                end = last.pos.end
+            line = bisect_right(lines, end)
+            if line in by_line:
+                best[line] = node  # lines break in layout order, so the last one wins
+        for line, node in best.items():
+            if node.explanation is None:
+                node.explanation = by_line[line][2:].strip()
 
     def statement(self) -> Stmt:
         start = self.i
@@ -346,38 +375,6 @@ class _Parser:
         return tuple(args)
 
 
-def _attach_comments(ast: EmrAst, by_line: dict[int, str], starts: list[int], lines: list[int]) -> None:
-    """Give each comment, given as line -> lexeme, to the node it explains.
-
-    A comment runs to the end of its line, so a line holds at most one, and
-    no lexeme on that line ends after it. Each owner line is matched against
-    the comment on its anchor's line only: the source offset where the
-    owner's canonical line breaks, the end of a lexeme, and so at or before
-    the comment. ``starts`` are the offsets of the source's lexemes and
-    ``lines`` its line starts.
-    """
-    best: dict[int, tuple[tuple[int, int], Node]] = {}
-    for unit in layout(ast):
-        node = unit.owner
-        if node is None:
-            continue
-        if unit.kind == "opener":
-            # The line breaks after the '(' lexeme that follows the call's name.
-            end = starts[bisect_left(starts, node.pos.start) + 1] + 1
-        else:
-            end = (node.iterable if isinstance(node, ForEach) else node.cond if isinstance(node, If) else node).pos.end
-        line = bisect_right(lines, end)
-        if line not in by_line:
-            continue
-        # The line that breaks last wins; then the node that starts first.
-        key = (end, -node.pos.start)
-        if line not in best or key > best[line][0]:
-            best[line] = (key, node)
-    for line, (_, node) in best.items():
-        if node.explanation is None:
-            node.explanation = by_line[line][2:].strip()
-
-
 def parse_emr(source: str, emr_id: str = "emr", *, explanations: bool = True) -> EmrAst:
     """Parse one MR block into an AST; raises ParseError/IllegalCharacter.
 
@@ -387,3 +384,14 @@ def parse_emr(source: str, emr_id: str = "emr", *, explanations: bool = True) ->
     callers whose outputs hold no explanation.
     """
     return _Parser(source).parse_emr(emr_id, explanations)
+
+
+def parse_with_layout(source: str, emr_id: str = "emr") -> tuple[EmrAst, list[Unit]]:
+    """``parse_emr(source, emr_id)`` and the canonical layout of its AST
+    (``printer.layout``): the one walk that attaching the comments reads,
+    for callers that read the layout as well."""
+    parser = _Parser(source)
+    ast = parser.parse_emr(emr_id, False)
+    units = layout(ast)
+    parser.attach_comments(ast, units)
+    return ast, units

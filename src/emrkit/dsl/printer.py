@@ -85,33 +85,35 @@ class Unit:
 
 def format_expr(e: Expr) -> str:
     """Single-line rendering of an expression."""
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, StringLit):
-        return string_lexeme(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, Name):
-        return e.ident
-    if isinstance(e, Not):
-        operand = format_expr(e.operand)
-        if isinstance(e.operand, BoolChain):
-            operand = f"({operand})"
-        return f"!{operand}"
-    if isinstance(e, Call):
+    # By exact class (no AST class is subclassed), the bundled EMRs' most frequent first.
+    kind = type(e)
+    if kind is Call:
         return f"{e.name}({', '.join(format_expr(a) for a in e.args)})"
-    if isinstance(e, MethodCall):
+    if kind is Name:
+        return e.ident
+    if kind is IntLit:
+        return str(e.value)
+    if kind is MethodCall:
         receiver = format_expr(e.receiver)
-        if isinstance(e.receiver, (BoolChain, Not)):
+        if type(e.receiver) in (BoolChain, Not):
             receiver = f"({receiver})"
         return f"{receiver}.{e.name}({', '.join(format_expr(a) for a in e.args)})"
-    if isinstance(e, BoolChain):
+    if kind is BoolLit:
+        return "true" if e.value else "false"
+    if kind is Not:
+        operand = format_expr(e.operand)
+        if type(e.operand) is BoolChain:
+            operand = f"({operand})"
+        return f"!{operand}"
+    if kind is StringLit:
+        return string_lexeme(e.value)
+    if kind is BoolChain:
         # Nested chains always get parentheses: the parser flattens runs of
         # one operator, so only a parenthesized nesting survives a round trip.
         parts = []
         for op in e.operands:
             text = format_expr(op)
-            if isinstance(op, BoolChain):
+            if type(op) is BoolChain:
                 text = f"({text})"
             parts.append(text)
         return f" {e.op} ".join(parts)

@@ -16,10 +16,9 @@ import json
 from dataclasses import dataclass, field
 from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .dsl.ast import EmrAst
-from .dsl.printer import canonical_units
+from .dsl.printer import Unit
 from .jsonl import check
 
 # Column order of the distribution table.
@@ -72,12 +71,13 @@ def check_annotation(
 
 
 def load_annotations(
-    path: str | Path, emrs: Mapping[str, EmrAst] | None = None
+    path: str | Path, units: Mapping[str, Sequence[Unit]] | None = None
 ) -> list[StatementAnnotation]:
-    """Load line-oriented JSON annotations, validating labels (and, when the
-    EMRs are supplied, line existence and Simple/Complex applicability)."""
-    complex_lines = None if emrs is None else {
-        emr_id: {u.line: u.is_complex for u in canonical_units(ast)} for emr_id, ast in emrs.items()
+    """Load line-oriented JSON annotations, validating labels (and, when
+    ``units`` maps each EMR id to the EMR's ``canonical_units``, line
+    existence and Simple/Complex applicability)."""
+    complex_lines = None if units is None else {
+        emr_id: {u.line: u.is_complex for u in emr_units} for emr_id, emr_units in units.items()
     }
     annotations: list[StatementAnnotation] = []
     seen: set[tuple[str, int]] = set()
@@ -289,9 +289,9 @@ class SizeStats:
         return {"emrs": self.count, "min": self.min, "mean": self.mean, "max": self.max, "total": self.total}
 
 
-def emr_size_stats(emrs: Iterable[EmrAst]) -> SizeStats:
-    """Statement counts over the canonical statement enumeration."""
-    sizes = [len(canonical_units(ast)) for ast in emrs]
+def emr_size_stats(units: Iterable[Sequence[Unit]]) -> SizeStats:
+    """Statement counts: the number of each EMR's ``canonical_units``."""
+    sizes = [len(emr_units) for emr_units in units]
     if not sizes:
         return SizeStats(0, None, None, None, 0)
     return SizeStats(len(sizes), min(sizes), sum(sizes) / len(sizes), max(sizes), sum(sizes))

@@ -18,8 +18,7 @@ from typing import Any
 
 from ..dsl.ast import EmrAst
 from ..dsl.errors import DslError
-from ..dsl.parser import parse_emr
-from ..dsl.printer import canonical_units
+from ..dsl.parser import parse_emr, parse_with_layout
 from ..dsl.repair import RepairLog, repair
 from ..dsl.validate import has_errors, stub_names, validate
 from ..jsonl import check
@@ -117,7 +116,7 @@ def generate_emrs(
         # as it is and spares a defective reply a failed parse.
         repaired, log = repair(raw_source)
         try:
-            ast = parse_emr(repaired, mr.id)
+            ast, lines = parse_with_layout(repaired, mr.id)
         except DslError as exc:
             items.append(
                 GeneratedEmr(mr.id, "unparseable", source=raw_source, repair_log=log, error=str(exc))
@@ -126,7 +125,7 @@ def generate_emrs(
         diags = validate(ast, catalog)
         explanations = [
             {"index": u.index, "line": u.line, "statement": u.text, "explanation": u.explanation}
-            for u in canonical_units(ast)
+            for u in lines if u.kind is not None
         ]
         items.append(
             GeneratedEmr(

@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-from importlib.resources import files
 from pathlib import Path
+
+_PACKAGE = Path(__file__).parent
 
 
 def fixture_path(*parts: str) -> Path:
     """Path of a bundled fixture file, e.g. fixture_path("search_filter.smrl")."""
-    return Path(str(files("emrkit").joinpath("fixtures", *parts)))
+    return _PACKAGE.joinpath("fixtures", *parts)
 
 
 def asset_path(*parts: str) -> Path:
     """Path of a bundled prompt asset file."""
-    return Path(str(files("emrkit").joinpath("pipeline", "assets", *parts)))
+    return _PACKAGE.joinpath("pipeline", "assets", *parts)
 
 
 def read_fixture(*parts: str) -> str:

@@ -17,13 +17,13 @@ from ..runtime.errors import AdapterFailure, RunAborted
 from ..runtime.values import Action, Output
 
 
+# json.dumps(..., sort_keys=True, separators=(",", ":")) without a new encoder per interaction.
+_compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def fingerprint(action: Action) -> str:
     """Action kind plus canonically ordered parameters."""
-    return json.dumps(
-        {"kind": action.kind, "parameters": action.parameters},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return _compact_json({"kind": action.kind, "parameters": action.parameters})
 
 
 class Cassette:

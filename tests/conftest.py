@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from emrkit.dsl import parse_emr
+from emrkit.dsl import canonical_units, parse_emr
 from emrkit.resources import fixture_path, read_fixture
 from frontend_corpus import load_emr_suite
 from emrkit.runtime import ActionSequence
@@ -33,6 +33,12 @@ def filter_emr_ast(filter_emr_source):
 @pytest.fixture(scope="session")
 def emr_suite():
     return load_emr_suite()
+
+
+@pytest.fixture(scope="session")
+def suite_units(emr_suite):
+    """The suite's canonical units by EMR id, as ``grade --emrs`` hands them to grading."""
+    return {emr_id: canonical_units(ast) for emr_id, ast in emr_suite.items()}
 
 
 @pytest.fixture(scope="session")

@@ -121,9 +121,9 @@ def test_repair_corpus():
             assert twice == once and not log3.entries
 
 
-def test_label_distribution_reproduction(emr_suite):
+def test_label_distribution_reproduction(suite_units):
     with budget("label-distribution", 1.0):
-        annotations = load_annotations(fixture_path("suite_annotations.jsonl"), emr_suite)
+        annotations = load_annotations(fixture_path("suite_annotations.jsonl"), suite_units)
         multiset = {"C": 52, "CLC": 54, "AI": 1, "WS": 3, "IE": 3, "INE": 1,
                     "ITE": 9, "ES": 1, "ENO": 2, "WLC": 10, "MISS": 3}
         report = summarize_annotations(annotations, 136)
@@ -154,9 +154,9 @@ def test_survey_reproduction():
         assert report.positive_rate_percent("S3") == 28
 
 
-def test_emr_size_statistics(emr_suite):
+def test_emr_size_statistics(suite_units):
     with budget("size-stats", 1.0):
-        stats = emr_size_stats(emr_suite.values())
+        stats = emr_size_stats(suite_units.values())
         assert stats.min == 10
         assert stats.mean == 13.6
         assert stats.max == 20

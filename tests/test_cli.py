@@ -136,6 +136,32 @@ def test_generate_empty_catalog_notice(tmp_path, capsys):
     assert "nothing to generate" in capsys.readouterr().out
 
 
+def test_generate_without_mock_or_endpoint_exits_2(tmp_path, capsys):
+    mrs = tmp_path / "mrs.json"
+    mrs.write_text(json.dumps([{"id": "mr-1", "text": "A relation.", "document_id": "doc"}]))
+    assert run("--out", tmp_path / "out", "generate", mrs) == 2
+    assert capsys.readouterr().err == "error: live mode needs llm.endpoint in the config (or pass --mock)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scripts, catalog", [
+    ("mock_scripts.json", None),
+    ("mock_scripts_amp_defect.json", "api_catalog_search_filter.json"),
+], ids=["ok", "repaired-with-catalog"])
+def test_pipeline_writes_what_derive_then_generate_write(tmp_path, capsys, scripts, catalog):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mock": True, "mock_scripts": str(fixture_path(scripts))}))
+    options = ["--catalog", str(fixture_path(catalog))] if catalog else []
+    piped, stepwise = tmp_path / "piped", tmp_path / "stepwise"
+    assert run("--config", config, "--out", piped, "pipeline", DOC, *options) == 0
+    piped_out = capsys.readouterr().out
+    assert run("--config", config, "--out", stepwise, "derive", DOC) == 0
+    assert run("--config", config, "--out", stepwise, "generate", stepwise / "mrs.json", *options) == 0
+    assert capsys.readouterr().out == piped_out
+    assert tree_bytes(piped) == tree_bytes(stepwise)
+    assert {path.split("/")[0] for path in tree_bytes(piped)} == {"emrs", "mrs.json", "transcripts"}
+
+
 def test_pipeline_mock_runs_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     assert run("--mock", "--out", out1, "pipeline", DOC) == 0

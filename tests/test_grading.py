@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from emrkit.cli import main
 from emrkit.dsl import canonical_units, parse_emr
+from emrkit.dsl.printer import _Layout
 from emrkit.grading import (
     CORRECT_LABELS,
     LABELS,
@@ -148,31 +150,29 @@ def test_absent_or_null_note_accepted(tmp_path):
     assert [a.note for a in load_annotations(path)] == [None, None]
 
 
-def test_fixture_annotations_validate_against_the_suite(emr_suite):
-    annotations = load_annotations(fixture_path("suite_annotations.jsonl"), emr_suite)
+def test_fixture_annotations_validate_against_the_suite(suite_units):
+    annotations = load_annotations(fixture_path("suite_annotations.jsonl"), suite_units)
     assert len(annotations) == 136
     by_emr = Counter(a.emr_id for a in annotations)
     assert by_emr["emr03"] == 11  # the bundled search-filter EMR
     # Every statement of every suite EMR is annotated exactly once.
-    for emr_id, ast in emr_suite.items():
-        lines = {u.line for u in canonical_units(ast)}
-        assert {a.line for a in annotations if a.emr_id == emr_id} == lines
+    for emr_id, units in suite_units.items():
+        assert {a.line for a in annotations if a.emr_id == emr_id} == {u.line for u in units}
 
 
-def test_load_annotations_renders_each_emr_once(emr_suite, monkeypatch):
-    import emrkit.grading as grading
-
-    rendered = []
-    original = grading.canonical_units
-
-    def counting_units(ast):
-        rendered.append(ast.id)
-        return original(ast)
-
-    monkeypatch.setattr(grading, "canonical_units", counting_units)
-    annotations = load_annotations(fixture_path("suite_annotations.jsonl"), emr_suite)
-    assert Counter(a.emr_id for a in annotations)["emr01"] > 1
-    assert sorted(rendered) == sorted(emr_suite)
+def test_grade_lays_out_each_emr_once(emr_suite, tmp_path, monkeypatch, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for entry in json.loads(fixture_path("emr_suite.json").read_text()):
+        (suite / f"{entry['id']}.smrl").write_text(fixture_path(*entry["file"].split("/")).read_text())
+    walks = []
+    walk = _Layout.walk
+    monkeypatch.setattr(_Layout, "walk", lambda self, ast: walks.append(ast.id) or walk(self, ast))
+    argv = ["--out", str(tmp_path / "out"), "grade", str(fixture_path("suite_annotations.jsonl")), "--emrs", str(suite)]
+    assert main(argv) == 0
+    # Both the line checks and the size statistics read each EMR's one layout.
+    assert sorted(walks) == sorted(emr_suite)
+    assert "sizes: min 10 mean 13.6 max 20 total 136" in capsys.readouterr().out
 
 
 def test_make_fixtures_reproduces_the_bundled_annotations_and_survey(tmp_path, monkeypatch, capsys):
@@ -191,8 +191,8 @@ def test_make_fixtures_reproduces_the_bundled_annotations_and_survey(tmp_path, m
 # --- distribution report ------------------------------------------------------
 
 
-def test_reference_distribution_reproduced(emr_suite):
-    annotations = load_annotations(fixture_path("suite_annotations.jsonl"), emr_suite)
+def test_reference_distribution_reproduced(suite_units):
+    annotations = load_annotations(fixture_path("suite_annotations.jsonl"), suite_units)
     report = summarize_annotations(annotations, 136)
     assert report.label_counts == TABLE_COUNTS
     assert report.label_count == 139
@@ -315,13 +315,13 @@ def test_empty_suite_has_absent_stats():
 
 
 def test_single_emr_min_equals_max(filter_emr_ast):
-    stats = emr_size_stats([filter_emr_ast])
+    stats = emr_size_stats([canonical_units(filter_emr_ast)])
     assert stats.min == stats.max == 11
     assert stats.mean == 11.0
 
 
-def test_suite_size_stats_reproduce_reference(emr_suite):
-    stats = emr_size_stats(emr_suite.values())
+def test_suite_size_stats_reproduce_reference(suite_units):
+    stats = emr_size_stats(suite_units.values())
     assert stats.count == 10
     assert stats.min == 10
     assert stats.mean == 13.6

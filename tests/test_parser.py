@@ -263,6 +263,10 @@ def test_each_explanation_comes_from_the_line_where_its_canonical_line_breaks(se
     offsets = _token_offsets(tokens)
     comments = {t.line: (at, t) for t, at in zip(tokens, offsets) if t.kind == "comment"}
     ast = parse_emr(source)
+    # Owned lines break in layout order, no two at one offset: so the last
+    # owner on a comment's line is the one whose line breaks last.
+    breaks = [_line_break(unit, tokens, offsets) for unit in layout(ast) if unit.owner is not None]
+    assert breaks == sorted(set(breaks)), source
     for unit in layout(ast):
         if unit.explanation is not None:
             end = _line_break(unit, tokens, offsets)
@@ -306,6 +310,15 @@ def test_too_deep_a_source_raises_parse_error_where_it_goes_too_deep(kind):
     assert exc.value.message == f"nesting deeper than {MAX_NESTING} levels"
     with pytest.raises(ParseError):
         parse_emr(nested_emr(kind, MAX_NESTING + 1))
+
+
+def test_a_closed_body_gives_back_its_nesting_level():
+    closed = "if (a()) b(); " * 3
+    at_limit = "(" * 100 + "true" + ")" * 100
+    parse_emr(f"MR {{{{ {closed}var x = {at_limit}; }}}}")
+    with pytest.raises(ParseError) as exc:
+        parse_emr(f"MR {{{{ {closed}var x = ({at_limit}); }}}}")
+    assert exc.value.message == "nesting deeper than 100 levels"
 
 
 @pytest.mark.parametrize("kind", NESTINGS)

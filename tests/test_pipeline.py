@@ -13,6 +13,7 @@ from emrkit.dsl import (
     structurally_equal,
     stub_names,
 )
+from emrkit.dsl.printer import _Layout
 from emrkit.dsl.repair import repair
 from emrkit.dsl.validate import validate
 from emrkit.pipeline import (
@@ -349,14 +350,20 @@ def _parse_then_repair(source, mr_id):
     return "unparseable", source, entries, str(error), None
 
 
-def test_generate_repairs_first_with_the_outcome_of_parsing_first(fewshot):
+def test_generate_repairs_first_with_the_outcome_of_parsing_first(fewshot, monkeypatch):
     cases = amp_cases()
     mrs = [MetamorphicRelation(id=f"mr-{name}", text=f"MR {name}", document_id="doc") for name, _ in cases]
     scripts = json.loads(fixture_path("mock_scripts.json").read_text())
     scripts = [s for s in scripts if s["pipeline"] == "generate" and s["phase"] < 6]
     replies = [f"Here it is.\n```\n{source}\n```\n" for _, source in cases]
     scripts += [{"pipeline": "generate", "phase": 6, "response": reply} for reply in replies]
+    walks = []
+    walk = _Layout.walk
+    monkeypatch.setattr(_Layout, "walk", lambda self, ast: walks.append(ast.id) or walk(self, ast))
     items = generate_emrs(mrs, EMPTY_CATALOG, fewshot, MockChatClient.from_scripts(scripts)).items
+    monkeypatch.undo()
+    # One layout per generated EMR: comment attachment and the explanations read the same one.
+    assert walks == [item.mr_id for item in items if item.ast is not None]
     statuses = set()
     for (name, _), reply, mr, item in zip(cases, replies, mrs, items, strict=True):
         status, kept, entries, error, ast = _parse_then_repair(extract_emr_source(reply), mr.id)

@@ -333,9 +333,29 @@ def test_fingerprint_is_order_insensitive():
     assert fingerprint(a) == fingerprint(b)
 
 
+@pytest.mark.parametrize("parameters", [
+    {},
+    {"query": "chaise longue é", "filters": {"brand": ["Ärgo", "北"], "max": None}, "page": 2},
+    {"min_rating": 4.5, "tiny": 1e-07, "big": 1e300, "neg": -0.0, "nested": [[0.1, {"z": 1, "a": 2.0}]]},
+    {"emoji": "\U0001f4ba", "escapes": "a\"b\\c\n\t\u0001", "flag": True},
+], ids=["empty", "nested-non-ascii", "floats", "escapes"])
+def test_fingerprint_is_the_sorted_compact_json_dump(parameters):
+    action = Action(3, "search", parameters)
+    expected = json.dumps({"kind": "search", "parameters": parameters}, sort_keys=True, separators=(",", ":"))
+    assert fingerprint(action) == expected
+
+
 def test_replay_needs_existing_cassette(tmp_path):
     with pytest.raises(OSError):
         record_replay("replay", tmp_path / "missing.json")
+
+
+def test_record_needs_an_inner_factory_and_a_mode_must_be_known(tmp_path):
+    with pytest.raises(ValueError, match="^record mode needs an inner session factory$"):
+        record_replay("record", tmp_path / "c.jsonl")
+    with pytest.raises(ValueError, match="^mode must be 'record' or 'replay', not 'rewind'$"):
+        record_replay("rewind", tmp_path / "c.jsonl", MockShopSut())
+    assert not (tmp_path / "c.jsonl").exists()
 
 
 def test_cassette_is_json_lines_appended_per_interaction(tmp_path):

@@ -51,7 +51,8 @@ EMRs of the same round, which ``pipeline --mock`` generates once before
 the first timed round.
 
 The ``load_annotations`` row times ``grading.load_annotations`` with the
-EMRs given, as ``emrkit grade --emrs`` calls it: ``bundled`` on the bundled
+EMRs given, as ``emrkit grade --emrs`` calls it, each EMR's canonical units
+included where the checkout takes them: ``bundled`` on the bundled
 annotations and the 10 bundled suite EMRs, ``by_n`` on n annotation lines,
 the bundled lines repeated over renamed copies of those EMRs (every copy an
 annotated line names is given). The ``cassette_load`` row times
@@ -82,6 +83,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import io
 import json
 import math
@@ -273,7 +275,12 @@ def annotations_sampler(modules: Modules, count: int | None, directory: Path) ->
         directory.mkdir(parents=True, exist_ok=True)
         path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
     load_annotations = modules["grading"].load_annotations
-    return timed(lambda item: load_annotations(*item), [(path, emrs)], "cpu_ms")
+    # A checkout that takes each EMR's canonical units, not its AST, is timed
+    # laying them out as well, as ``grade`` does before it calls the function.
+    takes_asts = "emrs" in inspect.signature(load_annotations).parameters
+    lay_out = (lambda ast: ast) if takes_asts else modules["dsl"].canonical_units
+    return timed(lambda emrs: load_annotations(path, {emr_id: lay_out(ast) for emr_id, ast in emrs.items()}),
+                 [emrs], "cpu_ms")
 
 
 def cassette_sampler(modules: Modules, count: int | None, directory: Path) -> Sampler:
