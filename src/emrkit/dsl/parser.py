@@ -185,9 +185,8 @@ class _Parser:
             line = bisect_right(lines, end)
             if line in by_line:
                 best[line] = node  # lines break in layout order, so the last one wins
-        for line, node in best.items():
-            if node.explanation is None:
-                node.explanation = by_line[line][2:].strip()
+        for line, node in best.items():  # no node owns two lines
+            node.explanation = by_line[line][2:].strip()
 
     def statement(self) -> Stmt:
         start = self.i

@@ -23,6 +23,7 @@ from emrkit import cli, jsonl
 from emrkit.cli import main
 from emrkit.dsl import DslError, parse_emr, pretty_print
 from emrkit.dsl.parser import MAX_NESTING
+from emrkit.dsl.printer import _Layout
 from emrkit.dsl.tokens import comments, scan
 from emrkit.pipeline import ingest_document, load_transcript
 from emrkit.resources import fixture_path
@@ -336,6 +337,17 @@ def bundled_suite(work: Path) -> Path:
         for entry in json.loads(fixture_path("emr_suite.json").read_text()):
             (suite / f"{entry['id']}.smrl").write_text(fixture_path(*entry["file"].split("/")).read_text())
     return suite
+
+
+def test_grade_lays_out_each_emr_once(tmp_path, monkeypatch, capsys):
+    suite = bundled_suite(tmp_path)
+    walks = []
+    walk = _Layout.walk
+    monkeypatch.setattr(_Layout, "walk", lambda self, ast: walks.append(ast.id) or walk(self, ast))
+    assert run("--out", tmp_path / "out", "grade", ANNOTATIONS, "--emrs", suite) == 0
+    # The line checks and the size statistics read each EMR's one layout.
+    assert sorted(walks) == sorted(path.stem for path in suite.glob("*.smrl"))
+    assert "sizes: min 10 mean 13.6 max 20 total 136" in capsys.readouterr().out
 
 
 def write_every_output(out: Path, work: Path) -> None:

@@ -7,9 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from emrkit.cli import main
 from emrkit.dsl import canonical_units, parse_emr
-from emrkit.dsl.printer import _Layout
 from emrkit.grading import (
     CORRECT_LABELS,
     LABELS,
@@ -158,21 +156,6 @@ def test_fixture_annotations_validate_against_the_suite(suite_units):
     # Every statement of every suite EMR is annotated exactly once.
     for emr_id, units in suite_units.items():
         assert {a.line for a in annotations if a.emr_id == emr_id} == {u.line for u in units}
-
-
-def test_grade_lays_out_each_emr_once(emr_suite, tmp_path, monkeypatch, capsys):
-    suite = tmp_path / "suite"
-    suite.mkdir()
-    for entry in json.loads(fixture_path("emr_suite.json").read_text()):
-        (suite / f"{entry['id']}.smrl").write_text(fixture_path(*entry["file"].split("/")).read_text())
-    walks = []
-    walk = _Layout.walk
-    monkeypatch.setattr(_Layout, "walk", lambda self, ast: walks.append(ast.id) or walk(self, ast))
-    argv = ["--out", str(tmp_path / "out"), "grade", str(fixture_path("suite_annotations.jsonl")), "--emrs", str(suite)]
-    assert main(argv) == 0
-    # Both the line checks and the size statistics read each EMR's one layout.
-    assert sorted(walks) == sorted(emr_suite)
-    assert "sizes: min 10 mean 13.6 max 20 total 136" in capsys.readouterr().out
 
 
 def test_make_fixtures_reproduces_the_bundled_annotations_and_survey(tmp_path, monkeypatch, capsys):
