@@ -164,25 +164,3 @@ class EmrAst:
 def structurally_equal(a: EmrAst, b: EmrAst) -> bool:
     """Equality over structure and explanations, ignoring ids and positions."""
     return a.statements == b.statements
-
-
-def called_non_construct_names(exprs: tuple[Expr, ...]) -> list[str]:
-    """Names of free-function and method calls that are not DSL constructs,
-    in pre-order (a call before its receiver and arguments)."""
-    names: list[str] = []
-    stack = [*reversed(exprs)]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Call):
-            if e.name not in CONSTRUCTS:
-                names.append(e.name)
-            stack += reversed(e.args)
-        elif isinstance(e, MethodCall):
-            names.append(e.name)
-            stack += reversed(e.args)
-            stack.append(e.receiver)
-        elif isinstance(e, Not):
-            stack.append(e.operand)
-        elif isinstance(e, BoolChain):
-            stack += reversed(e.operands)
-    return names

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from .ast import (
     BoolChain,
     BoolLit,
+    CONSTRUCTS,
     Call,
     Continue,
     EmrAst,
     Expr,
-    ExprStmt,
     ForEach,
     If,
     IntLit,
@@ -36,7 +36,6 @@ from .ast import (
     Stmt,
     StringLit,
     VarDecl,
-    called_non_construct_names,
 )
 from .tokens import string_lexeme
 
@@ -69,10 +68,6 @@ class Unit:
         return self.head + format_expr(self.expr) + self.tail
 
     @property
-    def exprs(self) -> tuple[Expr, ...]:
-        return () if self.expr is None else (self.expr,)
-
-    @property
     def explanation(self) -> str | None:
         return None if self.owner is None else self.owner.explanation
 
@@ -80,7 +75,20 @@ class Unit:
     def is_complex(self) -> bool:
         """Complex: the line calls a function or method that is not a
         construct; Simple: constructs, literals and identifiers only."""
-        return bool(called_non_construct_names(self.exprs))
+        stack = [] if self.expr is None else [self.expr]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, Call):
+                if e.name not in CONSTRUCTS:
+                    return True
+                stack += e.args
+            elif isinstance(e, MethodCall):
+                return True
+            elif isinstance(e, Not):
+                stack.append(e.operand)
+            elif isinstance(e, BoolChain):
+                stack += e.operands
+        return False
 
 
 def format_expr(e: Expr) -> str:
@@ -107,17 +115,15 @@ def format_expr(e: Expr) -> str:
         return f"!{operand}"
     if kind is StringLit:
         return string_lexeme(e.value)
-    if kind is BoolChain:
-        # Nested chains always get parentheses: the parser flattens runs of
-        # one operator, so only a parenthesized nesting survives a round trip.
-        parts = []
-        for op in e.operands:
-            text = format_expr(op)
-            if type(op) is BoolChain:
-                text = f"({text})"
-            parts.append(text)
-        return f" {e.op} ".join(parts)
-    raise TypeError(f"unknown expression node: {e!r}")
+    # A BoolChain. Nested chains always get parentheses: the parser flattens
+    # runs of one operator, so only a parenthesized nesting survives a round trip.
+    parts = []
+    for op in e.operands:
+        text = format_expr(op)
+        if type(op) is BoolChain:
+            text = f"({text})"
+        parts.append(text)
+    return f" {e.op} ".join(parts)
 
 
 class _Layout:
@@ -164,13 +170,10 @@ class _Layout:
             self.emit(d, "continue;", kind="continue", owner=st)
         elif isinstance(st, VarDecl):
             self.emit(d, f"var {st.name} = ", st.init, ";", "var", st)
-        elif isinstance(st, ExprStmt):
-            if isinstance(st.expr, Call) and st.expr.name in EXPANDABLE:
-                self.expanded_call(st.expr, d, ";", st)
-            else:
-                self.emit(d, "", st.expr, ";", "expr", st)
+        elif isinstance(st.expr, Call) and st.expr.name in EXPANDABLE:  # an ExprStmt
+            self.expanded_call(st.expr, d, ";", st)
         else:
-            raise TypeError(f"unknown statement node: {st!r}")
+            self.emit(d, "", st.expr, ";", "expr", st)
 
     def expanded_call(self, call: Call, d: int, terminator: str, closer: Node | None) -> None:
         self.emit(d, f"{call.name}(", kind="opener", owner=call)

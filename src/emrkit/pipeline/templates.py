@@ -31,10 +31,6 @@ class PromptPhase:
     def render(self, **values: str) -> str:
         return fill(self.template, **values)
 
-    def __post_init__(self) -> None:
-        if self.ordinal < 1:
-            raise ValueError("phase ordinals start at 1")
-
 
 def _load(name: str, directory: Path | None) -> str:
     path = directory / name if directory is not None and (directory / name).exists() else asset_path(name)

@@ -48,7 +48,10 @@ the generic one does, and every other shape takes the generic one:
 - an integer literal index of ``Input``, ``Output`` or ``CREATE`` (and the
   ``Input(k)`` that ``Output(Input(k), pos)`` reads) is used as it is, with
   no closure to evaluate it and no integer check;
-- a method call without arguments is one closure.
+- a boolean position whose node evaluates to a bool by construction skips
+  ``_boolean``'s check;
+- a stub or method call that passes up to three values, a method's receiver
+  included, builds no argument list.
 """
 
 from __future__ import annotations
@@ -255,9 +258,7 @@ def _stmt(st: Stmt, scope: _Scope) -> Compiled:
             ev.frame[k] = init(ev)
 
         return declare
-    if isinstance(st, ExprStmt):
-        return _check(st, scope)
-    return _raising(f"unknown statement node {st!r}")
+    return _check(st, scope)
 
 
 def _for_each(st: ForEach, scope: _Scope) -> Compiled:
@@ -323,9 +324,7 @@ def _expr(e: Expr, scope: _Scope) -> Compiled:
         return _chain(e.operands, f"'{e.op}' operand", e.op == "||", scope)
     if isinstance(e, MethodCall):
         return _method(e, scope)
-    if isinstance(e, Call):
-        return _call(e, scope)
-    return _raising(f"unknown expression node {e!r}")
+    return _call(e, scope)
 
 
 # Constructs whose closures return a bool or raise.
@@ -412,15 +411,7 @@ def _method(e: MethodCall, scope: _Scope) -> Compiled:
             return get(target, *args)
         raise EvalError(f"method '{name}' is not defined on {render_value(target)}")
 
-    receiver = _expr(e.receiver, scope)
-    if e.args:
-        return _applied(method, [receiver, *(_expr(a, scope) for a in e.args)])
-
-    def method_of(ev: Evaluator) -> Any:
-        target = receiver(ev)
-        return get(target) if isinstance(target, kind) else method(target)
-
-    return method_of
+    return _applied(method, [_expr(e.receiver, scope), *(_expr(a, scope) for a in e.args)])
 
 
 def _call(e: Call, scope: _Scope) -> Compiled:

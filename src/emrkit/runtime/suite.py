@@ -122,8 +122,6 @@ def run_suite(
     """
     names = list(input_names) if input_names else [f"input{i + 1}" for i in range(len(inputs))]
     report = SuiteReport()
-    if not inputs:
-        return report
     stubs = dict(stubs or {})
     for ast in emrs:
         try:

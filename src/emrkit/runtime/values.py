@@ -13,8 +13,6 @@ from ..jsonl import check
 class PositionOutOfRange(Exception):
     def __init__(self, position: int, length: int):
         super().__init__(f"position {position} out of range for sequence of length {length}")
-        self.position = position
-        self.length = length
 
 
 # Immutable JSON scalars: a copy can share them.

@@ -45,12 +45,3 @@ def test_totality_every_statement_gets_exactly_one_class():
         assert all(type(u.is_complex) is bool for u in units)
         assert len({u.line for u in units}) == len(units)  # one class per annotation key
 
-
-def test_simple_statements_have_no_non_construct_calls():
-    for seed in range(40):
-        ast = ProgramGen(seed).program()
-        for unit in canonical_units(ast):
-            if not unit.is_complex:
-                from emrkit.dsl.ast import called_non_construct_names
-
-                assert called_non_construct_names(unit.exprs) == []

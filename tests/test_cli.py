@@ -104,6 +104,36 @@ def test_derive_two_documents_two_transcripts_one_catalog(tmp_path):
     assert len(json.loads((tmp_path / "out" / "mrs.json").read_text())) == 1
 
 
+def test_derive_of_no_mrs_without_allow_empty_exits_3(tmp_path, capsys):
+    scripts = tmp_path / "scripts.json"
+    scripts.write_text(json.dumps([
+        {"pipeline": "derive", "phase": 1, "response": "ok"},
+        {"pipeline": "derive", "phase": 2, "response": "summary"},
+        {"pipeline": "derive", "phase": 3, "response": ""},
+    ]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mock": True, "mock_scripts": str(scripts)}))
+    assert run("--config", config, "--out", tmp_path / "out", "derive", DOC) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "requirements_shop: 0 MR(s) derived\n"
+    assert captured.err == f"error: no MRs derived from {DOC} (use --allow-empty to accept)\n"
+    assert not (tmp_path / "out" / "mrs.json").exists()
+
+
+def test_derive_merges_an_mr_that_two_documents_repeat(tmp_path, capsys):
+    second = tmp_path / "second.md"
+    second.write_text(Path(DOC).read_text(encoding="utf-8") + "\nA later revision.\n", encoding="utf-8")
+    scripts = [s for s in json.loads(fixture_path("mock_scripts.json").read_text()) if s["pipeline"] == "derive"]
+    (tmp_path / "scripts.json").write_text(json.dumps(scripts * 2))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mock": True, "mock_scripts": str(tmp_path / "scripts.json")}))
+    assert run("--config", config, "--out", tmp_path / "out", "derive", DOC, second) == 0
+    assert capsys.readouterr().out == (
+        "requirements_shop: 1 MR(s) derived\nsecond: 1 MR(s) derived\nmerged 1 duplicate MR(s)\n")
+    (mr,) = json.loads((tmp_path / "out" / "mrs.json").read_text())
+    assert mr["document_id"] == ingest_document(DOC).doc_id
+
+
 def test_generate_writes_emr_stub_and_repair_files(tmp_path, capsys):
     out = tmp_path / "out"
     assert run("--mock", "--out", out, "derive", DOC) == 0
@@ -1298,6 +1328,9 @@ MALFORMED_INPUTS = {
     "fewshot-mr-not-string": (
         "fewshot.json", json.dumps([{"mr": {"k": 1}, "emr": FEWSHOT_EMR}]).encode(), "fewshot",
         ["generate", "{empty}"]),
+    "fewshot-emr-invalid": (
+        "fewshot.json", json.dumps([{"mr": "m", "emr": FEWSHOT_EMR}, {"mr": "m", "emr": "MR {{ IMPLIES(true); }}"}]
+                                   ).encode(), "fewshot", ["generate", "{empty}"]),
     "api-catalog-parameter-type-not-string": (
         "catalog.json",
         b'[{"name": "isSearchAction", "parameters": [{"name": "action", "type": [null]}], "returns": "boolean",'

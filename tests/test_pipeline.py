@@ -110,6 +110,11 @@ def test_large_document_chunked_under_budget():
     assert positions == sorted(positions)
 
 
+def test_paragraphs_of_a_section_over_budget_are_packed_greedily():
+    text = "# A\n\n" + "x" * 30 + "\n\n" + "y" * 30
+    assert chunk_document(text, 40) == ["# A\n\n" + "x" * 30, "y" * 30]
+
+
 def test_small_document_is_one_chunk(shop_doc):
     assert chunk_document(shop_doc.text, 12_000) == [shop_doc.text]
 
@@ -134,9 +139,18 @@ def test_bundled_phase_counts():
 
 def test_template_override_directory(tmp_path):
     (tmp_path / "derive_phase1_context.txt").write_text("custom context", encoding="utf-8")
-    templates = DeriveTemplates.load(tmp_path)
-    assert templates.context.template == "custom context"
-    assert "sentences" in templates.sentences.template  # others fall back to bundled
+    (tmp_path / "constructs.txt").write_text("custom constructs", encoding="utf-8")
+    for directory in (tmp_path, str(tmp_path)):  # the CLI passes the configured string
+        templates = DeriveTemplates.load(directory)
+        assert templates.context.template == "custom context"
+        assert "sentences" in templates.sentences.template  # others fall back to bundled
+        assert GenerateTemplates.load(directory).constructs_text == "custom constructs"
+
+
+def test_a_template_that_is_not_utf8_is_a_value_error_naming_it(tmp_path):
+    (tmp_path / "generate_phase5_apis.txt").write_bytes(b"APIs \xff")
+    with pytest.raises(ValueError, match="^generate_phase5_apis.txt: 'utf-8' codec can't decode byte 0xff "):
+        GenerateTemplates.load(tmp_path)
 
 
 # --- derivation ------------------------------------------------------------
@@ -210,6 +224,17 @@ def test_mr_from_json_rejects_a_field_of_the_wrong_type(name, value):
 
     with pytest.raises(ValueError, match=f"MR field '{name}' must be"):
         MetamorphicRelation.from_json({"id": "m1", "text": "t", name: value})
+
+
+def test_blank_lines_in_the_mr_list_are_skipped(shop_doc):
+    response = f'1. MR: {MR1}\n   SOURCE: "{R1}"\n   REQ: R1\n2. MR: Paging keeps every result.\n   REQ: R2'
+    spaced = response.replace("\n", "\n\n  \n")
+    assert spaced.count("\n\n") == 4
+    mrs, warnings = parse_mr_list(spaced, shop_doc)
+    assert (mrs, warnings) == parse_mr_list(response, shop_doc)
+    assert [(mr.text, mr.source_sentences, mr.requirement_ref) for mr in mrs] == [
+        (MR1, [R1], "R1"), ("Paging keeps every result.", [], "R2")]
+    assert warnings == []
 
 
 def test_non_verbatim_sentence_flagged_not_kept(shop_doc):
@@ -428,6 +453,13 @@ def test_mock_client_missing_script_is_loud():
         MockChatClient.from_scripts([]).complete(conv)
 
 
+def test_mock_client_needs_a_user_message():
+    conv = Conversation("derive", "x")
+    conv.append("assistant", "hello", 1)
+    with pytest.raises(ValueError, match="^conversation has no user message$"):
+        MockChatClient.from_scripts([{"pipeline": "derive", "phase": 1, "response": "hi"}]).complete(conv)
+
+
 def test_conversation_rejects_descending_phases():
     conv = Conversation("derive", "x")
     conv.append("user", "a", 2)
@@ -510,7 +542,7 @@ def test_transcript_reader_rejects_a_bad_line(tmp_path, text):
         load_transcript(path)
 
 
-def test_live_client_against_local_chat_endpoint():
+def test_live_client_against_local_chat_endpoint(monkeypatch):
     import http.server
     import threading
 
@@ -521,6 +553,7 @@ def test_live_client_against_local_chat_endpoint():
             length = int(self.headers.get("Content-Length", 0))
             request = json.loads(self.rfile.read(length))
             reply = f"echo:{request['messages'][-1]['content']}:t={request['temperature']}"
+            reply += f":auth={self.headers.get('Authorization')}"
             body = json.dumps({"choices": [{"message": {"role": "assistant", "content": reply}}]}).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
@@ -533,11 +566,19 @@ def test_live_client_against_local_chat_endpoint():
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    monkeypatch.setenv("EMRKIT_API_KEY", "default-variable")
     try:
-        config = LlmConfig(endpoint=f"http://127.0.0.1:{server.server_address[1]}", model="m", temperature=0.0)
+        config = LlmConfig(endpoint=f"http://127.0.0.1:{server.server_address[1]}", model="m", temperature=0.0,
+                           credential_env="EMRKIT_TEST_KEY")
         conv = Conversation("derive", "x")
         conv.append("user", "ping", 1)
-        assert LiveChatClient(config).complete(conv) == "echo:ping:t=0.0"
+        # The header is sent only when the variable that credential_env names is set and not empty.
+        for credential, authorization in ((None, None), ("", None), ("s3cret", "Bearer s3cret")):
+            if credential is None:
+                monkeypatch.delenv("EMRKIT_TEST_KEY", raising=False)
+            else:
+                monkeypatch.setenv("EMRKIT_TEST_KEY", credential)
+            assert LiveChatClient(config).complete(conv) == f"echo:ping:t=0.0:auth={authorization}"
     finally:
         server.shutdown()
         server.server_close()

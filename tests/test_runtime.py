@@ -386,6 +386,17 @@ def test_determinism_same_inputs_same_verdict(filter_emr_ast, shop_inputs):
     assert first == second
 
 
+def test_result_stubs_read_no_ids_from_a_login_output():
+    from emrkit.shopstubs import STUBS
+
+    session = MockShopSut()()
+    login = session.execute(Action(0, "login", {"user": "tester"}))
+    search = session.execute(Action(1, "search", {"query": "chair"}))
+    assert isinstance(login.payload, dict) and search.payload
+    assert STUBS["isSubsetOf"](login, search) and not STUBS["isSubsetOf"](search, login)
+    assert STUBS["sameResults"](login, login) and not STUBS["sameResults"](login, search)
+
+
 @pytest.mark.parametrize(
     "statement, message",
     [

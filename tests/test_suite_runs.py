@@ -211,6 +211,27 @@ def test_report_text_table_lists_every_emr(suite_asts, shop_inputs):
     assert "failing bindings:" in text and "filterType" in text
 
 
+def test_report_text_is_the_table_then_the_failing_bindings_then_the_errors():
+    emrs = [parse_emr("MR {{ for (var a : Input(1).actions()) { IMPLIES(true, false); } }}", "fails"),
+            parse_emr("MR {{ var n = 3; IMPLIES(true, n); }}", "errs"),
+            parse_emr("MR {{ IMPLIES(true, true); }}", "passes")]
+    source = ActionSequence.from_json([{"kind": "search", "parameters": {"query": "chair"}}])
+    header = f"{'EMR':<24}{'Pass':>14}{'Fail':>14}{'Inapplicable':>14}{'NotExecutable':>14}{'Error':>14}"
+    assert run_suite(emrs, [source], MockShopSut(), {}).to_text().split("\n") == [
+        header,
+        "-" * 94,
+        f"{'fails':<24}" + "".join(f"{n:>14}" for n in (0, 1, 0, 0, 0)),
+        f"{'errs':<24}" + "".join(f"{n:>14}" for n in (0, 0, 0, 0, 1)),
+        f"{'passes':<24}" + "".join(f"{n:>14}" for n in (1, 0, 0, 0, 0)),
+        "",
+        "failing bindings:",
+        "  fails on input1: line 1 with a=search@0",
+        "",
+        "errors:",
+        "  errs on input1: IMPLIES consequent evaluated to non-boolean 3",
+    ]
+
+
 def test_report_json_shape(suite_asts, shop_inputs):
     report = run_suite(suite_asts[:1], shop_inputs[:1], MockShopSut(), STUBS)
     data = report.to_json()
@@ -378,8 +399,12 @@ def test_typed_programs_reach_verdicts():
     ("var k = 2; var p = 9; CREATE(Input(k), Input(1)); var o = Output(Input(k), p);",
      "position 9 out of range for sequence of length 2"),
     ("CREATE(Input(2), 5);", "CREATE source must be an input sequence"),
+    ("IMPLIES(Output(1), true);", "IMPLIES antecedent evaluated to non-boolean OutputSequence(len=2)"),
+    ("IMPLIES(Input(1), true);", "IMPLIES antecedent evaluated to non-boolean Input(1)"),
+    ("for (var o : Output(Input(1), 0)) { NOT(false); }", "cannot iterate over Output(status=ok, size=5)"),
 ], ids=["if", "implies-antecedent", "implies-consequent", "bang", "and", "or", "input", "input-var", "output",
-        "output-var", "output-at-unregistered", "output-at-range", "output-at-range-var", "create-source"])
+        "output-var", "output-at-unregistered", "output-at-range", "output-at-range-var", "create-source",
+        "render-output-sequence", "render-input", "render-output"])
 def test_statement_level_run_time_errors_are_error_entries(statements, error):
     ast = parse_emr(f"MR {{{{ {statements} IMPLIES(true, true); }}}}", "statement_error")
     assert not has_errors(validate(ast))

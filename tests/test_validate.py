@@ -71,8 +71,15 @@ def test_boolean_position_literal_errors():
 
 
 def test_integer_position_literal_errors():
-    diags = validate(parse_emr('MR {{ var x = Input("one"); }}'))
-    assert any(d.severity == "error" for d in diags)
+    for use, message in [
+        ('Input("one")', "Input index must be an integer"),
+        ("Input(false)", "Input index must be an integer"),
+        ('Output("x")', "Output index must be an integer"),
+        ("Output(true)", "Output index must be an integer"),
+        ('Output(Input(1), "p")', "Output position must be an integer"),
+    ]:
+        diags = validate(parse_emr(f"MR {{{{\n    var x = {use};\n}}}}"))
+        assert [(d.severity, d.message, d.line) for d in diags] == [("error", message, 2)], use
 
 
 def test_continue_outside_loop():
