@@ -48,10 +48,7 @@ the generic one does, and every other shape takes the generic one:
 - an integer literal index of ``Input``, ``Output`` or ``CREATE`` (and the
   ``Input(k)`` that ``Output(Input(k), pos)`` reads) is used as it is, with
   no closure to evaluate it and no integer check;
-- a boolean position whose node evaluates to a bool by construction skips
-  ``_boolean``'s check;
-- a stub or method call that passes up to three values, a method's receiver
-  included, builds no argument list.
+- a method call without arguments is one closure.
 """
 
 from __future__ import annotations
@@ -411,7 +408,15 @@ def _method(e: MethodCall, scope: _Scope) -> Compiled:
             return get(target, *args)
         raise EvalError(f"method '{name}' is not defined on {render_value(target)}")
 
-    return _applied(method, [_expr(e.receiver, scope), *(_expr(a, scope) for a in e.args)])
+    receiver = _expr(e.receiver, scope)
+    if e.args:
+        return _applied(method, [receiver, *(_expr(a, scope) for a in e.args)])
+
+    def method_of(ev: Evaluator) -> Any:
+        target = receiver(ev)
+        return get(target) if isinstance(target, kind) else method(target)
+
+    return method_of
 
 
 def _call(e: Call, scope: _Scope) -> Compiled:
