@@ -229,7 +229,6 @@ def test_mr_from_json_rejects_a_field_of_the_wrong_type(name, value):
 def test_blank_lines_in_the_mr_list_are_skipped(shop_doc):
     response = f'1. MR: {MR1}\n   SOURCE: "{R1}"\n   REQ: R1\n2. MR: Paging keeps every result.\n   REQ: R2'
     spaced = response.replace("\n", "\n\n  \n")
-    assert spaced.count("\n\n") == 4
     mrs, warnings = parse_mr_list(spaced, shop_doc)
     assert (mrs, warnings) == parse_mr_list(response, shop_doc)
     assert [(mr.text, mr.source_sentences, mr.requirement_ref) for mr in mrs] == [

@@ -27,6 +27,8 @@ import threading
 from pathlib import Path
 from types import CodeType
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "emrkit"
 
@@ -71,23 +73,26 @@ class Tracer:
 
 
 class _Plugin:
+    """Installs the tracer before each phase of each test, ahead of the hooks that run it."""
+
     def __init__(self, tracer: Tracer):
         self.tracer = tracer
 
+    @pytest.hookimpl(tryfirst=True)
     def pytest_runtest_setup(self, item):
         self.tracer.install()
 
+    @pytest.hookimpl(tryfirst=True)
     def pytest_runtest_call(self, item):
         self.tracer.install()
 
+    @pytest.hookimpl(tryfirst=True)
     def pytest_runtest_teardown(self, item):
         self.tracer.install()
 
 
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    import pytest
-
     tracer = Tracer(str(PACKAGE) + "/")
     tracer.install()
     try:
