@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import jsonl
+from ._record import Record
 from .dsl import DslError, canonical_units, parse_emr
 from .dsl.repair import repair
 from .dsl.validate import validate
@@ -109,8 +110,8 @@ def _load(what: str, path: str | Path | None, loader: Callable[..., Any], *args:
         raise CliError(f"cannot read {named}: {reason}")
 
 
-@dataclass
-class ToolConfig:
+@dataclass(eq=False, repr=False)
+class ToolConfig(Record):
     """Fully resolved tool configuration; every default is materialized."""
 
     llm: LlmConfig = field(default_factory=LlmConfig)

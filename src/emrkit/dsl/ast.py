@@ -15,6 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
+from .._record import Record
+
 # Construct name -> accepted argument counts.
 CONSTRUCT_ARITY: dict[str, tuple[int, ...]] = {
     "Input": (1,),
@@ -59,8 +61,10 @@ def _pos() -> Position:
     return Position()
 
 
-@dataclass
-class Node:
+@dataclass(eq=False, repr=False)
+class Node(Record):
+    """Base of every AST node: its ``pos``, which no comparison reads, and its ``explanation``."""
+
     pos: Position = field(default_factory=_pos, compare=False, kw_only=True)
     explanation: str | None = field(default=None, kw_only=True)
 
@@ -68,27 +72,35 @@ class Node:
 # --- expressions ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class IntLit(Node):
+    """An integer literal."""
+
     value: int = 0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class StringLit(Node):
+    """A string literal."""
+
     value: str = ""
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BoolLit(Node):
+    """``true`` or ``false``."""
+
     value: bool = False
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Name(Node):
+    """A read of a variable."""
+
     ident: str = ""
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Call(Node):
     """Free function call; covers both DSL constructs and SUT/stub functions."""
 
@@ -96,19 +108,23 @@ class Call(Node):
     args: tuple["Expr", ...] = ()
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class MethodCall(Node):
+    """A method call on a value: ``receiver.name(args)``."""
+
     receiver: "Expr" = None  # type: ignore[assignment]
     name: str = ""
     args: tuple["Expr", ...] = ()
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Not(Node):
+    """Prefix negation: ``!operand``."""
+
     operand: "Expr" = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BoolChain(Node):
     """Flattened infix chain: ``a && b && c`` or ``a || b``."""
 
@@ -122,41 +138,51 @@ Expr = Union[IntLit, StringLit, BoolLit, Name, Call, MethodCall, Not, BoolChain]
 # --- statements ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ForEach(Node):
+    """``for (decl_type var : iterable) { body }``."""
+
     decl_type: str = "var"  # "var" or a type name such as "Action"
     var: str = ""
     iterable: Expr = None  # type: ignore[assignment]
     body: tuple["Stmt", ...] = ()
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class If(Node):
+    """``if (cond) { body }``; the DSL has no ``else``."""
+
     cond: Expr = None  # type: ignore[assignment]
     body: tuple["Stmt", ...] = ()
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Continue(Node):
-    pass
+    """``continue;``, which skips the rest of a loop body."""
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class VarDecl(Node):
+    """A variable declaration: ``var name = init;``."""
+
     name: str = ""
     init: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ExprStmt(Node):
+    """An expression statement, such as an ``IMPLIES`` check."""
+
     expr: Expr = None  # type: ignore[assignment]
 
 
 Stmt = Union[ForEach, If, Continue, VarDecl, ExprStmt]
 
 
-@dataclass
-class EmrAst:
+@dataclass(eq=False, repr=False)
+class EmrAst(Record):
+    """A parsed EMR: its id and its top-level statements."""
+
     id: str
     statements: tuple[Stmt, ...]
 

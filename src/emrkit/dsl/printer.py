@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .._record import Record
 from .ast import (
     BoolChain,
     BoolLit,
@@ -45,8 +46,8 @@ INDENT = "    "
 EXPANDABLE = frozenset({"IMPLIES", "OR", "AND"})
 
 
-@dataclass(slots=True)
-class Unit:
+@dataclass(eq=False, repr=False, slots=True)
+class Unit(Record):
     """One canonical line. Its text is ``head``, or ``head``, the expression
     and ``tail``, and is formatted only when read. A line with a ``kind``
     carries program logic and is one of the EMR's units; structural lines

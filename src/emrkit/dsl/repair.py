@@ -10,14 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .._record import Record
 from .errors import DslError
 from .tokens import line_starts, position, scan
 
 WLC_AMP = "WLC-AMP"
 
 
-@dataclass
-class RepairEntry:
+@dataclass(eq=False, repr=False)
+class RepairEntry(Record):
+    """One fix of ``repair``: the line, the rule applied, and the text before and after."""
+
     line: int
     rule: str
     before: str
@@ -33,8 +36,10 @@ class RepairEntry:
         }
 
 
-@dataclass
-class RepairLog:
+@dataclass(eq=False, repr=False)
+class RepairLog(Record):
+    """The fixes of one repair in the order they were made; false when there are none."""
+
     entries: list[RepairEntry] = field(default_factory=list)
 
     def __bool__(self) -> bool:

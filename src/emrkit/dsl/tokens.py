@@ -18,6 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+from .._record import Record
 from .errors import IllegalCharacter
 
 KEYWORDS = frozenset({"MR", "for", "if", "continue", "var", "true", "false"})
@@ -48,8 +49,10 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass
-class Token:
+@dataclass(eq=False, repr=False)
+class Token(Record):
+    """One lexeme with its kind, line and column, and the whitespace before it."""
+
     kind: str  # keyword | identifier | integer-literal | string-literal | punctuation | comment | eof
     lexeme: str
     line: int

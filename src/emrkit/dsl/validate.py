@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .._record import Record
 from .ast import (
     BoolChain,
     BoolLit,
@@ -37,8 +38,10 @@ if TYPE_CHECKING:
     from ..sut.catalog import ApiCatalog
 
 
-@dataclass
-class Diagnostic:
+@dataclass(eq=False, repr=False)
+class Diagnostic(Record):
+    """One finding of ``validate``: severity, message, line and the symbol it is about, if any."""
+
     severity: str  # "error" | "warning" | "stub"
     message: str
     line: int

@@ -18,6 +18,7 @@ from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
+from ._record import Record
 from .dsl.printer import Unit
 from .jsonl import check
 
@@ -27,18 +28,14 @@ CORRECT_LABELS = frozenset({"C", "CLC", "AI"})
 SIMPLE_LABELS = frozenset({"CLC", "WLC"})
 
 
-@dataclass
-class StatementAnnotation:
+@dataclass(eq=False, repr=False)
+class StatementAnnotation(Record):
+    """The labels given to one canonical line of an EMR."""
+
     emr_id: str
     line: int  # canonical pretty-printed line number
     labels: list[str]
     note: str | None = None
-
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"emr": self.emr_id, "line": self.line, "labels": self.labels}
-        if self.note:
-            out["note"] = self.note
-        return out
 
     @property
     def is_correct(self) -> bool:
@@ -108,8 +105,10 @@ def _percent(count: int, denominator: int, quantum: str = "0.1", rounding: str =
     return (Decimal(count * 100) / Decimal(denominator)).quantize(Decimal(quantum), rounding=rounding)
 
 
-@dataclass
-class DistributionReport:
+@dataclass(eq=False, repr=False)
+class DistributionReport(Record):
+    """How often each label was given over a set of annotated statements."""
+
     statement_count: int
     label_counts: dict[str, int]
     label_percentages: dict[str, float]  # of statement_count, one decimal
@@ -180,8 +179,10 @@ POSITIVE_RATINGS = frozenset({"strongly agree", "agree"})
 SURVEY_STATEMENTS = ("S1", "S2", "S3", "S1E", "S2E", "S3E")
 
 
-@dataclass
-class LikertResponse:
+@dataclass(eq=False, repr=False)
+class LikertResponse(Record):
+    """One respondent's rating of one survey statement about an MR or EMR."""
+
     subject: str  # the MR or EMR being rated
     statement: str  # S1 | S2 | S3 | S1E | S2E | S3E
     respondent: str
@@ -221,8 +222,10 @@ def load_survey(path: str | Path) -> list[LikertResponse]:
     return responses
 
 
-@dataclass
-class SurveyReport:
+@dataclass(eq=False, repr=False)
+class SurveyReport(Record):
+    """The count of each rating per survey statement."""
+
     # statement -> rating -> count; statements with no responses are absent.
     counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
@@ -277,8 +280,10 @@ def summarize_survey(responses: Iterable[LikertResponse]) -> SurveyReport:
 # --- size statistics ---------------------------------------------------------
 
 
-@dataclass
-class SizeStats:
+@dataclass(eq=False, repr=False)
+class SizeStats(Record):
+    """The count, minimum, mean, maximum and total of a list of sizes."""
+
     count: int
     min: int | None
     mean: float | None

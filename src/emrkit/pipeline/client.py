@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Protocol
 
+from .._record import Record
 from ..jsonl import check
 from .conversation import Conversation
 
@@ -25,8 +26,10 @@ class LlmError(Exception):
     """A conversation with the LLM failed: no reply, or one in the wrong format."""
 
 
-@dataclass
-class LlmConfig:
+@dataclass(eq=False, repr=False)
+class LlmConfig(Record):
+    """Where the chat model is and how to call it; the credential stays in ``credential_env``."""
+
     endpoint: str = ""
     model: str = "mock"
     temperature: float = 0.0
@@ -42,8 +45,8 @@ def content_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass
-class MockChatClient:
+@dataclass(eq=False, repr=False)
+class MockChatClient(Record):
     """Deterministic scripted client for tests and --mock runs."""
 
     queues: dict[tuple[str, int, str], list[str]] = field(default_factory=dict)
@@ -76,8 +79,8 @@ class MockChatClient:
         )
 
 
-@dataclass
-class LiveChatClient:
+@dataclass(eq=False, repr=False)
+class LiveChatClient(Record):
     """Chat-completions style HTTP client with bounded retries. A reply
     without a string ``choices[0].message.content`` is a failed attempt."""
 

@@ -14,11 +14,14 @@ from pathlib import Path
 from typing import Any
 
 from .. import jsonl
+from .._record import Record
 from .templates import PromptPhase
 
 
-@dataclass
-class Message:
+@dataclass(eq=False, repr=False)
+class Message(Record):
+    """One chat message and the prompt phase it belongs to."""
+
     role: str  # system | user | assistant
     content: str
     phase: int
@@ -27,8 +30,10 @@ class Message:
         return {"role": self.role, "content": self.content, "phase": self.phase}
 
 
-@dataclass
-class Conversation:
+@dataclass(eq=False, repr=False)
+class Conversation(Record):
+    """The messages of one derive or generate conversation, saved as its transcript."""
+
     pipeline: str  # "derive" | "generate"
     ref: str  # document id or MR-batch id; names the transcript file
     config: dict[str, Any] = field(default_factory=dict)

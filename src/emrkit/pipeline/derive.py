@@ -17,14 +17,17 @@ from pathlib import Path
 from typing import Any
 
 from .. import jsonl
+from .._record import Record
 from .client import ChatClient, LlmError
 from .conversation import Conversation, TranscriptStore, run_turn
 from .ingest import Document, chunk_document
 from .templates import DeriveTemplates
 
 
-@dataclass
-class MetamorphicRelation:
+@dataclass(eq=False, repr=False)
+class MetamorphicRelation(Record):
+    """One derived MR, with the document and requirement it came from."""
+
     id: str
     text: str
     document_id: str
@@ -55,8 +58,10 @@ class MetamorphicRelation:
         )
 
 
-@dataclass
-class DeriveResult:
+@dataclass(eq=False, repr=False)
+class DeriveResult(Record):
+    """The MRs derived from one document, the conversation that gave them, and any warnings."""
+
     mrs: list[MetamorphicRelation]
     conversation: Conversation
     warnings: list[str] = field(default_factory=list)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .._record import Record
 from ..dsl.ast import EmrAst
 from ..dsl.errors import DslError
 from ..dsl.parser import parse_emr, parse_with_layout
@@ -31,8 +32,10 @@ from .templates import GenerateTemplates
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\n(.*?)```", re.DOTALL)
 
 
-@dataclass
-class FewShotExample:
+@dataclass(eq=False, repr=False)
+class FewShotExample(Record):
+    """An MR and the EMR written for it, shown to the model as an example."""
+
     mr: str
     emr: str
 
@@ -59,8 +62,10 @@ def render_fewshot(examples: list[FewShotExample]) -> str:
     return "\n\n".join(blocks)
 
 
-@dataclass
-class GeneratedEmr:
+@dataclass(eq=False, repr=False)
+class GeneratedEmr(Record):
+    """The EMR generated for one MR: status, source, AST, repairs, stubs and explanations."""
+
     mr_id: str
     status: str  # "ok" | "repaired" | "unparseable"
     source: str | None = None
@@ -71,8 +76,10 @@ class GeneratedEmr:
     error: str | None = None
 
 
-@dataclass
-class GenerateResult:
+@dataclass(eq=False, repr=False)
+class GenerateResult(Record):
+    """The EMRs of one generate conversation, and the conversation."""
+
     items: list[GeneratedEmr]
     conversation: Conversation
 

@@ -5,13 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .._record import Record
 from .client import content_hash
 
 TEXT_SUFFIXES = {".txt", ".md", ".markdown", ".rst", ""}
 
 
-@dataclass
-class Document:
+@dataclass(eq=False, repr=False)
+class Document(Record):
+    """A requirements document read from disk, with an id that hashes its content."""
+
     doc_id: str  # content hash: identical content gets an identical id
     name: str
     text: str

@@ -6,6 +6,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .._record import Record
 from ..resources import asset_path
 
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
@@ -23,8 +24,10 @@ def fill(text: str, /, **values: str) -> str:
     return _PLACEHOLDER.sub(replace, text)
 
 
-@dataclass
-class PromptPhase:
+@dataclass(eq=False, repr=False)
+class PromptPhase(Record):
+    """The template of one numbered phase of a conversation."""
+
     ordinal: int
     template: str
 
@@ -50,8 +53,10 @@ def _phase(ordinal: int, name: str, directory: Path | None, *placeholders: str) 
     return PromptPhase(ordinal, template)
 
 
-@dataclass
-class DeriveTemplates:
+@dataclass(eq=False, repr=False)
+class DeriveTemplates(Record):
+    """The prompt templates of the derive conversation, one per phase."""
+
     context: PromptPhase
     document: PromptPhase
     consolidate: PromptPhase
@@ -70,8 +75,10 @@ class DeriveTemplates:
         )
 
 
-@dataclass
-class GenerateTemplates:
+@dataclass(eq=False, repr=False)
+class GenerateTemplates(Record):
+    """The prompt templates of the generate conversation and the texts they embed."""
+
     context: PromptPhase
     constructs: PromptPhase
     output_template: PromptPhase

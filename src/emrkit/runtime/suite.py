@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from .._record import Record
 from ..dsl.ast import EmrAst
 from .errors import AdapterFailure, EvalError, RunAborted
 from .evaluate import SessionFactory, compile_emr
@@ -13,8 +14,10 @@ from .values import ActionSequence, PositionOutOfRange, StubBindings, Verdict, V
 VERDICT_ORDER = [v.value for v in VerdictValue] + ["Error"]
 
 
-@dataclass
-class SuiteEntry:
+@dataclass(eq=False, repr=False)
+class SuiteEntry(Record):
+    """The outcome of one EMR on one input: a verdict, or the error that stopped it."""
+
     emr_id: str
     input_index: int
     input_name: str
@@ -42,8 +45,10 @@ class SuiteEntry:
         return out
 
 
-@dataclass
-class SuiteReport:
+@dataclass(eq=False, repr=False)
+class SuiteReport(Record):
+    """The entries of one suite run, in the order the pairs ran."""
+
     entries: list[SuiteEntry] = field(default_factory=list)
 
     def tally(self) -> tuple[dict[str, dict[str, int]], list[str]]:

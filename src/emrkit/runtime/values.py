@@ -7,6 +7,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
+from .._record import Record
 from ..jsonl import check
 
 
@@ -46,15 +47,19 @@ def _copy_parameters(parameters: Mapping[str, Any]) -> dict[str, Any]:
 _new = object.__new__
 
 
-@dataclass
-class Action:
+@dataclass(eq=False, repr=False)
+class Action(Record):
+    """One action of an input sequence: its position, kind and parameters."""
+
     position: int
     kind: str
     parameters: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class ActionSequence:
+@dataclass(eq=False, repr=False)
+class ActionSequence(Record):
+    """An input sequence: its index and its actions, numbered from 0."""
+
     index: int
     actions: list[Action] = field(default_factory=list)
 
@@ -88,8 +93,10 @@ class ActionSequence:
         return cls(index, actions)
 
 
-@dataclass
-class Output:
+@dataclass(eq=False, repr=False)
+class Output(Record):
+    """What the SUT returned for one action: status, payload and result count."""
+
     status: str
     payload: Any = None
     summary_size: int = 0
@@ -103,8 +110,10 @@ class Output:
                    check(data.get("summary_size", 0), "an integer", f"{what} field 'summary_size'"))
 
 
-@dataclass
-class OutputSequence:
+@dataclass(eq=False, repr=False)
+class OutputSequence(Record):
+    """The outputs of one input sequence's actions, in order."""
+
     outputs: list[Output] = field(default_factory=list)
 
     def at(self, position: int) -> Output:
@@ -120,8 +129,10 @@ class VerdictValue(enum.Enum):
     NOT_EXECUTABLE = "NotExecutable"
 
 
-@dataclass
-class FailingBinding:
+@dataclass(eq=False, repr=False)
+class FailingBinding(Record):
+    """A check that failed: its line and the values bound in its scope."""
+
     line: int
     bindings: dict[str, str]
 
@@ -130,8 +141,10 @@ class FailingBinding:
         return {"line": self.line, "bindings": self.bindings, "antecedent": True, "consequent": False}
 
 
-@dataclass
-class Verdict:
+@dataclass(eq=False, repr=False)
+class Verdict(Record):
+    """One EMR's verdict on one input, with its failing bindings and the unbound stubs it names."""
+
     value: VerdictValue
     failing_bindings: list[FailingBinding] = field(default_factory=list)
     stubs: list[str] = field(default_factory=list)
@@ -144,20 +157,26 @@ StubBindings = Mapping[str, Callable[..., Any]]
 # --- follow-up input construction -------------------------------------------
 
 
-@dataclass
-class SetParameter:
+@dataclass(eq=False, repr=False)
+class SetParameter(Record):
+    """A follow-up edit that sets one parameter of the action at ``position``."""
+
     position: int
     name: str
     value: Any
 
 
-@dataclass
-class RemoveAction:
+@dataclass(eq=False, repr=False)
+class RemoveAction(Record):
+    """A follow-up edit that removes the action at ``position``."""
+
     position: int
 
 
-@dataclass
-class InsertAction:
+@dataclass(eq=False, repr=False)
+class InsertAction(Record):
+    """A follow-up edit that inserts an action at ``position``."""
+
     position: int  # 0..len(actions), insertion point
     kind: str
     parameters: dict[str, Any] = field(default_factory=dict)

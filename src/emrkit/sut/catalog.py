@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from .._record import Record
 from ..jsonl import check
 
 
@@ -17,8 +18,10 @@ def _entry_error(message: str, entry: Any) -> ValueError:
     return ValueError(message)
 
 
-@dataclass
-class ApiEntry:
+@dataclass(eq=False, repr=False)
+class ApiEntry(Record):
+    """One documented SUT function: name, typed parameters, return type and description."""
+
     name: str
     parameters: list[tuple[str, str]]  # (name, semantic type)
     returns: str
@@ -29,8 +32,10 @@ class ApiEntry:
         return f"{self.returns} {self.name}({params})"
 
 
-@dataclass
-class ApiCatalog:
+@dataclass(eq=False, repr=False)
+class ApiCatalog(Record):
+    """The documented SUT functions that the generate prompt lists."""
+
     entries: list[ApiEntry]
 
     def render_for_prompt(self) -> str:

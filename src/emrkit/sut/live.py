@@ -24,13 +24,16 @@ import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 
+from .._record import Record
 from ..jsonl import check
 from ..runtime.errors import AdapterFailure
 from ..runtime.values import Action, Output
 
 
-@dataclass
-class AdapterConfig:
+@dataclass(eq=False, repr=False)
+class AdapterConfig(Record):
+    """A live SUT's base URL and the request that each action kind maps to."""
+
     base_url: str
     actions: dict[str, dict[str, str]]
 
@@ -62,8 +65,8 @@ def _to_output(status_code: int, body: bytes) -> Output:
     return Output(status, data, len(data) if isinstance(data, list) else 0)
 
 
-@dataclass
-class LiveHttpSut:
+@dataclass(eq=False, repr=False)
+class LiveHttpSut(Record):
     """A live SUT keeps no session state of its own, so it is its own
     session factory: every session is the SUT itself."""
 

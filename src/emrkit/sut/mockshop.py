@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from .._record import Record
 from ..runtime.errors import AdapterFailure
 from ..runtime.values import _new, Action, Output
 
@@ -64,8 +65,10 @@ def matches_filters(item: dict[str, Any], params: dict[str, Any]) -> bool:
     return True
 
 
-@dataclass
-class MockShopSession:
+@dataclass(eq=False, repr=False)
+class MockShopSession(Record):
+    """One session with the in-memory shop, optionally with one seeded fault."""
+
     fault: str | None = None
     _first_search: Output | None = None
     # (query, filters) key -> the catalog items it matches; shared with the
@@ -126,8 +129,8 @@ class MockShopSession:
         return results
 
 
-@dataclass
-class MockShopSut:
+@dataclass(eq=False, repr=False)
+class MockShopSut(Record):
     """Session factory for the mock shop; one instance per configuration."""
 
     fault: str | None = None

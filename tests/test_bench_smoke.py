@@ -106,3 +106,15 @@ def test_bench_layers_writes_the_load_annotations_row(layer_rows):
 
 def test_bench_layers_writes_the_cassette_load_row(layer_rows):
     check_cpu_ms_row(layer_rows["cassette_load"], "Cassette.load")
+
+
+def test_bench_layers_writes_the_import_row(layer_rows):
+    row = layer_rows["import"]
+    assert "n" not in row and row["rounds"] == 3 and set(row["commits"]) == {"this", "against"}
+    assert "emrkit.cli" in row["what"]
+    for version in ("this", "against"):
+        assert set(row[version]) == {"bundled"}  # no size, so no by_n and no slope
+        stats = row[version]["bundled"]["cpu_ms"]
+        assert set(stats) == QUARTILES and 0 < stats["q1"] <= stats["median"] <= stats["q3"]
+    assert set(row["paired_against_over_this"]) == {"bundled"}
+    assert set(row["paired_against_over_this"]["bundled"]["cpu_ms"]) == QUARTILES

@@ -62,6 +62,14 @@ cassette of n interactions recorded from the mock shop, one per action of
 the ``suite-run`` inputs seeded 1. Both are thread-CPU ms per call; the
 files are written before the first round.
 
+The ``import`` row times one fresh import of ``emrkit.cli`` from a
+checkout's ``src``, with every ``emrkit`` module it imports, as each
+``emrkit`` process starts (thread-CPU ms per import). The interpreter's
+bytecode settings hold, so where no bytecode is cached each import
+compiles the sources as well. After each import the modules loaded before
+it are put back, so the other rows keep calling their own checkout's. The
+row has no size: its one case is named ``bundled``.
+
 Every row records, per n, the median with the quartiles of each clock, and
 the log-log slope of the median over n (1.0 is linear, 2.0 quadratic).
 
@@ -302,9 +310,31 @@ def cassette_sampler(modules: Modules, count: int | None, directory: Path) -> Sa
     return timed(lambda cassette: cassette.load(), [sut.Cassette(path)], "cpu_ms")
 
 
+def import_sampler(modules: Modules, _: Path) -> Sampler:
+    """One round imports ``emrkit.cli`` afresh from the checkout of ``modules``."""
+    src = str(Path(modules["cli"].__file__).resolve().parents[1])
+
+    def sample() -> dict[str, float]:
+        loaded = dict(sys.modules)
+        for name in [m for m in sys.modules if m == "emrkit" or m.startswith("emrkit.")]:
+            del sys.modules[name]
+        sys.path.insert(0, src)
+        try:
+            start = time.thread_time_ns()
+            importlib.import_module("emrkit.cli")
+            return {"cpu_ms": (time.thread_time_ns() - start) / 1e6}
+        finally:
+            sys.path.remove(src)
+            for name in [m for m in sys.modules if m not in loaded]:
+                del sys.modules[name]
+            sys.modules.update(loaded)
+
+    return sample
+
+
 class Row(NamedTuple):
     what: str
-    by_n: Callable[[Modules, int, Path], Sampler]  # (checkout, n, its own scratch directory)
+    by_n: Callable[[Modules, int, Path], Sampler] | None = None  # (checkout, n, its own scratch directory)
     bundled: Callable[[Modules, Path], Sampler] | None = None
 
 
@@ -346,6 +376,8 @@ ROWS: dict[str, Row] = {
     "cassette_load": Row(f"Cassette.load on one record-replay round's cassette (seed {SEED}; thread-CPU ms per call) "
                          "and on n interactions recorded from the mock shop (thread-CPU ms per call)",
                          cassette_sampler, lambda m, directory: cassette_sampler(m, None, directory)),
+    "import": Row("one fresh import of emrkit.cli with every emrkit module it imports (thread-CPU ms per import)",
+                  bundled=import_sampler),
 }
 
 
@@ -385,18 +417,19 @@ def measure(row: Row, versions: dict[str, Modules], sizes: list[int], rounds: in
     if row.bundled is not None:
         for v, modules in versions.items():
             samplers["bundled", v] = row.bundled(modules, directory / f"{v}-bundled")
+    sizes = sizes if row.by_n is not None else []
     for n in sizes:
         for v, modules in versions.items():  # a case's versions run next to each other
             samplers[str(n), v] = row.by_n(modules, n, directory / f"{v}-n{n}")
     cases = interleaved(samplers, rounds)
     result: dict[str, Any] = {}
     for v in versions:
-        by_n = {str(n): {clock: summary(s) for clock, s in cases[str(n)][v].items()} for n in sizes}
-        result[v] = {
-            "by_n": by_n,
-            "loglog_slope": {clock: loglog_slope(sizes, [by_n[str(n)][clock]["median"] for n in sizes])
-                             for clock in by_n[str(sizes[0])]},
-        }
+        result[v] = {}
+        if sizes:
+            by_n = {str(n): {clock: summary(s) for clock, s in cases[str(n)][v].items()} for n in sizes}
+            result[v]["by_n"] = by_n
+            result[v]["loglog_slope"] = {clock: loglog_slope(sizes, [by_n[str(n)][clock]["median"] for n in sizes])
+                                         for clock in by_n[str(sizes[0])]}
         if "bundled" in cases:
             result[v]["bundled"] = {clock: summary(s) for clock, s in cases["bundled"][v].items()}
     if "against" in versions:
@@ -416,8 +449,9 @@ def report(name: str, row: dict[str, Any]) -> None:
 
     for v in row["commits"]:
         cells = [f"bundled {cell(row[v]['bundled'], 1)}"] if "bundled" in row[v] else []
-        cells += [f"n={n} {cell(clocks, 2)}" for n, clocks in row[v]["by_n"].items()]
-        print(f"{name} {v}: " + "   ".join(cells) + f"   slope {row[v]['loglog_slope']}")
+        cells += [f"n={n} {cell(clocks, 2)}" for n, clocks in row[v].get("by_n", {}).items()]
+        cells += [f"slope {row[v]['loglog_slope']}"] if "loglog_slope" in row[v] else []
+        print(f"{name} {v}: " + "   ".join(cells))
     if "paired_against_over_this" in row:
         cells = [f"{case} {cell(ratios, 3, unit=False)}" for case, ratios in row["paired_against_over_this"].items()]
         print(f"{name} against/this: " + "   ".join(cells))
@@ -444,11 +478,13 @@ def main() -> None:
     document = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     steep = []
     for name in args.rows:
-        row = {"what": ROWS[name].what, "rounds": args.rounds, "n": args.sizes, "commits": commits,
+        row = {"what": ROWS[name].what, "rounds": args.rounds, "commits": commits,
+               **({"n": args.sizes} if ROWS[name].by_n is not None else {}),
                **measure(ROWS[name], versions, args.sizes, args.rounds, args.dir.resolve())}
         document.setdefault("rows", {})[name] = row
         report(name, row)
-        steep += [f"{name} {clock} slope {s}" for clock, s in row["this"]["loglog_slope"].items() if s > MAX_SLOPE]
+        slopes = row["this"].get("loglog_slope", {})
+        steep += [f"{name} {clock} slope {s}" for clock, s in slopes.items() if s > MAX_SLOPE]
     args.out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     if args.check and steep:

@@ -63,7 +63,10 @@ SIMPLE_WLC: dict[str, set[int]] = {
 
 
 def save_annotations(annotations: Iterable[StatementAnnotation], path: str | Path) -> None:
-    lines = [json.dumps(a.to_json(), sort_keys=True, ensure_ascii=False) for a in annotations]
+    """One sorted-key JSON line per annotation, as ``grading.load_annotations`` reads them."""
+    records = [{"emr": a.emr_id, "line": a.line, "labels": a.labels, **({"note": a.note} if a.note else {})}
+               for a in annotations]
+    lines = [json.dumps(record, sort_keys=True, ensure_ascii=False) for record in records]
     jsonl.rewrite(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
