@@ -8,10 +8,16 @@ stub functions lack bindings are NotExecutable and are never run against
 the SUT.
 
 Statement semantics: ``Input(1)`` is the supplied source input, executed
-against a fresh SUT session up front. ``CREATE(Input(k), e)`` copies the
-sequence ``e``, registers it as input k, executes it on a fresh session
-immediately (so ``Output(Input(k), pos)`` resolves later in the same
-expression), and evaluates to true.
+against a fresh SUT session up front. ``CREATE(Input(k), e)`` registers the
+sequence ``e`` as input k, executes it on a fresh session immediately (so
+``Output(Input(k), pos)`` resolves later in the same expression), and
+evaluates to true. An input the EMR reads back (an ``Input(k)`` that is a
+value, not a ``CREATE`` target or the first argument of a two-argument
+``Output``) is registered as a copy, and so is the source input; one whose
+outputs alone the EMR reads is executed as it is and never stored. Which
+inputs are read back is known when compiling: the integer literals ``k`` of
+those reads, or every input once an index is not a literal. Sessions must
+not change the actions they execute.
 
 ``compile_emr`` turns an EMR into one closure per AST node, once:
 ``run_suite`` compiles each EMR once per call and runs it on every input.
@@ -46,8 +52,8 @@ A few common shapes compile to a cheaper closure that computes exactly what
 the generic one does, and every other shape takes the generic one:
 
 - an integer literal index of ``Input``, ``Output`` or ``CREATE`` (and the
-  ``Input(k)`` that ``Output(Input(k), pos)`` reads) is used as it is, with
-  no closure to evaluate it and no integer check;
+  ``k`` of ``Output(Input(k), pos)``, which reads only the outputs of input
+  k) is used as it is, with no closure to evaluate it and no integer check;
 - a method call without arguments is one closure.
 """
 
@@ -108,6 +114,10 @@ def _require_int(value: Any, context: str) -> int:
     return value
 
 
+def _unregistered(index: int) -> EvalError:
+    return EvalError(f"Input({index}) is not registered; CREATE it first")
+
+
 # A frame slot whose name holds no value yet.
 _UNBOUND = object()
 
@@ -116,8 +126,10 @@ class Evaluator:
     """The state of one (EMR, input) pair, which compiled closures read and
     update; ``frame`` holds the value of each slot that compiling gave a name."""
 
-    def __init__(self, session_factory: SessionFactory, slots: int = 0):
+    def __init__(self, session_factory: SessionFactory, slots: int = 0, reads: set[int] | None = None):
         self.session_factory = session_factory
+        # The inputs the EMR reads back; None for every input.
+        self.reads = reads
         self.inputs: dict[int, ActionSequence] = {}
         self.outputs: dict[int, OutputSequence] = {}
         self.frame: list[Any] = [_UNBOUND] * slots
@@ -132,16 +144,19 @@ class Evaluator:
             self.failures.append(FailingBinding(line, bindings(self)))
 
     def register_and_execute(self, index: int, sequence: ActionSequence) -> None:
-        registered = sequence.copy(index)
+        """Execute ``sequence`` on a fresh session as input ``index``: a copy
+        of it, registered too, when the EMR reads the input back, and else
+        ``sequence`` itself, of which only the outputs are kept."""
+        if self.reads is None or index in self.reads:
+            sequence = self.inputs[index] = sequence.copy(index)
         session = self.session_factory()
         outputs = _new(OutputSequence)
-        outputs.outputs = list(map(session.execute, registered.actions))
-        self.inputs[index] = registered
+        outputs.outputs = list(map(session.execute, sequence.actions))
         self.outputs[index] = outputs
 
     def input_sequence(self, index: int) -> ActionSequence:
         if index not in self.inputs:
-            raise EvalError(f"Input({index}) is not registered; CREATE it first")
+            raise _unregistered(index)
         return self.inputs[index]
 
     def output_sequence(self, index: int) -> OutputSequence:
@@ -174,6 +189,9 @@ class _Scope:
     frame; the slots of one scope are consecutive, the loop variable's first."""
 
     size: int  # set on the outermost scope: the slots of every scope inside it
+    # Set on the outermost scope: 1 and the literal k of every ``Input(k)``
+    # compiled as a value; None once an ``Input`` index is not a literal.
+    reads: set[int] | None
 
     def __init__(self, stubs: StubBindings, names: Iterable[str], outer: _Scope | None = None,
                  loop_var: str | None = None):
@@ -181,6 +199,8 @@ class _Scope:
         # The enclosing loops' variables, outermost first.
         self.loop_vars: tuple[str, ...] = (*outer.loop_vars, loop_var) if outer else ()
         self.top: _Scope = outer.top if outer else self
+        if outer is None:
+            self.reads = {1}
         first = outer.top.size if outer else 0
         self.slots = {name: first + i for i, name in enumerate(dict.fromkeys(names))}
         self.top.size = first + len(self.slots)
@@ -448,6 +468,12 @@ def _literal_index(e: Expr) -> int | None:
 
 def _by_index(e: Expr, construct: str, get: Callable[[Evaluator, int], Any], scope: _Scope) -> Compiled:
     k = _literal_index(e)
+    if construct == "Input":  # an input read back
+        top = scope.top
+        if k is None:
+            top.reads = None
+        elif top.reads is not None:
+            top.reads.add(k)
     if k is not None:
         return lambda ev: get(ev, k)
     index, context = _expr(e, scope), f"{construct} index"
@@ -461,16 +487,19 @@ def _output_at(sequence_expr: Expr, position_expr: Expr, scope: _Scope) -> Compi
     position = _expr(position_expr, scope)
 
     def output_at(ev: Evaluator) -> Output:
-        if sequence is None:
-            inputs = ev.input_sequence(k)
+        if sequence is None:  # reads only the outputs of Input(k)
+            if k not in ev.outputs:
+                raise _unregistered(k)
+            index = k
         else:
             inputs = sequence(ev)
             if not isinstance(inputs, ActionSequence):
                 raise EvalError("two-argument Output takes an input sequence first")
+            index = inputs.index
         at = position(ev)
         if type(at) is not int:
             _require_int(at, "Output position")
-        return ev.output_sequence(inputs.index).at(at)
+        return ev.output_sequence(index).at(at)
 
     return output_at
 
@@ -532,10 +561,10 @@ def compile_emr(ast: EmrAst, stubs: StubBindings) -> Callable[[ActionSequence, S
         return lambda source_input, session_factory: Verdict(VerdictValue.NOT_EXECUTABLE, stubs=missing)
     top = _Scope(stubs, _declared(ast.statements))
     body = _block(ast.statements, top)
-    slots = top.size  # the loop bodies' slots included
+    slots, reads = top.size, top.reads  # the loop bodies' slots and reads included
 
     def program(source_input: ActionSequence, session_factory: SessionFactory) -> Verdict:
-        evaluator = Evaluator(session_factory, slots)
+        evaluator = Evaluator(session_factory, slots, reads)
         evaluator.register_and_execute(1, source_input)
         body(evaluator)
         return evaluator.verdict()

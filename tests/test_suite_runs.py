@@ -16,7 +16,8 @@ from conftest import INPUT_NAMES
 from emrkit.dsl import parse_emr, pretty_print
 from emrkit.dsl.ast import Call, EmrAst, ForEach, IntLit, Name, Node, VarDecl
 from emrkit.dsl.validate import has_errors, validate
-from emrkit.runtime import ActionSequence, EvalError, VerdictValue, eval_bool, evaluate_emr, run_suite
+from emrkit.runtime import (ActionSequence, EvalError, SetParameter, VerdictValue, create_followup, eval_bool,
+                            evaluate_emr, run_suite)
 from emrkit.runtime.errors import RunAborted
 from emrkit.shopstubs import STUBS
 from emrkit.sut import MockShopSut, record_replay
@@ -504,3 +505,127 @@ def test_every_registration_goes_through_register_and_execute(shop_inputs, monke
     executed = registrations.count(1)  # the source input of each executed pair
     assert executed > 0 and len(registrations) > executed
     assert len(registrations) == len(sessions)
+
+
+# -- which registrations copy ------------------------------------------------
+#
+# An input the EMR reads back is registered as a copy, and so is the source
+# input; a CREATEd input whose outputs alone the EMR reads is executed as
+# the stub built it, and only its outputs are kept.
+
+
+def registration_copies(monkeypatch) -> list[int]:
+    """The input index of each registration copy made from now on; the copy
+    ``create_followup`` makes takes no index and is not listed."""
+    copies = []
+    copy_sequence = ActionSequence.copy
+
+    def counting_copy(self, index=None):
+        if index is not None:
+            copies.append(index)
+        return copy_sequence(self, index)
+
+    monkeypatch.setattr(ActionSequence, "copy", counting_copy)
+    return copies
+
+
+def searches(*queries: str) -> ActionSequence:
+    return ActionSequence.from_json([{"kind": "search", "parameters": {"query": q}} for q in queries])
+
+
+def desk(sequence: ActionSequence) -> ActionSequence:
+    return create_followup(sequence, [SetParameter(0, "query", "desk")])
+
+
+COPY_STUBS = {
+    "desk": desk,
+    "isDesk": lambda sequence: sequence.actions[0].parameters["query"] == "desk",
+    "found": lambda output: output.summary_size > 0,
+    "isSearch": lambda action: action.kind == "search",
+}
+
+
+def test_an_input_read_back_is_the_snapshot_its_create_registered(monkeypatch):
+    """The stub keeps the follow-up it handed to CREATE and changes it in a
+    later call; the EMR reads Input(2) back and sees what was registered."""
+    kept = []
+
+    def keep(sequence):
+        kept.append(desk(sequence))
+        return kept[-1]
+
+    def spoil():
+        kept[-1].actions[0].parameters["query"] = "lamp"
+        kept[-1].actions.append(kept[-1].actions[0])
+        return True
+
+    ast = parse_emr("MR {{ CREATE(Input(2), keep(Input(1))); IMPLIES(spoil(), isDesk(Input(2)) && "
+                    "one(Input(2)) && three(Output(Input(2), 0))); }}", "snapshot")
+    assert not has_errors(validate(ast))
+    stubs = {**COPY_STUBS, "keep": keep, "spoil": spoil, "one": lambda sequence: len(sequence.actions) == 1,
+             "three": lambda output: output.summary_size == 3}
+    copies = registration_copies(monkeypatch)
+    [entry] = run_suite([ast], [searches("chair")], MockShopSut(), stubs).entries
+    assert (entry.outcome, entry.error) == ("Pass", None)
+    assert [a.parameters["query"] for a in kept[0].actions] == ["lamp", "lamp"]
+    assert copies == [1, 2]
+
+
+def test_an_input_read_only_through_its_outputs_is_run_without_a_copy(suite_asts, shop_inputs, monkeypatch):
+    """The four EMRs read Input(2) and Input(3) only through
+    ``Output(Input(k), pos)``. Each gives the verdicts and failing bindings
+    it gives with an ``Input`` read whose index is not a literal added on
+    its first line, which makes every registration copy."""
+    copying_asts = [parse_emr(read_fixture(f"{ast.id}.smrl").replace("MR {{", "MR {{ var one = 1; var "
+                                                                       "everyInput = Input(one);", 1), ast.id)
+                    for ast in suite_asts]
+    copies = registration_copies(monkeypatch)
+    runs = {}
+    for name, emrs in [("outputs-only", suite_asts), ("copying", copying_asts)]:
+        start = len(copies)
+        entries = [e.to_json() for fault in FAULTS
+                   for e in run_suite(emrs, shop_inputs, MockShopSut(fault), STUBS).entries]
+        runs[name] = entries, collections.Counter(copies[start:])
+    (outputs_only, read_copies), (copying, all_copies) = runs["outputs-only"], runs["copying"]
+    assert outputs_only == copying
+    assert {e["outcome"] for e in outputs_only} == {"Pass", "Fail", "Inapplicable"}
+    assert any(e.get("failing_bindings") for e in outputs_only)
+    assert set(read_copies) == {1} and read_copies[1] == all_copies[1] == len(outputs_only)
+    assert all_copies[2] > 0 and all_copies[3] > 0
+
+
+def test_the_source_input_is_copied_when_only_its_outputs_are_read(monkeypatch):
+    ast = parse_emr("MR {{ IMPLIES(true, found(Output(Input(1), 0))); }}", "source_outputs")
+    copies = registration_copies(monkeypatch)
+    report = run_suite([ast], [searches("chair"), searches("desk")], MockShopSut(), COPY_STUBS)
+    assert [(e.outcome, e.error) for e in report.entries] == [("Pass", None)] * 2
+    assert copies == [1, 1]
+
+
+# Each EMR passes; ``copies`` are the inputs its registrations copy, in order.
+@pytest.mark.parametrize("statements, copies", [
+    ("CREATE(Input(2), desk(Input(1))); IMPLIES(true, found(Output(Input(2), 0)));", [1]),
+    ("CREATE(Input(2), desk(Input(1))); IMPLIES(true, isDesk(Input(2)));", [1, 2]),
+    ("CREATE(Input(2), desk(Input(1))); for (var a : Input(2).actions()) { IMPLIES(true, isSearch(a)); }", [1, 2]),
+    ("var j = 2; CREATE(Input(2), desk(Input(1))); CREATE(Input(3), desk(Input(1))); IMPLIES(true, isDesk(Input(j)));",
+     [1, 2, 3]),
+    ("var j = 2; CREATE(Input(2), desk(Input(1))); CREATE(Input(3), desk(Input(1))); "
+     "IMPLIES(true, found(Output(Input(j), 0)));", [1, 2, 3]),
+    ("var i = 2; CREATE(Input(i), desk(Input(1))); CREATE(Input(3), desk(Input(1))); IMPLIES(true, isDesk(Input(2)));",
+     [1, 2]),
+], ids=["outputs-only", "literal-read", "read-in-a-loop", "non-literal-read", "non-literal-output-at",
+        "non-literal-create-index"])
+def test_a_registration_copies_each_input_the_emr_reads_back(statements, copies, monkeypatch):
+    ast = parse_emr(f"MR {{{{ {statements} }}}}", "reads")
+    assert not has_errors(validate(ast))
+    copied = registration_copies(monkeypatch)
+    [entry] = run_suite([ast], [searches("chair")], MockShopSut(), COPY_STUBS).entries
+    assert (entry.outcome, entry.error) == ("Pass", None)
+    assert copied == copies
+
+
+def test_output_at_an_input_before_its_create_is_an_error_entry():
+    ast = parse_emr("MR {{ var o = Output(Input(2), 0); CREATE(Input(2), Input(1)); IMPLIES(true, true); }}",
+                    "output_before_create")
+    [entry] = run_suite([ast], [searches("chair")], MockShopSut(), STUBS).entries
+    assert (entry.outcome, entry.error) == ("Error", "Input(2) is not registered; CREATE it first")

@@ -1,3 +1,4 @@
+import copy
 import http.server
 import json
 import threading
@@ -509,3 +510,40 @@ def test_run_suite_reports_a_live_response_of_the_wrong_type_as_an_adapter_failu
     source = ActionSequence(1, [Action(0, "search", {"body": body})])
     report = run_suite([parse_emr("MR {{ IMPLIES(true, true); }}")], [source], LiveHttpSut(config))
     assert [entry.error for entry in report.entries] == [error]
+
+
+# --- sessions leave the actions they execute as they were ------------------------
+#
+# A CREATEd input that an EMR never reads back is executed as the stub built
+# it, without a copy, so no session may change an action it executes.
+
+UNCHANGED_SCRIPT = [
+    Action(0, "login", {"user": "ada", "roles": ["admin", {"scope": ["shop"]}]}),
+    Action(1, "search", {"query": "Chair", "category": "office", "tags": ["a", {"b": [1]}]}),
+    Action(2, "search", {"query": "", "page": 1, "page_size": 4, "in_stock": True, "brand": ["SeatCraft"]}),
+    Action(3, "search", {"query": "desk", "max_price": 300, "min_rating": 4.0}),
+]
+
+
+def assert_executes_unchanged(session, script):
+    for action in script:
+        before = copy.deepcopy(action)
+        session.execute(action)
+        assert action == before
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+def test_a_mock_session_leaves_each_action_unchanged(fault):
+    assert_executes_unchanged(MockShopSut(fault)(), copy.deepcopy(UNCHANGED_SCRIPT))
+
+
+def test_a_recording_and_a_replay_session_leave_each_action_unchanged(tmp_path):
+    cassette = tmp_path / "unchanged.jsonl"
+    assert_executes_unchanged(record_replay("record", cassette, MockShopSut())(), copy.deepcopy(UNCHANGED_SCRIPT))
+    assert_executes_unchanged(record_replay("replay", cassette)(), copy.deepcopy(UNCHANGED_SCRIPT))
+
+
+def test_a_live_session_leaves_each_action_unchanged(live_server):
+    config = AdapterConfig(live_server, {"search": {"path": "/search", "method": "GET"},
+                                         "login": {"path": "/login", "method": "POST"}})
+    assert_executes_unchanged(LiveHttpSut(config)(), copy.deepcopy(UNCHANGED_SCRIPT))
