@@ -1,12 +1,12 @@
 """AST for the EMR DSL.
 
-A node's ``Position`` holds two source offsets and the source's table of
-line starts; its line number is resolved from the table when read.
-Positions never take part in node equality, so two parses of the same
-program compare equal even when the layout differs. Explanations
-(trailing ``//`` comments) do compare: the canonical printer re-emits them,
-which is what makes the parse/print round trip lossless for annotated
-programs.
+Every node is one slotted object. It holds two source offsets, ``start``
+and ``end``, and ``lines``, the source's table of line starts; its line
+number is resolved from the table when read. Offsets never take part in
+node equality, so two parses of the same program compare equal even when
+the layout differs. Explanations (trailing ``//`` comments) do compare:
+the canonical printer re-emits them, which is what makes the parse/print
+round trip lossless for annotated programs.
 """
 
 from __future__ import annotations
@@ -34,73 +34,60 @@ CONSTRUCTS = frozenset(CONSTRUCT_ARITY)
 METHOD_ARITY: dict[str, int] = {"actions": 0, "getPosition": 0, "getKind": 0, "getParameter": 1}
 
 
-class Position:
-    """A source span: ``start`` and ``end`` offsets into a source whose
-    ``line_starts`` are ``lines``. The 1-based ``line`` of ``start`` is
-    looked up in ``lines`` when read, since most nodes' positions never
-    are; it reads 0 without a table.
+@dataclass(eq=False, repr=False, slots=True)
+class Node(Record):
+    """Base of every AST node: its source span, which no comparison reads, and its ``explanation``.
+
+    The span runs from offset ``start`` to ``end`` of a source whose line
+    starts are ``lines``; a node built without them spans 0 to 0.
     """
 
-    __slots__ = ("lines", "start", "end")
+    lines: Sequence[int] = field(default=(), compare=False, repr=False, kw_only=True)
+    start: int = field(default=0, compare=False, kw_only=True)
+    end: int = field(default=0, compare=False, kw_only=True)
+    explanation: str | None = field(default=None, kw_only=True)
 
-    def __init__(self, lines: Sequence[int] = (), start: int = 0, end: int = 0):
-        self.lines, self.start, self.end = lines, start, end
-
-    # A line is the number of line starts at or before the offset, as in
-    # ``tokens.position``: one bisect, 0 without a table. ``line`` is the
-    # field that diagnostics and compiled checks read.
+    # A line is the number of line starts at or before ``start``, as in
+    # ``tokens.position``: one bisect, 0 without a table. It is looked up
+    # when read, since most nodes' lines never are; diagnostics and
+    # compiled checks read it.
     @property
     def line(self) -> int:
         return bisect_right(self.lines, self.start)
-
-    def __repr__(self) -> str:
-        return f"Position(start={self.start}, end={self.end})"
-
-
-def _pos() -> Position:
-    return Position()
-
-
-@dataclass(eq=False, repr=False)
-class Node(Record):
-    """Base of every AST node: its ``pos``, which no comparison reads, and its ``explanation``."""
-
-    pos: Position = field(default_factory=_pos, compare=False, kw_only=True)
-    explanation: str | None = field(default=None, kw_only=True)
 
 
 # --- expressions ------------------------------------------------------------
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class IntLit(Node):
     """An integer literal."""
 
     value: int = 0
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class StringLit(Node):
     """A string literal."""
 
     value: str = ""
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class BoolLit(Node):
     """``true`` or ``false``."""
 
     value: bool = False
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class Name(Node):
     """A read of a variable."""
 
     ident: str = ""
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class Call(Node):
     """Free function call; covers both DSL constructs and SUT/stub functions."""
 
@@ -108,7 +95,7 @@ class Call(Node):
     args: tuple["Expr", ...] = ()
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class MethodCall(Node):
     """A method call on a value: ``receiver.name(args)``."""
 
@@ -117,14 +104,14 @@ class MethodCall(Node):
     args: tuple["Expr", ...] = ()
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class Not(Node):
     """Prefix negation: ``!operand``."""
 
     operand: "Expr" = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class BoolChain(Node):
     """Flattened infix chain: ``a && b && c`` or ``a || b``."""
 
@@ -138,7 +125,7 @@ Expr = Union[IntLit, StringLit, BoolLit, Name, Call, MethodCall, Not, BoolChain]
 # --- statements ---------------------------------------------------------------
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class ForEach(Node):
     """``for (decl_type var : iterable) { body }``."""
 
@@ -148,7 +135,7 @@ class ForEach(Node):
     body: tuple["Stmt", ...] = ()
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class If(Node):
     """``if (cond) { body }``; the DSL has no ``else``."""
 
@@ -156,12 +143,12 @@ class If(Node):
     body: tuple["Stmt", ...] = ()
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class Continue(Node):
     """``continue;``, which skips the rest of a loop body."""
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class VarDecl(Node):
     """A variable declaration: ``var name = init;``."""
 
@@ -169,7 +156,7 @@ class VarDecl(Node):
     init: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class ExprStmt(Node):
     """An expression statement, such as an ``IMPLIES`` check."""
 
@@ -179,7 +166,7 @@ class ExprStmt(Node):
 Stmt = Union[ForEach, If, Continue, VarDecl, ExprStmt]
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class EmrAst(Record):
     """A parsed EMR: its id and its top-level statements."""
 
@@ -188,5 +175,5 @@ class EmrAst(Record):
 
 
 def structurally_equal(a: EmrAst, b: EmrAst) -> bool:
-    """Equality over structure and explanations, ignoring ids and positions."""
+    """Equality over structure and explanations, ignoring ids and source spans."""
     return a.statements == b.statements

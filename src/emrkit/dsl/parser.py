@@ -14,10 +14,10 @@ Grammar (one MR block per source):
     unary    := '!' unary | primary ('.' IDENT '(' args ')')*
     primary  := 'true' | 'false' | INT | STRING | IDENT ['(' args ')'] | '(' expr ')'
 
-Each node's ``Position`` is built from the offsets of its first and last
-lexemes and the source's line starts, and resolves its line from them
-when read. The parser works out a line and column itself only for a
-``ParseError``; comments are matched to nodes by line and offset.
+Each node holds the offsets of its first and last lexemes and the
+source's line starts, and resolves its line from them when read. The
+parser works out a line and column itself only for a ``ParseError``;
+comments are matched to nodes by line and offset.
 
 A trailing ``//`` comment becomes the explanation of a node only when the
 canonical layout (``printer.layout``, which attachment reads) prints that
@@ -30,6 +30,7 @@ order, no two at one offset. A comment that no such node ends before is dropped.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from typing import TypeVar
 
 from .ast import (
     BoolChain,
@@ -46,7 +47,6 @@ from .ast import (
     Name,
     Node,
     Not,
-    Position,
     Stmt,
     StringLit,
     VarDecl,
@@ -61,21 +61,20 @@ from .tokens import KEYWORDS, comments, kind_of, line_starts, position, scan, st
 # validator and runtime that walk the AST.
 MAX_NESTING = 100
 
-# Nodes and their positions are built without a class call, which would pass
-# the keyword-only ``pos`` through a dict and cost more than the rest of a
-# node's parse. Attributes are set in the order the dataclass ``__init__``
-# sets them, so instances share one key table.
+# Nodes are built without a class call, which would pass the keyword-only
+# span through a dict and cost more than the rest of a node's parse; each
+# builder sets every field.
 _new = object.__new__
+_Stmt = TypeVar("_Stmt", bound=Node)
 
 
 def _chain(op: str, operands: list[Expr]) -> Expr:
     if len(operands) == 1:
         return operands[0]
-    first, last = operands[0].pos, operands[-1].pos
-    pos = _new(Position)
-    pos.lines, pos.start, pos.end = first.lines, first.start, last.end
+    first = operands[0]
     node = _new(BoolChain)
-    node.pos, node.explanation, node.op, node.operands = pos, None, op, tuple(operands)
+    node.lines, node.start, node.end = first.lines, first.start, operands[-1].end
+    node.explanation, node.op, node.operands = None, op, tuple(operands)
     return node
 
 
@@ -102,11 +101,12 @@ class _Parser:
         """(line, column) of the lexeme at index ``i``."""
         return position(self.lines, self.starts[i])
 
-    def span(self, first: int, last: int) -> Position:
-        """From the start of lexeme ``first`` to the end of lexeme ``last``."""
-        pos = _new(Position)
-        pos.lines, pos.start, pos.end = self.lines, self.starts[first], self.starts[last] + len(self.lexemes[last])
-        return pos
+    def span(self, node: _Stmt, first: int, last: int) -> _Stmt:
+        """``node``, spanning from the start of lexeme ``first`` to the end of
+        lexeme ``last``, with no explanation."""
+        node.lines, node.start, node.end = self.lines, self.starts[first], self.starts[last] + len(self.lexemes[last])
+        node.explanation = None
+        return node
 
     # -- lexeme helpers -------------------------------------------------
 
@@ -178,10 +178,10 @@ class _Parser:
                 continue
             if unit.kind == "opener":
                 # The line breaks after the '(' lexeme that follows the call's name.
-                end = starts[bisect_left(starts, node.pos.start) + 1] + 1
+                end = starts[bisect_left(starts, node.start) + 1] + 1
             else:
                 last = node.iterable if isinstance(node, ForEach) else node.cond if isinstance(node, If) else node
-                end = last.pos.end
+                end = last.end
             line = bisect_right(lines, end)
             if line in by_line:
                 best[line] = node  # lines break in layout order, so the last one wins
@@ -197,9 +197,7 @@ class _Parser:
             return self.if_stmt()
         if lexeme == "continue":
             self.i += 1
-            node = _new(Continue)
-            node.pos, node.explanation = self.span(start, self.expect(";")), None
-            return node
+            return self.span(_new(Continue), start, self.expect(";"))
         if lexeme == "var":
             return self.var_stmt()
         expr = self.expression()
@@ -210,8 +208,8 @@ class _Parser:
         else:
             end = self.expect(";")
         node = _new(ExprStmt)
-        node.pos, node.explanation, node.expr = self.span(start, end), None, expr
-        return node
+        node.expr = expr
+        return self.span(node, start, end)
 
     def for_stmt(self) -> ForEach:
         start = self.i
@@ -229,9 +227,8 @@ class _Parser:
         if not body:
             raise ParseError("loop body must not be empty", *self.where(start))
         node = _new(ForEach)
-        node.pos, node.explanation = self.span(start, self.i - 1), None
         node.decl_type, node.var, node.iterable, node.body = decl_type, var, iterable, body
-        return node
+        return self.span(node, start, self.i - 1)
 
     def if_stmt(self) -> If:
         start = self.i
@@ -241,8 +238,8 @@ class _Parser:
         self.expect(")")
         body = self.body()
         node = _new(If)
-        node.pos, node.explanation, node.cond, node.body = self.span(start, self.i - 1), None, cond, body
-        return node
+        node.cond, node.body = cond, body
+        return self.span(node, start, self.i - 1)
 
     def var_stmt(self) -> VarDecl:
         start = self.i
@@ -251,8 +248,8 @@ class _Parser:
         self.expect("=")
         init = self.expression()
         node = _new(VarDecl)
-        node.pos, node.explanation, node.name, node.init = self.span(start, self.expect(";")), None, name, init
-        return node
+        node.name, node.init = name, init
+        return self.span(node, start, self.expect(";"))
 
     def body(self) -> tuple[Stmt, ...]:
         """The statements of a loop or guard body."""
@@ -303,34 +300,35 @@ class _Parser:
         i = self.i
         lexeme = lexemes[i]
         start = self.starts[i]
-        # The span of the lexeme alone; a call and a '!' move its end.
-        pos = _new(Position)
-        pos.lines, pos.start, pos.end = lines, start, start + len(lexeme)
         self.i = i + 1
         head = lexeme[:1]
         if (head.isalpha() or head == "_") and lexeme not in KEYWORDS:
             if lexemes[i + 1] == "(":
                 self.i = i + 2
                 args = self.args()
-                pos.end = self.starts[self.i - 1] + 1
                 expr = _new(Call)
-                expr.pos, expr.explanation, expr.name, expr.args = pos, None, lexeme, args
+                expr.lines, expr.start, expr.end, expr.explanation = lines, start, self.starts[self.i - 1] + 1, None
+                expr.name, expr.args = lexeme, args
             else:
                 expr = _new(Name)
-                expr.pos, expr.explanation, expr.ident = pos, None, lexeme
+                expr.lines, expr.start, expr.end, expr.explanation = lines, start, start + len(lexeme), None
+                expr.ident = lexeme
         elif head.isdecimal():
             try:
                 value = int(lexeme)
             except ValueError:  # more digits than int() converts
                 raise ParseError(f"integer literal of {len(lexeme)} digits is too long", *self.where(i))
             expr = _new(IntLit)
-            expr.pos, expr.explanation, expr.value = pos, None, value
+            expr.lines, expr.start, expr.end, expr.explanation = lines, start, start + len(lexeme), None
+            expr.value = value
         elif head == '"':
             expr = _new(StringLit)
-            expr.pos, expr.explanation, expr.value = pos, None, string_value(lexeme)
+            expr.lines, expr.start, expr.end, expr.explanation = lines, start, start + len(lexeme), None
+            expr.value = string_value(lexeme)
         elif lexeme == "true" or lexeme == "false":
             expr = _new(BoolLit)
-            expr.pos, expr.explanation, expr.value = pos, None, lexeme == "true"
+            expr.lines, expr.start, expr.end, expr.explanation = lines, start, start + len(lexeme), None
+            expr.value = lexeme == "true"
         elif lexeme == "(":
             self.nest(i)
             expr = self.expression()
@@ -340,9 +338,9 @@ class _Parser:
             self.nest(i)
             operand = self.unary()
             self.depth -= 1
-            pos.end = operand.pos.end
             node = _new(Not)
-            node.pos, node.explanation, node.operand = pos, None, operand
+            node.lines, node.start, node.end, node.explanation = lines, start, operand.end, None
+            node.operand = operand
             return node
         else:
             self.i = i
@@ -352,10 +350,9 @@ class _Parser:
             name = self.expect_identifier()
             self.expect("(")
             args = self.args()
-            pos = _new(Position)
-            pos.lines, pos.start, pos.end = lines, expr.pos.start, self.starts[self.i - 1] + 1
             call = _new(MethodCall)
-            call.pos, call.explanation, call.receiver, call.name, call.args = pos, None, expr, name, args
+            call.lines, call.start, call.end, call.explanation = lines, expr.start, self.starts[self.i - 1] + 1, None
+            call.receiver, call.name, call.args = expr, name, args
             expr = call
         return expr
 
@@ -378,7 +375,7 @@ def parse_emr(source: str, emr_id: str = "emr", *, explanations: bool = True) ->
     """Parse one MR block into an AST; raises ParseError/IllegalCharacter.
 
     With ``explanations=False`` the ``//`` comments are not attached: the AST
-    is the same, positions included, with every ``explanation`` None. That
+    is the same, offsets included, with every ``explanation`` None. That
     skips finding the comments and walking the canonical layout, for
     callers whose outputs hold no explanation.
     """

@@ -65,18 +65,18 @@ def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnosti
 
     def boolean_position(e: Expr, context: str) -> None:
         if isinstance(e, (IntLit, StringLit)):
-            diags.append(Diagnostic("error", f"{context} must be a boolean expression", e.pos.line))
+            diags.append(Diagnostic("error", f"{context} must be a boolean expression", e.line))
 
     def integer_position(e: Expr, context: str) -> None:
         if isinstance(e, (StringLit, BoolLit)):
-            diags.append(Diagnostic("error", f"{context} must be an integer", e.pos.line))
+            diags.append(Diagnostic("error", f"{context} must be an integer", e.line))
 
     def check_construct(call: Call) -> None:
         accepted = CONSTRUCT_ARITY[call.name]
         if len(call.args) not in accepted:
             expected = " or ".join(str(a) for a in accepted)
             plural = "s" if accepted != (1,) else ""
-            diags.append(Diagnostic("error", f"{call.name} expects {expected} argument{plural}", call.pos.line, call.name))
+            diags.append(Diagnostic("error", f"{call.name} expects {expected} argument{plural}", call.line, call.name))
             return
         if call.name == "Input":
             integer_position(call.args[0], "Input index")
@@ -87,11 +87,11 @@ def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnosti
                 integer_position(call.args[1], "Output position")
                 if isinstance(call.args[0], (IntLit, StringLit, BoolLit)):
                     message = "two-argument Output takes an input sequence first"
-                    diags.append(Diagnostic("error", message, call.pos.line, "Output"))
+                    diags.append(Diagnostic("error", message, call.line, "Output"))
         elif call.name == "CREATE":
             target = call.args[0]
             if not (isinstance(target, Call) and target.name == "Input"):
-                diags.append(Diagnostic("error", "CREATE target must be an Input(k) expression", call.pos.line, "CREATE"))
+                diags.append(Diagnostic("error", "CREATE target must be an Input(k) expression", call.line, "CREATE"))
         elif call.name in ("IMPLIES", "OR", "AND"):
             for arg in call.args:
                 boolean_position(arg, f"{call.name} operand")
@@ -115,16 +115,16 @@ def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnosti
                 elif name in arities:
                     if len(e.args) != arities[name]:
                         message = f"{name} expects {arities[name]} argument(s), got {len(e.args)}"
-                        diags.append(Diagnostic("error", message, e.pos.line, name))
+                        diags.append(Diagnostic("error", message, e.line, name))
                 elif name not in seen_stubs:
                     seen_stubs.add(name)
                     message = f"unresolved function '{name}'; bind it or add it to the API catalog"
-                    diags.append(Diagnostic("stub", message, e.pos.line, name))
+                    diags.append(Diagnostic("stub", message, e.line, name))
                 push(reversed(e.args))
             elif kind is MethodCall:
                 if e.name not in METHOD_ARITY:
                     message = f"method '{e.name}' is not provided by the runtime"
-                    diags.append(Diagnostic("warning", message, e.pos.line, e.name))
+                    diags.append(Diagnostic("warning", message, e.line, e.name))
                 push(reversed(e.args))
                 stack.append(e.receiver)
             elif kind is Not:
@@ -146,7 +146,7 @@ def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnosti
                 check_stmts(st.body, in_loop)
             elif isinstance(st, Continue):
                 if not in_loop:
-                    diags.append(Diagnostic("error", "continue outside of a loop", st.pos.line))
+                    diags.append(Diagnostic("error", "continue outside of a loop", st.line))
             elif isinstance(st, VarDecl):
                 check_expr(st.init)
             elif isinstance(st, ExprStmt):

@@ -308,7 +308,7 @@ def _check(st: ExprStmt, scope: _Scope) -> Compiled:
     """Top-level boolean statements are the checks an EMR quantifies over. A
     bare boolean asserts itself (its antecedent is trivially true); an
     IMPLIES statement checks its consequent only when its antecedent held."""
-    expr, line, bindings = st.expr, st.pos.line, _bindings(scope)
+    expr, line, bindings = st.expr, st.line, _bindings(scope)
     if isinstance(expr, Call) and expr.name == "IMPLIES":
         antecedent, consequent = _implication(expr.args, scope)
 

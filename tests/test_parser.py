@@ -194,7 +194,7 @@ def test_round_trip_property_over_messy_layouts():
 
 def _children(node):
     for f in fields(node):
-        if f.name not in ("pos", "explanation"):
+        if f.name not in ("lines", "start", "end", "explanation"):
             value = getattr(node, f.name)
             yield from (v for v in (value if isinstance(value, tuple) else (value,)) if is_dataclass(v))
 
@@ -219,14 +219,12 @@ def test_positions_span_each_lexeme_and_nest_inside_their_parents(seed, typed, r
     stack = [(None, stmt) for stmt in parse_emr(source, explanations=explanations).statements]
     while stack:
         parent, node = stack.pop()
-        pos = node.pos
-        text = source[pos.start : pos.end]
+        text = source[node.start : node.end]
         if isinstance(node, (Name, IntLit, StringLit, BoolLit)):
             assert _is_lexeme(node, text), (node, text)
-        assert pos.line == source.count("\n", 0, pos.start) + 1, (node, pos)
+        assert node.line == source.count("\n", 0, node.start) + 1, (node, node.start)
         if parent is not None:
-            outer = parent.pos
-            assert outer.start <= pos.start <= pos.end <= outer.end, (parent, node)
+            assert parent.start <= node.start <= node.end <= parent.end, (parent, node)
         stack += [(node, child) for child in _children(node)]
 
 
@@ -246,12 +244,12 @@ def _line_break(unit, tokens, offsets) -> int:
     ``for`` iterable, and otherwise after the node."""
     node = unit.owner
     if unit.kind == "opener":
-        at = offsets.index(node.pos.start)
+        at = offsets.index(node.start)
         paren = next(n for n in range(at + 1, len(tokens)) if tokens[n].kind != "comment")
         assert tokens[paren].lexeme == "("
         return offsets[paren] + 1
-    end = node.iterable.pos if isinstance(node, ForEach) else node.cond.pos if isinstance(node, If) else node.pos
-    return end.end
+    last = node.iterable if isinstance(node, ForEach) else node.cond if isinstance(node, If) else node
+    return last.end
 
 
 @given(seed=st.integers(0, 10**6), typed=st.booleans())
@@ -277,9 +275,9 @@ def test_each_explanation_comes_from_the_line_where_its_canonical_line_breaks(se
 
 
 def test_a_node_built_without_a_position_reads_zero():
-    pos = Name(ident="x").pos
-    assert repr(pos) == "Position(start=0, end=0)"
-    assert pos.line == 0
+    node = Name(ident="x")
+    assert node.start == node.end == 0
+    assert node.line == 0
 
 
 def test_long_commented_emr_keeps_every_explanation():
@@ -344,11 +342,18 @@ def test_nodes_built_without_their_class_match_constructed_ones():
     while stack:
         node = stack.pop()
         seen.add(type(node))
-        # The attributes ``__init__`` would set, in its order.
-        assert list(vars(node)) == [f.name for f in fields(node)]
-        values = [getattr(node, f.name) for f in fields(node) if f.name not in ("pos", "explanation")]
-        assert type(node)(*values, pos=node.pos) == node
-        for value in values:
+        assert all(hasattr(node, f.name) for f in fields(node))  # an unset slot has no value
+        values = {f.name: getattr(node, f.name) for f in fields(node)}
+        built = type(node)(**values)
+        assert built == node and (built.start, built.end) == (node.start, node.end)
+        for value in values.values():
             stack += [v for v in (value if isinstance(value, tuple) else (value,)) if is_dataclass(v)]
     assert seen == {ForEach, If, Continue, VarDecl, ExprStmt, Call, MethodCall, Name, IntLit, StringLit, BoolLit,
                     Not, BoolChain}
+
+
+def test_a_node_takes_no_attribute_that_is_not_a_field():
+    parsed = parse_emr("MR {{ var x = f(1); }}").statements[0]
+    for node in (parsed, parsed.init, VarDecl("x", IntLit(1)), Name(ident="x")):
+        with pytest.raises(AttributeError):
+            node.extra = 1

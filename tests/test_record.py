@@ -20,7 +20,7 @@ import pytest
 import emrkit
 from emrkit._record import Record
 from emrkit.dsl import parse_emr
-from emrkit.dsl.ast import IntLit, Position
+from emrkit.dsl.ast import IntLit
 from emrkit.dsl.printer import Unit
 from emrkit.sut.mockshop import MockShopSession
 
@@ -80,7 +80,7 @@ def test_a_record_of_another_class_is_unequal():
 def test_a_compare_false_field_is_ignored():
     assert Pair(1, "x") == Pair(1, "y")
     assert Pair(1, "x") != Pair(2, "x")
-    assert IntLit(value=1, pos=Position((0,), 0, 1)) == IntLit(value=1, pos=Position((0,), 5, 6))
+    assert IntLit(value=1, start=0, end=1) == IntLit(value=1, start=5, end=6)
     assert IntLit(value=1, explanation="a") != IntLit(value=1, explanation="b")
     left, right = MockShopSession(), MockShopSession()
     right._matches[("q",)] = ()
@@ -102,7 +102,7 @@ def test_the_repr_names_the_qualified_class_and_every_field_in_order():
         a: str = "x"
 
     assert repr(Local(1)) == "test_the_repr_names_the_qualified_class_and_every_field_in_order.<locals>.Local(b=1, a='x')"
-    assert repr(IntLit(value=7)) == "IntLit(pos=Position(start=0, end=0), explanation=None, value=7)"
+    assert repr(IntLit(value=7)) == "IntLit(start=0, end=0, explanation=None, value=7)"
 
 
 def test_a_self_referential_record_prints_dots():
