@@ -418,18 +418,19 @@ def cmd_run(args: argparse.Namespace, config: ToolConfig, write: Write) -> int:
             report = run_suite(emrs, inputs, factory, stubs, input_names=[p.stem for p in input_files])
         except OSError as exc:  # the cassette cannot be created, or a line of it written (RunAborted)
             raise CliError(f"cannot write cassette {args.record}: {exc.strerror or exc}")
+    per_emr, unbound = report.tally()
     out = Path(config.out_dir)
-    write(out / "report.json", _dump_json(report.to_json()))
-    text = report.to_text()
+    write(out / "report.json", _dump_json(report.to_json(per_emr)))
+    text = report.to_text(per_emr)
     write(out / "report.txt", text + "\n")
     print(text)
-    unbound = report.not_executable_stubs
     if unbound:
         print(f"not executable; unbound stubs: {', '.join(unbound)}", file=sys.stderr)
         return EXIT_NOT_EXECUTABLE
-    if report.has_errors:
+    outcomes = {outcome for counts in per_emr.values() for outcome in counts}
+    if "Error" in outcomes:
         return EXIT_ERRORS
-    if report.has_failures:
+    if "Fail" in outcomes:
         return EXIT_FAILURES
     return EXIT_OK
 

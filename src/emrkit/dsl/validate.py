@@ -54,6 +54,12 @@ class Diagnostic(Record):
         return out
 
 
+def _is_input(e: Expr) -> bool:
+    """Whether ``e`` names an input, as a ``CREATE`` target and the first
+    argument of a two-argument ``Output`` must: an ``Input(...)`` call."""
+    return type(e) is Call and e.name == "Input"
+
+
 def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnostic]:
     """Check constructs and resolve call names; never raises.
 
@@ -85,12 +91,11 @@ def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnosti
                 integer_position(call.args[0], "Output index")
             else:
                 integer_position(call.args[1], "Output position")
-                if isinstance(call.args[0], (IntLit, StringLit, BoolLit)):
-                    message = "two-argument Output takes an input sequence first"
+                if not _is_input(call.args[0]):
+                    message = "Output sequence must be an Input(i) expression"
                     diags.append(Diagnostic("error", message, call.line, "Output"))
         elif call.name == "CREATE":
-            target = call.args[0]
-            if not (isinstance(target, Call) and target.name == "Input"):
+            if not _is_input(call.args[0]):
                 diags.append(Diagnostic("error", "CREATE target must be an Input(k) expression", call.line, "CREATE"))
         elif call.name in ("IMPLIES", "OR", "AND"):
             for arg in call.args:

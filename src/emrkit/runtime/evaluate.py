@@ -11,30 +11,31 @@ Statement semantics: ``Input(1)`` is the supplied source input, executed
 against a fresh SUT session up front. ``CREATE(Input(k), e)`` registers the
 sequence ``e`` as input k, executes it on a fresh session immediately (so
 ``Output(Input(k), pos)`` resolves later in the same expression), and
-evaluates to true. An input the EMR reads back (an ``Input(k)`` that is a
-value, not a ``CREATE`` target or the first argument of a two-argument
-``Output``) is registered as a copy, and so is the source input; one whose
-outputs alone the EMR reads is executed as it is and never stored. Which
-inputs are read back is known when compiling: the integer literals ``k`` of
-those reads, or every input once an index is not a literal. Sessions must
-not change the actions they execute.
+evaluates to true. An input the EMR reads back, through an ``Input(k)``
+that is a value, is registered as a copy, and so is the source input. The
+``Input(k)`` of a ``CREATE`` target or of ``Output(Input(k), pos)`` only
+names input k and reads nothing back, so an input whose outputs alone the
+EMR reads is executed as it is and never stored. Which inputs are read back
+is known when compiling: the integer literals ``k`` of those reads, or every
+input once such an index is not a literal. Sessions must not change the
+actions they execute.
 
 ``compile_emr`` turns an EMR into one closure per AST node, once:
 ``run_suite`` compiles each EMR once per call and runs it on every input.
 Node types, construct names and stub bindings are resolved when compiling;
 each closure takes the ``Evaluator``, the state of one (EMR, input) pair.
-Each entry point validates before compiling, so construct arity and the
-shape of a ``CREATE`` target are not checked again here. Each index (``i``
-in ``Input(i)`` and ``Output(i)``, ``pos`` in ``Output(Input(i), pos)``,
-``k`` in ``CREATE(Input(k), x)``) is an expression evaluated left to right
-whose value must be an integer, not a boolean. Each boolean position (the
-``if`` condition, the operands of ``!``, ``&&``, ``||``, ``NOT``, ``AND``
-and ``OR``, and ``IMPLIES``'s antecedent and consequent) compiles through
-``_boolean``, the one check that a value is ``True`` or ``False``; a bare
-statement is a check only when its value is a boolean. Compiling never
-raises what running would: a non-integer index, an unknown method, a
-non-iterable loop or a missing stub becomes a closure that raises its error
-only when reached.
+Each entry point validates before compiling, so construct arity and that a
+``CREATE`` target and ``Output``'s first argument are ``Input(...)`` calls
+are not checked again here. Each index (``i`` in ``Input(i)``, ``Output(i)``
+and ``Output(Input(i), pos)``, ``pos``, and ``k`` in
+``CREATE(Input(k), x)``) is an expression evaluated left to right whose
+value must be an integer, not a boolean. Each boolean position (the ``if`` condition, the
+operands of ``!``, ``&&``, ``||``, ``NOT``, ``AND`` and ``OR``, and
+``IMPLIES``'s antecedent and consequent) compiles through ``_boolean``, the
+one check that a value is ``True`` or ``False``; a bare statement is a check
+only when its value is a boolean. Compiling never raises what running would:
+a non-integer index, an unknown method, a non-iterable loop or a missing
+stub becomes a closure that raises its error only when reached.
 
 Names are resolved when compiling as well. The scopes are the EMR body (or
 ``eval_bool``'s env) and each loop body; an ``if`` body belongs to the scope
@@ -51,9 +52,8 @@ name, when it is compiled.
 A few common shapes compile to a cheaper closure that computes exactly what
 the generic one does, and every other shape takes the generic one:
 
-- an integer literal index of ``Input``, ``Output`` or ``CREATE`` (and the
-  ``k`` of ``Output(Input(k), pos)``, which reads only the outputs of input
-  k) is used as it is, with no closure to evaluate it and no integer check;
+- an integer literal index of ``Input``, ``Output`` or ``CREATE`` is used
+  as it is, with no closure to evaluate it and no integer check;
 - a method call without arguments is one closure.
 """
 
@@ -446,7 +446,7 @@ def _call(e: Call, scope: _Scope) -> Compiled:
     if name == "Output" and len(args) == 1:
         return _by_index(args[0], "Output", Evaluator.output_sequence, scope)
     if name == "Output":
-        return _output_at(args[0], args[1], scope)
+        return _output_at(args[0].args[0], args[1], scope)
     if name == "CREATE":
         return _create(args[0].args[0], args[1], scope)
     if name == "NOT":
@@ -480,26 +480,19 @@ def _by_index(e: Expr, construct: str, get: Callable[[Evaluator, int], Any], sco
     return lambda ev: get(ev, _require_int(index(ev), context))
 
 
-def _output_at(sequence_expr: Expr, position_expr: Expr, scope: _Scope) -> Compiled:
-    is_input = type(sequence_expr) is Call and sequence_expr.name == "Input"
-    k = _literal_index(sequence_expr.args[0]) if is_input else None
-    sequence = None if k is not None else _expr(sequence_expr, scope)
-    position = _expr(position_expr, scope)
+def _output_at(index_expr: Expr, position_expr: Expr, scope: _Scope) -> Compiled:
+    """``Output(Input(i), pos)``: reads only the outputs of input i."""
+    k, position = _literal_index(index_expr), _expr(position_expr, scope)
+    index = None if k is not None else _expr(index_expr, scope)
 
     def output_at(ev: Evaluator) -> Output:
-        if sequence is None:  # reads only the outputs of Input(k)
-            if k not in ev.outputs:
-                raise _unregistered(k)
-            index = k
-        else:
-            inputs = sequence(ev)
-            if not isinstance(inputs, ActionSequence):
-                raise EvalError("two-argument Output takes an input sequence first")
-            index = inputs.index
+        key = k if index is None else _require_int(index(ev), "Input index")
+        if key not in ev.outputs:
+            raise _unregistered(key)
         at = position(ev)
         if type(at) is not int:
             _require_int(at, "Output position")
-        return ev.output_sequence(index).at(at)
+        return ev.outputs[key].at(at)
 
     return output_at
 

@@ -54,7 +54,8 @@ class SuiteReport(Record):
     def tally(self) -> tuple[dict[str, dict[str, int]], list[str]]:
         """One pass over the entries: each EMR's outcome counts, in the order
         the EMRs first appear and without zero counts, and the unbound stubs
-        the verdicts name, in the order they first appear."""
+        the verdicts name, in the order they first appear. ``to_json`` and
+        ``to_text`` take the counts, so that a caller tallies once."""
         per_emr: dict[str, dict[str, int]] = {}
         stubs: dict[str, None] = {}
         for entry in self.entries:
@@ -67,30 +68,18 @@ class SuiteReport(Record):
         nonzero = {emr: {name: n for name, n in counts.items() if n} for emr, counts in per_emr.items()}
         return nonzero, list(stubs)
 
-    @property
-    def has_failures(self) -> bool:
-        return any(e.outcome == "Fail" for e in self.entries)
-
-    @property
-    def has_errors(self) -> bool:
-        return any(e.outcome == "Error" for e in self.entries)
-
-    @property
-    def not_executable_stubs(self) -> list[str]:
-        return self.tally()[1]
-
-    def to_json(self) -> dict[str, Any]:
+    def to_json(self, per_emr: dict[str, dict[str, int]] | None = None) -> dict[str, Any]:
         return {
-            "per_emr": self.tally()[0],
+            "per_emr": self.tally()[0] if per_emr is None else per_emr,
             "results": [e.to_json() for e in self.entries],
         }
 
-    def to_text(self) -> str:
+    def to_text(self, per_emr: dict[str, dict[str, int]] | None = None) -> str:
         lines = []
         header = f"{'EMR':<24}" + "".join(f"{name:>14}" for name in VERDICT_ORDER)
         lines.append(header)
         lines.append("-" * len(header))
-        for emr, counts in self.tally()[0].items():
+        for emr, counts in (self.tally()[0] if per_emr is None else per_emr).items():
             row = f"{emr:<24}" + "".join(f"{counts.get(name, 0):>14}" for name in VERDICT_ORDER)
             lines.append(row)
         failing = [e for e in self.entries if e.outcome == "Fail"]

@@ -28,6 +28,7 @@ from emrkit.dsl.tokens import comments, scan
 from emrkit.pipeline import ingest_document, load_transcript
 from emrkit.resources import fixture_path
 from emrkit.runtime import ActionSequence, run_suite
+from emrkit.runtime.suite import SuiteReport
 from emrkit.shopstubs import STUBS
 from emrkit.sut import MockShopSut
 from emrkit.sut.cassette import Cassette
@@ -431,6 +432,17 @@ def test_run_correct_sut_exits_zero(tmp_path, capsys):
     assert (tmp_path / "out" / "report.txt").exists()
 
 
+@pytest.mark.parametrize("sut, code", [("mock", 0), ("mock:ignore-filter", 5)])
+def test_run_tallies_its_report_in_one_pass(tmp_path, monkeypatch, sut, code):
+    """The per-EMR counts, the unbound stubs and the exit code come from one
+    ``tally``, which ``report.json`` and ``report.txt`` reuse."""
+    calls = []
+    tally = SuiteReport.tally
+    monkeypatch.setattr(SuiteReport, "tally", lambda report: calls.append(report) or tally(report))
+    assert run("--out", tmp_path, "run", FIG4, "--inputs", INPUTS, "--sut", sut) == code
+    assert len(calls) == 1 and len(calls[0].entries) == 5
+
+
 def test_report_json_is_compact_and_parses_back_to_the_report(tmp_path):
     suite = fixture_path("suite")
     run("--out", tmp_path, "run", suite, FIG4, "--inputs", INPUTS, "--sut", "mock:ignore-filter")
@@ -442,7 +454,8 @@ def test_report_json_is_compact_and_parses_back_to_the_report(tmp_path):
     inputs = [ActionSequence.from_json(json.loads(path.read_text(encoding="utf-8"))) for path in input_files]
     names = [path.stem for path in input_files]
     report = run_suite(emrs, inputs, MockShopSut("ignore-filter"), STUBS, input_names=names)
-    assert report.has_failures and report.not_executable_stubs
+    per_emr, unbound = report.tally()
+    assert any("Fail" in counts for counts in per_emr.values()) and unbound
     assert json.loads(text) == report.to_json()
 
 
@@ -916,6 +929,50 @@ def test_check_error_exits_two(tmp_path, capsys):
     bad.write_text("MR {{ IMPLIES(true); }}")
     assert run("check", bad) == 2
     assert "IMPLIES expects 2" in capsys.readouterr().out
+
+
+# A follow-up bound to a name and read back through ``Output(s, 0)``: that
+# read took the outputs of the source of ``s``, so the check compared the
+# source with itself and failed on the correct shop. ``Output`` names its
+# input as ``CREATE`` does, ``Output(Input(2), 0)``.
+NAMED_FOLLOW_UP = ('MR {{ var s = applyFilter(Input(1), 0, "price"); '
+                   'IMPLIES(CREATE(Input(2), s), fewerResults(%s, Output(Input(1), 0))); }}')
+NOT_AN_INPUT = "Output sequence must be an Input(i) expression"
+
+
+def named_follow_up(tmp_path: Path, output: str) -> Path:
+    emr = tmp_path / "named.smrl"
+    emr.write_text(NAMED_FOLLOW_UP % output, encoding="utf-8")
+    return emr
+
+
+@pytest.mark.parametrize("output, stubs", [("Output(s, 0)", ["applyFilter", "fewerResults"]),
+                                           ("Output(In0ut(2), 0)", ["applyFilter", "fewerResults", "In0ut"])])
+def test_check_refuses_a_two_argument_output_of_anything_but_an_input_call(tmp_path, capsys, output, stubs):
+    emr = named_follow_up(tmp_path, output)
+    assert run("check", emr) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r for r in records if r["severity"] == "error"] == [
+        {"file": str(emr), "severity": "error", "line": 1, "message": NOT_AN_INPUT, "symbol": "Output"}]
+    assert [r["symbol"] for r in records if r["severity"] == "stub"] == stubs
+
+
+@pytest.mark.parametrize("sut", SUTS)
+def test_run_gives_a_named_follow_up_output_the_invalid_emr_error_on_every_input(tmp_path, sut):
+    emr = named_follow_up(tmp_path, "Output(s, 0)")
+    assert run("--out", tmp_path / "out", "run", emr, "--inputs", INPUTS, "--sut", sut) == 6
+    results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    error = f"EMR 'named' has validation errors: {NOT_AN_INPUT} (line 1)"
+    assert [(r["input"], r["outcome"], r["error"]) for r in results] == [
+        (path.stem, "Error", error) for path in sorted(Path(INPUTS).glob("*.json"))]
+
+
+def test_the_input_call_spelling_of_a_named_follow_up_passes(tmp_path):
+    emr = named_follow_up(tmp_path, "Output(Input(2), 0)")
+    chair = fixture_path("inputs") / "search_chair.json"
+    assert run("--out", tmp_path / "out", "run", emr, "--inputs", chair, "--sut", "mock") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["per_emr"] == {"named": {"Pass": 1}}
 
 
 @pytest.mark.parametrize("literal, message", [

@@ -408,14 +408,16 @@ def test_result_stubs_read_no_ids_from_a_login_output():
         ('var k = "a"; var o = Output(k);', "Output index must be an integer"),
         ('var k = "a"; var o = Output(Input(1), k);', "Output position must be an integer"),
         ("var t = true; var o = Output(Input(1), t);", "Output position must be an integer"),
-        ("var k = 1; var o = Output(k, 0);", "two-argument Output takes an input sequence first"),
+        ('var k = "a"; var o = Output(Input(k), 0);', "Input index must be an integer"),
+        ("var k = 4; var o = Output(Input(k), 0);", "Input(4) is not registered; CREATE it first"),
         ("CREATE(Input(2), 5);", "CREATE source must be an input sequence"),
         ("for (var a : Input(1)) { var p = a.getParameter(); }", "method 'getParameter' takes 1 argument, not 0"),
         ("for (var a : Input(1).actions(7)) { NOT(false); }", "method 'actions' takes 0 arguments, not 1"),
         ("for (var a : Input(1).actions()) { var k = a.getKind(1, 2); }", "method 'getKind' takes 0 arguments, not 2"),
     ],
     ids=["create-index-bool", "unknown-method", "not-iterable", "unregistered-output", "input-index-string",
-         "output-index-string", "output-position-string", "output-position-bool", "output-of-non-sequence",
+         "output-index-string", "output-position-string", "output-position-bool", "output-at-index-string",
+         "output-at-unregistered",
          "create-source", "getparameter-arity", "actions-arity", "getkind-arity"],
 )
 def test_run_time_errors_raise_only_when_reached(statement, message):

@@ -1,3 +1,5 @@
+import pytest
+
 from astgen import ProgramGen
 from emrkit.dsl import has_errors, parse_emr, stub_names
 from emrkit.dsl.validate import validate
@@ -56,12 +58,17 @@ def test_create_target_must_be_input():
     assert any(d.severity == "error" and d.symbol == "CREATE" for d in diags)
 
 
-def test_two_argument_output_takes_an_input_sequence_first():
-    diags = validate(parse_emr("MR {{\n    var o = Output(3, 0);\n}}"))
-    assert [(d.severity, d.message, d.line, d.symbol) for d in diags] == [
-        ("error", "two-argument Output takes an input sequence first", 2, "Output")
-    ]
-    assert validate(parse_emr("MR {{ var o = Output(Input(3), 0); }}")) == []
+@pytest.mark.parametrize("first", ["3", "true", '"s"', "s", "k", "probe()", "Input(1).actions()", "Output(1)"])
+def test_two_argument_output_names_its_input_as_an_input_call(first):
+    """Like a CREATE target, the first argument of a two-argument Output is
+    written ``Input(i)``; a name bound to a sequence or an integer is not."""
+    source = f"MR {{{{\n    var s = Input(1); var k = 1;\n    var o = Output({first}, 0);\n}}}}"
+    errors = [(d.message, d.line, d.symbol) for d in validate(parse_emr(source)) if d.severity == "error"]
+    assert errors == [("Output sequence must be an Input(i) expression", 3, "Output")]
+
+
+def test_two_argument_output_takes_any_integer_input_index():
+    assert validate(parse_emr("MR {{ var o = Output(Input(3), 0); var k = 2; var p = Output(Input(k), k); }}")) == []
 
 
 def test_boolean_position_literal_errors():
