@@ -101,9 +101,6 @@ def _repair_scanned(source: str) -> tuple[str, RepairLog]:
     except DslError:
         return source, log
     fixes = _implies_single_arg_amps(lexemes, starts)
-    if not fixes:
-        return source, log
-
     lines = line_starts(source)
     # Each '&' becomes a comma and takes the spaces before it on its line
     # along; those cannot reach back past the '&' of the fix before.

@@ -148,7 +148,7 @@ class Evaluator:
         of it, registered too, when the EMR reads the input back, and else
         ``sequence`` itself, of which only the outputs are kept."""
         if self.reads is None or index in self.reads:
-            sequence = self.inputs[index] = sequence.copy(index)
+            sequence = self.inputs[index] = sequence.copy()
         session = self.session_factory()
         outputs = _new(OutputSequence)
         outputs.outputs = list(map(session.execute, sequence.actions))
@@ -161,7 +161,7 @@ class Evaluator:
 
     def output_sequence(self, index: int) -> OutputSequence:
         if index not in self.outputs:
-            raise EvalError(f"no recorded outputs for Input({index})")
+            raise _unregistered(index)
         return self.outputs[index]
 
     def verdict(self) -> Verdict:
@@ -486,13 +486,11 @@ def _output_at(index_expr: Expr, position_expr: Expr, scope: _Scope) -> Compiled
     index = None if k is not None else _expr(index_expr, scope)
 
     def output_at(ev: Evaluator) -> Output:
-        key = k if index is None else _require_int(index(ev), "Input index")
-        if key not in ev.outputs:
-            raise _unregistered(key)
+        outputs = ev.output_sequence(k if index is None else _require_int(index(ev), "Input index"))
         at = position(ev)
         if type(at) is not int:
             _require_int(at, "Output position")
-        return ev.outputs[key].at(at)
+        return outputs.at(at)
 
     return output_at
 

@@ -68,18 +68,15 @@ class SuiteReport(Record):
         nonzero = {emr: {name: n for name, n in counts.items() if n} for emr, counts in per_emr.items()}
         return nonzero, list(stubs)
 
-    def to_json(self, per_emr: dict[str, dict[str, int]] | None = None) -> dict[str, Any]:
-        return {
-            "per_emr": self.tally()[0] if per_emr is None else per_emr,
-            "results": [e.to_json() for e in self.entries],
-        }
+    def to_json(self, per_emr: dict[str, dict[str, int]]) -> dict[str, Any]:
+        return {"per_emr": per_emr, "results": [e.to_json() for e in self.entries]}
 
-    def to_text(self, per_emr: dict[str, dict[str, int]] | None = None) -> str:
+    def to_text(self, per_emr: dict[str, dict[str, int]]) -> str:
         lines = []
         header = f"{'EMR':<24}" + "".join(f"{name:>14}" for name in VERDICT_ORDER)
         lines.append(header)
         lines.append("-" * len(header))
-        for emr, counts in (self.tally()[0] if per_emr is None else per_emr).items():
+        for emr, counts in per_emr.items():
             row = f"{emr:<24}" + "".join(f"{counts.get(name, 0):>14}" for name in VERDICT_ORDER)
             lines.append(row)
         failing = [e for e in self.entries if e.outcome == "Fail"]

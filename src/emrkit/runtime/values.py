@@ -58,9 +58,8 @@ class Action(Record):
 
 @dataclass(eq=False, repr=False)
 class ActionSequence(Record):
-    """An input sequence: its index and its actions, numbered from 0."""
+    """An input sequence: its actions, numbered from 0."""
 
-    index: int
     actions: list[Action] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -70,7 +69,7 @@ class ActionSequence(Record):
             for pos, action in enumerate(self.actions)
         ]
 
-    def copy(self, index: int | None = None) -> "ActionSequence":
+    def copy(self) -> "ActionSequence":
         """One pass over the actions: each copy takes its position from its
         place in the sequence, so the result is dense without a
         ``__post_init__`` walk."""
@@ -80,17 +79,17 @@ class ActionSequence(Record):
             copied.position, copied.kind, copied.parameters = position, action.kind, _copy_parameters(action.parameters)
             actions.append(copied)
         result = _new(ActionSequence)
-        result.index, result.actions = self.index if index is None else index, actions
+        result.actions = actions
         return result
 
     @classmethod
-    def from_json(cls, data: Sequence[Mapping[str, Any]], index: int = 1) -> "ActionSequence":
+    def from_json(cls, data: Sequence[Mapping[str, Any]]) -> "ActionSequence":
         actions = []
         for pos, item in enumerate(data):
             what = f"action at position {pos} field"
             actions.append(Action(pos, check(item["kind"], "a string", f"{what} 'kind'"),
                                   dict(check(item.get("parameters", {}), "a JSON object", f"{what} 'parameters'"))))
-        return cls(index, actions)
+        return cls(actions)
 
 
 @dataclass(eq=False, repr=False)
@@ -223,7 +222,7 @@ def render_value(value: Any) -> str:
     if isinstance(value, Action):
         return f"{value.kind}@{value.position}"
     if isinstance(value, ActionSequence):
-        return f"Input({value.index})"
+        return f"ActionSequence(len={len(value.actions)})"
     if isinstance(value, Output):
         return f"Output(status={value.status}, size={value.summary_size})"
     if isinstance(value, OutputSequence):

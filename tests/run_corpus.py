@@ -123,9 +123,16 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
 
 
+def case_digest(source: str, inputs: list[ActionSequence]) -> str:
+    """The digest of a case's source and of its inputs as JSON: each action's
+    kind and parameters, in order."""
+    actions = [[{"kind": a.kind, "parameters": a.parameters} for a in sequence.actions] for sequence in inputs]
+    return digest(source + json.dumps(actions))
+
+
 def digests(programs: int = PROGRAMS) -> dict[str, list[str]]:
     """Case id -> [digest of the source and inputs, digest of its runs]."""
-    return {name: [digest(source + repr(inputs)), digest(outcome(source, inputs))]
+    return {name: [case_digest(source, inputs), digest(outcome(source, inputs))]
             for name, source, inputs in corpus(programs)}
 
 

@@ -211,7 +211,6 @@ def test_property_suites():
         rng = random.Random(99)
         for _ in range(50):
             source = ActionSequence(
-                1,
                 [Action(i, rng.choice(["search", "login"]), {"n": rng.randint(0, 9)})
                  for i in range(rng.randint(1, 5))],
             )
@@ -230,7 +229,7 @@ def test_property_suites():
             ast = parse_emr(f"MR {{{{ IMPLIES(false, {consequent}); }}}}")
             verdict = evaluate_emr(
                 ast,
-                ActionSequence(1, [Action(0, "search", {"query": ""})]),
+                ActionSequence([Action(0, "search", {"query": ""})]),
                 MockShopSut(),
                 {"boom": lambda: (_ for _ in ()).throw(RuntimeError("unreachable"))},
             )

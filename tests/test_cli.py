@@ -456,7 +456,7 @@ def test_report_json_is_compact_and_parses_back_to_the_report(tmp_path):
     report = run_suite(emrs, inputs, MockShopSut("ignore-filter"), STUBS, input_names=names)
     per_emr, unbound = report.tally()
     assert any("Fail" in counts for counts in per_emr.values()) and unbound
-    assert json.loads(text) == report.to_json()
+    assert json.loads(text) == report.to_json(per_emr)
 
 
 def test_importing_the_cli_loads_no_http_modules():
@@ -527,7 +527,7 @@ BAD_PAIRS = {
     "invalid-emr": ("MR {{ NOT(true, false); }}", None,
                     "EMR 'bad' has validation errors: NOT expects 1 argument (line 1)"),
     "unbound-identifier": ("MR {{ var y = zz; y; }}", None, "unbound identifier 'zz'"),
-    "unknown-method": ("MR {{ Input(1).foo(); }}", None, "method 'foo' is not defined on Input(1)"),
+    "unknown-method": ("MR {{ Input(1).foo(); }}", None, "method 'foo' is not defined on ActionSequence(len="),
     "position-out-of-range": ("MR {{ var x = Output(Input(1), 7); }}", None, "position 7 out of range"),
     "stub-raised": ("MR {{ IMPLIES(boom(), true); }}", None, "ZeroDivisionError: "),
     "nested-input": (None, nested_input(600), "RecursionError: maximum recursion depth exceeded"),
@@ -1373,6 +1373,8 @@ MALFORMED_INPUTS = {
     "annotation-note-not-string": (
         "ann.jsonl", b'{"emr": "x", "line": 3, "labels": ["C"], "note": 7}\n', None, ["grade", "{path}"]),
     "survey-row-short": ("survey.csv", b"subject,statement,respondent,rating\nmr01,S1\n", None, ["survey", "{path}"]),
+    "survey-rating-unknown": (
+        "survey.csv", b"subject,statement,respondent,rating\nmr01,S1,p1,sort-of\n", None, ["survey", "{path}"]),
     "cassette-entry-not-object": (
         "cassette.json", b"[1]", None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"]),
     "cassette-middle-line-not-json": (
@@ -1393,6 +1395,16 @@ MALFORMED_INPUTS = {
         b'[{"name": "isSearchAction", "parameters": [{"name": "action", "type": [null]}], "returns": "boolean",'
         b' "doc": "d"}]',
         None, ["check", FIG4, "--catalog", "{path}"]),
+    "api-catalog-parameters-not-list": (
+        "catalog.json", b'[{"name": "isSearchAction", "parameters": "action", "returns": "boolean", "doc": "d"}]',
+        None, ["check", FIG4, "--catalog", "{path}"]),
+    "api-catalog-parameter-without-type": (
+        "catalog.json",
+        b'[{"name": "isSearchAction", "parameters": [{"name": "action"}], "returns": "boolean", "doc": "d"}]',
+        None, ["check", FIG4, "--catalog", "{path}"]),
+    "api-catalog-not-list": (
+        "catalog.json", b'{"name": "isSearchAction", "returns": "boolean", "doc": "d"}', None,
+        ["check", FIG4, "--catalog", "{path}"]),
     "cassette-output-of-wrong-types": (
         "cassette.jsonl", b'{"fingerprint":"a","output":{"status":5,"summary_size":true}}\n',
         None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"]),
@@ -1401,6 +1413,14 @@ MALFORMED_INPUTS = {
     "input-action-parameters-not-object": (
         "input.json", b'[{"kind": "search", "parameters": [["query", "chair"]]}]', None,
         ["run", FIG4, "--inputs", "{path}"]),
+}
+# The reason that a case's own check gives. Without that check the file
+# still fails to load, or loads, with another message.
+MALFORMED_REASONS = {
+    "survey-rating-unknown": "unknown rating 'sort-of'",
+    "api-catalog-parameters-not-list": "'parameters' must be a list",
+    "api-catalog-parameter-without-type": "parameter needs 'name' and 'type'",
+    "api-catalog-not-list": "catalog file must contain a JSON list",
 }
 
 
@@ -1412,9 +1432,9 @@ def test_malformed_mr_catalog_exits_before_any_turn(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
 def test_malformed_input_file_exits_two_naming_it_once(tmp_path, capsys, case):
-    relpath, content, config_key, command = case
+    relpath, content, config_key, command = MALFORMED_INPUTS[case]
     target = tmp_path / relpath
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_bytes(content)
@@ -1430,6 +1450,7 @@ def test_malformed_input_file_exits_two_naming_it_once(tmp_path, capsys, case):
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.count(str(named)) == 1 and "Traceback" not in err
+    assert MALFORMED_REASONS.get(case, "") in err
 
 
 def test_verbose_reports_each_file_written_in_order(tmp_path, capsys):

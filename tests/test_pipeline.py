@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from emrkit import jsonl
 from emrkit.dsl import (
     DslError,
     canonical_units,
@@ -113,6 +114,12 @@ def test_large_document_chunked_under_budget():
 def test_paragraphs_of_a_section_over_budget_are_packed_greedily():
     text = "# A\n\n" + "x" * 30 + "\n\n" + "y" * 30
     assert chunk_document(text, 40) == ["# A\n\n" + "x" * 30, "y" * 30]
+
+
+def test_a_document_is_split_at_headings_before_paragraphs():
+    # Split at paragraphs alone, "# B" would end the first chunk, apart from its section.
+    text = "# A\n\n" + "a" * 10 + "\n# B\n\n" + "b" * 10
+    assert chunk_document(text, 20) == ["# A\n\n" + "a" * 10, "# B\n\n" + "b" * 10]
 
 
 def test_small_document_is_one_chunk(shop_doc):
@@ -520,6 +527,25 @@ def test_transcript_rewritten_by_a_new_conversation_of_the_same_name(tmp_path):
         conv.append("user", content, 1)
         path = store.write(conv)
     assert [m["content"] for m in load_transcript(path)["messages"]] == ["second"]
+
+
+def test_closing_the_store_closes_every_transcript_file(tmp_path, monkeypatch):
+    opened = []
+
+    class KeptAppender(jsonl.Appender):
+        def __init__(self, path):
+            super().__init__(path)
+            opened.append(self)
+
+    monkeypatch.setattr(jsonl, "Appender", KeptAppender)
+    store = TranscriptStore(tmp_path)
+    for ref in ("a", "b"):
+        conv = Conversation("derive", ref)
+        conv.append("user", "ask", 1)
+        store.write(conv)
+    assert [appender.close.alive for appender in opened] == [True, True]
+    store.close()
+    assert [appender.close.alive for appender in opened] == [False, False]
 
 
 def test_transcript_reader_drops_a_torn_final_line(tmp_path):

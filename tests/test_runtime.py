@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import random
 
@@ -120,12 +119,12 @@ def test_infix_chains_short_circuit_left_to_right():
 
 
 def seq(*kinds: str) -> ActionSequence:
-    return ActionSequence(1, [Action(i, k, {"query": k}) for i, k in enumerate(kinds)])
+    return ActionSequence([Action(i, k, {"query": k}) for i, k in enumerate(kinds)])
 
 
 def test_building_a_sequence_from_anothers_actions_leaves_them_numbered():
     source = seq("search", "login")
-    tail = ActionSequence(2, source.actions[1:])
+    tail = ActionSequence(source.actions[1:])
     assert [a.position for a in source.actions] == [0, 1]
     assert [(a.position, a.kind) for a in tail.actions] == [(0, "login")]
 
@@ -177,7 +176,6 @@ def test_random_edit_property_non_edited_positions_unchanged():
     kinds = ["search", "login", "view"]
     for _ in range(50):
         source = ActionSequence(
-            1,
             [
                 Action(i, rng.choice(kinds), {"n": rng.randint(0, 9)})
                 for i in range(rng.randint(1, 6))
@@ -215,16 +213,16 @@ def mutable_ids(value) -> set[int]:
     return set()
 
 
-@given(ACTIONS, st.integers(1, 4), st.none() | st.integers(1, 4))
-def test_a_copy_is_a_dense_deep_copy_that_shares_no_mutable_object(actions, index, new_index):
-    source = ActionSequence(index, [Action(0, kind, parameters) for _, kind, parameters in actions])
+@given(ACTIONS)
+def test_a_copy_is_a_dense_deep_copy_that_shares_no_mutable_object(actions):
+    source = ActionSequence([Action(0, kind, parameters) for _, kind, parameters in actions])
     for action, (position, _, _) in zip(source.actions, actions):
         action.position = position  # positions the copy must make dense again
-    copied = source.copy(new_index)
-    assert copied == dataclasses.replace(copy.deepcopy(source), index=index if new_index is None else new_index)
+    copied = source.copy()
+    assert copied == ActionSequence(copy.deepcopy(source.actions))  # renumbered from 0
     assert [a.position for a in copied.actions] == list(range(len(actions)))
     assert all(list(vars(a)) == ["position", "kind", "parameters"] for a in copied.actions)
-    assert list(vars(copied)) == ["index", "actions"]
+    assert list(vars(copied)) == ["actions"]
     assert not mutable_ids(copied) & mutable_ids(source)
 
 
@@ -283,7 +281,7 @@ def test_loop_without_matching_actions_is_inapplicable():
     }}"""
     verdict = run_src(
         source,
-        input_seq=ActionSequence(1, [Action(0, "login", {})]),
+        input_seq=ActionSequence([Action(0, "login", {})]),
         stubs={"isSearch": lambda a: a.kind == "search"},
     )
     assert verdict.value is VerdictValue.INAPPLICABLE
@@ -401,9 +399,9 @@ def test_result_stubs_read_no_ids_from_a_login_output():
     "statement, message",
     [
         ("var t = true; CREATE(Input(t), Input(1));", "CREATE index must be an integer"),
-        ("var k = Input(1).foo();", "method 'foo' is not defined on Input(1)"),
+        ("var k = Input(1).foo();", "method 'foo' is not defined on ActionSequence(len=1)"),
         ("for (var x : 5) { NOT(false); }", "cannot iterate over 5"),
-        ("var o = Output(3);", "no recorded outputs for Input(3)"),
+        ("var o = Output(3);", "Input(3) is not registered; CREATE it first"),
         ('var k = "a"; var i = Input(k);', "Input index must be an integer"),
         ('var k = "a"; var o = Output(k);', "Output index must be an integer"),
         ('var k = "a"; var o = Output(Input(1), k);', "Output position must be an integer"),

@@ -19,6 +19,7 @@ from emrkit.dsl.validate import has_errors, validate
 from emrkit.runtime import (ActionSequence, EvalError, SetParameter, VerdictValue, create_followup, eval_bool,
                             evaluate_emr, run_suite)
 from emrkit.runtime.errors import RunAborted
+from emrkit.runtime.evaluate import Evaluator
 from emrkit.shopstubs import STUBS
 from emrkit.sut import MockShopSut, record_replay
 from emrkit.resources import fixture_path, read_fixture
@@ -160,7 +161,7 @@ def test_get_parameter_reads_an_actions_parameter_and_is_an_error_on_an_input():
     report = run_suite([reads, misuses], inputs, MockShopSut(), {"isChair": lambda query: query == "chair"})
     assert [(e.emr_id, e.outcome, e.error) for e in report.entries] == [
         ("reads", "Pass", None),
-        ("misuses", "Error", "method 'getParameter' is not defined on Input(1)"),
+        ("misuses", "Error", "method 'getParameter' is not defined on ActionSequence(len=1)"),
     ]
 
 
@@ -181,7 +182,8 @@ def test_replayed_suite_report_equals_live_report(suite_asts, shop_inputs, tmp_p
     replayed = run_suite(
         suite_asts, shop_inputs, record_replay("replay", cassette), STUBS, input_names=INPUT_NAMES
     )
-    assert json.dumps(replayed.to_json(), sort_keys=True) == json.dumps(live.to_json(), sort_keys=True)
+    assert json.dumps(replayed.to_json(replayed.tally()[0]), sort_keys=True) == json.dumps(
+        live.to_json(live.tally()[0]), sort_keys=True)
 
 
 def test_a_stubs_oserror_is_an_error_entry_but_a_failed_cassette_line_ends_the_run(
@@ -204,7 +206,7 @@ def test_a_stubs_oserror_is_an_error_entry_but_a_failed_cassette_line_ends_the_r
 
 def test_report_text_table_lists_every_emr(suite_asts, shop_inputs):
     report = run_suite(suite_asts, shop_inputs, MockShopSut("ignore-filter"), STUBS, input_names=INPUT_NAMES)
-    text = report.to_text()
+    text = report.to_text(report.tally()[0])
     for name in SUITE_EMRS:
         assert name in text
     assert "failing bindings:" in text and "filterType" in text
@@ -216,7 +218,8 @@ def test_report_text_is_the_table_then_the_failing_bindings_then_the_errors():
             parse_emr("MR {{ IMPLIES(true, true); }}", "passes")]
     source = ActionSequence.from_json([{"kind": "search", "parameters": {"query": "chair"}}])
     header = f"{'EMR':<24}{'Pass':>14}{'Fail':>14}{'Inapplicable':>14}{'NotExecutable':>14}{'Error':>14}"
-    assert run_suite(emrs, [source], MockShopSut(), {}).to_text().split("\n") == [
+    report = run_suite(emrs, [source], MockShopSut(), {})
+    assert report.to_text(report.tally()[0]).split("\n") == [
         header,
         "-" * 94,
         f"{'fails':<24}" + "".join(f"{n:>14}" for n in (0, 1, 0, 0, 0)),
@@ -233,7 +236,7 @@ def test_report_text_is_the_table_then_the_failing_bindings_then_the_errors():
 
 def test_report_json_shape(suite_asts, shop_inputs):
     report = run_suite(suite_asts[:1], shop_inputs[:1], MockShopSut(), STUBS)
-    data = report.to_json()
+    data = report.to_json(report.tally()[0])
     assert data["per_emr"] == {"search_filter": {"Pass": 1}}
     (entry,) = data["results"]
     assert entry["outcome"] == "Pass" and entry["emr"] == "search_filter"
@@ -439,19 +442,21 @@ def test_typed_programs_reach_verdicts():
     ("var n = 3; false || n;", "'||' operand evaluated to non-boolean 3"),
     ("var s = Input(3);", "Input(3) is not registered; CREATE it first"),
     ("var k = 3; var s = Input(k);", "Input(3) is not registered; CREATE it first"),
-    ("var o = Output(3);", "no recorded outputs for Input(3)"),
-    ("var k = 3; var o = Output(k);", "no recorded outputs for Input(3)"),
+    ("var o = Output(3);", "Input(3) is not registered; CREATE it first"),
+    ("var k = 3; var o = Output(k);", "Input(3) is not registered; CREATE it first"),
     ("var o = Output(Input(3), 0);", "Input(3) is not registered; CREATE it first"),
     ("CREATE(Input(2), Input(1)); var o = Output(Input(2), 9);", "position 9 out of range for sequence of length 2"),
     ("var k = 2; var p = 9; CREATE(Input(k), Input(1)); var o = Output(Input(k), p);",
      "position 9 out of range for sequence of length 2"),
     ("CREATE(Input(2), 5);", "CREATE source must be an input sequence"),
     ("IMPLIES(Output(1), true);", "IMPLIES antecedent evaluated to non-boolean OutputSequence(len=2)"),
-    ("IMPLIES(Input(1), true);", "IMPLIES antecedent evaluated to non-boolean Input(1)"),
+    ("IMPLIES(Input(1), true);", "IMPLIES antecedent evaluated to non-boolean ActionSequence(len=2)"),
+    ('var s = applyFilter(Input(1), 0, "price"); IMPLIES(CREATE(Input(2), s), true); var x = s.foo();',
+     "method 'foo' is not defined on ActionSequence(len=2)"),
     ("for (var o : Output(Input(1), 0)) { NOT(false); }", "cannot iterate over Output(status=ok, size=5)"),
 ], ids=["if", "implies-antecedent", "implies-consequent", "bang", "and", "or", "input", "input-var", "output",
         "output-var", "output-at-unregistered", "output-at-range", "output-at-range-var", "create-source",
-        "render-output-sequence", "render-input", "render-output"])
+        "render-output-sequence", "render-input", "render-created-follow-up", "render-output"])
 def test_statement_level_run_time_errors_are_error_entries(statements, error):
     ast = parse_emr(f"MR {{{{ {statements} IMPLIES(true, true); }}}}", "statement_error")
     assert not has_errors(validate(ast))
@@ -561,17 +566,24 @@ def test_every_registration_goes_through_register_and_execute(shop_inputs, monke
 
 
 def registration_copies(monkeypatch) -> list[int]:
-    """The input index of each registration copy made from now on; the copy
-    ``create_followup`` makes takes no index and is not listed."""
-    copies = []
-    copy_sequence = ActionSequence.copy
+    """The input index of each copy a registration makes from now on; a copy
+    made outside a registration, as ``create_followup`` makes, is not listed."""
+    copies, registering = [], []
+    copy_sequence, register = ActionSequence.copy, Evaluator.register_and_execute
 
-    def counting_copy(self, index=None):
-        if index is not None:
-            copies.append(index)
-        return copy_sequence(self, index)
+    def counting_copy(self):
+        copies.extend(registering[-1:])
+        return copy_sequence(self)
+
+    def counting_register(self, index, sequence):
+        registering.append(index)
+        try:
+            register(self, index, sequence)
+        finally:
+            registering.pop()
 
     monkeypatch.setattr(ActionSequence, "copy", counting_copy)
+    monkeypatch.setattr(Evaluator, "register_and_execute", counting_register)
     return copies
 
 

@@ -507,7 +507,7 @@ def test_live_response_outside_the_envelope_is_its_own_payload(live_server):
 ], ids=["size-string", "status-int"])
 def test_run_suite_reports_a_live_response_of_the_wrong_type_as_an_adapter_failure(live_server, body, error):
     config = AdapterConfig(live_server, {"search": {"path": "/echo", "method": "GET"}})
-    source = ActionSequence(1, [Action(0, "search", {"body": body})])
+    source = ActionSequence([Action(0, "search", {"body": body})])
     report = run_suite([parse_emr("MR {{ IMPLIES(true, true); }}")], [source], LiveHttpSut(config))
     assert [entry.error for entry in report.entries] == [error]
 
