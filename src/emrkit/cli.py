@@ -280,6 +280,7 @@ def _generate(mrs: list[MetamorphicRelation], catalog_path: str | None, config: 
     for item in result.items:
         print(f"{item.mr_id}: {item.status}")
         if item.status == "unparseable":
+            print(f"warning: {item.mr_id}: reply does not parse: {item.error}", file=sys.stderr)
             write(emr_dir / f"{item.mr_id}.rejected.txt", (item.source or "") + "\n")
             for suffix in (".smrl", ".stubs.json", ".repairs.json", ".explanations.json"):
                 write(emr_dir / f"{item.mr_id}{suffix}", None)

@@ -18,7 +18,6 @@ from .ast import (
     Not,
     StringLit,
     VarDecl,
-    structurally_equal,
 )
 from .errors import DslError, IllegalCharacter, ParseError
 from .parser import parse_emr
@@ -50,7 +49,6 @@ __all__ = [
     "parse_emr",
     "pretty_print",
     "reconstruct",
-    "structurally_equal",
     "stub_names",
     "tokenize",
 ]

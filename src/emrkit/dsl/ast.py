@@ -172,8 +172,3 @@ class EmrAst(Record):
 
     id: str
     statements: tuple[Stmt, ...]
-
-
-def structurally_equal(a: EmrAst, b: EmrAst) -> bool:
-    """Equality over structure and explanations, ignoring ids and source spans."""
-    return a.statements == b.statements

@@ -10,7 +10,7 @@ methods (``ast.METHOD_ARITY``) are warnings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .._record import Record
 from .ast import (
@@ -140,25 +140,29 @@ def validate(ast: EmrAst, catalog: "ApiCatalog | None" = None) -> list[Diagnosti
                     boolean_position(op, f"'{e.op}' operand")
                 push(reversed(e.operands))
 
-    def check_stmts(stmts: tuple[Stmt, ...], in_loop: bool) -> None:
-        for st in stmts:
-            if isinstance(st, ForEach):
-                check_expr(st.iterable)
-                check_stmts(st.body, True)
-            elif isinstance(st, If):
-                boolean_position(st.cond, "if condition")
-                check_expr(st.cond)
-                check_stmts(st.body, in_loop)
-            elif isinstance(st, Continue):
-                if not in_loop:
-                    diags.append(Diagnostic("error", "continue outside of a loop", st.line))
-            elif isinstance(st, VarDecl):
-                check_expr(st.init)
-            elif isinstance(st, ExprStmt):
-                check_expr(st.expr)
-
-    check_stmts(ast.statements, False)
+    _check_stmts(ast.statements, False, check_expr, boolean_position, diags)
     return diags
+
+
+# A module-level function, not a nested one: a nested function that calls
+# itself holds itself, and each ``validate`` would leave a reference cycle.
+def _check_stmts(stmts: tuple[Stmt, ...], in_loop: bool, check_expr: Callable[[Expr], None],
+                 boolean_position: Callable[[Expr, str], None], diags: list[Diagnostic]) -> None:
+    for st in stmts:
+        if isinstance(st, ForEach):
+            check_expr(st.iterable)
+            _check_stmts(st.body, True, check_expr, boolean_position, diags)
+        elif isinstance(st, If):
+            boolean_position(st.cond, "if condition")
+            check_expr(st.cond)
+            _check_stmts(st.body, in_loop, check_expr, boolean_position, diags)
+        elif isinstance(st, Continue):
+            if not in_loop:
+                diags.append(Diagnostic("error", "continue outside of a loop", st.line))
+        elif isinstance(st, VarDecl):
+            check_expr(st.init)
+        elif isinstance(st, ExprStmt):
+            check_expr(st.expr)
 
 
 def stub_names(diags: list[Diagnostic]) -> list[str]:

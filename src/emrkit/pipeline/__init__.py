@@ -1,7 +1,7 @@
 """Staged LLM conversations that derive MRs and generate EMRs."""
 
 from .client import LiveChatClient, LlmConfig, LlmError, MockChatClient, content_hash
-from .conversation import Conversation, TranscriptStore, load_transcript
+from .conversation import Conversation, TranscriptStore
 from .derive import (
     MetamorphicRelation,
     dedupe_mrs,
@@ -29,7 +29,6 @@ __all__ = [
     "ingest_document",
     "load_fewshot",
     "load_mr_catalog",
-    "load_transcript",
     "parse_mr_list",
     "save_mr_catalog",
 ]

@@ -96,26 +96,6 @@ class TranscriptStore:
         self._files.clear()
 
 
-_HEADER_KEYS = ("pipeline", "ref", "config")
-_MESSAGE_KEYS = ("role", "content", "phase")
-
-
-def _has_keys(record: Any, keys: tuple[str, ...]) -> bool:
-    return isinstance(record, dict) and all(key in record for key in keys)
-
-
-def load_transcript(path: str | Path) -> dict[str, Any]:
-    """A transcript file as ``{pipeline, ref, config, messages}``."""
-    records = jsonl.read(Path(path))
-    if not records or not _has_keys(records[0], _HEADER_KEYS):
-        raise ValueError("line 1 is not a header object with 'pipeline', 'ref' and 'config'")
-    header, *messages = records
-    for number, message in enumerate(messages, 2):
-        if not _has_keys(message, _MESSAGE_KEYS):
-            raise ValueError(f"line {number} is not a message object with 'role', 'content' and 'phase'")
-    return {**{key: header[key] for key in _HEADER_KEYS}, "messages": messages}
-
-
 def run_turn(
     conversation: Conversation,
     client: Any,

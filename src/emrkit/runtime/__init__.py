@@ -1,7 +1,7 @@
 """Evaluation semantics for EMRs: verdicts, follow-up inputs, suite runs."""
 
 from .errors import AdapterFailure, EvalError
-from .evaluate import eval_bool, evaluate_emr
+from .evaluate import evaluate_emr
 from .suite import run_suite
 from .values import (
     Action,
@@ -27,7 +27,6 @@ __all__ = [
     "SetParameter",
     "VerdictValue",
     "create_followup",
-    "eval_bool",
     "evaluate_emr",
     "run_suite",
 ]

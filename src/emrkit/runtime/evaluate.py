@@ -34,15 +34,15 @@ operands of ``!``, ``&&``, ``||``, ``NOT``, ``AND`` and ``OR``, and
 ``IMPLIES``'s antecedent and consequent) compiles through ``_boolean``, the
 one check that a value is ``True`` or ``False``; a bare statement is a check
 only when its value is a boolean. Compiling never raises what running would:
-a non-integer index, an unknown method, a non-iterable loop or a missing
-stub becomes a closure that raises its error only when reached.
+a non-integer index, an unknown method or a non-iterable loop becomes a
+closure that raises its error only when reached.
 
-Names are resolved when compiling as well. The scopes are the EMR body (or
-``eval_bool``'s env) and each loop body; an ``if`` body belongs to the scope
-around it. Each name a scope binds, its loop variable or a ``var``, gets a
-fixed slot in ``Evaluator.frame``, one list per pair. A name read reads its
-slot in the innermost scope that binds the name and, while that slot holds
-no value yet, the slot of the next such scope outward; it raises ``unbound
+Names are resolved when compiling as well. The scopes are the EMR body and
+each loop body; an ``if`` body belongs to the scope around it. Each name a
+scope binds, its loop variable or a ``var``, gets a fixed slot in
+``Evaluator.frame``, one list per pair. A name read reads its slot in the
+innermost scope that binds the name and, while that slot holds no value
+yet, the slot of the next such scope outward; it raises ``unbound
 identifier`` when it is reached and no slot holds a value. An iteration
 writes its variable's slot and clears the other slots of its body, so a
 ``var`` holds for one iteration; a ``var`` writes its own slot. Each check
@@ -60,7 +60,7 @@ the generic one does, and every other shape takes the generic one:
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
+from typing import Any, Callable, Iterable, Iterator, Protocol
 
 from ..dsl.ast import (
     BoolChain,
@@ -126,7 +126,7 @@ class Evaluator:
     """The state of one (EMR, input) pair, which compiled closures read and
     update; ``frame`` holds the value of each slot that compiling gave a name."""
 
-    def __init__(self, session_factory: SessionFactory, slots: int = 0, reads: set[int] | None = None):
+    def __init__(self, session_factory: SessionFactory, slots: int, reads: set[int] | None):
         self.session_factory = session_factory
         # The inputs the EMR reads back; None for every input.
         self.reads = reads
@@ -183,10 +183,10 @@ def _raising(message: str) -> Compiled:
 
 
 class _Scope:
-    """A scope as compiling sees it: the EMR body (or ``eval_bool``'s env),
-    or one loop body. Each name the scope binds, its loop variable and every
-    ``var`` in it outside a nested loop, has a fixed slot in the pair's
-    frame; the slots of one scope are consecutive, the loop variable's first."""
+    """A scope as compiling sees it: the EMR body or one loop body. Each name
+    the scope binds, its loop variable and every ``var`` in it outside a
+    nested loop, has a fixed slot in the pair's frame; the slots of one scope
+    are consecutive, the loop variable's first."""
 
     size: int  # set on the outermost scope: the slots of every scope inside it
     # Set on the outermost scope: 1 and the literal k of every ``Input(k)``
@@ -198,12 +198,21 @@ class _Scope:
         self.stubs, self.outer, self.loop_var = stubs, outer, loop_var
         # The enclosing loops' variables, outermost first.
         self.loop_vars: tuple[str, ...] = (*outer.loop_vars, loop_var) if outer else ()
-        self.top: _Scope = outer.top if outer else self
         if outer is None:
             self.reads = {1}
-        first = outer.top.size if outer else 0
+        top = self.top
+        first = top.size if outer else 0
         self.slots = {name: first + i for i, name in enumerate(dict.fromkeys(names))}
-        self.top.size = first + len(self.slots)
+        top.size = first + len(self.slots)
+
+    @property
+    def top(self) -> _Scope:
+        """The outermost scope, reached through ``outer``: a scope that held
+        itself would leave a reference cycle behind every compile."""
+        scope = self
+        while scope.outer is not None:
+            scope = scope.outer
+        return scope
 
 
 def _declared(stmts: tuple[Stmt, ...]) -> Iterator[str]:
@@ -456,9 +465,8 @@ def _call(e: Call, scope: _Scope) -> Compiled:
     if name == "IMPLIES":
         antecedent, consequent = _implication(args, scope)
         return lambda ev: not antecedent(ev) or consequent(ev)
-    if name in scope.stubs:
-        return _applied(scope.stubs[name], [_expr(a, scope) for a in args])
-    return _raising(f"no binding for stub function '{name}'")
+    # Every other name is a stub: ``compile_emr`` compiles an EMR only once all its stubs are bound.
+    return _applied(scope.stubs[name], [_expr(a, scope) for a in args])
 
 
 def _literal_index(e: Expr) -> int | None:
@@ -511,21 +519,6 @@ def _create(index_expr: Expr, source_expr: Expr, scope: _Scope) -> Compiled:
 
 
 # -- entry points -----------------------------------------------------------
-
-
-def _no_session() -> SutSessionLike:
-    raise EvalError("no SUT session factory; cannot execute inputs")
-
-
-def eval_bool(expr: Expr, env: Mapping[str, Any] | None = None, stubs: StubBindings | None = None) -> bool:
-    """Evaluate a boolean construct expression under ``env`` without a SUT;
-    an unbound stub raises only when it is reached."""
-    unbound_stubs(EmrAst("expression", (ExprStmt(expr),)), {})
-    env = env or {}
-    compiled = _boolean(expr, "expression", _Scope(stubs or {}, env))
-    evaluator = Evaluator(_no_session)
-    evaluator.frame = list(env.values())
-    return compiled(evaluator)
 
 
 def unbound_stubs(ast: EmrAst, stubs: StubBindings) -> list[str]:

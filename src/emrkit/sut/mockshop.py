@@ -140,8 +140,5 @@ class MockShopSut(Record):
         if self.fault is not None and self.fault not in FAULTS:
             raise ValueError(f"unknown fault '{self.fault}'; known faults: {', '.join(FAULTS)}")
 
-    def session(self) -> MockShopSession:
-        return MockShopSession(self.fault, _matches=self._matches)
-
     def __call__(self) -> MockShopSession:
-        return self.session()
+        return MockShopSession(self.fault, _matches=self._matches)

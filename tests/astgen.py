@@ -266,7 +266,12 @@ class ProgramGen:
     def output(self) -> Expr:
         if self.rng.random() < 0.3:
             return Call("Output", (self.index(),))
-        return Call("Output", (self.sequence(), self.integer()))
+        # Output's first argument must be an ``Input(i)`` call, so a name the
+        # draw gives becomes Input(1); the draws stay those of ``sequence``.
+        sequence = self.sequence()
+        if type(sequence) is Name:
+            sequence = Call("Input", (IntLit(1),))
+        return Call("Output", (sequence, self.integer()))
 
     def iterable(self) -> Expr:
         sequence = self.sequence()

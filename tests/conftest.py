@@ -10,9 +10,21 @@ sys.path.insert(0, str(Path(__file__).parent))
 from emrkit.dsl import canonical_units, parse_emr
 from emrkit.resources import fixture_path, read_fixture
 from frontend_corpus import load_emr_suite
-from emrkit.runtime import ActionSequence
+from emrkit.runtime import ActionSequence, VerdictValue, evaluate_emr
+from emrkit.sut import MockShopSut
 
 INPUT_NAMES = ["search_chair", "search_table", "search_all", "login_search_desk", "login_only"]
+
+
+def holds(expression: str, stubs=None, **names) -> bool:
+    """Whether the boolean ``expression`` holds in an EMR run on the mock
+    shop: the EMR binds each of ``names`` to its literal with ``var``, then
+    checks ``expression``'s value. An EvalError from evaluating it propagates."""
+    declared = "".join(f"var {name} = {str(value).lower()}; " for name, value in names.items())
+    ast = parse_emr(f"MR {{{{ {declared}var value = {expression}; IMPLIES(true, value); }}}}")
+    verdict = evaluate_emr(ast, ActionSequence([]), MockShopSut(), stubs)
+    assert verdict.value in (VerdictValue.PASS, VerdictValue.FAIL)
+    return verdict.value is VerdictValue.PASS
 
 
 def open_fds() -> list[str]:

@@ -13,11 +13,11 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from astgen import ProgramGen
+from conftest import holds
 from emrkit.cli import main as cli_main
 from emrkit.dsl import (
     parse_emr,
     pretty_print,
-    structurally_equal,
     stub_names,
 )
 from emrkit.dsl.repair import repair
@@ -36,7 +36,6 @@ from emrkit.runtime import (
     SetParameter,
     VerdictValue,
     create_followup,
-    eval_bool,
     evaluate_emr,
     run_suite,
 )
@@ -53,15 +52,11 @@ def budget(name: str, seconds: float):
     print(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s)")
 
 
-def expr_of(snippet: str):
-    return parse_emr(f"MR {{{{ var x = {snippet}; }}}}").statements[0].init
-
-
 def test_search_filter_round_trip_and_stub_names(filter_emr_source):
     with budget("search_filter-round-trip", 1.0):
         ast = parse_emr(filter_emr_source, "search_filter")
         reparsed = parse_emr(pretty_print(ast), "search_filter")
-        assert structurally_equal(ast, reparsed)
+        assert ast.statements == reparsed.statements
         assert stub_names(validate(ast)) == [
             "isSearchAction",
             "getFilterTypes",
@@ -75,12 +70,11 @@ def test_search_filter_round_trip_and_stub_names(filter_emr_source):
 def test_boolean_construct_semantics():
     with budget("boolean-semantics", 1.0):
         for x, y in itertools.product([False, True], repeat=2):
-            env = {"a": x, "b": y}
-            assert eval_bool(expr_of("IMPLIES(a, b)"), env) == ((not x) or y)
-            assert eval_bool(expr_of("OR(a, b)"), env) == (x or y)
-            assert eval_bool(expr_of("AND(a, b)"), env) == (x and y)
+            assert holds("IMPLIES(a, b)", a=x, b=y) == ((not x) or y)
+            assert holds("OR(a, b)", a=x, b=y) == (x or y)
+            assert holds("AND(a, b)", a=x, b=y) == (x and y)
         for x in [False, True]:
-            assert eval_bool(expr_of("NOT(a)"), {"a": x}) == (not x)
+            assert holds("NOT(a)", a=x) == (not x)
 
 
 def test_repair_corpus():
@@ -203,7 +197,7 @@ def test_property_suites():
         checked = 0
         for seed in range(110):
             first = parse_emr(pretty_print(ProgramGen(seed).program()))
-            assert structurally_equal(parse_emr(pretty_print(first)), first)
+            assert parse_emr(pretty_print(first)).statements == first.statements
             checked += 1
         assert checked >= 100
 

@@ -1,4 +1,5 @@
 import errno
+import gc
 import importlib
 import json
 import os
@@ -25,7 +26,7 @@ from emrkit.dsl import DslError, parse_emr, pretty_print
 from emrkit.dsl.parser import MAX_NESTING
 from emrkit.dsl.printer import _Layout
 from emrkit.dsl.tokens import comments, scan
-from emrkit.pipeline import ingest_document, load_transcript
+from emrkit.pipeline import ingest_document
 from emrkit.resources import fixture_path
 from emrkit.runtime import ActionSequence, run_suite
 from emrkit.runtime.suite import SuiteReport
@@ -888,6 +889,7 @@ def test_pipeline_records_a_too_deep_reply_as_unparseable(tmp_path, capsys):
     assert run("--config", config, "--out", tmp_path / "out", "pipeline", DOC) == 4
     out, err = capsys.readouterr()
     assert ": unparseable" in out and "every EMR failed to parse" in err and "Traceback" not in err
+    assert re.search(r"^warning: \S+-mr01: reply does not parse: \d+:\d+: nesting deeper than 100 levels$", err, re.M)
 
 
 def test_a_rerun_keeps_only_the_files_of_its_own_outcome(tmp_path, capsys):
@@ -1156,15 +1158,31 @@ def test_an_interrupted_pipeline_or_grade_leaves_prefixes_or_refused_files(tmp_p
     for name in tree_bytes(out):
         path = out / name
         if name.startswith("transcripts/"):
-            try:
-                transcript = load_transcript(path)
-            except ValueError:  # a torn header line, or none written
-                continue
-            whole = load_transcript(clean_out / name)
-            assert transcript["messages"] == whole["messages"][:len(transcript["messages"])]
-            assert {**transcript, "messages": []} == {**whole, "messages": []}
+            records = jsonl.read(path)  # a torn final line is dropped
+            assert records == jsonl.read(clean_out / name)[:len(records)]
         else:
             assert_whole_or_refused(path, clean[name], tmp_path)
+
+
+# A command that leaves reference cycles hands them to the cyclic collector,
+# whose passes then cost every later command; argparse's own cycles come from
+# building the parser, which is built once per process.
+@pytest.mark.parametrize("command", ["check", "run", "grade"])
+def test_no_command_leaves_a_reference_cycle(tmp_path, capsys, command):
+    suite = bundled_suite(tmp_path)
+    argv = {
+        "check": ["check", suite],
+        "run": ["run", suite, "--inputs", INPUTS],
+        "grade": ["grade", ANNOTATIONS, "--emrs", suite],
+    }[command]
+    cli.build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        run("--out", tmp_path / "out", *argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("case", ["pipeline", "derive-same-content", "derive-llm-error", "transcript-enospc",
@@ -1194,11 +1212,11 @@ def test_no_file_descriptor_stays_open(tmp_path, capsys, monkeypatch, case):
     transcripts = tmp_path / "out" / "transcripts"
     if case == "derive-same-content":
         (transcript,) = transcripts.glob("*.jsonl")
-        assert len(load_transcript(transcript)["messages"]) == 8
+        assert len(jsonl.read(transcript)) == 1 + 8  # the header, then the messages
     if case == "derive-llm-error":
         assert len(list(transcripts.glob("*.jsonl"))) == 2
         transcript = transcripts / f"derive-{ingest_document(other).doc_id}.jsonl"
-        assert len(load_transcript(transcript)["messages"]) == 1
+        assert len(jsonl.read(transcript)) == 1 + 1
 
 
 def test_derive_skips_a_document_with_the_content_of_an_earlier_one(tmp_path, capsys):
@@ -1354,73 +1372,106 @@ def test_config_values_keep_their_types(tmp_path, capsys):
 # Each case writes one malformed input file (``relpath`` under tmp_path) and
 # runs a command that reads it, directly or through the --config key named.
 # Every one of them used to end in a traceback, name the file twice, or load
-# a value of the wrong JSON type.
+# a value of the wrong JSON type. The last field is the reason the error must
+# give: the text of the loader's own check, so that a deleted check fails its
+# row, or, for a shape that no check of the loader refuses, the
+# ``unexpected structure (...)`` text of ``cli._load``'s catch-all.
 FEWSHOT_EMR = json.loads(fixture_path("fewshot.json").read_text(encoding="utf-8"))[0]["emr"]
 MALFORMED_INPUTS = {
-    "mr-catalog-entry-not-object": ("mrs.json", b"[5]", None, ["generate", "{path}"]),
-    "mr-catalog-text-not-string": ("mrs.json", b'[{"id": "m1", "text": 5}]', None, ["generate", "{path}"]),
-    "mr-catalog-id-not-string": ("mrs.json", b'[{"id": 1, "text": "t"}]', None, ["generate", "{path}"]),
-    "fewshot-field-not-string": ("fewshot.json", b'[{"mr": 1}]', "fewshot", ["generate", "{empty}"]),
-    "fewshot-not-list": ("fewshot.json", b'{"a": 1}', "fewshot", ["generate", "{empty}"]),
-    "fewshot-empty": ("fewshot.json", b"[]", "fewshot", ["generate", "{empty}"]),
-    "mock-script-not-object": ("scripts.json", b'["x"]', "mock_scripts", ["derive", DOC]),
+    "mr-catalog-entry-not-object": (
+        "mrs.json", b"[5]", None, ["generate", "{path}"],
+        "unexpected structure (AttributeError: 'int' object has no attribute 'get')"),
+    "mr-catalog-text-not-string": (
+        "mrs.json", b'[{"id": "m1", "text": 5}]', None, ["generate", "{path}"],
+        "MR field 'text' must be a string, not 5"),
+    "mr-catalog-id-not-string": (
+        "mrs.json", b'[{"id": 1, "text": "t"}]', None, ["generate", "{path}"],
+        "MR field 'id' must be a string, not 1"),
+    "fewshot-field-not-string": (
+        "fewshot.json", b'[{"mr": 1}]', "fewshot", ["generate", "{empty}"],
+        "few-shot example 1 field 'mr' must be a string, not 1"),
+    "fewshot-not-list": (
+        "fewshot.json", b'{"a": 1}', "fewshot", ["generate", "{empty}"],
+        "unexpected structure (TypeError: string indices must be integers"),
+    "fewshot-empty": (
+        "fewshot.json", b"[]", "fewshot", ["generate", "{empty}"],
+        "the file holds no examples; generation needs at least one"),
+    "mock-script-not-object": (
+        "scripts.json", b'["x"]', "mock_scripts", ["derive", DOC],
+        "unexpected structure (AttributeError: 'str' object has no attribute 'get')"),
     "mock-script-response-null": (
-        "scripts.json", b'[{"pipeline": "derive", "phase": 1, "response": null}]', "mock_scripts", ["pipeline", DOC]),
-    "annotation-not-object": ("ann.jsonl", b"[1,2]\n", None, ["grade", "{path}"]),
+        "scripts.json", b'[{"pipeline": "derive", "phase": 1, "response": null}]', "mock_scripts", ["pipeline", DOC],
+        "mock script field 'response' must be a string, not null"),
+    "annotation-not-object": (
+        "ann.jsonl", b"[1,2]\n", None, ["grade", "{path}"],
+        "unexpected structure (TypeError: list indices must be integers or slices, not str)"),
     "annotation-line-not-integer": (
-        "ann.jsonl", b'{"emr": "x", "line": 3.7, "labels": ["C"]}\n', None, ["grade", "{path}"]),
-    "annotation-emr-not-string": ("ann.jsonl", b'{"emr": 5, "line": 3, "labels": ["C"]}\n', None, ["grade", "{path}"]),
+        "ann.jsonl", b'{"emr": "x", "line": 3.7, "labels": ["C"]}\n', None, ["grade", "{path}"],
+        "x: line must be an integer, not 3.7"),
+    "annotation-emr-not-string": (
+        "ann.jsonl", b'{"emr": 5, "line": 3, "labels": ["C"]}\n', None, ["grade", "{path}"],
+        "emr must be a string, not 5"),
     "annotation-note-not-string": (
-        "ann.jsonl", b'{"emr": "x", "line": 3, "labels": ["C"], "note": 7}\n', None, ["grade", "{path}"]),
-    "survey-row-short": ("survey.csv", b"subject,statement,respondent,rating\nmr01,S1\n", None, ["survey", "{path}"]),
+        "ann.jsonl", b'{"emr": "x", "line": 3, "labels": ["C"], "note": 7}\n', None, ["grade", "{path}"],
+        "x line 3: note must be a string or null, not 7"),
+    "survey-row-short": (
+        "survey.csv", b"subject,statement,respondent,rating\nmr01,S1\n", None, ["survey", "{path}"],
+        "unexpected structure (AttributeError: 'NoneType' object has no attribute 'strip')"),
     "survey-rating-unknown": (
-        "survey.csv", b"subject,statement,respondent,rating\nmr01,S1,p1,sort-of\n", None, ["survey", "{path}"]),
+        "survey.csv", b"subject,statement,respondent,rating\nmr01,S1,p1,sort-of\n", None, ["survey", "{path}"],
+        "unknown rating 'sort-of'"),
     "cassette-entry-not-object": (
-        "cassette.json", b"[1]", None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"]),
+        "cassette.json", b"[1]", None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"],
+        "line 1 is not an object with a string 'fingerprint' and an 'output'"),
     "cassette-middle-line-not-json": (
         "cassette.jsonl", b'{"fingerprint":"a","output":{"status":"ok"}}\nnot json\n{"fingerprint":"b","output":{}}\n',
-        None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"]),
-    "template-not-utf8": ("templates/derive_phase1_context.txt", b"\xff\xfe", "templates_dir", ["derive", DOC]),
+        None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"],
+        "line 2 is not valid JSON"),
+    "template-not-utf8": (
+        "templates/derive_phase1_context.txt", b"\xff\xfe", "templates_dir", ["derive", DOC],
+        "derive_phase1_context.txt: 'utf-8' codec can't decode byte 0xff"),
     "template-unfilled-placeholder": (
-        "templates/derive_phase4_mrs.txt", b"List the MRs for {{nope}}.", "templates_dir", ["derive", DOC]),
-    "document-not-utf8": ("bad.md", b"\xff\xfe", None, ["derive", "{path}"]),
+        "templates/derive_phase4_mrs.txt", b"List the MRs for {{nope}}.", "templates_dir", ["derive", DOC],
+        "derive_phase4_mrs.txt: placeholder {{nope}} is never filled"),
+    "document-not-utf8": ("bad.md", b"\xff\xfe", None, ["derive", "{path}"], "not valid UTF-8"),
     "fewshot-mr-not-string": (
         "fewshot.json", json.dumps([{"mr": {"k": 1}, "emr": FEWSHOT_EMR}]).encode(), "fewshot",
-        ["generate", "{empty}"]),
+        ["generate", "{empty}"],
+        "few-shot example 1 field 'mr' must be a string, not {\"k\": 1}"),
     "fewshot-emr-invalid": (
         "fewshot.json", json.dumps([{"mr": "m", "emr": FEWSHOT_EMR}, {"mr": "m", "emr": "MR {{ IMPLIES(true); }}"}]
-                                   ).encode(), "fewshot", ["generate", "{empty}"]),
+                                   ).encode(), "fewshot", ["generate", "{empty}"],
+        "few-shot example 2 is invalid: IMPLIES expects 2 arguments (line 1)"),
     "api-catalog-parameter-type-not-string": (
         "catalog.json",
         b'[{"name": "isSearchAction", "parameters": [{"name": "action", "type": [null]}], "returns": "boolean",'
         b' "doc": "d"}]',
-        None, ["check", FIG4, "--catalog", "{path}"]),
+        None, ["check", FIG4, "--catalog", "{path}"],
+        "catalog entry 'isSearchAction' parameter field 'type' must be a string, not [null]"),
     "api-catalog-parameters-not-list": (
         "catalog.json", b'[{"name": "isSearchAction", "parameters": "action", "returns": "boolean", "doc": "d"}]',
-        None, ["check", FIG4, "--catalog", "{path}"]),
+        None, ["check", FIG4, "--catalog", "{path}"],
+        "'parameters' must be a list"),
     "api-catalog-parameter-without-type": (
         "catalog.json",
         b'[{"name": "isSearchAction", "parameters": [{"name": "action"}], "returns": "boolean", "doc": "d"}]',
-        None, ["check", FIG4, "--catalog", "{path}"]),
+        None, ["check", FIG4, "--catalog", "{path}"],
+        "parameter needs 'name' and 'type'"),
     "api-catalog-not-list": (
         "catalog.json", b'{"name": "isSearchAction", "returns": "boolean", "doc": "d"}', None,
-        ["check", FIG4, "--catalog", "{path}"]),
+        ["check", FIG4, "--catalog", "{path}"],
+        "catalog file must contain a JSON list"),
     "cassette-output-of-wrong-types": (
         "cassette.jsonl", b'{"fingerprint":"a","output":{"status":5,"summary_size":true}}\n',
-        None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"]),
+        None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"],
+        "line 1 output field 'status' must be a string, not 5"),
     "input-action-kind-not-string": (
-        "input.json", b'[{"kind": ["search"]}]', None, ["run", FIG4, "--inputs", "{path}"]),
+        "input.json", b'[{"kind": ["search"]}]', None, ["run", FIG4, "--inputs", "{path}"],
+        "action at position 0 field 'kind' must be a string, not [\"search\"]"),
     "input-action-parameters-not-object": (
         "input.json", b'[{"kind": "search", "parameters": [["query", "chair"]]}]', None,
-        ["run", FIG4, "--inputs", "{path}"]),
-}
-# The reason that a case's own check gives. Without that check the file
-# still fails to load, or loads, with another message.
-MALFORMED_REASONS = {
-    "survey-rating-unknown": "unknown rating 'sort-of'",
-    "api-catalog-parameters-not-list": "'parameters' must be a list",
-    "api-catalog-parameter-without-type": "parameter needs 'name' and 'type'",
-    "api-catalog-not-list": "catalog file must contain a JSON list",
+        ["run", FIG4, "--inputs", "{path}"],
+        "action at position 0 field 'parameters' must be a JSON object, not [[\"query\", \"chair\"]]"),
 }
 
 
@@ -1434,7 +1485,7 @@ def test_malformed_mr_catalog_exits_before_any_turn(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", MALFORMED_INPUTS)
 def test_malformed_input_file_exits_two_naming_it_once(tmp_path, capsys, case):
-    relpath, content, config_key, command = MALFORMED_INPUTS[case]
+    relpath, content, config_key, command, reason = MALFORMED_INPUTS[case]
     target = tmp_path / relpath
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_bytes(content)
@@ -1450,7 +1501,7 @@ def test_malformed_input_file_exits_two_naming_it_once(tmp_path, capsys, case):
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.count(str(named)) == 1 and "Traceback" not in err
-    assert MALFORMED_REASONS.get(case, "") in err
+    assert reason and reason in err
 
 
 def test_verbose_reports_each_file_written_in_order(tmp_path, capsys):

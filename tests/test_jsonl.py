@@ -1,5 +1,5 @@
 """The writers: appends that finish a short write, and in-place rewrites
-that leave exactly the new bytes."""
+that leave exactly the new bytes, and the reader that names a bad line."""
 
 import gc
 import os
@@ -63,6 +63,13 @@ def test_append_finishes_a_short_write(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert jsonl.read(path) == records[3:5]
     assert path.read_bytes().count(b"\n") == 2
+
+
+def test_read_names_a_line_that_does_not_decode(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"a":1}\nnot json\n{}\n')
+    with pytest.raises(ValueError, match="^line 2 is not valid JSON: "):
+        jsonl.read(path)
 
 
 def test_appender_writes_compact_sorted_lines_and_creates_missing_parents(tmp_path):

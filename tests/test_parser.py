@@ -23,7 +23,6 @@ from emrkit.dsl import (
     canonical_units,
     parse_emr,
     pretty_print,
-    structurally_equal,
 )
 from emrkit.dsl.parser import MAX_NESTING
 from emrkit.dsl.printer import layout
@@ -47,7 +46,7 @@ def test_trivial_implies_statement():
 def test_last_statement_semicolon_optional_before_close():
     bare = parse_emr("MR {{ IMPLIES(NOT(false), true) }}")
     strict = parse_emr("MR {{ IMPLIES(NOT(false), true); }}")
-    assert structurally_equal(bare, strict)
+    assert bare.statements == strict.statements
     inline = parse_emr("MR {{ for (var x : xs) { probe(x) } }}")
     assert isinstance(inline.statements[0].body[0], ExprStmt)
     with pytest.raises(ParseError):
@@ -178,7 +177,7 @@ def test_round_trip_property_over_generated_programs():
             # Every explanation the first parse attaches survives the print.
             first = parse_emr(source)
             second = parse_emr(pretty_print(first))
-            assert structurally_equal(first, second), f"seed {seed}:\n{source}"
+            assert first.statements == second.statements, f"seed {seed}:\n{source}"
         checked += 1
     assert checked >= 100
 
@@ -189,7 +188,7 @@ def test_round_trip_property_over_messy_layouts():
         source = messy_render(base, seed)
         first = parse_emr(source)
         second = parse_emr(pretty_print(first))
-        assert structurally_equal(first, second), f"seed {seed}"
+        assert first.statements == second.statements, f"seed {seed}"
 
 
 def _children(node):
@@ -290,7 +289,7 @@ def test_long_commented_emr_keeps_every_explanation():
     assert len(set(notes)) == len(notes)
     second = parse_emr(pretty_print(first))
     assert explanations(second) == notes
-    assert structurally_equal(first, second)
+    assert first.statements == second.statements
 
 
 # The reproductions of sources that used to end in a RecursionError, and
@@ -323,7 +322,7 @@ def test_a_closed_body_gives_back_its_nesting_level():
 def test_a_source_at_the_nesting_limit_validates_prints_and_runs(kind, shop_inputs):
     ast = parse_emr(nested_emr(kind, MAX_NESTING), kind)
     assert not [d for d in validate(ast) if d.severity == "error"]
-    assert structurally_equal(parse_emr(pretty_print(ast)), ast)
+    assert parse_emr(pretty_print(ast)).statements == ast.statements
     assert repr(ast) and [u.is_complex for u in canonical_units(ast)]
     report = run_suite([ast], shop_inputs, MockShopSut(), STUBS)
     assert [entry.outcome for entry in report.entries] == ["Inapplicable"] * len(shop_inputs)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import holds
 from emrkit.dsl import parse_emr
-from emrkit.dsl.parser import parse_emr as parse
 from emrkit.runtime import (
     Action,
     ActionSequence,
@@ -19,15 +19,9 @@ from emrkit.runtime import (
     SetParameter,
     VerdictValue,
     create_followup,
-    eval_bool,
     evaluate_emr,
 )
 from emrkit.sut import MockShopSut
-
-
-def expr_of(snippet: str):
-    ast = parse(f"MR {{{{ var x = {snippet}; }}}}")
-    return ast.statements[0].init
 
 
 # --- boolean construct semantics ------------------------------------------------
@@ -35,24 +29,22 @@ def expr_of(snippet: str):
 
 def test_implies_truth_table_matches_not_x_or_y():
     for x, y in itertools.product([False, True], repeat=2):
-        got = eval_bool(expr_of("IMPLIES(a, b)"), {"a": x, "b": y})
-        assert got == ((not x) or y)
+        assert holds("IMPLIES(a, b)", a=x, b=y) == ((not x) or y)
 
 
 def test_not_and_or_and_infix_tables():
     for x in [False, True]:
-        assert eval_bool(expr_of("NOT(a)"), {"a": x}) == (not x)
+        assert holds("NOT(a)", a=x) == (not x)
     for x, y in itertools.product([False, True], repeat=2):
-        env = {"a": x, "b": y}
-        assert eval_bool(expr_of("OR(a, b)"), env) == (x or y)
-        assert eval_bool(expr_of("AND(a, b)"), env) == (x and y)
-        assert eval_bool(expr_of("a && b"), env) == (x and y)
-        assert eval_bool(expr_of("a || b"), env) == (x or y)
+        assert holds("OR(a, b)", a=x, b=y) == (x or y)
+        assert holds("AND(a, b)", a=x, b=y) == (x and y)
+        assert holds("a && b", a=x, b=y) == (x and y)
+        assert holds("a || b", a=x, b=y) == (x or y)
 
 
 def test_or_identity():
     for x in [False, True]:
-        assert eval_bool(expr_of("OR(false, a)"), {"a": x}) == x
+        assert holds("OR(false, a)", a=x) == x
 
 
 def test_short_circuit_skips_right_side():
@@ -62,15 +54,15 @@ def test_short_circuit_skips_right_side():
         calls.append("boom")
         return True
 
-    assert eval_bool(expr_of("IMPLIES(false, explode())"), stubs={"explode": boom}) is True
-    assert eval_bool(expr_of("OR(true, explode())"), stubs={"explode": boom}) is True
-    assert eval_bool(expr_of("AND(false, explode())"), stubs={"explode": boom}) is False
+    assert holds("IMPLIES(false, explode())", {"explode": boom}) is True
+    assert holds("OR(true, explode())", {"explode": boom}) is True
+    assert holds("AND(false, explode())", {"explode": boom}) is False
     assert calls == []
 
 
 def test_type_mismatch_on_non_boolean_operand():
     with pytest.raises(EvalError, match="^NOT operand evaluated to non-boolean 3$"):
-        eval_bool(expr_of("NOT(n)"), {"n": 3})
+        holds("NOT(n)", n=3)
 
 
 @pytest.mark.parametrize(
@@ -85,21 +77,12 @@ def test_type_mismatch_on_non_boolean_operand():
         ("IMPLIES(n, t)", "IMPLIES antecedent"),
         ("IMPLIES(t, n)", "IMPLIES consequent"),
         ("t && IMPLIES(n, t)", "IMPLIES antecedent"),
-        ("n", "expression"),
     ],
 )
 def test_type_mismatch_names_the_operand(snippet, context):
     with pytest.raises(EvalError) as info:
-        eval_bool(expr_of(snippet), {"n": 3, "t": True, "f": False})
+        holds(snippet, n=3, t=True, f=False)
     assert str(info.value) == f"{context} evaluated to non-boolean 3"
-
-
-def test_eval_bool_has_no_sut_to_execute_a_create_on():
-    source = ActionSequence.from_json([{"kind": "search", "parameters": {"query": "chair"}}])
-    assert eval_bool(expr_of("f && CREATE(Input(2), s)"), {"s": source, "f": False}) is False
-    with pytest.raises(EvalError) as info:
-        eval_bool(expr_of("CREATE(Input(2), s)"), {"s": source})
-    assert str(info.value) == "no SUT session factory; cannot execute inputs"
 
 
 def test_infix_chains_short_circuit_left_to_right():
@@ -110,8 +93,8 @@ def test_infix_chains_short_circuit_left_to_right():
         return value
 
     stubs = {"p": probe}
-    assert eval_bool(expr_of("p(true) && p(false) && p(true)"), stubs=stubs) is False
-    assert eval_bool(expr_of("p(false) || p(true) || p(false)"), stubs=stubs) is True
+    assert holds("p(true) && p(false) && p(true)", stubs) is False
+    assert holds("p(false) || p(true) || p(false)", stubs) is True
     assert calls == [True, False, False, True]
 
 
@@ -230,12 +213,12 @@ def test_the_outputs_a_run_builds_equal_the_ones_a_class_call_builds():
     from emrkit.runtime.evaluate import Evaluator
     from emrkit.runtime.values import OutputSequence
 
-    session = MockShopSut().session()
+    session = MockShopSut()()
     for parameters in ({"query": "chair"}, {"query": "", "page": 1, "page_size": 4}):
         output = session.execute(Action(0, "search", parameters))
         reference = Output(output.status, output.payload, output.summary_size)
         assert output == reference and list(vars(output)) == list(vars(reference))
-    evaluator = Evaluator(MockShopSut())
+    evaluator = Evaluator(MockShopSut(), 0, None)
     evaluator.register_and_execute(2, seq("search", "login"))
     outputs = evaluator.outputs[2]
     reference = OutputSequence(list(outputs.outputs))
@@ -426,17 +409,10 @@ def test_run_time_errors_raise_only_when_reached(statement, message):
     assert type(info.value) is EvalError and str(info.value) == message
 
 
-def test_eval_bool_validates_before_it_compiles():
+def test_an_emr_is_validated_before_it_compiles():
     with pytest.raises(EvalError) as info:
-        eval_bool(expr_of("OR(true, NOT(true, false))"))
-    assert str(info.value) == "EMR 'expression' has validation errors: NOT expects 1 argument (line 1)"
-
-
-def test_missing_stub_raises_only_when_reached():
-    assert eval_bool(expr_of("OR(true, nope())")) is True
-    with pytest.raises(EvalError) as info:
-        eval_bool(expr_of("OR(false, nope())"))
-    assert str(info.value) == "no binding for stub function 'nope'"
+        run_src("MR {{ IMPLIES(true, OR(true, NOT(true, false))); }}")
+    assert str(info.value) == "EMR 'emr' has validation errors: NOT expects 1 argument (line 1)"
 
 
 def test_the_runtime_methods_are_the_ones_validate_accepts():

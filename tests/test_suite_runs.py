@@ -16,8 +16,8 @@ from conftest import INPUT_NAMES
 from emrkit.dsl import parse_emr, pretty_print
 from emrkit.dsl.ast import BoolLit, Call, EmrAst, ForEach, IntLit, Name, Node, StringLit, VarDecl
 from emrkit.dsl.validate import has_errors, validate
-from emrkit.runtime import (ActionSequence, EvalError, SetParameter, VerdictValue, create_followup, eval_bool,
-                            evaluate_emr, run_suite)
+from emrkit.runtime import (ActionSequence, SetParameter, VerdictValue, create_followup, evaluate_emr,
+                            run_suite)
 from emrkit.runtime.errors import RunAborted
 from emrkit.runtime.evaluate import Evaluator
 from emrkit.shopstubs import STUBS
@@ -430,9 +430,8 @@ def test_typed_programs_reach_verdicts():
     assert not [outcome for outcome in counts if re.match(r"\w+: ", outcome)]
 
 
-# Statement-level runtime errors: ``eval_bool`` compiles expressions only, so
-# these closures run only in a whole EMR. Each index appears as a literal and
-# as a variable, which compile to different closures.
+# Statement-level runtime errors. Each index appears as a literal and as a
+# variable, which compile to different closures.
 @pytest.mark.parametrize("statements, error", [
     ("var n = 3; if (n) { NOT(false); }", "if condition evaluated to non-boolean 3"),
     ("var n = 3; IMPLIES(n, true);", "IMPLIES antecedent evaluated to non-boolean 3"),
@@ -509,9 +508,11 @@ def test_statement_level_verdicts(statements, verdict, failing):
      [{"a": "'p'"}, {"a": "'q'"}] * 2),
     ("for (var a : Input(1).actions()) { for (var b : pq()) { IMPLIES(isSearch(a), false); } }", "Fail", None,
      [{"a": "search@0", "b": "'p'"}, {"a": "search@0", "b": "'q'"}]),
+    ("var x = false; IMPLIES(true, x && y);", "Fail", None, [{}]),
+    ("var x = true; IMPLIES(true, x && y);", "Error", "unbound identifier 'y'", []),
 ], ids=["var-in-if-not-taken", "var-in-if-taken", "var-per-iteration", "read-before-var", "read-before-var-outer",
         "loop-var-not-after-loop", "var-after-loop", "var-redeclares-loop-var", "nested-loops-one-name",
-        "nested-loops-two-names"])
+        "nested-loops-two-names", "unbound-name-short-circuited", "unbound-name-reached"])
 def test_every_name_has_one_rule(statements, outcome, error, failing):
     ast = parse_emr(f"MR {{{{ {statements} }}}}", "scoping")
     assert not has_errors(validate(ast))
@@ -523,14 +524,6 @@ def test_every_name_has_one_rule(statements, outcome, error, failing):
     assert (entry.outcome, entry.error, bindings) == (outcome, error, failing)
 
 
-def test_eval_bool_reads_its_env_and_names_a_missing_name():
-    expr = parse_emr("MR {{ var e = x && y; }}").statements[0].init
-    assert eval_bool(expr, {"x": False}) is False
-    assert eval_bool(expr, {"x": True, "y": True}) is True
-    with pytest.raises(EvalError, match=r"^unbound identifier 'y'$"):
-        eval_bool(expr, {"x": True})
-
-
 def test_every_registration_goes_through_register_and_execute(shop_inputs, monkeypatch):
     """The benchmark counts a pair's SUT sessions by wrapping
     ``Evaluator.register_and_execute``, so every session a run opens must be
@@ -538,7 +531,7 @@ def test_every_registration_goes_through_register_and_execute(shop_inputs, monke
     from emrkit.runtime.evaluate import Evaluator
 
     registrations, sessions = [], []
-    register, open_session = Evaluator.register_and_execute, MockShopSut.session
+    register, open_session = Evaluator.register_and_execute, MockShopSut.__call__
 
     def counting_register(self, index, sequence):
         registrations.append(index)
@@ -549,7 +542,7 @@ def test_every_registration_goes_through_register_and_execute(shop_inputs, monke
         return open_session(self)
 
     monkeypatch.setattr(Evaluator, "register_and_execute", counting_register)
-    monkeypatch.setattr(MockShopSut, "session", counting_session)
+    monkeypatch.setattr(MockShopSut, "__call__", counting_session)
     emrs = [parse_emr(path.read_text(encoding="utf-8"), path.stem) for path in BUNDLED_EMRS]
     for fault in FAULTS:
         run_suite(emrs, shop_inputs, MockShopSut(fault), STUBS)

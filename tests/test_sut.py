@@ -49,13 +49,13 @@ def scan(query="", **filters):
 
 def test_chair_query_returns_five_results():
     assert len(scan("chair")) == 5  # brute-force count over the fixture catalog
-    output = MockShopSut().session().execute(search(query="chair"))
+    output = MockShopSut()().execute(search(query="chair"))
     assert output.summary_size == 5
     assert [i["name"] for i in output.payload] == [i["name"] for i in scan("chair")]
 
 
 def test_empty_query_returns_everything():
-    output = MockShopSut().session().execute(search(query=""))
+    output = MockShopSut()().execute(search(query=""))
     assert output.summary_size == len(ITEMS) == 12
 
 
@@ -67,12 +67,12 @@ def test_filters_match_brute_force_scan():
         {"query": "", "brand": "WoodWorks", "in_stock": True},
     ]
     for params in cases:
-        output = MockShopSut().session().execute(search(**params))
+        output = MockShopSut()().execute(search(**params))
         assert output.summary_size == len(scan(**params)), params
 
 
 def test_ignore_filter_fault_returns_unfiltered_results():
-    output = MockShopSut("ignore-filter").session().execute(
+    output = MockShopSut("ignore-filter")().execute(
         search(query="chair", category="office")
     )
     assert output.summary_size == 5  # same five as without the category filter
@@ -90,27 +90,27 @@ def test_fault_flag_monotonicity_exhaustive():
     ]
     sut = MockShopSut("ignore-filter")
     for query in queries:
-        base = sut.session().execute(search(query=query)).summary_size
+        base = sut().execute(search(query=query)).summary_size
         for f in filters:
-            filtered = sut.session().execute(search(query=query, **f)).summary_size
+            filtered = sut().execute(search(query=query, **f)).summary_size
             assert filtered == base
 
 
 def test_off_by_one_fault_only_affects_paged_searches():
-    correct = MockShopSut().session().execute(search(query="", page=0, page_size=6))
-    faulty = MockShopSut("off-by-one-pagination").session().execute(search(query="", page=0, page_size=6))
+    correct = MockShopSut()().execute(search(query="", page=0, page_size=6))
+    faulty = MockShopSut("off-by-one-pagination")().execute(search(query="", page=0, page_size=6))
     assert [i["id"] for i in correct.payload] == [1, 2, 3, 4, 5, 6]
     assert [i["id"] for i in faulty.payload] == [2, 3, 4, 5, 6, 7]
-    unpaged = MockShopSut("off-by-one-pagination").session().execute(search(query=""))
+    unpaged = MockShopSut("off-by-one-pagination")().execute(search(query=""))
     assert unpaged.summary_size == 12
 
 
 def test_stale_results_fault_caches_first_search():
-    session = MockShopSut("stale-results").session()
+    session = MockShopSut("stale-results")()
     first = session.execute(search(query="chair"))
     second = session.execute(search(query="table"))
     assert [i["id"] for i in second.payload] == [i["id"] for i in first.payload]
-    fresh = MockShopSut("stale-results").session().execute(search(query="table"))
+    fresh = MockShopSut("stale-results")().execute(search(query="table"))
     assert fresh.summary_size == 2
 
 
@@ -120,7 +120,7 @@ def test_unknown_fault_rejected():
 
 
 def test_login_and_unknown_action():
-    session = MockShopSut().session()
+    session = MockShopSut()()
     output = session.execute(Action(0, "login", {"user": "ada"}))
     assert output.status == "ok" and output.payload == {"user": "ada"}
     with pytest.raises(AdapterFailure):
@@ -129,8 +129,8 @@ def test_login_and_unknown_action():
 
 def test_mock_determinism():
     sut = MockShopSut()
-    a = sut.session().execute(search(query="desk", category="office"))
-    b = sut.session().execute(search(query="desk", category="office"))
+    a = sut().execute(search(query="desk", category="office"))
+    b = sut().execute(search(query="desk", category="office"))
     assert a == b
 
 
@@ -201,14 +201,14 @@ def test_memoized_search_equals_a_cold_search_and_the_catalog(searches):
     for fault in (None, *FAULTS):
         warm = MockShopSut(fault)
         for params in searches * 2:
-            outcome(warm.session().execute, search(**params))
+            outcome(warm().execute, search(**params))
         for params in searches:
             expected = outcome(reference_search, params, fault)
             cold = MockShopSut(fault)
-            assert outcome(cold.session().execute, search(**params)) == expected
-            assert outcome(cold.session().execute, search(**params)) == expected
+            assert outcome(cold().execute, search(**params)) == expected
+            assert outcome(cold().execute, search(**params)) == expected
             memoized = len(warm._matches)
-            hit = outcome(warm.session().execute, search(**params))
+            hit = outcome(warm().execute, search(**params))
             assert hit == expected
             if not isinstance(expected, Output):
                 assert cold._matches == {} and len(warm._matches) == memoized  # an error is never memoized
@@ -216,25 +216,25 @@ def test_memoized_search_equals_a_cold_search_and_the_catalog(searches):
             assert all(item is not original for item in hit.payload for original in ITEMS)
             for item in hit.payload:
                 item["price"] = -1
-            assert warm.session().execute(search(**params)) == expected
+            assert warm().execute(search(**params)) == expected
 
 
 def test_a_value_that_cannot_be_hashed_or_compared_is_never_memoized():
     sut = MockShopSut()
-    sut.session().execute(search(query="nothing", category="office"))
+    sut().execute(search(query="nothing", category="office"))
     # No item matches the query, so the filter value is never compared;
     # the memo lookup, which has to compare it, must not raise either.
     for odd in (Incomparable("office"), ["office"]):
-        assert sut.session().execute(search(query="nothing", category=odd)) == Output("ok", [], 0)
+        assert sut().execute(search(query="nothing", category=odd)) == Output("ok", [], 0)
     with pytest.raises(ValueError, match="cannot compare"):
-        sut.session().execute(search(query="chair", category=Incomparable("office")))
+        sut().execute(search(query="chair", category=Incomparable("office")))
     assert list(sut._matches) == [("nothing", ("category", "office"))]
 
 
 def test_sessions_of_one_sut_share_the_memo_and_suts_do_not():
     sut, other = MockShopSut(), MockShopSut()
-    sut.session().execute(search(query="chair", category="office"))
-    sut.session().execute(search(query="Chair", category="office", page=0, page_size=2))
+    sut().execute(search(query="chair", category="office"))
+    sut().execute(search(query="Chair", category="office", page=0, page_size=2))
     assert list(sut._matches) == [("chair", ("category", "office"))]
     assert other._matches == {}
 

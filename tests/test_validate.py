@@ -135,6 +135,13 @@ def test_typed_astgen_programs_are_valid_and_the_untyped_mode_is_unchanged():
     assert typed != untyped
 
 
+def test_typed_astgen_puts_an_input_as_outputs_sequence():
+    message = "Output sequence must be an Input(i) expression"
+    seeds = [seed for seed in range(3000)
+             if any(d.message == message for d in validate(ProgramGen(seed, typed=True).program()))]
+    assert seeds == []
+
+
 def test_lines_reference_symbol_bearing_source_lines(filter_emr_ast, filter_emr_source):
     lines = filter_emr_source.split("\n")
     for diag in validate(filter_emr_ast):

@@ -48,24 +48,35 @@ def runnable_lines(path: Path) -> set[int]:
     return lines
 
 
+class _LineTrace:
+    """The local trace function of one file's frames: it adds each line run.
+    It returns itself, as an object and not as a closure that holds itself,
+    so tracing leaves no reference cycle behind a call for a test to see."""
+
+    def __init__(self, lines: set[int]):
+        self.lines = lines
+
+    def __call__(self, frame, event, arg):
+        if event == "line":
+            self.lines.add(frame.f_lineno)
+        return self
+
+
 class Tracer:
     def __init__(self, prefix: str):
         self.prefix = prefix
         self.hit: dict[str, set[int]] = {}
+        self.local: dict[str, _LineTrace] = {}
 
     def global_trace(self, frame, event, arg):
         filename = frame.f_code.co_filename
         if not filename.startswith(self.prefix):
             return None
-        lines = self.hit.setdefault(filename, set())
-        lines.add(frame.f_code.co_firstlineno)
-
-        def local_trace(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return local_trace
-
-        return local_trace
+        local = self.local.get(filename)
+        if local is None:
+            local = self.local[filename] = _LineTrace(self.hit.setdefault(filename, set()))
+        local.lines.add(frame.f_code.co_firstlineno)
+        return local
 
     def install(self) -> None:
         sys.settrace(self.global_trace)
