@@ -316,6 +316,21 @@ def test_create_copy_isolation_source_untouched():
     assert source_input == snapshot
 
 
+def test_a_short_circuited_create_executes_and_registers_nothing():
+    sessions = []
+
+    def open_session():
+        sessions.append(1)
+        return MockShopSut()()
+
+    ast = parse_emr("MR {{ var f = false; IMPLIES(f && CREATE(Input(2), Input(1)), true); }}")
+    verdict = evaluate_emr(ast, seq("search"), open_session)
+    assert verdict.value is VerdictValue.INAPPLICABLE
+    assert sessions == [1]  # the source input's session alone
+    with pytest.raises(EvalError, match=r"^Input\(2\) is not registered; CREATE it first$"):
+        run_src("MR {{ var f = false; IMPLIES(f && CREATE(Input(2), Input(1)), true); var o = Output(Input(2), 0); }}")
+
+
 def test_output_position_out_of_range():
     with pytest.raises(PositionOutOfRange):
         run_src("MR {{ var x = Output(Input(1), 7); NOT(false); }}")
