@@ -87,12 +87,11 @@ class CliError(Exception):
 
 
 # What reading and decoding an input file raises when the file is missing,
-# unreadable or not in the expected format: every emrkit error for bad input
-# is a ValueError, and ``json`` raises RecursionError on a document nested
-# too deep. A well-formed document of the wrong shape fails in the code that
-# indexes into it, hence the last three.
-_SHAPE_ERRORS = (LookupError, TypeError, AttributeError)
-_INPUT_ERRORS = (OSError, ValueError, RecursionError, *_SHAPE_ERRORS)
+# unreadable or not in the expected format: ``json`` raises RecursionError on
+# a document nested too deep, and every emrkit error for bad input is a
+# ValueError, a wrong shape too: each loader checks the file's top level,
+# each row and each field, a missing field as null (``jsonl.check``).
+_INPUT_ERRORS = (OSError, ValueError, RecursionError)
 
 
 def _load(what: str, path: str | Path | None, loader: Callable[..., Any], *args: Any) -> Any:
@@ -101,11 +100,8 @@ def _load(what: str, path: str | Path | None, loader: Callable[..., Any], *args:
     try:
         return loader(path, *args)
     except _INPUT_ERRORS as exc:
-        reason: Any = exc
-        if isinstance(exc, OSError) and exc.strerror:
-            reason = exc.strerror  # the path is already in the message
-        elif isinstance(exc, _SHAPE_ERRORS):
-            reason = f"unexpected structure ({type(exc).__name__}: {exc})"
+        # An OSError's path is already in the message.
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         named = f"{what} {path}" if what else path
         raise CliError(f"cannot read {named}: {reason}")
 

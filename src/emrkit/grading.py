@@ -12,7 +12,6 @@ when every one of its labels is a correct-class label.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record
 from .dsl.printer import Unit
-from .jsonl import check
+from .jsonl import check, decode
 
 # Column order of the distribution table.
 LABELS = ("C", "CLC", "AI", "WS", "WI", "IE", "INE", "ITE", "ES", "ENO", "WAU", "WLC", "MISS")
@@ -70,26 +69,26 @@ def check_annotation(
 def load_annotations(
     path: str | Path, units: Mapping[str, Sequence[Unit]] | None = None
 ) -> list[StatementAnnotation]:
-    """Load line-oriented JSON annotations, validating labels (and, when
-    ``units`` maps each EMR id to the EMR's ``canonical_units``, line
-    existence and Simple/Complex applicability)."""
+    """Load JSON Lines annotations, validating labels (and, when ``units``
+    maps each EMR id to the EMR's ``canonical_units``, line existence and
+    Simple/Complex applicability). Only "\n" ends a line: a note may hold U+2028."""
     complex_lines = None if units is None else {
         emr_id: {u.line: u.is_complex for u in emr_units} for emr_id, emr_units in units.items()
     }
     annotations: list[StatementAnnotation] = []
     seen: set[tuple[str, int]] = set()
-    for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, raw_line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not raw_line.strip():
             continue
-        data = json.loads(raw_line)
-        emr_id = check(data["emr"], "a string", "emr")
-        line = check(data["line"], "an integer", f"{emr_id}: line")
+        data = check(decode(raw_line, number), "a JSON object", f"line {number}")
+        emr_id = check(data.get("emr"), "a string", "emr")
+        line = check(data.get("line"), "an integer", f"{emr_id}: line")
         where = f"{emr_id} line {line}"
         annotation = StatementAnnotation(
             emr_id=emr_id,
             line=line,
             note=check(data.get("note"), "a string or null", f"{where}: note"),
-            labels=check(data["labels"], "a list of strings", f"{where}: labels"),
+            labels=check(data.get("labels"), "a list of strings", f"{where}: labels"),
         )
         key = (annotation.emr_id, annotation.line)
         if key in seen:
@@ -195,25 +194,25 @@ class LikertResponse(Record):
             raise ValueError(f"unknown rating '{self.rating}' (known: {', '.join(RATINGS)})")
 
 
-def _csv_rows(handle: Iterable[str]) -> Iterator[dict[str, str]]:
-    """``csv.DictReader`` rows; a line the csv module cannot split (a field
-    over its size limit, say) is a ValueError naming the line."""
+def _csv_rows(handle: Iterable[str]) -> Iterator[tuple[int, dict[str, str | None]]]:
+    """``csv.DictReader`` rows and their last line numbers; a line the csv module
+    cannot split (a field over its size limit, say) is a ValueError naming it."""
     reader = csv.DictReader(handle)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from exc
 
 
 def load_survey(path: str | Path) -> list[LikertResponse]:
-    """CSV with header subject,statement,respondent,rating."""
+    """CSV with header subject,statement,respondent,rating, after any byte-order mark."""
     responses: list[LikertResponse] = []
     seen: set[tuple[str, str, str]] = set()
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in _csv_rows(handle):
-            response = LikertResponse(
-                row["subject"].strip(), row["statement"].strip(), row["respondent"].strip(), row["rating"].strip()
-            )
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        for number, row in _csv_rows(handle):
+            response = LikertResponse(*(check(row.get(key), "a string", f"line {number} field '{key}'").strip()
+                                        for key in ("subject", "statement", "respondent", "rating")))
             key = (response.respondent, response.subject, response.statement)
             if key in seen:
                 raise ValueError(f"duplicate response: {key[0]} on {key[1]}/{key[2]}")

@@ -14,9 +14,9 @@ that emrkit cannot rebuild, such as the user's own ``.smrl`` that ``repair
 --in-place`` fixes, is written by ``replace`` instead, which an
 interruption leaves holding its old bytes.
 
-A loader passes each typed field of a file it reads through ``check``, so
-every wrong-type value is refused with the same ``<field> must be <kind>,
-not <value>`` message.
+A loader passes the top level of a file it reads, each row and each field
+(read with ``.get``, so a missing one is ``null``) through ``check``, so any
+wrong shape is refused with the same ``<what> must be <kind>, not <value>``.
 """
 
 from __future__ import annotations
@@ -92,17 +92,20 @@ def replace(path: str | Path, data: bytes) -> None:
         temporary.unlink(missing_ok=True)
 
 
+def decode(line: str, number: int) -> Any:
+    """Line ``number`` of a file, decoded; a ``ValueError`` naming the line if it does not decode."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {number} is not valid JSON: {exc.msg} at column {exc.colno}") from None
+
+
 def read(path: Path) -> list[Any]:
     """The records of ``path`` in order. A final line with no newline that
     does not decode is a torn write and is dropped; any other line that does
     not decode raises ``ValueError`` naming its line number."""
     *lines, tail = Path(path).read_text(encoding="utf-8").split("\n")
-    records = []
-    for number, line in enumerate(lines, 1):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {number} is not valid JSON: {exc.msg} at column {exc.colno}") from None
+    records = [decode(line, number) for number, line in enumerate(lines, 1)]
     if tail:
         try:
             records.append(json.loads(tail))
@@ -119,6 +122,7 @@ _KINDS: dict[str, tuple[type, ...]] = {
     "a number": (int, float),
     "a boolean": (bool,),
     "a JSON object": (dict,),
+    "a JSON list": (list,),
     "a list of strings": (list,),
 }
 

@@ -52,12 +52,13 @@ class MockChatClient(Record):
     queues: dict[tuple[str, int, str], list[str]] = field(default_factory=dict)
 
     @classmethod
-    def from_scripts(cls, scripts: list[dict]) -> "MockChatClient":
+    def from_scripts(cls, scripts: Any) -> "MockChatClient":
         def field_of(entry: dict, name: str, kind: str, default: Any = None) -> Any:
             return check(entry.get(name, default), kind, f"mock script field '{name}'")
 
         client = cls()
-        for entry in scripts:
+        for number, entry in enumerate(check(scripts, "a JSON list", "the mock scripts"), 1):
+            entry = check(entry, "a JSON object", f"mock script {number}")
             key = (field_of(entry, "pipeline", "a string"), field_of(entry, "phase", "an integer"),
                    field_of(entry, "content_hash", "a string", "*"))
             client.queues.setdefault(key, []).append(field_of(entry, "response", "a string"))

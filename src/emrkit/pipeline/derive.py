@@ -172,7 +172,6 @@ def save_mr_catalog(mrs: list[MetamorphicRelation], path: str | Path) -> None:
 
 
 def load_mr_catalog(path: str | Path) -> list[MetamorphicRelation]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, list):
-        raise ValueError("MR catalog must be a JSON list")
-    return [MetamorphicRelation.from_json(item) for item in raw]
+    raw = jsonl.check(json.loads(Path(path).read_text(encoding="utf-8")), "a JSON list", "the MR catalog")
+    return [MetamorphicRelation.from_json(jsonl.check(item, "a JSON object", f"MR {number}"))
+            for number, item in enumerate(raw, 1)]

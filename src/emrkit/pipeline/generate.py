@@ -43,8 +43,10 @@ class FewShotExample(Record):
 def load_fewshot(path: str | Path) -> list[FewShotExample]:
     """Load MR/EMR pairs; every EMR must parse without error diagnostics."""
     examples = []
-    for i, item in enumerate(json.loads(Path(path).read_text(encoding="utf-8")), 1):
-        mr, emr = (check(item[key], "a string", f"few-shot example {i} field '{key}'") for key in ("mr", "emr"))
+    raw = check(json.loads(Path(path).read_text(encoding="utf-8")), "a JSON list", "the few-shot examples")
+    for i, item in enumerate(raw, 1):
+        item = check(item, "a JSON object", f"few-shot example {i}")
+        mr, emr = (check(item.get(key), "a string", f"few-shot example {i} field '{key}'") for key in ("mr", "emr"))
         diags = validate(parse_emr(emr, f"fewshot{i}", explanations=False))
         if has_errors(diags):
             bad = next(d for d in diags if d.severity == "error")

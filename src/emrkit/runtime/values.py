@@ -83,11 +83,12 @@ class ActionSequence(Record):
         return result
 
     @classmethod
-    def from_json(cls, data: Sequence[Mapping[str, Any]]) -> "ActionSequence":
+    def from_json(cls, data: Any) -> "ActionSequence":
         actions = []
-        for pos, item in enumerate(data):
+        for pos, item in enumerate(check(data, "a JSON list", "the input sequence")):
+            item = check(item, "a JSON object", f"action at position {pos}")
             what = f"action at position {pos} field"
-            actions.append(Action(pos, check(item["kind"], "a string", f"{what} 'kind'"),
+            actions.append(Action(pos, check(item.get("kind"), "a string", f"{what} 'kind'"),
                                   dict(check(item.get("parameters", {}), "a JSON object", f"{what} 'parameters'"))))
         return cls(actions)
 
@@ -105,7 +106,7 @@ class Output(Record):
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any], what: str = "output") -> "Output":
-        return cls(check(data["status"], "a string", f"{what} field 'status'"), data.get("payload"),
+        return cls(check(data.get("status"), "a string", f"{what} field 'status'"), data.get("payload"),
                    check(data.get("summary_size", 0), "an integer", f"{what} field 'summary_size'"))
 
 

@@ -40,9 +40,10 @@ class Cassette:
         """Every recorded (fingerprint, output) pair, in recording order."""
         entries = []
         for number, entry in enumerate(jsonl.read(self.path), 1):
-            if not isinstance(entry, dict) or not isinstance(entry.get("fingerprint"), str) or "output" not in entry:
-                raise ValueError(f"line {number} is not an object with a string 'fingerprint' and an 'output'")
-            entries.append((entry["fingerprint"], Output.from_json(entry["output"], f"line {number} output")))
+            entry = jsonl.check(entry, "a JSON object", f"line {number}")
+            recorded = jsonl.check(entry.get("fingerprint"), "a string", f"line {number} field 'fingerprint'")
+            output = jsonl.check(entry.get("output"), "a JSON object", f"line {number} field 'output'")
+            entries.append((recorded, Output.from_json(output, f"line {number} output")))
         return entries
 
     def append(self, fp: str, output: Output) -> None:

@@ -5,17 +5,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .._record import Record
 from ..jsonl import check
-
-
-def _entry_error(message: str, entry: Any) -> ValueError:
-    """A catalog error that quotes the start of the entry it is about."""
-    if entry is not None:
-        message = f"{message}: {json.dumps(entry, sort_keys=True)[:200]}"
-    return ValueError(message)
 
 
 @dataclass(eq=False, repr=False)
@@ -45,31 +38,27 @@ class ApiCatalog(Record):
         return "\n".join(blocks)
 
 
-def _parse_entry(raw: Mapping[str, Any]) -> ApiEntry:
-    if not isinstance(raw, Mapping):
-        raise _entry_error("catalog entry must be an object", raw)
+def _parse_entry(number: int, raw: Any) -> ApiEntry:
+    what = f"catalog entry {number}"
+    raw = check(raw, "a JSON object", what)
+    text = {}
     for key in ("name", "returns", "doc"):
-        if not isinstance(raw.get(key), str) or not raw[key].strip():
-            raise _entry_error(f"catalog entry needs a non-empty '{key}'", dict(raw))
-    params_raw = raw.get("parameters", [])
-    if not isinstance(params_raw, Sequence) or isinstance(params_raw, str):
-        raise _entry_error("'parameters' must be a list", dict(raw))
+        text[key] = check(raw.get(key), "a string", f"{what} field '{key}'")
+        if not text[key].strip():
+            raise ValueError(f"{what} field '{key}' must be a non-blank string, not {json.dumps(text[key])}")
+    what = f"catalog entry '{text['name']}'"
     parameters: list[tuple[str, str]] = []
-    for p in params_raw:
-        if not isinstance(p, Mapping) or "name" not in p or "type" not in p:
-            raise _entry_error("parameter needs 'name' and 'type'", dict(raw))
-        what = f"catalog entry '{raw['name']}' parameter field"
-        parameters.append((check(p["name"], "a string", f"{what} 'name'"),
-                           check(p["type"], "a string", f"{what} 'type'")))
-    return ApiEntry(raw["name"], parameters, raw["returns"], raw["doc"])
+    for index, p in enumerate(check(raw.get("parameters", []), "a JSON list", f"{what} field 'parameters'"), 1):
+        p = check(p, "a JSON object", f"{what} parameter {index}")
+        parameters.append((check(p.get("name"), "a string", f"{what} parameter field 'name'"),
+                           check(p.get("type"), "a string", f"{what} parameter field 'type'")))
+    return ApiEntry(parameters=parameters, **text)
 
 
 def load_api_catalog(path: str | Path) -> ApiCatalog:
     """Load a catalog file (JSON list of entries), preserving file order."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, list):
-        raise ValueError("catalog file must contain a JSON list")
-    entries = [_parse_entry(item) for item in raw]
+    raw = check(json.loads(Path(path).read_text(encoding="utf-8")), "a JSON list", "the API catalog")
+    entries = [_parse_entry(number, item) for number, item in enumerate(raw, 1)]
     seen: set[str] = set()
     for e in entries:
         if e.name in seen:

@@ -1307,6 +1307,14 @@ def test_survey_reproduces_reference_rates(tmp_path, capsys):
     assert "77%" in out and "64%" in out and "28%" in out
 
 
+def test_a_survey_that_starts_with_a_byte_order_mark_gives_the_same_report(tmp_path):
+    marked = tmp_path / "survey.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(SURVEY).read_bytes())
+    assert run("--out", tmp_path / "plain", "survey", SURVEY) == 0
+    assert run("--out", tmp_path / "marked", "survey", marked) == 0
+    assert (tmp_path / "marked" / "survey.json").read_bytes() == (tmp_path / "plain" / "survey.json").read_bytes()
+
+
 def test_survey_schema_error_exits_two(tmp_path):
     bad = tmp_path / "survey.csv"
     bad.write_text("subject,statement,respondent,rating\nmr01,S9,p1,agree\n")
@@ -1380,7 +1388,7 @@ FEWSHOT_EMR = json.loads(fixture_path("fewshot.json").read_text(encoding="utf-8"
 MALFORMED_INPUTS = {
     "mr-catalog-entry-not-object": (
         "mrs.json", b"[5]", None, ["generate", "{path}"],
-        "unexpected structure (AttributeError: 'int' object has no attribute 'get')"),
+        "MR 1 must be a JSON object, not 5"),
     "mr-catalog-text-not-string": (
         "mrs.json", b'[{"id": "m1", "text": 5}]', None, ["generate", "{path}"],
         "MR field 'text' must be a string, not 5"),
@@ -1392,19 +1400,19 @@ MALFORMED_INPUTS = {
         "few-shot example 1 field 'mr' must be a string, not 1"),
     "fewshot-not-list": (
         "fewshot.json", b'{"a": 1}', "fewshot", ["generate", "{empty}"],
-        "unexpected structure (TypeError: string indices must be integers"),
+        'the few-shot examples must be a JSON list, not {"a": 1}'),
     "fewshot-empty": (
         "fewshot.json", b"[]", "fewshot", ["generate", "{empty}"],
         "the file holds no examples; generation needs at least one"),
     "mock-script-not-object": (
         "scripts.json", b'["x"]', "mock_scripts", ["derive", DOC],
-        "unexpected structure (AttributeError: 'str' object has no attribute 'get')"),
+        'mock script 1 must be a JSON object, not "x"'),
     "mock-script-response-null": (
         "scripts.json", b'[{"pipeline": "derive", "phase": 1, "response": null}]', "mock_scripts", ["pipeline", DOC],
         "mock script field 'response' must be a string, not null"),
     "annotation-not-object": (
         "ann.jsonl", b"[1,2]\n", None, ["grade", "{path}"],
-        "unexpected structure (TypeError: list indices must be integers or slices, not str)"),
+        "line 1 must be a JSON object, not [1, 2]"),
     "annotation-line-not-integer": (
         "ann.jsonl", b'{"emr": "x", "line": 3.7, "labels": ["C"]}\n', None, ["grade", "{path}"],
         "x: line must be an integer, not 3.7"),
@@ -1416,13 +1424,13 @@ MALFORMED_INPUTS = {
         "x line 3: note must be a string or null, not 7"),
     "survey-row-short": (
         "survey.csv", b"subject,statement,respondent,rating\nmr01,S1\n", None, ["survey", "{path}"],
-        "unexpected structure (AttributeError: 'NoneType' object has no attribute 'strip')"),
+        "line 2 field 'respondent' must be a string, not null"),
     "survey-rating-unknown": (
         "survey.csv", b"subject,statement,respondent,rating\nmr01,S1,p1,sort-of\n", None, ["survey", "{path}"],
         "unknown rating 'sort-of'"),
     "cassette-entry-not-object": (
         "cassette.json", b"[1]", None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"],
-        "line 1 is not an object with a string 'fingerprint' and an 'output'"),
+        "line 1 must be a JSON object, not [1]"),
     "cassette-middle-line-not-json": (
         "cassette.jsonl", b'{"fingerprint":"a","output":{"status":"ok"}}\nnot json\n{"fingerprint":"b","output":{}}\n',
         None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"],
@@ -1451,16 +1459,16 @@ MALFORMED_INPUTS = {
     "api-catalog-parameters-not-list": (
         "catalog.json", b'[{"name": "isSearchAction", "parameters": "action", "returns": "boolean", "doc": "d"}]',
         None, ["check", FIG4, "--catalog", "{path}"],
-        "'parameters' must be a list"),
+        "catalog entry 'isSearchAction' field 'parameters' must be a JSON list, not \"action\""),
     "api-catalog-parameter-without-type": (
         "catalog.json",
         b'[{"name": "isSearchAction", "parameters": [{"name": "action"}], "returns": "boolean", "doc": "d"}]',
         None, ["check", FIG4, "--catalog", "{path}"],
-        "parameter needs 'name' and 'type'"),
+        "catalog entry 'isSearchAction' parameter field 'type' must be a string, not null"),
     "api-catalog-not-list": (
         "catalog.json", b'{"name": "isSearchAction", "returns": "boolean", "doc": "d"}', None,
         ["check", FIG4, "--catalog", "{path}"],
-        "catalog file must contain a JSON list"),
+        'the API catalog must be a JSON list, not {"name": "isSearchAction", "returns": "boolean", "doc": "d"}'),
     "cassette-output-of-wrong-types": (
         "cassette.jsonl", b'{"fingerprint":"a","output":{"status":5,"summary_size":true}}\n',
         None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"],
@@ -1472,6 +1480,20 @@ MALFORMED_INPUTS = {
         "input.json", b'[{"kind": "search", "parameters": [["query", "chair"]]}]', None,
         ["run", FIG4, "--inputs", "{path}"],
         "action at position 0 field 'parameters' must be a JSON object, not [[\"query\", \"chair\"]]"),
+    # A missing field is refused as null is.
+    "fewshot-example-without-emr": (
+        "fewshot.json", b'[{"mr": "m"}]', "fewshot", ["generate", "{empty}"],
+        "few-shot example 1 field 'emr' must be a string, not null"),
+    "input-action-without-kind": (
+        "input.json", b'[{"parameters": {}}]', None, ["run", FIG4, "--inputs", "{path}"],
+        "action at position 0 field 'kind' must be a string, not null"),
+    "cassette-output-without-status": (
+        "cassette.jsonl", b'{"fingerprint":"a","output":{"payload":null}}\n',
+        None, ["run", FIG4, "--inputs", INPUTS, "--sut", "replay:{path}"],
+        "line 1 output field 'status' must be a string, not null"),
+    "survey-header-without-respondent": (
+        "survey.csv", b"subject,statement,rating\nmr01,S1,agree\n", None, ["survey", "{path}"],
+        "line 2 field 'respondent' must be a string, not null"),
 }
 
 

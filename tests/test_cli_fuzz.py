@@ -5,7 +5,7 @@ it starts from, its format and the command that reads it. ``mutants`` makes
 seeded variants of those bytes: each sampled JSON value replaced by a value
 of another type, a value nested deeply, the file cut short, a non-UTF-8
 prefix, the whole file nested too deeply for the JSON decoder, an empty file,
-and every key (or line) written twice. For each mutant ``cli.main`` must
+every key (or line) written twice, and one key deleted. For each mutant ``cli.main`` must
 return one of the documented exit codes without raising or printing a
 traceback, and an exit 2 must name the file.
 """
@@ -37,6 +37,7 @@ DOCUMENTED_EXITS = {
 # value it replaces (a boolean is not a number here, as in the loaders).
 SWAPS: list[Any] = [None, True, 0, -1, 2.5, "", "x", [], [None], {}, {"k": 1}]
 SWAPS_PER_KIND = 48
+DELETES_PER_KIND = 8
 CUTS_PER_KIND = 4
 DECODER_DEPTH = 100_000  # deeper than json's recursion limit
 WALKER_DEPTH = 500  # decodes, then reaches any recursive walk of the value
@@ -115,6 +116,16 @@ def _replaced(value: Any, path: tuple, new: Any) -> Any:
     return [_replaced(item, rest, new) if index == head else item for index, item in enumerate(value)]
 
 
+def _deleted(value: Any, path: tuple) -> Any:
+    """``value`` without the key that ``path`` ends in."""
+    head, rest = path[0], path[1:]
+    if not rest:
+        return {key: item for key, item in value.items() if key != head}
+    if isinstance(value, dict):
+        return {**value, head: _deleted(value[head], rest)}
+    return [_deleted(item, rest) if index == head else item for index, item in enumerate(value)]
+
+
 def _repeating_keys(value: Any, decoy: Any) -> str:
     """``value`` as JSON with every key written twice, ``decoy`` first."""
     if isinstance(value, dict):
@@ -161,6 +172,9 @@ def mutants(kind: Kind, base: bytes) -> Iterator[tuple[str, bytes]]:
     path = rng.choice(paths)
     yield f"{list(path)} nested {WALKER_DEPTH} deep", encode(_replaced(value, path, _nested(WALKER_DEPTH)))
     yield "every key twice", encode(value, lambda new: _repeating_keys(new, [None]))
+    keys = [path for path in paths if path and isinstance(path[-1], str)]
+    for path in rng.sample(keys, min(DELETES_PER_KIND, len(keys))):
+        yield f"{list(path)} deleted", encode(_deleted(value, path))
 
 
 @pytest.fixture(scope="module")

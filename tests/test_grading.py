@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from emrkit import jsonl
 from emrkit.dsl import canonical_units, parse_emr
 from emrkit.grading import (
     CORRECT_LABELS,
@@ -155,6 +156,33 @@ def test_annotations_round_trip_through_to_json_around_blank_lines(tmp_path):
     path = tmp_path / "ann.jsonl"
     path.write_text("\n".join(["", json.dumps(records[0]), "   ", json.dumps(records[1]), ""]))
     assert load_annotations(path) == annotations
+
+
+def test_a_note_holding_raw_line_breaks_of_splitlines_loads(tmp_path):
+    note = "a\u2028b\u2029c\x85d\x1ce"  # JSON allows each raw inside a string
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps({"emr": "x", "line": 3, "labels": ["C"], "note": note}, ensure_ascii=False) + "\n",
+                    encoding="utf-8")
+    assert [a.note for a in load_annotations(path)] == [note]
+
+
+def test_a_line_that_does_not_decode_is_named_by_its_line_in_the_file(tmp_path):
+    lines = [json.dumps({"emr": "x", "line": n, "labels": ["C"]}) for n in (3, 4, 5)]
+    path = tmp_path / "ann.jsonl"
+    path.write_text("\n".join([*lines, '{"emr": "x", "line": 6, "labels": ["C"]', ""]), encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_annotations(path)
+    assert str(excinfo.value).startswith("line 4 is not valid JSON: ")
+    with pytest.raises(ValueError) as as_json_lines:
+        jsonl.read(path)
+    assert str(excinfo.value) == str(as_json_lines.value)
+
+
+def test_a_last_line_without_newline_that_does_not_decode_is_refused(tmp_path):
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps({"emr": "x", "line": 3, "labels": ["C"]}) + '\n{"emr": "x", "line"', encoding="utf-8")
+    with pytest.raises(ValueError, match="^line 2 is not valid JSON: "):
+        load_annotations(path)
 
 
 def test_fixture_annotations_validate_against_the_suite(suite_units):
