@@ -1382,8 +1382,7 @@ def test_config_values_keep_their_types(tmp_path, capsys):
 # Every one of them used to end in a traceback, name the file twice, or load
 # a value of the wrong JSON type. The last field is the reason the error must
 # give: the text of the loader's own check, so that a deleted check fails its
-# row, or, for a shape that no check of the loader refuses, the
-# ``unexpected structure (...)`` text of ``cli._load``'s catch-all.
+# row.
 FEWSHOT_EMR = json.loads(fixture_path("fewshot.json").read_text(encoding="utf-8"))[0]["emr"]
 MALFORMED_INPUTS = {
     "mr-catalog-entry-not-object": (
